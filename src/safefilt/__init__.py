@@ -9,7 +9,7 @@ invariance along closed loops, and simulation harnesses that record
 everything the certificates need.
 """
 
-from .comparison import (DomainError, ExtendedKFunction, KFunction, KLBound,
+from .comparison import (DomainError, ExtendedKFunction, KFunction,
                          LegendreFenchelPair, eps_power_extended,
                          eps_power_k, extended_k_from_name, identity_k,
                          k_from_name, kl_solve, kl_solve_grid,
@@ -17,8 +17,7 @@ from .comparison import (DomainError, ExtendedKFunction, KFunction, KLBound,
                          linear_k, numeric_inverse, power_extended,
                          power_k, power_pair, young_gap)
 from .systems import (BarrierFunction, ControlAffineSystem, LieData,
-                      ModelBlowup, NominalController, check_gradient,
-                      lie_data, scalar_system)
+                      ModelBlowup, check_gradient, lie_data, scalar_system)
 from .filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec, Weight,
                       half_sontag_filter, hji_residual,
                       inverse_optimal_condition, inverse_optimal_general,

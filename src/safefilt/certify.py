@@ -31,11 +31,11 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .comparison import kl_solve_grid
-from .filters import state_penalty_l
-from .projection import PROJ_GRAD_TOL
-from .reciprocal import _b_data
+from .filters import Weight, cbf_margin, game_weights, min_norm_weights
+from .projection import projection_weights
+from .reciprocal import reciprocal_weights
 from .sim import integrate_ode
-from .stochastic import nssf_state_penalty_l, stoch_state_penalty_l
+from .stochastic import nssf_weights, stoch_weights
 from .systems import lie_data
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
@@ -108,195 +108,114 @@ def _intro_sontag_terms(traj):
     return vals, none, none.copy(), x.copy()
 
 
+def _paired(weight, dev_sq):
+    """(weight * dev_sq, inf flag): an infinite Weight pairs with a
+    numerically zero deviation as 0 and flags anything larger."""
+    if weight.infinite:
+        return 0.0, dev_sq > PAIR_TOL ** 2
+    return float(weight) * dev_sq, False
+
+
+def _per_sample(traj, term):
+    """(vals, pos_inf, neg_inf) from term(k) -> (value, +inf, -inf)."""
+    vals, pos_inf, neg_inf = zip(*(term(k) for k in range(traj.times.size)))
+    return (np.array(vals, dtype=float), np.array(pos_inf, dtype=bool),
+            np.array(neg_inf, dtype=bool))
+
+
 def _disturbance_game_terms(traj, cost):
     iospec = cost.spec
     beta, lam = iospec.beta_gain, iospec.lam
-    base = iospec.base
-    N = traj.times.size
-    vals = np.zeros(N)
-    for k in range(N):
-        x = traj.states[k]
-        t = traj.times[k]
-        l = state_penalty_l(iospec, x, t)
+
+    def term(k):
+        R2, l = game_weights(iospec, traj.states[k], traj.nominal[k])
         dev = traj.controls[k] - traj.nominal[k]
-        if iospec.R2 is None:
-            R2 = np.eye(base.sys.m2)
-        else:
-            R2 = np.asarray(iospec.R2(x, traj.nominal[k]),
-                            dtype=float).reshape(base.sys.m2, base.sys.m2)
-        quad = float(dev @ R2 @ dev)
         dnorm = float(np.linalg.norm(traj.disturbances[k]))
         pen = beta * lam * iospec.gamma.gamma(dnorm / lam)
-        vals[k] = l - quad + pen
-    none = np.zeros(N, dtype=bool)
-    return vals, none, none.copy(), 2.0 * beta * traj.h_values
+        return l - float(dev @ R2 @ dev) + pen, False, False
+    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
 def _qp_weighted_terms(traj, cost):
     spec = cost.spec
     beta, lam = cost.beta_gain, cost.lam
-    N = traj.times.size
-    vals = np.zeros(N)
-    pos_inf = np.zeros(N, dtype=bool)
-    neg_inf = np.zeros(N, dtype=bool)
     dev_sq = _dev_sq(traj)
-    for k in range(N):
-        x = traj.states[k]
-        t = traj.times[k]
-        ld = lie_data(spec.sys, spec.bf, x)
-        u0v = traj.nominal[k]
-        rinv = spec.rho.inverse(max(0.0, -ld.h_val))
-        omega = (ld.Lfh + float(ld.Lg2h @ u0v)
-                 - float(np.linalg.norm(ld.Lg1h)) * rinv
-                 + spec.alpha(ld.h_val))
-        l = (2.0 * beta * spec.alpha(ld.h_val)
-             + beta * min(beta * omega, -2.0 * omega)
-             - beta * (2.0 - lam) * float(np.linalg.norm(ld.Lg1h)) * rinv)
-        vals[k] = l
-        # control term, weight ||Lg2h||^2 / max{0, -omega}
-        neg = max(0.0, -omega)
-        if neg == 0.0:
-            if dev_sq[k] > PAIR_TOL ** 2:
-                neg_inf[k] = True
-        else:
-            vals[k] -= float(ld.Lg2h @ ld.Lg2h) / neg * dev_sq[k]
-        # disturbance term, weight 1 / rho^{-1}(max{0, -h})
-        d_sq = float(traj.disturbances[k] @ traj.disturbances[k])
-        if rinv == 0.0:
-            if d_sq > PAIR_TOL ** 2:
-                pos_inf[k] = True
-        else:
-            vals[k] += (beta / lam) / rinv * d_sq
-    return vals, pos_inf, neg_inf, 2.0 * beta * traj.h_values
+
+    def term(k):
+        R1, R2, l = min_norm_weights(spec, traj.states[k], traj.nominal[k],
+                                     beta, lam)
+        ctrl, neg_inf = _paired(R2, dev_sq[k])
+        dist, pos_inf = _paired(R1, float(traj.disturbances[k]
+                                          @ traj.disturbances[k]))
+        return l - ctrl + (beta / lam) * dist, pos_inf, neg_inf
+    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
 def _qp_exact_terms(traj, cost):
     spec = cost.spec
     beta = cost.beta_gain
-    N = traj.times.size
-    vals = np.zeros(N)
-    pos_inf = np.zeros(N, dtype=bool)
-    neg_inf = np.zeros(N, dtype=bool)
     dev_sq = _dev_sq(traj)
-    for k in range(N):
-        x = traj.states[k]
-        ld = lie_data(spec.sys, spec.bf, x)
-        u0v = traj.nominal[k]
-        om2 = ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
-        vals[k] = (2.0 * beta * spec.alpha(ld.h_val)
-                   + beta * min((beta - 2.0) * om2, -2.0 * om2))
-        if om2 >= 0.0:
-            if dev_sq[k] > PAIR_TOL ** 2:
-                neg_inf[k] = True
-        else:
-            vals[k] -= float(ld.Lg2h @ ld.Lg2h) / (-om2) * dev_sq[k]
-    return vals, pos_inf, neg_inf, 2.0 * beta * traj.h_values
+
+    def term(k):
+        ld = lie_data(spec.sys, spec.bf, traj.states[k])
+        omega, a = cbf_margin(spec, ld, traj.nominal[k])
+        ctrl, neg_inf = _paired(Weight.ratio(float(a @ a), max(0.0, -omega)),
+                                dev_sq[k])
+        return (2.0 * beta * spec.alpha(ld.h_val)
+                + beta * min((beta - 2.0) * omega, -2.0 * omega)
+                - ctrl), False, neg_inf
+    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
 def _reciprocal_min_terms(traj, cost):
     spec = cost.spec
     beta = spec.beta_gain
-    N = traj.times.size
-    vals = np.zeros(N)
-    pos_inf = np.zeros(N, dtype=bool)
     dev_sq = _dev_sq(traj)
-    terms = np.zeros(N)
-    for k in range(N):
-        x = traj.states[k]
-        t = traj.times[k]
-        Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-        om = LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)
-        h = 1.0 / Bv
-        vals[k] = h * h * (-2.0 * beta * spec.alpha_bar(h)
-                           + beta * max((beta - 2.0) * om, -2.0 * om))
-        pos = max(0.0, om)
-        if pos == 0.0:
-            if dev_sq[k] > PAIR_TOL ** 2:
-                pos_inf[k] = True
-        else:
-            r2_eff = h * h * float(LgB @ LgB) / pos
-            vals[k] += r2_eff * dev_sq[k]
-        terms[k] = -2.0 * beta * h
-    return vals, pos_inf, np.zeros(N, dtype=bool), terms
+    h = np.zeros(traj.times.size)
+
+    def term(k):
+        R, lbar, Bv = reciprocal_weights(spec, traj.states[k],
+                                         traj.nominal[k])
+        h[k] = 1.0 / Bv
+        ctrl, pos_inf = _paired(R, dev_sq[k])
+        return lbar + h[k] * h[k] * ctrl, pos_inf, False
+    return _per_sample(traj, term) + (-2.0 * beta * h,)
 
 
-def _stochastic_value_terms(traj, cost):
+def _ito_value_terms(traj, cost):
+    """stochastic-value, and noise-game: the same plus the covariance
+    penalty of the recorded schedule."""
     spec = cost.spec
     beta = spec.beta_gain
-    if spec.gamma2 is None:
-        raise ValueError("stochastic-value needs gamma2 on the spec")
-    N = traj.times.size
-    vals = np.zeros(N)
-    for k in range(N):
-        x = traj.states[k]
-        t = traj.times[k]
-        l = stoch_state_penalty_l(spec, x, t)
-        dev = traj.controls[k] - traj.nominal[k]
-        if spec.R2 is None:
-            quad = float(dev @ dev)
-        else:
-            R2 = np.asarray(spec.R2(x, traj.nominal[k]), dtype=float)
-            R2 = R2.reshape(spec.sys.m2, spec.sys.m2)
-            quad = float(dev @ R2 @ dev)
-        vals[k] = l - beta * beta * spec.gamma2.gamma(
-            (2.0 / beta) * math.sqrt(max(0.0, quad)))
-    none = np.zeros(N, dtype=bool)
-    return vals, none, none.copy(), 2.0 * beta * traj.h_values
-
-
-def _noise_game_terms(traj, cost):
-    spec = cost.spec
-    beta, lam = spec.beta_gain, spec.lam
-    if spec.gamma1 is None or spec.gamma2 is None:
-        raise ValueError("noise-game needs gamma1 and gamma2 on the spec")
-    if cost.cov is None:
+    adversary = cost.kind == "noise-game"
+    if adversary and cost.cov is None:
         raise ValueError("noise-game needs the covariance schedule")
-    N = traj.times.size
-    vals = np.zeros(N)
-    for k in range(N):
-        x = traj.states[k]
-        t = traj.times[k]
-        l = nssf_state_penalty_l(spec, x, t)
+    weights = nssf_weights if adversary else stoch_weights
+
+    def term(k):
+        R2, l = weights(spec, traj.states[k], traj.nominal[k])
         dev = traj.controls[k] - traj.nominal[k]
-        if spec.R2 is None:
-            quad = float(dev @ dev)
-        else:
-            R2 = np.asarray(spec.R2(x, traj.nominal[k]), dtype=float)
-            R2 = R2.reshape(spec.sys.m2, spec.sys.m2)
-            quad = float(dev @ R2 @ dev)
-        S = cost.cov.at(t)
-        frob = float(np.linalg.norm(S @ S.T, "fro"))
-        vals[k] = (l
-                   - beta * beta * spec.gamma2.gamma(
-                       (2.0 / beta) * math.sqrt(max(0.0, quad)))
-                   + beta * lam * spec.gamma1.gamma(frob / lam))
-    none = np.zeros(N, dtype=bool)
-    return vals, none, none.copy(), 2.0 * beta * traj.h_values
+        quad = float(dev @ R2 @ dev)
+        val = l - beta * beta * spec.gamma2.gamma(
+            (2.0 / beta) * math.sqrt(max(0.0, quad)))
+        if adversary:
+            S = cost.cov.at(traj.times[k])
+            frob = float(np.linalg.norm(S @ S.T, "fro"))
+            val += beta * spec.lam * spec.gamma1.gamma(frob / spec.lam)
+        return val, False, False
+    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
 def _projection_min_terms(traj, cost):
     spec = cost.spec
     beta = spec.beta_gain
-    N = traj.times.size
-    vals = np.zeros(N)
-    pos_inf = np.zeros(N, dtype=bool)
     dev_sq = _dev_sq(traj)
-    for k in range(N):
-        th = traj.states[k]
-        h = spec.bf.value(th)
-        g = spec.bf.gradient(th)
-        gu = float(g @ traj.nominal[k])
-        m = max(0.0, -gu - spec.alpha(h))
-        vals[k] = 2.0 * beta * gu + beta * beta * m
-        if m == 0.0:
-            if dev_sq[k] > PAIR_TOL ** 2:
-                pos_inf[k] = True
-        else:
-            q = float(g @ g)
-            if math.sqrt(q) < PROJ_GRAD_TOL:
-                raise ValueError("flat gradient on an active sample")
-            vals[k] += q * dev_sq[k] / m
-    return vals, pos_inf, np.zeros(N, dtype=bool), -2.0 * beta * traj.h_values
+
+    def term(k):
+        R, l = projection_weights(spec, traj.states[k], traj.nominal[k])
+        ctrl, pos_inf = _paired(R, dev_sq[k])
+        return l + ctrl, pos_inf, False
+    return _per_sample(traj, term) + (-2.0 * beta * traj.h_values,)
 
 
 _EVALUATORS = {
@@ -306,8 +225,8 @@ _EVALUATORS = {
     "qp-weighted": _qp_weighted_terms,
     "qp-exact": _qp_exact_terms,
     "reciprocal-min": _reciprocal_min_terms,
-    "stochastic-value": _stochastic_value_terms,
-    "noise-game": _noise_game_terms,
+    "stochastic-value": _ito_value_terms,
+    "noise-game": _ito_value_terms,
     "projection-min": _projection_min_terms,
 }
 

@@ -251,16 +251,6 @@ def kl_solve_grid(alpha, r, times):
     raise RuntimeError("kl_solve_grid: refinement limit reached")
 
 
-class KLBound:
-    """Two-argument decay bound built from an extended class-K alpha."""
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def __call__(self, r, t):
-        return kl_solve(self.alpha, r, t)
-
-
 # ---------------------------------------------------------------------------
 # named constructors, also used by the scenario config parser
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
 """Deterministic safety filters and their optimality certificates.
 
-The plant is dx = (f + g1 d + g2 u) dt with barrier h, safe set
-{h >= 0}. The disturbance-robust safety margin is
+Every filter in the package is one margin, one direction and one rule.
+A margin function takes the nominal value u0 and returns (omega, a):
+omega >= 0 where u0 is already safe, and a correction v moves the
+margin to omega + a.v (a = Lg2h; -LgB for reciprocal barriers; grad h
+for projection). `correct` turns (omega, a) into v by one rule:
+
+    MIN_NORM     -(omega/|a|^2) a where omega < 0, else 0 (the QP)
+    SONTAG       kappa(omega, |a|^2) a, Sontag's universal formula
+    HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
+
+and raises the caller's violation class where omega < 0 but
+|a| < GRAD_ZERO_TOL. Here the plant is dx = (f + g1 d + g2 u) dt with
+barrier h, safe set {h >= 0}, and dssf_margin is
 
     omega(x, u0) = Lfh + Lg2h.u0 - ||Lg1h|| rho^{-1}(max{0,-h}) + alpha(h)
 
-and every filter here turns that scalar into a control:
-
-  * qp_filter          min-norm correction, closed-form single-constraint QP
-  * sontag_filter      damping-style universal formula (correction term)
+  * qp_filter          min-norm correction
+  * sontag_filter      universal-formula correction term
   * half_sontag_filter nominal plus half the universal correction
   * inverse_optimal_*  scaled corrections that minimize a meaningful cost
 
@@ -27,12 +36,74 @@ import numpy as np
 from .comparison import LegendreFenchelPair, legendre_fenchel
 from .systems import lie_data
 
-ACTIVE_TOL = 1e-12          # constraint counts as active below this margin
-GRAD_ZERO_TOL = 1e-12       # ||Lg2h|| below this means no control authority
+GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
+
+MIN_NORM = "min-norm"
+SONTAG = "sontag"
+HALF_SONTAG = "half-sontag"
 
 
 class CbfViolation(RuntimeError):
     """Safety constraint violated where the control has no authority."""
+
+
+def sontag_kappa(omega, q):
+    """Scalar gain of the universal formula, rationalized on each branch.
+
+    q = ||a||^2. Zero when the control has no authority; the two
+    branches are algebraically equal but avoid cancellation.
+    """
+    if q == 0.0:
+        return 0.0
+    root = math.hypot(omega, q)
+    if omega < 0.0:
+        return (-omega + root) / q
+    return q / (omega + root)
+
+
+def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
+    """Correction v of the nominal for margin omega along direction a.
+
+    rule is MIN_NORM, SONTAG or HALF_SONTAG (see the module docstring).
+    Raises `error` where omega < 0 and ||a|| < GRAD_ZERO_TOL: no
+    correction can restore the margin there.
+    """
+    if rule == MIN_NORM and omega >= 0.0:
+        return np.zeros(a.shape)
+    q = float(a @ a)
+    if omega < 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:
+        raise error("margin %g < 0 with no control authority (|a| = %g)"
+                    % (omega, math.sqrt(q)))
+    if rule == MIN_NORM:
+        return -(omega / q) * a
+    kappa = sontag_kappa(omega, q)
+    if rule == HALF_SONTAG:
+        kappa *= 0.5
+    return kappa * a
+
+
+def _u0_at(spec, x, t):
+    u = np.atleast_1d(np.asarray(spec.u0(x, t), dtype=float))
+    if u.shape != (spec.sys.m2,):
+        raise ValueError("u0 shape %s, expected (%d,)" % (u.shape, spec.sys.m2))
+    return u
+
+
+def _check_gains(beta_gain, floor, lam=None):
+    """ValueError unless beta_gain >= floor and lam, if given, in (0, 2]."""
+    if beta_gain < floor:
+        raise ValueError("beta_gain %g < %g" % (beta_gain, floor))
+    if lam is not None and not (0.0 < lam <= 2.0):
+        raise ValueError("lam must lie in (0, 2], got %g" % lam)
+
+
+def _spd_weight(weight, x, u0v, m):
+    """weight(x, u0v) as an (m, m) matrix, identity when weight is None."""
+    if weight is None:
+        return np.eye(m)
+    W = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
+    np.linalg.cholesky(W)  # raises unless symmetric positive definite
+    return W
 
 
 @dataclass(frozen=True)
@@ -50,33 +121,30 @@ class DssfCbfSpec:
     u0: Callable
 
 
-def _u0_at(spec, x, t):
-    u = np.atleast_1d(np.asarray(spec.u0(x, t), dtype=float))
-    if u.shape != (spec.sys.m2,):
-        raise ValueError("u0 shape %s, expected (%d,)" % (u.shape, spec.sys.m2))
-    return u
+def dssf_margin(spec, ld, u0v):
+    """(omega, Lg2h) with the robust margin of the module docstring; any
+    spec with rho and alpha, so also the deterministic sandwich floor."""
+    robust = (float(np.linalg.norm(ld.Lg1h))
+              * spec.rho.inverse(max(0.0, -ld.h_val)))
+    omega = ld.Lfh + float(ld.Lg2h @ u0v) - robust + spec.alpha(ld.h_val)
+    return omega, ld.Lg2h
 
 
-def _margin_parts(spec, x, t):
+def cbf_margin(spec, ld, u0v):
+    """(omega, Lg2h) with the disturbance-free margin
+    omega = Lfh + Lg2h.u0 + alpha(h)."""
+    return ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val), ld.Lg2h
+
+
+def _dssf_at(spec, x, t):
     ld = lie_data(spec.sys, spec.bf, x)
     u0v = _u0_at(spec, x, t)
-    robust = float(np.linalg.norm(ld.Lg1h)) * spec.rho.inverse(max(0.0, -ld.h_val))
-    omega = ld.Lfh + float(ld.Lg2h @ u0v) - robust + spec.alpha(ld.h_val)
-    return ld, u0v, omega
+    return (u0v,) + dssf_margin(spec, ld, u0v)
 
 
 def omega_dssf(spec, x, t):
     """The robust safety margin omega(x, u0(x,t))."""
-    return _margin_parts(spec, x, t)[2]
-
-
-def _qp_correction(omega, Lg2h):
-    if omega >= 0.0:
-        return np.zeros(Lg2h.shape)
-    q = float(Lg2h @ Lg2h)
-    if math.sqrt(q) < GRAD_ZERO_TOL:
-        raise CbfViolation("margin %g < 0 with ||Lg2h|| ~ 0" % omega)
-    return -(omega / q) * Lg2h
+    return _dssf_at(spec, x, t)[1]
 
 
 def qp_filter(spec, x, t):
@@ -85,8 +153,8 @@ def qp_filter(spec, x, t):
     Zero when the margin is already nonnegative, otherwise the unique
     minimizer of |ubar|^2 subject to omega + Lg2h.ubar >= 0.
     """
-    ld, _, omega = _margin_parts(spec, x, t)
-    return _qp_correction(omega, ld.Lg2h)
+    _, omega, a = _dssf_at(spec, x, t)
+    return correct(omega, a)
 
 
 def qp_filter_affine_form(spec, x, t):
@@ -96,31 +164,14 @@ def qp_filter_affine_form(spec, x, t):
     constraint chi0 = I, chi1 = 0; on it chi0 projects out the Lg2h
     direction, so for m2 = 1 the nominal is overridden entirely.
     """
-    ld, u0v, omega = _margin_parts(spec, x, t)
+    u0v, omega, a = _dssf_at(spec, x, t)
+    correct(omega, a)  # the authority guard
     m2 = spec.sys.m2
     if omega >= 0.0:
         return np.eye(m2), np.zeros(m2), False
-    q = float(ld.Lg2h @ ld.Lg2h)
-    if math.sqrt(q) < GRAD_ZERO_TOL:
-        raise CbfViolation("margin %g < 0 with ||Lg2h|| ~ 0" % omega)
-    omega1 = omega - float(ld.Lg2h @ u0v)
-    chi0 = np.eye(m2) - np.outer(ld.Lg2h, ld.Lg2h) / q
-    chi1 = -(omega1 / q) * ld.Lg2h
-    return chi0, chi1, True
-
-
-def sontag_kappa(omega, q):
-    """Scalar gain of the universal formula, rationalized on each branch.
-
-    q = ||Lg2h||^2. Zero when the control has no authority; the two
-    branches are algebraically equal but avoid cancellation.
-    """
-    if q == 0.0:
-        return 0.0
-    root = math.hypot(omega, q)
-    if omega < 0.0:
-        return (-omega + root) / q
-    return q / (omega + root)
+    q = float(a @ a)
+    chi0 = np.eye(m2) - np.outer(a, a) / q
+    return chi0, -((omega - float(a @ u0v)) / q) * a, True
 
 
 def sontag_filter(spec, x, t, include_u0=True):
@@ -130,11 +181,10 @@ def sontag_filter(spec, x, t, include_u0=True):
     (filter acts as a correction on top of u0) or without it (filter is
     the whole control). Either way only the correction is returned.
     """
-    ld, u0v, omega = _margin_parts(spec, x, t)
+    u0v, omega, a = _dssf_at(spec, x, t)
     if not include_u0:
-        omega -= float(ld.Lg2h @ u0v)
-    q = float(ld.Lg2h @ ld.Lg2h)
-    return sontag_kappa(omega, q) * ld.Lg2h
+        omega -= float(a @ u0v)
+    return correct(omega, a, SONTAG)
 
 
 def half_sontag_filter(spec, x, t):
@@ -143,8 +193,8 @@ def half_sontag_filter(spec, x, t):
     Solves the conservative pointwise constraint
     0.5*(omega - sqrt(omega^2 + q^2)) + Lg2h.v = 0 with minimum norm.
     """
-    u0v = _u0_at(spec, x, t)
-    return u0v + 0.5 * sontag_filter(spec, x, t, include_u0=True)
+    u0v, omega, a = _dssf_at(spec, x, t)
+    return u0v + correct(omega, a, HALF_SONTAG)
 
 
 def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
@@ -153,11 +203,9 @@ def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
     beta_gain >= 2 certifies optimality of a meaningful cost; the
     escape hatch allows beta_gain >= 1, which still certifies safety.
     """
-    floor = 1.0 if allow_safety_only else 2.0
-    if beta_gain < floor:
-        raise ValueError("beta_gain %g < %g" % (beta_gain, floor))
-    u0v = _u0_at(spec, x, t)
-    return u0v + beta_gain * qp_filter(spec, x, t)
+    _check_gains(beta_gain, 1.0 if allow_safety_only else 2.0)
+    u0v, omega, a = _dssf_at(spec, x, t)
+    return u0v + beta_gain * correct(omega, a)
 
 
 @dataclass(frozen=True)
@@ -177,35 +225,31 @@ class InverseOptimalSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        floor = 1.0 if self.allow_safety_only else 2.0
-        if self.beta_gain < floor:
-            raise ValueError("beta_gain %g < %g" % (self.beta_gain, floor))
-        if not (0.0 < self.lam <= 2.0):
-            raise ValueError("lam must lie in (0, 2], got %g" % self.lam)
+        _check_gains(self.beta_gain, 1.0 if self.allow_safety_only else 2.0,
+                     self.lam)
 
 
-def _r2_at(iospec, x, u0v):
-    m2 = iospec.base.sys.m2
-    if iospec.R2 is None:
-        return np.eye(m2)
-    R2 = np.asarray(iospec.R2(x, u0v), dtype=float).reshape(m2, m2)
-    np.linalg.cholesky(R2)  # raises unless symmetric positive definite
-    return R2
-
-
-def _io_parts(iospec, x, t):
-    ld, u0v, _ = _margin_parts(iospec.base, x, t)
+def _io_parts(iospec, x, u0v):
+    """(ld, drift, R2, r2inv_l2h, S, ell, l) at state x and nominal
+    value u0v; l is the state penalty."""
+    base = iospec.base
+    beta, lam = iospec.beta_gain, iospec.lam
+    ld = lie_data(base.sys, base.bf, x)
     drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    R2 = _r2_at(iospec, x, u0v)
+    R2 = _spd_weight(iospec.R2, x, u0v, base.sys.m2)
     r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
     S = float(ld.Lg2h @ r2inv_l2h)
     ell = legendre_fenchel(iospec.gamma, 2.0 * float(np.linalg.norm(ld.Lg1h)))
-    return ld, u0v, drift, r2inv_l2h, S, ell
+    l = (-2.0 * beta * (drift - ell + S)
+         - beta * (2.0 - lam) * ell
+         - beta * (beta - 2.0) * S)
+    return ld, drift, R2, r2inv_l2h, S, ell, l
 
 
 def inverse_optimal_general(iospec, x, t):
     """u = u0 + beta * R2^{-1} Lg2h'."""
-    _, u0v, _, r2inv_l2h, _, _ = _io_parts(iospec, x, t)
+    u0v = _u0_at(iospec.base, x, t)
+    r2inv_l2h = _io_parts(iospec, x, u0v)[3]
     return u0v + iospec.beta_gain * r2inv_l2h
 
 
@@ -216,7 +260,8 @@ def inverse_optimal_condition(iospec, x, t):
 
     Returned as-is so the caller decides whether to enforce or report.
     """
-    ld, _, drift, _, S, ell = _io_parts(iospec, x, t)
+    ld, drift, _, _, S, ell, _ = _io_parts(iospec, x,
+                                           _u0_at(iospec.base, x, t))
     return drift - ell + S + iospec.base.alpha(ld.h_val)
 
 
@@ -239,17 +284,20 @@ def qp_worst_case_disturbance(spec, lam, x):
     return -lam * spec.rho.inverse(max(0.0, -ld.h_val)) * ld.Lg1h / nrm
 
 
+def game_weights(iospec, x, u0v):
+    """Control weight R2 (matrix) and state penalty l of the disturbance
+    game at state x and nominal value u0v."""
+    terms = _io_parts(iospec, x, u0v)
+    return terms[2], terms[-1]
+
+
 def state_penalty_l(iospec, x, t):
     """Pointwise state penalty of the certified cost.
 
     Bounded above by 2*beta*alpha(h): large exactly where the barrier
     says motion is dangerous, possibly negative deep inside the safe set.
     """
-    beta, lam = iospec.beta_gain, iospec.lam
-    _, _, drift, _, S, ell = _io_parts(iospec, x, t)
-    return (-2.0 * beta * (drift - ell + S)
-            - beta * (2.0 - lam) * ell
-            - beta * (beta - 2.0) * S)
+    return game_weights(iospec, x, _u0_at(iospec.base, x, t))[1]
 
 
 def hji_residual(iospec, x, t):
@@ -259,8 +307,8 @@ def hji_residual(iospec, x, t):
     of l, S, and the transform against each other.
     """
     beta, lam = iospec.beta_gain, iospec.lam
-    _, _, drift, _, S, ell = _io_parts(iospec, x, t)
-    l = state_penalty_l(iospec, x, t)
+    _, drift, _, _, S, ell, l = _io_parts(iospec, x,
+                                          _u0_at(iospec.base, x, t))
     return drift + 0.5 * beta * S - 0.5 * lam * ell + l / (2.0 * beta)
 
 
@@ -301,6 +349,23 @@ class Weight:
             raise ValueError("infinite weight has no float value")
         return self.value
 
+    @classmethod
+    def ratio(cls, num, den):
+        """num / den, infinite where den == 0."""
+        return cls(math.inf, True) if den == 0.0 else cls(num / den)
+
+
+def min_norm_weights(spec, x, u0v, beta_gain, lam):
+    """qp_weights at state x and nominal value u0v."""
+    ld = lie_data(spec.sys, spec.bf, x)
+    omega, a = dssf_margin(spec, ld, u0v)
+    rinv = spec.rho.inverse(max(0.0, -ld.h_val))
+    l = (2.0 * beta_gain * spec.alpha(ld.h_val)
+         + beta_gain * min(beta_gain * omega, -2.0 * omega)
+         - beta_gain * (2.0 - lam) * float(np.linalg.norm(ld.Lg1h)) * rinv)
+    return (Weight.ratio(1.0, rinv),
+            Weight.ratio(float(a @ a), max(0.0, -omega)), l)
+
 
 def qp_weights(spec, x, t, beta_gain=2.0, lam=2.0):
     """Weights (R1, R2, l) certifying the min-norm filter.
@@ -310,18 +375,7 @@ def qp_weights(spec, x, t, beta_gain=2.0, lam=2.0):
         l  = 2 beta alpha(h) + beta min{beta omega, -2 omega}
              - beta (2-lam) ||Lg1h|| rho^{-1}(max{0,-h})
     """
-    ld, _, omega = _margin_parts(spec, x, t)
-    rinv = spec.rho.inverse(max(0.0, -ld.h_val))
-    R1 = Weight(math.inf, True) if rinv == 0.0 else Weight(1.0 / rinv)
-    neg = max(0.0, -omega)
-    if neg == 0.0:
-        R2 = Weight(math.inf, True)
-    else:
-        R2 = Weight(float(ld.Lg2h @ ld.Lg2h) / neg)
-    l = (2.0 * beta_gain * spec.alpha(ld.h_val)
-         + beta_gain * min(beta_gain * omega, -2.0 * omega)
-         - beta_gain * (2.0 - lam) * float(np.linalg.norm(ld.Lg1h)) * rinv)
-    return R1, R2, l
+    return min_norm_weights(spec, x, _u0_at(spec, x, t), beta_gain, lam)
 
 
 def scp_diagnostic(spec, points, t=0.0):

@@ -7,7 +7,8 @@ as fast as alpha0, never faster than alpha, both sides degraded by the
 disturbance through rho0/rho. With the correction active the lower
 edge is attained exactly, which the tests lean on.
 
-Policies here are time-invariant: u0 takes the state only.
+Policies here are time-invariant: u0 takes the state only. Each filter
+returns u0 plus the unit-gain min-norm correction of one floor margin.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import GRAD_ZERO_TOL
+from .filters import MIN_NORM, correct, dssf_margin
+from .stochastic import generator_margin, nssf_margin
 from .systems import lie_data
 
 
@@ -48,24 +50,14 @@ def omega0(spec, x):
 
 def omega_no(spec, x):
     """Floor-side margin; negative where the filter must act."""
-    ld, _, drift = _parts(spec, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
-    return (drift - nrm * spec.rho.inverse(max(0.0, -ld.h_val))
-            + spec.alpha(ld.h_val))
+    ld, u0v, _ = _parts(spec, x)
+    return dssf_margin(spec, ld, u0v)[0]
 
 
 def sandwich_filter(spec, x):
     """Full control guarding only the floor (unit corrective gain)."""
-    ld, u0v, drift = _parts(spec, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
-    om = (drift - nrm * spec.rho.inverse(max(0.0, -ld.h_val))
-          + spec.alpha(ld.h_val))
-    if om >= 0.0:
-        return u0v
-    q = float(ld.Lg2h @ ld.Lg2h)
-    if np.sqrt(q) < GRAD_ZERO_TOL:
-        raise RuntimeError("floor margin %g < 0 with ||Lg2h|| ~ 0" % om)
-    return u0v + (-om / q) * ld.Lg2h
+    ld, u0v, _ = _parts(spec, x)
+    return u0v + correct(*dssf_margin(spec, ld, u0v), MIN_NORM, RuntimeError)
 
 
 def nominal_decay_margin(spec, x):
@@ -77,12 +69,14 @@ def gain_separation_margin(spec, x):
     """alpha(h) - alpha0(h)
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
-    ld, _, _ = _parts(spec, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
-    h = ld.h_val
+    ld = _parts(spec, x)[0]
+    return _separation(spec, ld.h_val, float(np.linalg.norm(ld.Lg1h)))
+
+
+def _separation(spec, h, weight):
     return (spec.alpha(h) - spec.alpha0(h)
-            - nrm * (spec.rho.inverse(max(0.0, -h))
-                     + spec.rho0.inverse(max(0.0, h))))
+            - weight * (spec.rho.inverse(max(0.0, -h))
+                        + spec.rho0.inverse(max(0.0, h))))
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +92,9 @@ def stoch_omega0(spec, x):
 
 
 def stoch_omega(spec, x):
-    ld, _, drift = _parts(spec, x)
-    return (drift - 0.5 * ld.frob_term * spec.rho.inverse(max(0.0, -ld.h_val))
-            + spec.alpha(ld.h_val))
+    """Floor margin against an unknown covariance (the NSSF margin)."""
+    ld, u0v, _ = _parts(spec, x)
+    return nssf_margin(spec, ld, u0v)[0]
 
 
 def omega0_exact(spec, x):
@@ -110,8 +104,8 @@ def omega0_exact(spec, x):
 
 
 def omega_exact(spec, x):
-    ld, _, drift = _parts(spec, x)
-    return drift + ld.trace_term + spec.alpha(ld.h_val)
+    ld, u0v, _ = _parts(spec, x)
+    return generator_margin(spec, ld, u0v)[0]
 
 
 def stoch_sandwich_filter(spec, x, exact_trace=False):
@@ -122,24 +116,11 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
     exactly, and under omega0_exact <= 0 it stays below -alpha0(h)
     everywhere the output is still above the floor (h >= 0).
     """
-    ld, u0v, drift = _parts(spec, x)
-    if exact_trace:
-        om = drift + ld.trace_term + spec.alpha(ld.h_val)
-    else:
-        om = (drift - 0.5 * ld.frob_term
-              * spec.rho.inverse(max(0.0, -ld.h_val))
-              + spec.alpha(ld.h_val))
-    if om >= 0.0:
-        return u0v
-    q = float(ld.Lg2h @ ld.Lg2h)
-    if np.sqrt(q) < GRAD_ZERO_TOL:
-        raise RuntimeError("floor margin %g < 0 with ||Lg2h|| ~ 0" % om)
-    return u0v + (-om / q) * ld.Lg2h
+    ld, u0v, _ = _parts(spec, x)
+    margin = generator_margin if exact_trace else nssf_margin
+    return u0v + correct(*margin(spec, ld, u0v), MIN_NORM, RuntimeError)
 
 
 def stoch_gain_separation_margin(spec, x):
-    ld, _, _ = _parts(spec, x)
-    h = ld.h_val
-    return (spec.alpha(h) - spec.alpha0(h)
-            - 0.5 * ld.frob_term * (spec.rho.inverse(max(0.0, -h))
-                                    + spec.rho0.inverse(max(0.0, h))))
+    ld = _parts(spec, x)[0]
+    return _separation(spec, ld.h_val, 0.5 * ld.frob_term)

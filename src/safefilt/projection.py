@@ -14,16 +14,14 @@ the boundary is located by bisection and the update then slides
 tangentially until the nominal points inward again.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .sim import _alloc
+from .filters import MIN_NORM, Weight, _check_gains, correct
+from .sim import _alloc, _rk4
 
 PROJ_BOUNDARY_TOL = 1e-12
-PROJ_GRAD_TOL = 1e-12
 
 
 class ProjectionError(RuntimeError):
@@ -38,55 +36,62 @@ class ProjectionSpec:
     beta_gain: float = 2.0
 
     def __post_init__(self):
-        if self.beta_gain < 2.0:
-            raise ValueError("beta_gain %g < 2" % self.beta_gain)
+        _check_gains(self.beta_gain, 2.0)
 
 
-def _parts(spec, theta_hat, u0_val):
+def _parts(theta_hat, u0_val):
     theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     u0v = np.atleast_1d(np.asarray(u0_val, dtype=float))
     if u0v.shape != theta.shape:
         raise ValueError("u0 shape %s, estimate shape %s"
                          % (u0v.shape, theta.shape))
-    h = spec.bf.value(theta)
+    return theta, u0v
+
+
+def projection_margin(spec, theta_hat, u0_val):
+    """(omega, grad h) with omega = grad h . u0 + alpha(h); the
+    continuous laws correct where omega < 0."""
+    theta, u0v = _parts(theta_hat, u0_val)
     g = spec.bf.gradient(theta)
-    return theta, u0v, h, g
+    return float(g @ u0v) + spec.alpha(spec.bf.value(theta)), g
 
 
 def classic_projection(spec, theta_hat, u0_val):
     """Correction of the discontinuous law; zero strictly inside."""
-    _, u0v, h, g = _parts(spec, theta_hat, u0_val)
+    theta, u0v = _parts(theta_hat, u0_val)
+    h = spec.bf.value(theta)
     act = spec.alpha(h)
     if act > PROJ_BOUNDARY_TOL:
         return np.zeros(u0v.shape)
     if act < -PROJ_BOUNDARY_TOL:
         raise ProjectionError("estimate outside the constraint set, h=%g" % h)
-    gu = float(g @ u0v)
-    if gu >= 0.0:
-        return np.zeros(u0v.shape)
-    q = float(g @ g)
-    if math.sqrt(q) < PROJ_GRAD_TOL:
-        raise ProjectionError("flat gradient on the active boundary")
-    return -(gu / q) * g
+    # on the boundary the margin is the normal component grad h . u0
+    g = spec.bf.gradient(theta)
+    return correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
 
 
 def qp_projection(spec, theta_hat, u0_val):
     """Min-norm correction toward grad h, active where
     -grad.u0 > alpha(h); continuous in theta_hat."""
-    _, u0v, h, g = _parts(spec, theta_hat, u0_val)
-    excess = max(0.0, -float(g @ u0v) - spec.alpha(h))
-    if excess == 0.0:
-        return np.zeros(u0v.shape)
-    q = float(g @ g)
-    if math.sqrt(q) < PROJ_GRAD_TOL:
-        raise ProjectionError("flat gradient where the constraint binds")
-    return (excess / q) * g
+    return correct(*projection_margin(spec, theta_hat, u0_val), MIN_NORM,
+                   ProjectionError)
 
 
 def inverse_optimal_update(spec, theta_hat, u0_val):
     """Full update u0 + beta * qp_projection."""
     u0v = np.atleast_1d(np.asarray(u0_val, dtype=float))
     return u0v + spec.beta_gain * qp_projection(spec, theta_hat, u0_val)
+
+
+def projection_weights(spec, theta_hat, u0_val):
+    """(R, l): the min-norm certificate weight |grad h|^2 / max{0,-omega}
+    (infinite where omega >= 0) and the state penalty l."""
+    beta = spec.beta_gain
+    theta, u0v = _parts(theta_hat, u0_val)
+    omega, g = projection_margin(spec, theta, u0v)
+    m = max(0.0, -omega)
+    return (Weight.ratio(float(g @ g), m),
+            2.0 * beta * float(g @ u0v) + beta * beta * m)
 
 
 def projection_penalty_l(spec, theta_hat, u0_val):
@@ -97,18 +102,7 @@ def projection_penalty_l(spec, theta_hat, u0_val):
     Along the optimal update the certified cost stays pinned at
     -2 beta h(theta_hat(0)).
     """
-    beta = spec.beta_gain
-    _, u0v, h, g = _parts(spec, theta_hat, u0_val)
-    gu = float(g @ u0v)
-    return 2.0 * beta * gu + beta * beta * max(0.0, -gu - spec.alpha(h))
-
-
-def _rk4(fn, x, t, dt):
-    k1 = fn(x, t)
-    k2 = fn(x + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = fn(x + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = fn(x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return projection_weights(spec, theta_hat, u0_val)[1]
 
 
 def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):
@@ -155,13 +149,7 @@ def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):
     def sliding_field(x, t):
         u0v = nominal_field(x, t)
         g = spec.bf.gradient(x)
-        q = float(g @ g)
-        if math.sqrt(q) < PROJ_GRAD_TOL:
-            raise ProjectionError("flat gradient while sliding")
-        gu = float(g @ u0v)
-        if gu >= 0.0:
-            return u0v
-        return u0v - (gu / q) * g
+        return u0v + correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
 
     on_boundary = abs(spec.bf.value(th)) <= PROJ_BOUNDARY_TOL
     for k in range(n_steps + 1):

@@ -9,6 +9,8 @@ Safety keeps dB/dt <= alpha_bar(1/B); the margin
 is positive where the nominal pushes toward the boundary, and the
 filters cancel exactly that excess. Everything dualizes to the h-form
 with omega = -h^2 * omega_tilde, which the tests exploit.
+reciprocal_margin hands filters.correct the sign-flipped pair
+(-omega_tilde, -LgB), so the min-norm rule applies unchanged.
 """
 
 import math
@@ -17,8 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .systems import FD_STEP, _as_state
-from .filters import GRAD_ZERO_TOL, Weight
+from .filters import (MIN_NORM, Weight, _check_gains, _spd_weight, _u0_at,
+                      correct)
+from .systems import BarrierFunction, _as_state
 
 
 class RcbfViolation(RuntimeError):
@@ -39,90 +42,77 @@ class RcbfSpec:
         if self.sys.m1 != 0:
             raise ValueError("reciprocal filters assume no disturbance "
                              "channel (m1 = 0), got m1 = %d" % self.sys.m1)
-        if self.beta_gain < 2.0:
-            raise ValueError("beta_gain %g < 2" % self.beta_gain)
+        _check_gains(self.beta_gain, 2.0)
 
 
-def _grad_b(spec, x):
-    if spec.gradB is not None:
-        return np.atleast_1d(np.asarray(spec.gradB(x), dtype=float))
-    n = x.size
-    g = np.empty(n)
-    for i in range(n):
-        step = FD_STEP * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        g[i] = (float(spec.B(xp)) - float(spec.B(xm))) / (2.0 * step)
-    return g
-
-
-def _b_data(spec, x, t):
+def _b_data(spec, x):
     x = _as_state(x, spec.sys.n)
     Bv = float(spec.B(x))
     if not (Bv > 0.0 and math.isfinite(Bv)):
         raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
-    grad = _grad_b(spec, x)
+    grad = BarrierFunction(spec.B, spec.gradB).gradient(x)
     LfB = float(grad @ spec.sys.f_at(x))
     LgB = np.atleast_1d(grad @ spec.sys.g2_at(x))
-    u0v = np.atleast_1d(np.asarray(spec.u0(x, t), dtype=float))
-    return Bv, LfB, LgB, u0v
+    return Bv, LfB, LgB
+
+
+def reciprocal_margin(spec, bdata, u0v):
+    """(omega, a) = (-omega_tilde, -LgB) from bdata = (B, LfB, LgB), so
+    that omega_tilde + LgB.v <= 0 reads omega + a.v >= 0."""
+    Bv, LfB, LgB = bdata
+    return -(LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)), -LgB
+
+
+def _margin_at(spec, x, t):
+    bdata = _b_data(spec, x)
+    u0v = _u0_at(spec, x, t)
+    return bdata, u0v, reciprocal_margin(spec, bdata, u0v)
 
 
 def omega_tilde(spec, x, t):
-    Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-    return LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)
+    return -_margin_at(spec, x, t)[2][0]
 
 
 def rcbf_qp_filter(spec, x, t):
     """Full control: nominal minus beta times the min-norm excess."""
-    Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-    om = LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)
-    if om <= 0.0:
-        return u0v
-    q = float(LgB @ LgB)
-    if math.sqrt(q) < GRAD_ZERO_TOL:
-        raise RcbfViolation("margin %g > 0 with ||LgB|| ~ 0" % om)
-    return u0v - spec.beta_gain * (om / q) * LgB
-
-
-def _rbar_at(spec, x, u0v):
-    m2 = spec.sys.m2
-    if spec.Rbar is None:
-        return np.eye(m2)
-    R = np.asarray(spec.Rbar(x, u0v), dtype=float).reshape(m2, m2)
-    np.linalg.cholesky(R)
-    return R
+    _, u0v, (omega, a) = _margin_at(spec, x, t)
+    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, RcbfViolation)
 
 
 def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
-    _, _, LgB, u0v = _b_data(spec, x, t)
-    R = _rbar_at(spec, x, u0v)
+    LgB = _b_data(spec, x)[2]
+    u0v = _u0_at(spec, x, t)
+    R = _spd_weight(spec.Rbar, x, u0v, spec.sys.m2)
     return u0v - spec.beta_gain * np.linalg.solve(R, LgB)
 
 
 def rcbf_condition(spec, x, t):
     """Margin alpha_bar(1/B) - L_{f+g u0}B + Sbar; >= 0 certifies the
     scaled correction keeps B finite."""
-    Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-    R = _rbar_at(spec, x, u0v)
-    Sbar = float(LgB @ np.linalg.solve(R, LgB))
-    return spec.alpha_bar(1.0 / Bv) - (LfB + float(LgB @ u0v)) + Sbar
+    (_, _, LgB), u0v, (omega, _) = _margin_at(spec, x, t)
+    R = _spd_weight(spec.Rbar, x, u0v, spec.sys.m2)
+    return omega + float(LgB @ np.linalg.solve(R, LgB))
+
+
+def reciprocal_weights(spec, x, u0v):
+    """(Rbar, lbar, B) at state x and nominal value u0v: the min-norm
+    certificate weight, its state penalty (see rcbf_penalty_l) and the
+    barrier value."""
+    beta = spec.beta_gain
+    bdata = _b_data(spec, x)
+    omega, a = reciprocal_margin(spec, bdata, u0v)
+    om = -omega
+    h = 1.0 / bdata[0]
+    lbar = h * h * (-2.0 * beta * spec.alpha_bar(h)
+                    + beta * max((beta - 2.0) * om, -2.0 * om))
+    return Weight.ratio(float(a @ a), max(0.0, om)), lbar, bdata[0]
 
 
 def rcbf_weights(spec, x, t):
     """Min-norm certificate weight Rbar = ||LgB||^2 / max{0, omega_tilde}
     (infinite off the constraint) and the matching state penalty."""
-    Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-    om = LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)
-    pos = max(0.0, om)
-    if pos == 0.0:
-        R = Weight(math.inf, True)
-    else:
-        R = Weight(float(LgB @ LgB) / pos)
-    return R, rcbf_penalty_l(spec, x, t)
+    return reciprocal_weights(spec, x, _u0_at(spec, x, t))[:2]
 
 
 def rcbf_penalty_l(spec, x, t):
@@ -135,16 +125,11 @@ def rcbf_penalty_l(spec, x, t):
 
     so lbar >= -(2 beta / B^2) alpha_bar(1/B), tight on the constraint.
     """
-    beta = spec.beta_gain
-    Bv, LfB, LgB, u0v = _b_data(spec, x, t)
-    om = LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)
-    h = 1.0 / Bv
-    return h * h * (-2.0 * beta * spec.alpha_bar(h)
-                    + beta * max((beta - 2.0) * om, -2.0 * om))
+    return rcbf_weights(spec, x, t)[1]
 
 
 def rcbf_penalty_bound_gap(spec, x, t):
     """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative."""
-    Bv = float(spec.B(_as_state(x, spec.sys.n)))
+    _, lbar, Bv = reciprocal_weights(spec, x, _u0_at(spec, x, t))
     floor = -(2.0 * spec.beta_gain / (Bv * Bv)) * spec.alpha_bar(1.0 / Bv)
-    return rcbf_penalty_l(spec, x, t) - floor
+    return lbar - floor

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .certify import (CostSpec, certify_dssf_bound, cost_invariance_check,
-                      evaluate_cost, mc_summary)
+from .certify import (DSSF_PASS_TOL, CostSpec, certify_dssf_bound,
+                      cost_invariance_check, evaluate_cost, mc_summary)
 from .comparison import (ExtendedKFunction, identity_k, kl_solve_grid,
                          linear_extended, extended_k_from_name, k_from_name,
                          eps_power_extended, power_k, power_pair)
@@ -44,14 +44,13 @@ from .projection import ProjectionSpec, classic_projection, qp_projection, \
 from .sim import (SimConfig, integrate_ode, integrate_ode_scalar,
                   integrate_sde, sde_path_functionals, write_trajectory_csv)
 from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
-                         generator_h, min_eigenvalue, nssf_hji_residual,
+                         generator_margin, min_eigenvalue, nssf_hji_residual,
                          nssf_qp_filter, stoch_qp_filter,
                          worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import BarrierFunction, scalar_system
+from .systems import BarrierFunction, lie_data, scalar_system
 
-DSSF_TOL = 1e-4
 VALUE_TOL = 1e-3
 
 
@@ -63,7 +62,7 @@ class ScenarioResult:
 
 
 def _fmt(v):
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "PASS" if v else "FAIL"
     if isinstance(v, float):
         return "%.12g" % v
@@ -416,9 +415,9 @@ def run_ex5_stoch(cfg, out_dir=None):
     gen_min = math.inf
     for i, traj in enumerate(paths):
         for k in range(0, traj.times.size - 1, 50):
-            g = generator_h(spec.sys, spec.bf, traj.states[k],
-                            traj.controls[k])
-            gen_min = min(gen_min, g + spec.alpha(traj.h_values[k]))
+            ld = lie_data(spec.sys, spec.bf, traj.states[k])
+            gen_min = min(gen_min,
+                          generator_margin(spec, ld, traj.controls[k])[0])
         _emit(res, out_dir, "ex5-stoch-path%d.csv" % i, traj)
     res.report["generator_margin_min"] = gen_min
     res.passed = ok and gen_min >= -1e-8
@@ -579,7 +578,7 @@ def run_sandwich_scalar(cfg, out_dir=None):
         hi = float(np.min(kl0 + gains - traj.h_values))
         res.report["lower_margin_%s" % tag] = lo
         res.report["upper_margin_%s" % tag] = hi
-        ok = ok and lo_ok and hi >= -DSSF_TOL
+        ok = ok and lo_ok and hi >= -DSSF_PASS_TOL
         _emit(res, out_dir, "sandwich-scalar-%s.csv" % tag, traj)
 
     grid = np.linspace(-2.0, 2.0, 81)

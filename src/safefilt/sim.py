@@ -91,6 +91,15 @@ def _truncate(traj, k):
     return traj
 
 
+def _rk4(fn, x, t, dt):
+    """One classical RK4 step of dx/dt = fn(x, t)."""
+    k1 = fn(x, t)
+    k2 = fn(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = fn(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = fn(x + dt * k3, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     """Classical RK4 on dx = f + g1 d + g2 u with u = control(x, t).
 
@@ -135,11 +144,7 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
             break
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rate(x, t)
-                k2 = rate(x + 0.5 * dt * k1, t + 0.5 * dt)
-                k3 = rate(x + 0.5 * dt * k2, t + 0.5 * dt)
-                k4 = rate(x + dt * k3, t + dt)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                x = _rk4(rate, x, t, dt)
         except _ESCAPE_ERRORS:
             traj.escape_time = t + dt
             return _truncate(traj, k + 1)

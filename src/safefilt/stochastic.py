@@ -15,10 +15,12 @@ Two problem classes share the machinery:
         omega = Lfh + Lg2h.u0 + alpha(h)
                 - 0.5 ||g1' H g1||_F rho^{-1}(max{0,-h}).
 
-Min-norm and damping-style filters return the full control u0 + fix.
-The inverse-optimal layer mirrors the deterministic one: gamma2 shapes
-the control penalty, gamma1 (noise-to-state case) the covariance
-penalty, and the value-equation residuals vanish identically.
+Each filter pairs generator_margin or nssf_margin with a rule of
+filters.correct; its docstring says whether it returns the full
+control or the correction alone. The inverse-optimal layer mirrors
+the deterministic one: gamma2 shapes the control penalty, gamma1
+(noise-to-state case) the covariance penalty, and the value-equation
+residuals vanish identically.
 """
 
 import math
@@ -28,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import legendre_fenchel
-from .filters import GRAD_ZERO_TOL, sontag_kappa
+from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
+                      _spd_weight, _u0_at, correct)
 from .systems import lie_data
 
 
@@ -48,115 +51,42 @@ class StochSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        if self.beta_gain < 1.0:
-            raise ValueError("beta_gain %g < 1" % self.beta_gain)
+        _check_gains(self.beta_gain, 1.0)
 
 
-def _require_optimal_gain(spec):
-    if spec.beta_gain < 2.0 and not spec.allow_safety_only:
-        raise ValueError("optimality claims need beta_gain >= 2 "
-                         "(got %g); set allow_safety_only to accept a "
-                         "safety-only gain" % spec.beta_gain)
+def _at(spec, x, t):
+    return lie_data(spec.sys, spec.bf, x), _u0_at(spec, x, t)
 
 
-def _u0_at(spec, x, t):
-    u = np.atleast_1d(np.asarray(spec.u0(x, t), dtype=float))
-    if u.shape != (spec.sys.m2,):
-        raise ValueError("u0 shape %s, expected (%d,)" % (u.shape, spec.sys.m2))
-    return u
+def generator_margin(spec, ld, u0v):
+    """(omega, Lg2h) with omega = L h(u0) + alpha(h), Sigma = I; also the
+    exact-trace floor of the stochastic sandwich filter."""
+    omega = (ld.Lfh + float(ld.Lg2h @ u0v) + ld.trace_term
+             + spec.alpha(ld.h_val))
+    return omega, ld.Lg2h
 
 
 def omega_sbfc(spec, x, t):
     """Generator margin at the nominal: Lfh + Lg2h.u0 + trace + alpha(h)."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    return (ld.Lfh + float(ld.Lg2h @ u0v) + ld.trace_term
-            + spec.alpha(ld.h_val))
+    return generator_margin(spec, *_at(spec, x, t))[0]
 
 
 def stoch_qp_filter(spec, x, t):
     """Full control u0 + beta * min-norm fix of the generator margin."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    om = (ld.Lfh + float(ld.Lg2h @ u0v) + ld.trace_term
-          + spec.alpha(ld.h_val))
-    if om >= 0.0:
-        return u0v
-    q = float(ld.Lg2h @ ld.Lg2h)
-    if math.sqrt(q) < GRAD_ZERO_TOL:
-        raise ScbfViolation("generator margin %g < 0 with ||Lg2h|| ~ 0" % om)
-    return u0v + spec.beta_gain * (-om / q) * ld.Lg2h
+    ld, u0v = _at(spec, x, t)
+    omega, a = generator_margin(spec, ld, u0v)
+    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, ScbfViolation)
 
 
 def stoch_sontag_filter(spec, x, t, include_u0=True):
-    """Damping-style correction kappa * Lg2h on the generator margin."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    om = (ld.Lfh + float(ld.Lg2h @ u0v) + ld.trace_term
-          + spec.alpha(ld.h_val))
+    """Damping-style correction kappa * Lg2h on the generator margin;
+    the correction only, not u0 + correction. include_u0 as in
+    filters.sontag_filter."""
+    ld, u0v = _at(spec, x, t)
+    omega, a = generator_margin(spec, ld, u0v)
     if not include_u0:
-        om -= float(ld.Lg2h @ u0v)
-    q = float(ld.Lg2h @ ld.Lg2h)
-    return sontag_kappa(om, q) * ld.Lg2h
-
-
-def _r2_at(spec, x, u0v):
-    m2 = spec.sys.m2
-    if spec.R2 is None:
-        return np.eye(m2)
-    R2 = np.asarray(spec.R2(x, u0v), dtype=float).reshape(m2, m2)
-    np.linalg.cholesky(R2)
-    return R2
-
-
-def _io_parts(spec, x, t):
-    if spec.gamma2 is None:
-        raise ValueError("inverse-optimal calls need gamma2")
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    R2 = _r2_at(spec, x, u0v)
-    r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
-    s = math.sqrt(max(0.0, float(ld.Lg2h @ r2inv_l2h)))
-    ell2 = legendre_fenchel(spec.gamma2, s)
-    return ld, u0v, drift, r2inv_l2h, s, ell2
-
-
-def stoch_inverse_optimal(spec, x, t):
-    """u = u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s with
-    s = |R2^{-1/2} Lg2h'|; just u0 where the barrier is control-blind.
-
-    With gamma2(r) = r^2/4 and the min-norm weight for R2 this
-    reproduces stoch_qp_filter wherever the constraint is active.
-    """
-    _require_optimal_gain(spec)
-    _, u0v, _, r2inv_l2h, s, _ = _io_parts(spec, x, t)
-    if s < GRAD_ZERO_TOL:
-        return u0v
-    gain = spec.gamma2.gamma_prime_inv(s) / s
-    return u0v + 0.5 * spec.beta_gain * gain * r2inv_l2h
-
-
-def stoch_io_condition(spec, x, t):
-    """Premise margin drift + trace + ell_gamma2(s) + alpha(h) >= 0."""
-    ld, _, drift, _, _, ell2 = _io_parts(spec, x, t)
-    return drift + ld.trace_term + ell2 + spec.alpha(ld.h_val)
-
-
-def stoch_state_penalty_l(spec, x, t):
-    beta = spec.beta_gain
-    ld, _, drift, _, _, ell2 = _io_parts(spec, x, t)
-    return (-2.0 * beta * (drift + ld.trace_term + ell2)
-            - beta * (beta - 2.0) * ell2)
-
-
-def hjb_residual(spec, x, t):
-    """Dynamic-programming residual of the certified value; zero by
-    construction, evaluated as a wiring check."""
-    beta = spec.beta_gain
-    ld, _, drift, _, _, ell2 = _io_parts(spec, x, t)
-    l = stoch_state_penalty_l(spec, x, t)
-    return drift + ld.trace_term + 0.5 * beta * ell2 + l / (2.0 * beta)
+        omega -= float(a @ u0v)
+    return correct(omega, a, SONTAG, ScbfViolation)
 
 
 # ---------------------------------------------------------------------------
@@ -178,43 +108,35 @@ class NssfSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        if self.beta_gain < 1.0:
-            raise ValueError("beta_gain %g < 1" % self.beta_gain)
-        if not (0.0 < self.lam <= 2.0):
-            raise ValueError("lam must lie in (0, 2], got %g" % self.lam)
+        _check_gains(self.beta_gain, 1.0, self.lam)
+
+
+def nssf_margin(spec, ld, u0v):
+    """(omega, Lg2h) with the worst-covariance margin of the module
+    docstring."""
+    budget = spec.rho.inverse(max(0.0, -ld.h_val))
+    omega = (ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
+             - 0.5 * ld.frob_term * budget)
+    return omega, ld.Lg2h
 
 
 def omega_nssf(spec, x, t):
     """Margin with the covariance at its Frobenius-budget worst."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    budget = spec.rho.inverse(max(0.0, -ld.h_val))
-    return (ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
-            - 0.5 * ld.frob_term * budget)
+    return nssf_margin(spec, *_at(spec, x, t))[0]
 
 
 def nssf_qp_filter(spec, x, t):
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    budget = spec.rho.inverse(max(0.0, -ld.h_val))
-    om = (ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
-          - 0.5 * ld.frob_term * budget)
-    if om >= 0.0:
-        return u0v
-    q = float(ld.Lg2h @ ld.Lg2h)
-    if math.sqrt(q) < GRAD_ZERO_TOL:
-        raise ScbfViolation("margin %g < 0 with ||Lg2h|| ~ 0" % om)
-    return u0v + spec.beta_gain * (-om / q) * ld.Lg2h
+    """Full control u0 + beta * min-norm fix of the NSSF margin."""
+    ld, u0v = _at(spec, x, t)
+    omega, a = nssf_margin(spec, ld, u0v)
+    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, ScbfViolation)
 
 
 def nssf_sontag_filter(spec, x, t):
-    ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    budget = spec.rho.inverse(max(0.0, -ld.h_val))
-    om = (ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
-          - 0.5 * ld.frob_term * budget)
-    q = float(ld.Lg2h @ ld.Lg2h)
-    return u0v + sontag_kappa(om, q) * ld.Lg2h
+    """Full control u0 + universal correction of the NSSF margin."""
+    ld, u0v = _at(spec, x, t)
+    omega, a = nssf_margin(spec, ld, u0v)
+    return u0v + correct(omega, a, SONTAG, ScbfViolation)
 
 
 def worst_case_covariance(spec, x):
@@ -242,48 +164,120 @@ def min_eigenvalue(M):
     return float(np.min(np.linalg.eigvalsh(M)))
 
 
-def _nssf_io_parts(spec, x, t):
-    if spec.gamma1 is None or spec.gamma2 is None:
-        raise ValueError("inverse-optimal calls need gamma1 and gamma2")
-    if spec.beta_gain < 2.0 and not spec.allow_safety_only:
-        raise ValueError("optimality claims need beta_gain >= 2")
+def _value_core(spec, x, u0v):
+    """(ld, drift, R2, r2inv_l2h, s, ell2), shared by both classes."""
     ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
     drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    R2 = _r2_at(spec, x, u0v)
+    R2 = _spd_weight(spec.R2, x, u0v, spec.sys.m2)
     r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
     s = math.sqrt(max(0.0, float(ld.Lg2h @ r2inv_l2h)))
-    ell1 = legendre_fenchel(spec.gamma1, ld.frob_term)
     ell2 = legendre_fenchel(spec.gamma2, s)
-    return ld, u0v, drift, r2inv_l2h, s, ell1, ell2
+    return ld, drift, R2, r2inv_l2h, s, ell2
 
 
-def nssf_inverse_optimal(spec, x, t):
-    _, u0v, _, r2inv_l2h, s, _, _ = _nssf_io_parts(spec, x, t)
+def _scaled_control(spec, u0v, r2inv_l2h, s):
+    """u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s; u0 where s ~ 0."""
     if s < GRAD_ZERO_TOL:
         return u0v
     gain = spec.gamma2.gamma_prime_inv(s) / s
     return u0v + 0.5 * spec.beta_gain * gain * r2inv_l2h
 
 
+def _stoch_terms(spec, x, u0v):
+    """_value_core plus the state penalty l of the stochastic value."""
+    if spec.gamma2 is None:
+        raise ValueError("inverse-optimal calls need gamma2")
+    core = _value_core(spec, x, u0v)
+    ld, drift, _, _, _, ell2 = core
+    beta = spec.beta_gain
+    l = (-2.0 * beta * (drift + ld.trace_term + ell2)
+         - beta * (beta - 2.0) * ell2)
+    return core + (l,)
+
+
+def stoch_weights(spec, x, u0v):
+    """(R2, l): control weight and state penalty of the Ito value."""
+    terms = _stoch_terms(spec, x, u0v)
+    return terms[2], terms[-1]
+
+
+def stoch_inverse_optimal(spec, x, t):
+    """u = u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s with
+    s = |R2^{-1/2} Lg2h'|; just u0 where the barrier is control-blind.
+
+    With gamma2(r) = r^2/4 and the min-norm weight for R2 this
+    reproduces stoch_qp_filter wherever the constraint is active.
+    """
+    _check_gains(spec.beta_gain, 1.0 if spec.allow_safety_only else 2.0)
+    u0v = _u0_at(spec, x, t)
+    r2inv_l2h, s = _stoch_terms(spec, x, u0v)[3:5]
+    return _scaled_control(spec, u0v, r2inv_l2h, s)
+
+
+def stoch_io_condition(spec, x, t):
+    """Premise margin drift + trace + ell_gamma2(s) + alpha(h) >= 0."""
+    ld, drift, _, _, _, ell2, _ = _stoch_terms(spec, x, _u0_at(spec, x, t))
+    return drift + ld.trace_term + ell2 + spec.alpha(ld.h_val)
+
+
+def stoch_state_penalty_l(spec, x, t):
+    return stoch_weights(spec, x, _u0_at(spec, x, t))[1]
+
+
+def hjb_residual(spec, x, t):
+    """Dynamic-programming residual of the certified value; zero by
+    construction, evaluated as a wiring check."""
+    beta = spec.beta_gain
+    ld, drift, _, _, _, ell2, l = _stoch_terms(spec, x, _u0_at(spec, x, t))
+    return drift + ld.trace_term + 0.5 * beta * ell2 + l / (2.0 * beta)
+
+
+def _nssf_terms(spec, x, u0v):
+    """_value_core plus ell1 = ell_gamma1(frob) and the state penalty l
+    of the covariance game."""
+    if spec.gamma1 is None or spec.gamma2 is None:
+        raise ValueError("inverse-optimal calls need gamma1 and gamma2")
+    _check_gains(spec.beta_gain, 1.0 if spec.allow_safety_only else 2.0)
+    core = _value_core(spec, x, u0v)
+    ld, drift, _, _, _, ell2 = core
+    beta, lam = spec.beta_gain, spec.lam
+    ell1 = legendre_fenchel(spec.gamma1, ld.frob_term)
+    l = (-2.0 * beta * (drift - ell1 + ell2)
+         - beta * (2.0 - lam) * ell1
+         - beta * (beta - 2.0) * ell2)
+    return core + (ell1, l)
+
+
+def nssf_weights(spec, x, u0v):
+    """(R2, l): control weight and state penalty of the covariance game."""
+    terms = _nssf_terms(spec, x, u0v)
+    return terms[2], terms[-1]
+
+
+def nssf_inverse_optimal(spec, x, t):
+    """stoch_inverse_optimal against an adversarial covariance; with
+    gamma2(r) = r^2/4 and the min-norm weight for R2 it reproduces
+    nssf_qp_filter wherever the constraint is active."""
+    u0v = _u0_at(spec, x, t)
+    r2inv_l2h, s = _nssf_terms(spec, x, u0v)[3:5]
+    return _scaled_control(spec, u0v, r2inv_l2h, s)
+
+
 def nssf_condition(spec, x, t):
     """Premise margin drift - ell_gamma1(frob) + ell_gamma2(s) + alpha(h)."""
-    ld, _, drift, _, _, ell1, ell2 = _nssf_io_parts(spec, x, t)
+    ld, drift, _, _, _, ell2, ell1, _ = _nssf_terms(spec, x,
+                                                    _u0_at(spec, x, t))
     return drift - ell1 + ell2 + spec.alpha(ld.h_val)
 
 
 def nssf_state_penalty_l(spec, x, t):
-    beta, lam = spec.beta_gain, spec.lam
-    _, _, drift, _, _, ell1, ell2 = _nssf_io_parts(spec, x, t)
-    return (-2.0 * beta * (drift - ell1 + ell2)
-            - beta * (2.0 - lam) * ell1
-            - beta * (beta - 2.0) * ell2)
+    return nssf_weights(spec, x, _u0_at(spec, x, t))[1]
 
 
 def nssf_hji_residual(spec, x, t):
     beta, lam = spec.beta_gain, spec.lam
-    _, _, drift, _, _, ell1, ell2 = _nssf_io_parts(spec, x, t)
-    l = nssf_state_penalty_l(spec, x, t)
+    _, drift, _, _, _, ell2, ell1, l = _nssf_terms(spec, x,
+                                                   _u0_at(spec, x, t))
     return (drift - 0.5 * lam * ell1 + 0.5 * beta * ell2
             + l / (2.0 * beta))
 

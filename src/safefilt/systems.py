@@ -65,6 +65,20 @@ class ControlAffineSystem:
         return m
 
 
+def central_difference(fn, x):
+    """Rows (fn(x + s e_i) - fn(x - s e_i)) / (2 s), s = FD_STEP (1 + |x_i|):
+    the gradient of a scalar fn, the transposed Jacobian of a vector fn."""
+    rows = []
+    for i in range(x.size):
+        step = FD_STEP * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += step
+        xm[i] -= step
+        rows.append((fn(xp) - fn(xm)) / (2.0 * step))
+    return np.array(rows)
+
+
 class BarrierFunction:
     """h with optional analytic gradient/Hessian; safe set is {h >= 0}.
 
@@ -93,16 +107,7 @@ class BarrierFunction:
                 raise ValueError("gradient shape %s, expected %s"
                                  % (g.shape, x.shape))
             return g
-        n = x.size
-        g = np.empty(n)
-        for i in range(n):
-            step = FD_STEP * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            g[i] = (self.value(xp) - self.value(xm)) / (2.0 * step)
-        return g
+        return central_difference(self.value, x)
 
     def hessian(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -114,14 +119,7 @@ class BarrierFunction:
                 raise ValueError("supplied Hessian asymmetric by %g" % asym)
             return 0.5 * (H + H.T)
         # difference the gradient (analytic when available) and symmetrize
-        H = np.empty((n, n))
-        for i in range(n):
-            step = FD_STEP * (1.0 + abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += step
-            xm[i] -= step
-            H[:, i] = (self.gradient(xp) - self.gradient(xm)) / (2.0 * step)
+        H = central_difference(self.gradient, x)
         return 0.5 * (H + H.T)
 
 
@@ -168,22 +166,8 @@ def check_gradient(bf, x):
     """Max relative disagreement between analytic and FD gradients."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     analytic = bf.gradient(x)
-    fd = BarrierFunction(bf._h).gradient(x)
+    fd = central_difference(bf.value, x)
     return float(np.max(np.abs(analytic - fd) / (1.0 + np.abs(analytic))))
-
-
-class NominalController:
-    """Wraps u0(x, t) so the result always lands as an (m2,) array."""
-
-    def __init__(self, fn, m2):
-        self._fn = fn
-        self.m2 = m2
-
-    def __call__(self, x, t):
-        u = np.atleast_1d(np.asarray(self._fn(x, t), dtype=float))
-        if u.shape != (self.m2,):
-            raise ValueError("u0 shape %s, expected (%d,)" % (u.shape, self.m2))
-        return u
 
 
 def scalar_system(f, g1, g2):

@@ -156,3 +156,12 @@ def test_config_errors_exit_2(tmp_path, capsys, text, needle):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_sandwich_report_overall_is_pass(capsys, tmp_path):
+    assert main(["run-builtin", "sandwich-scalar", "--out-dir",
+                 str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "overall = PASS"
+    report = (tmp_path / "sandwich-scalar-report.txt").read_text()
+    assert report.splitlines()[-1] == "overall = PASS"
