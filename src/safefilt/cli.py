@@ -6,7 +6,8 @@
     safefilt run CONFIG [same flags]
 
 Exit status: 0 when every scenario check passed, 1 when a check
-failed, 2 for unusable input (unknown id, malformed config). Reports
+failed, 2 for unusable input (unknown id, malformed config, a dt, T
+or path count that SimConfig rejects). Reports
 are printed as "key = value" lines and also written to the output
 directory next to any trajectory CSVs.
 """
@@ -82,13 +83,12 @@ def main(argv=None):
             print("unknown scenario %r (known: %s)"
                   % (args.id, ", ".join(sorted(BUILTINS))), file=sys.stderr)
             return 2
-        result = run_builtin(args.id, _overrides(args), args.out_dir)
-        _print_report(result)
-        return 0 if result.passed else 1
 
-    # run <config>
     try:
-        result = run_config(args.config, _overrides(args), args.out_dir)
+        if args.command == "run-builtin":
+            result = run_builtin(args.id, _overrides(args), args.out_dir)
+        else:
+            result = run_config(args.config, _overrides(args), args.out_dir)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

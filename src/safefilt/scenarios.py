@@ -639,6 +639,19 @@ FILTER_MODULES = ("filters", "reciprocal", "stochastic", "projection",
                   "nonovershoot")
 
 
+class ConfigError(ValueError):
+    pass
+
+
+def _sim_config(**kwargs):
+    """SimConfig whose ValueError (dt <= 0, a partial last step, ...) is
+    a ConfigError."""
+    try:
+        return SimConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def builtin_config(name, overrides=None):
     if name not in BUILTINS:
         raise KeyError("unknown scenario %r" % name)
@@ -649,8 +662,8 @@ def builtin_config(name, overrides=None):
     d.setdefault("paths", 1)
     if overrides:
         d.update({k: v for k, v in overrides.items() if v is not None})
-    return SimConfig(dt=d["dt"], T=d["T"], seed=int(d["seed"]),
-                     paths=int(d["paths"]))
+    return _sim_config(dt=d["dt"], T=d["T"], seed=int(d["seed"]),
+                       paths=int(d["paths"]))
 
 
 def run_builtin(name, overrides=None, out_dir=None):
@@ -661,10 +674,6 @@ def run_builtin(name, overrides=None, out_dir=None):
 # ---------------------------------------------------------------------------
 # flat config files
 # ---------------------------------------------------------------------------
-
-class ConfigError(ValueError):
-    pass
-
 
 def parse_config(path):
     """key = value lines; '#' comments; duplicate keys rejected."""
@@ -793,11 +802,13 @@ def _run_custom(entries, overrides, out_dir):
         except ValueError:
             raise ConfigError("bad gain in %r" % cost_text)
 
-    dt = overrides.get("dt") or dt
-    T = overrides.get("T") or T
+    if overrides.get("dt") is not None:
+        dt = overrides["dt"]
+    if overrides.get("T") is not None:
+        T = overrides["T"]
     if overrides.get("seed") is not None:
         seed = int(overrides["seed"])
-    cfg = SimConfig(dt=dt, T=T, seed=seed)
+    cfg = _sim_config(dt=dt, T=T, seed=seed)
 
     bf = neg_state_barrier()
     spec = DssfCbfSpec(sys, bf, rho, alpha,

@@ -3,14 +3,19 @@
 Conventions that the certification layer relies on:
 
   * the closed-loop control is evaluated at every integrator stage,
-    never sample-and-held;
+    never sample-and-held; RK4 stage 1 is the recorded sample itself,
+    so control and d must be pure functions of (x, t);
   * samples land on the uniform grid k*dt, state first, then the
     controls/disturbance/h at that same state;
   * running_cost is recorded as zeros here; cost evaluation is a
     separate pass so the certificates stay pure functions of the data;
-  * escape (blowup) truncates the record and stamps escape_time; the
-    stage arithmetic runs with overflow warnings suppressed so a
-    diverging model turns into non-finite samples, not a warning storm;
+  * escape truncates the record and stamps escape_time: a state past
+    escape_threshold (or non-finite), or a ModelBlowup, OverflowError or
+    FloatingPointError while recording a sample (stamped at its time) or
+    inside a step (stamped at the step's end); any other exception is a
+    SimulationError carrying it as the cause. The stage arithmetic runs
+    with overflow warnings suppressed so a diverging model turns into
+    non-finite samples, not a warning storm;
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
     batched runs match path-by-path runs bit for bit.
@@ -22,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import ModelBlowup
+from .systems import ModelBlowup, _as_state
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 
@@ -42,8 +47,13 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.escape_threshold):
+            raise ValueError("escape_threshold must be finite")
         if self.T < self.dt:
             raise ValueError("T < dt leaves nothing to integrate")
+        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            raise ValueError("T = %g is not a whole number of steps dt = %g"
+                             % (self.T, self.dt))
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
 
@@ -91,66 +101,109 @@ def _truncate(traj, k):
     return traj
 
 
-def _rk4(fn, x, t, dt):
-    """One classical RK4 step of dx/dt = fn(x, t)."""
-    k1 = fn(x, t)
+def _rk4(fn, x, t, dt, k1=None):
+    """One classical RK4 step of dx/dt = fn(x, t); k1 = fn(x, t) when
+    the caller already has it."""
+    if k1 is None:
+        k1 = fn(x, t)
     k2 = fn(x + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = fn(x + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = fn(x + dt * k3, t + dt)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _escape(traj, k, t, h):
+    """Tombstone sample k: outputs NaN, h as given; truncate and stamp t."""
+    traj.controls[k] = np.nan
+    traj.nominal[k] = np.nan
+    traj.disturbances[k] = np.nan
+    traj.h_values[k] = h
+    traj.escape_time = t
+    _truncate(traj, k + 1)
+
+
+def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
+    """Write sample k at (x, t) and return its (u, d), d None when the
+    caller records no disturbance here. Returns None when the loop has
+    escaped at x or recording it blew up: sample k is then the record's
+    tombstone."""
+    traj.times[k] = t
+    traj.states[k] = x
+    if not (np.abs(x).max() <= thr):
+        _escape(traj, k, t, bf.value(x) if np.isfinite(x).all() else np.nan)
+        return None
+    try:
+        nominal = _as_state(u0(x, t), sys.m2, "u0")
+        dv = None if d is None else _as_state(d(x, t), sys.m1, "d")
+        uv = _as_state(control(x, t), sys.m2, "control")
+        h = bf.value(x)
+    except _ESCAPE_ERRORS:
+        _escape(traj, k, t, np.nan)
+        return None
+    except Exception as exc:
+        raise SimulationError("policy/model failure at t=%g, x=%s"
+                              % (t, x)) from exc
+    traj.nominal[k] = nominal
+    if dv is not None:
+        traj.disturbances[k] = dv
+    traj.controls[k] = uv
+    traj.h_values[k] = h
+    return uv, dv
+
+
+def _advance(step, traj, k, t, x, dt):
+    """step() is the state at t + dt; None when it blew up, with the
+    record truncated after sample k and stamped t + dt."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return step()
+    except _ESCAPE_ERRORS:
+        traj.escape_time = t + dt
+        _truncate(traj, k + 1)
+        return None
+    except Exception as exc:
+        raise SimulationError("policy/model failure at t=%g, x=%s"
+                              % (t, x)) from exc
+
+
 def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     """Classical RK4 on dx = f + g1 d + g2 u with u = control(x, t).
 
-    d may be None (zero disturbance). Divergence past
-    cfg.escape_threshold, or a model blowup inside a step, truncates
-    the record and stamps escape_time.
+    d may be None (zero disturbance); it is ignored when the plant has
+    no disturbance channel (m1 = 0). Stage 1 of each step reuses the
+    control and d of the recorded sample, so they are called 4 times
+    per step and once at the last sample. Escapes as in the module
+    docstring.
     """
     n_steps = cfg.n_steps
-    traj = _alloc(n_steps + 1, sys.n, sys.m2, sys.m1)
+    m1, m2 = sys.m1, sys.m2
+    traj = _alloc(n_steps + 1, sys.n, m2, m1)
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if d is None or m1 == 0:
+        zero_d = np.zeros(m1)
+        d = lambda xs, ts: zero_d
 
-    def d_at(xs, ts):
-        if d is None:
-            return np.zeros(sys.m1)
-        return np.atleast_1d(np.asarray(d(xs, ts), dtype=float))
-
-    def rate(xs, ts):
-        dv = d_at(xs, ts)
-        uv = np.atleast_1d(np.asarray(control(xs, ts), dtype=float))
+    def field(xs, uv, dv):
         dx = sys.f_at(xs) + sys.g2_at(xs) @ uv
-        if sys.m1 > 0:
+        if m1 > 0:
             dx = dx + sys.g1_at(xs) @ dv
         return dx
+
+    def rate(xs, ts):
+        dv = _as_state(d(xs, ts), m1, "d")
+        return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
 
     dt = cfg.dt
     for k in range(n_steps + 1):
         t = k * dt
-        traj.times[k] = t
-        traj.states[k] = x
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.escape_threshold:
-            traj.controls[k] = np.nan
-            traj.nominal[k] = np.nan
-            traj.disturbances[k] = np.nan
-            traj.h_values[k] = bf.value(x) if np.all(np.isfinite(x)) else np.nan
-            traj.escape_time = t
-            return _truncate(traj, k + 1)
-        traj.nominal[k] = np.atleast_1d(np.asarray(u0(x, t), dtype=float))
-        traj.disturbances[k] = d_at(x, t)
-        traj.controls[k] = np.atleast_1d(np.asarray(control(x, t), dtype=float))
-        traj.h_values[k] = bf.value(x)
-        if k == n_steps:
+        sample = _record(traj, k, t, x, sys, bf, control, u0, d,
+                         cfg.escape_threshold)
+        if sample is None or k == n_steps:
             break
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = _rk4(rate, x, t, dt)
-        except _ESCAPE_ERRORS:
-            traj.escape_time = t + dt
-            return _truncate(traj, k + 1)
-        except Exception as exc:
-            raise SimulationError("policy/model failure at t=%g, x=%s"
-                                  % (t, x)) from exc
+        x = _advance(lambda: _rk4(rate, x, t, dt, field(x, *sample)),
+                     traj, k, t, x, dt)
+        if x is None:
+            break
     return traj
 
 
@@ -172,38 +225,18 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
         x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
         for k in range(n_steps + 1):
             t = k * dt
-            traj.times[k] = t
-            traj.states[k] = x
-            if (not np.all(np.isfinite(x))
-                    or np.max(np.abs(x)) > cfg.escape_threshold):
-                traj.controls[k] = np.nan
-                traj.nominal[k] = np.nan
-                traj.disturbances[k] = np.nan
-                traj.h_values[k] = (bf.value(x) if np.all(np.isfinite(x))
-                                    else np.nan)
-                traj.escape_time = t
-                _truncate(traj, k + 1)
+            sample = _record(traj, k, t, x, sys, bf, control, u0, None,
+                             cfg.escape_threshold)
+            if sample is None or k == n_steps:
                 break
-            traj.nominal[k] = np.atleast_1d(np.asarray(u0(x, t), dtype=float))
-            traj.controls[k] = np.atleast_1d(
-                np.asarray(control(x, t), dtype=float))
-            traj.h_values[k] = bf.value(x)
-            if k == n_steps:
-                break
+            uv = sample[0]
             dw = sq * Z[k]
             traj.disturbances[k] = dw / dt
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    uv = traj.controls[k]
-                    drift = sys.f_at(x) + sys.g2_at(x) @ uv
-                    x = x + dt * drift + sys.g1_at(x) @ (cov.at(t) @ dw)
-            except _ESCAPE_ERRORS:
-                traj.escape_time = t + dt
-                _truncate(traj, k + 1)
+            x = _advance(lambda: (x + dt * (sys.f_at(x) + sys.g2_at(x) @ uv)
+                                  + sys.g1_at(x) @ (cov.at(t) @ dw)),
+                         traj, k, t, x, dt)
+            if x is None:
                 break
-            except Exception as exc:
-                raise SimulationError("policy/model failure at t=%g, x=%s"
-                                      % (t, x)) from exc
         out.append(traj)
     return out
 

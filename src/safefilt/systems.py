@@ -12,6 +12,7 @@ terms 0.5*Tr{g1' H g1} and ||g1' H g1||_F used by the stochastic
 generators.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,18 @@ class ModelBlowup(ArithmeticError):
     """Model evaluation produced a non-finite value."""
 
 
-def _as_state(x, n):
+_F64 = np.dtype(float)
+
+
+def _as_state(x, n, what="state"):
+    """x as an (n,) float64 array; one that already is passes unchanged.
+    A scalar or a one-element sequence passes for n = 1. `what` names x
+    in the shape error."""
+    if type(x) is np.ndarray and x.dtype == _F64 and x.shape == (n,):
+        return x
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (n,):
-        raise ValueError("state shape %s, expected (%d,)" % (x.shape, n))
+        raise ValueError("%s shape %s, expected (%d,)" % (what, x.shape, n))
     return x
 
 
@@ -46,23 +55,29 @@ class ControlAffineSystem:
         self._g2 = g2
 
     def f_at(self, x):
-        x = _as_state(x, self.n)
+        return self._f_of(_as_state(x, self.n))
+
+    def g1_at(self, x):
+        return self._g1_of(_as_state(x, self.n))
+
+    def g2_at(self, x):
+        return self._g2_of(_as_state(x, self.n))
+
+    # the same at a state already checked by _as_state
+
+    def _f_of(self, x):
         v = np.atleast_1d(np.asarray(self._f(x), dtype=float))
         if v.shape != (self.n,):
             raise ValueError("f(x) shape %s, expected (%d,)" % (v.shape, self.n))
         return v
 
-    def g1_at(self, x):
-        x = _as_state(x, self.n)
+    def _g1_of(self, x):
         if self.m1 == 0:
             return np.zeros((self.n, 0))
-        m = np.asarray(self._g1(x), dtype=float).reshape(self.n, self.m1)
-        return m
+        return np.asarray(self._g1(x), dtype=float).reshape(self.n, self.m1)
 
-    def g2_at(self, x):
-        x = _as_state(x, self.n)
-        m = np.asarray(self._g2(x), dtype=float).reshape(self.n, self.m2)
-        return m
+    def _g2_of(self, x):
+        return np.asarray(self._g2(x), dtype=float).reshape(self.n, self.m2)
 
 
 def central_difference(fn, x):
@@ -138,28 +153,25 @@ def lie_data(sys, bf, x):
     x = _as_state(x, sys.n)
     h = bf.value(x)
     grad = bf.gradient(x)
-    f = sys.f_at(x)
-    g1 = sys.g1_at(x)
-    g2 = sys.g2_at(x)
-    Lfh = float(grad @ f)
-    Lg1h = grad @ g1 if sys.m1 > 0 else np.zeros(0)
-    Lg2h = grad @ g2
+    Lfh = float(grad @ sys._f_of(x))
+    Lg2h = grad @ sys._g2_of(x)
     if sys.m1 > 0:
+        g1 = sys._g1_of(x)
+        Lg1h = grad @ g1
         H = bf.hessian(x)
         G = g1.T @ H @ g1
         trace = 0.5 * float(np.trace(G))
         frob = float(np.linalg.norm(G, "fro"))
     else:
+        Lg1h = np.zeros(0)
         G = np.zeros((0, 0))
         trace = 0.0
         frob = 0.0
-    out = LieData(h, Lfh, np.atleast_1d(Lg1h), np.atleast_1d(Lg2h),
-                  trace, frob, G)
-    vals = [out.h_val, out.Lfh, out.trace_term, out.frob_term]
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(out.Lg1h))
-            and np.all(np.isfinite(out.Lg2h))):
+    if not (math.isfinite(h) and math.isfinite(Lfh) and math.isfinite(trace)
+            and math.isfinite(frob) and np.isfinite(Lg1h).all()
+            and np.isfinite(Lg2h).all()):
         raise ModelBlowup("non-finite model data at x=%s" % x)
-    return out
+    return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
 
 
 def check_gradient(bf, x):

@@ -165,3 +165,64 @@ def test_sandwich_report_overall_is_pass(capsys, tmp_path):
     assert lines[-1] == "overall = PASS"
     report = (tmp_path / "sandwich-scalar-report.txt").read_text()
     assert report.splitlines()[-1] == "overall = PASS"
+
+
+@pytest.mark.parametrize("flags,needle", [
+    (["--dt", "0"], "dt must be positive"),
+    (["--T", "0"], "T < dt"),
+    (["--paths", "0"], "paths"),
+    (["--dt", "0.3", "--T", "1"], "whole number of steps"),
+])
+def test_run_builtin_bad_numbers_exit_2(tmp_path, capsys, flags, needle):
+    rc = main(["run-builtin", "blowup", "--out-dir", str(tmp_path)] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    assert list(tmp_path.iterdir()) == []
+
+
+CUSTOM_LOOP = ("system = integrator\nx0 = -1\nu0 = const:0.5\n"
+               "alpha = linear:1\nfilter = qp\nT = 2\n")
+
+
+@pytest.mark.parametrize("text", ["scenario = blowup\ndt = 0\n",
+                                  CUSTOM_LOOP + "dt = 0\n",
+                                  CUSTOM_LOOP + "dt = 0.3\n"],
+                         ids=["scenario-dt-0", "custom-dt-0",
+                              "custom-partial-step"])
+def test_config_file_bad_numbers_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--T"])
+def test_run_zero_override_is_not_ignored(tmp_path, capsys, flag):
+    # a zero override must reach SimConfig, not fall back to the file
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text(CUSTOM_LOOP)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", str(cfg), flag, "0", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_integrator_ignores_d(tmp_path, capsys):
+    # the integrator has no disturbance channel, so a d line changes nothing
+    base = ("system = integrator\nx0 = -1\nu0 = const:0.5\n"
+            "alpha = linear:1\nfilter = qp\nT = 2\n")
+    outs = []
+    for name, extra in (("plain", ""), ("with-d", "d = sin:0.5\n")):
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text(base + extra)
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 0
+        assert "overall = PASS" in capsys.readouterr().out
+        outs.append((out_dir / "trajectory.csv").read_text())
+    assert outs[0] == outs[1]

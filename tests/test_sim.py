@@ -15,7 +15,7 @@ from safefilt.sim import (SimConfig, SimulationError, Trajectory,
                           integrate_ode, integrate_ode_scalar, integrate_sde,
                           sde_path_functionals, write_trajectory_csv)
 from safefilt.stochastic import CovarianceSchedule
-from safefilt.systems import BarrierFunction, scalar_system
+from safefilt.systems import BarrierFunction, ModelBlowup, scalar_system
 
 GRID_TOL = 1e-9
 
@@ -270,3 +270,64 @@ def test_policy_failure_is_wrapped_with_cause():
         integrate_ode_scalar(angry_drift, 1.0, cfg, h_fn=lambda x: -x,
                              u_fn=lambda x, t: -x, u0_fn=lambda x, t: -x)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_partial_last_step_rejected():
+    # round(1/0.3) = 3 steps would stop at 0.9, short of the asked T
+    with pytest.raises(ValueError, match="whole number of steps"):
+        SimConfig(dt=0.3, T=1.0)
+    assert SimConfig(dt=0.25, T=1.0).n_steps == 4
+
+
+def _nominal_failing_after(t_fail, exc):
+    # u0 runs only at record time, so this fails while recording a sample
+    def u0(x, t):
+        if t > t_fail:
+            raise exc("u0 failed")
+        return 0.0
+    return u0
+
+
+@pytest.mark.parametrize("exc", [ModelBlowup, OverflowError,
+                                 FloatingPointError])
+@pytest.mark.parametrize("kind", ["ode", "sde"])
+def test_record_blowup_truncates_and_stamps_sample_time(kind, exc):
+    cfg = SimConfig(dt=0.1, T=1.0)
+    u0 = _nominal_failing_after(0.25, exc)
+    control = lambda x, t: -x[0]
+    if kind == "ode":
+        traj = integrate_ode(disturbed_1d(), wide_barrier(), control, u0,
+                             [1.0], lambda x, t: 0.1, cfg)
+    else:
+        (traj,) = integrate_sde(disturbed_1d(), wide_barrier(), control, u0,
+                                [1.0], CovarianceSchedule.constant([[0.2]]),
+                                cfg)
+    assert traj.n_samples == 4
+    assert traj.escape_time == traj.times[-1] == 3 * cfg.dt
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(traj.controls[:-1]))
+    for row in (traj.controls[-1], traj.nominal[-1], traj.disturbances[-1]):
+        assert np.all(np.isnan(row))
+    assert math.isnan(traj.h_values[-1])
+
+
+@pytest.mark.parametrize("kind", ["ode", "sde"])
+def test_record_failure_is_wrapped_with_cause(kind):
+    cfg = SimConfig(dt=0.1, T=1.0)
+    u0 = _nominal_failing_after(0.25, KeyError)
+    control = lambda x, t: -x[0]
+    with pytest.raises(SimulationError) as err:
+        if kind == "ode":
+            integrate_ode(integrator_1d(), wide_barrier(), control, u0,
+                          [1.0], None, cfg)
+        else:
+            integrate_sde(disturbed_1d(), wide_barrier(), control, u0, [1.0],
+                          CovarianceSchedule.constant([[0.2]]), cfg)
+    assert isinstance(err.value.__cause__, KeyError)
+    assert "t=0.3" in str(err.value)
+
+
+@pytest.mark.parametrize("thr", [math.inf, math.nan])
+def test_escape_threshold_must_be_finite(thr):
+    with pytest.raises(ValueError, match="escape_threshold"):
+        SimConfig(dt=0.1, T=1.0, escape_threshold=thr)
