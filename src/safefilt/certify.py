@@ -6,6 +6,10 @@ invariant along optimal play, perturbing the control moves the total
 the right way, and the disturbance-to-state bound holds sample by
 sample.
 
+evaluate_cost makes one pass over the record: the total, the running
+integral and the per-sample terminal term all come from it, and the
+invariance (CostValue.invariance) is read off that same pass.
+
 Weights that blow up off the constraint set never enter float
 arithmetic. A deviation paired with an infinite weight contributes
 zero when the deviation is (numerically) zero and otherwise makes the
@@ -36,7 +40,7 @@ from .projection import projection_weights
 from .reciprocal import reciprocal_weights
 from .sim import integrate_ode
 from .stochastic import nssf_weights, stoch_weights
-from .systems import lie_data
+from .systems import lie_data, vec_norm
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -74,6 +78,19 @@ class CostValue:
     total: float
     infinite: bool
     running: np.ndarray
+    terminal: np.ndarray      # terminal term at each sample
+
+    @property
+    def invariance(self):
+        """Max over samples of |terminal_k + running_k - terminal_0|.
+
+        Zero (to integration accuracy) exactly when the recorded loop
+        plays the optimal pair of the cost.
+        """
+        if self.infinite:
+            raise ValueError("invariance undefined with infinite samples")
+        return float(np.max(np.abs(self.terminal + self.running
+                                   - self.terminal[0])))
 
 
 def _dev_sq(traj):
@@ -130,7 +147,7 @@ def _disturbance_game_terms(traj, cost):
     def term(k):
         R2, l = game_weights(iospec, traj.states[k], traj.nominal[k])
         dev = traj.controls[k] - traj.nominal[k]
-        dnorm = float(np.linalg.norm(traj.disturbances[k]))
+        dnorm = vec_norm(traj.disturbances[k])
         pen = beta * lam * iospec.gamma.gamma(dnorm / lam)
         return l - float(dev @ R2 @ dev) + pen, False, False
     return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
@@ -242,7 +259,8 @@ def evaluate_cost(traj, cost):
 
     A single-sample record is terminal-only. Tagged infinities make the
     total +-inf (by the sign the term carries); conflicting signs are an
-    error, not a number.
+    error, not a number. The returned value also carries the per-sample
+    terminal term, so .invariance needs no second pass.
     """
     vals, pos_inf, neg_inf, terms = _terms(traj, cost)
     if vals.size > 1:
@@ -254,21 +272,15 @@ def evaluate_cost(traj, cost):
     if has_pos and has_neg:
         raise ValueError("cost has infinite terms of both signs")
     if has_pos or has_neg:
-        return CostValue(math.inf if has_pos else -math.inf, True, running)
-    return CostValue(float(running[-1] + terms[-1]), False, running)
+        return CostValue(math.inf if has_pos else -math.inf, True, running,
+                         terms)
+    return CostValue(float(running[-1] + terms[-1]), False, running, terms)
 
 
 def cost_invariance_check(traj, cost):
-    """Max over samples of |terminal_k + running_k - terminal_0|.
-
-    Zero (to integration accuracy) exactly when the recorded loop plays
-    the optimal pair of the cost.
-    """
-    vals, pos_inf, neg_inf, terms = _terms(traj, cost)
-    if np.any(pos_inf) or np.any(neg_inf):
-        raise ValueError("invariance undefined with infinite samples")
-    running = cumulative_trapezoid(vals, traj.times, initial=0.0)
-    return float(np.max(np.abs(terms + running - terms[0])))
+    """evaluate_cost(traj, cost).invariance, for callers that want only
+    the invariance."""
+    return evaluate_cost(traj, cost).invariance
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, legendre_fenchel
-from .systems import lie_data
+from .systems import lie_data, vec_norm
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -124,8 +124,7 @@ class DssfCbfSpec:
 def dssf_margin(spec, ld, u0v):
     """(omega, Lg2h) with the robust margin of the module docstring; any
     spec with rho and alpha, so also the deterministic sandwich floor."""
-    robust = (float(np.linalg.norm(ld.Lg1h))
-              * spec.rho.inverse(max(0.0, -ld.h_val)))
+    robust = vec_norm(ld.Lg1h) * spec.rho.inverse(max(0.0, -ld.h_val))
     omega = ld.Lfh + float(ld.Lg2h @ u0v) - robust + spec.alpha(ld.h_val)
     return omega, ld.Lg2h
 
@@ -239,7 +238,7 @@ def _io_parts(iospec, x, u0v):
     R2 = _spd_weight(iospec.R2, x, u0v, base.sys.m2)
     r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
     S = float(ld.Lg2h @ r2inv_l2h)
-    ell = legendre_fenchel(iospec.gamma, 2.0 * float(np.linalg.norm(ld.Lg1h)))
+    ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
     l = (-2.0 * beta * (drift - ell + S)
          - beta * (2.0 - lam) * ell
          - beta * (beta - 2.0) * S)
@@ -268,7 +267,7 @@ def inverse_optimal_condition(iospec, x, t):
 def worst_case_disturbance(iospec, x):
     """Maximizing disturbance of the softened game, feedback in x only."""
     ld = lie_data(iospec.base.sys, iospec.base.bf, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
+    nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(iospec.base.sys.m1)
     v = iospec.gamma.gamma_prime_inv(2.0 * nrm)
@@ -278,7 +277,7 @@ def worst_case_disturbance(iospec, x):
 def qp_worst_case_disturbance(spec, lam, x):
     """Worst disturbance for the min-norm weights (rho-shaped penalty)."""
     ld = lie_data(spec.sys, spec.bf, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
+    nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
     return -lam * spec.rho.inverse(max(0.0, -ld.h_val)) * ld.Lg1h / nrm
@@ -325,8 +324,8 @@ def pi_gap(iospec, x, d):
         raise ValueError("disturbance shape %s, expected (%d,)"
                          % (d.shape, iospec.base.sys.m1))
     lam = iospec.lam
-    ell = legendre_fenchel(iospec.gamma, 2.0 * float(np.linalg.norm(ld.Lg1h)))
-    return (iospec.gamma.gamma(float(np.linalg.norm(d)) / lam)
+    ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
+    return (iospec.gamma.gamma(vec_norm(d) / lam)
             + ell + (2.0 / lam) * float(ld.Lg1h @ d))
 
 
@@ -362,7 +361,7 @@ def min_norm_weights(spec, x, u0v, beta_gain, lam):
     rinv = spec.rho.inverse(max(0.0, -ld.h_val))
     l = (2.0 * beta_gain * spec.alpha(ld.h_val)
          + beta_gain * min(beta_gain * omega, -2.0 * omega)
-         - beta_gain * (2.0 - lam) * float(np.linalg.norm(ld.Lg1h)) * rinv)
+         - beta_gain * (2.0 - lam) * vec_norm(ld.Lg1h) * rinv)
     return (Weight.ratio(1.0, rinv),
             Weight.ratio(float(a @ a), max(0.0, -omega)), l)
 

@@ -158,7 +158,7 @@ def run_intro_qp_optimal(cfg, out_dir=None):
                                 u0_fn=lambda x, t: 1.0)
     cost = CostSpec("intro-min")
     cv = evaluate_cost(traj, cost)
-    inv = cost_invariance_check(traj, cost)
+    inv = cv.invariance
     traj.running_cost = cv.running
     res = ScenarioResult({}, abs(cv.total - (-1.0)) <= 0.01)
     res.report["cost_total"] = cv.total
@@ -184,7 +184,7 @@ def run_intro_sontag(cfg, out_dir=None):
                                 u0_fn=lambda x, t: 1.0)
     cost = CostSpec("intro-sontag")
     cv = evaluate_cost(traj, cost)
-    inv = cost_invariance_check(traj, cost)
+    inv = cv.invariance
     traj.running_cost = cv.running
     res = ScenarioResult({}, abs(cv.total - x0) <= VALUE_TOL)
     res.report["cost_total"] = cv.total
@@ -281,7 +281,7 @@ def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
         u0_fn=lambda x, t: u0_s(x), d_fn=lambda x, t: d_star(x))
     cost = CostSpec("disturbance-game", spec=iospec)
     cv = evaluate_cost(traj, cost)
-    inv = cost_invariance_check(traj, cost)
+    inv = cv.invariance
     traj.running_cost = cv.running
 
     value = 2.0 * beta * (-x0)
@@ -337,10 +337,10 @@ def run_ex4_invopt_qp(cfg, out_dir=None):
                        lambda x, t: np.array([2.0]))
     exact = CostSpec("qp-exact", spec=spec, beta_gain=beta)
     cv_e = evaluate_cost(traj, exact)
-    inv_e = cost_invariance_check(traj, exact)
+    inv_e = cv_e.invariance
     weighted = CostSpec("qp-weighted", spec=spec, beta_gain=beta, lam=lam)
     cv_w = evaluate_cost(traj, weighted)
-    inv_w = cost_invariance_check(traj, weighted)
+    inv_w = cv_w.invariance
     traj.running_cost = cv_e.running
 
     value = 2.0 * beta * (-x0)
@@ -847,7 +847,7 @@ def _run_custom(entries, overrides, out_dir):
         cost = CostSpec("qp-exact", spec=spec, beta_gain=cost_beta)
         cv = evaluate_cost(traj, cost)
         res.report["cost_total"] = cv.total
-        res.report["cost_invariance_max"] = cost_invariance_check(traj, cost)
+        res.report["cost_invariance_max"] = cv.invariance
         traj.running_cost = cv.running
     _emit(res, out_dir, "trajectory.csv", traj)
     return _finish(res, out_dir, "custom")

@@ -30,6 +30,7 @@ import numpy as np
 from .systems import ModelBlowup, _as_state
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
+CSV_BLOCK = 4096            # samples formatted per write
 
 
 class SimulationError(RuntimeError):
@@ -173,12 +174,13 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     no disturbance channel (m1 = 0). Stage 1 of each step reuses the
     control and d of the recorded sample, so they are called 4 times
     per step and once at the last sample. Escapes as in the module
-    docstring.
+    docstring. x0 must be an (n,) state (a scalar passes for n = 1);
+    anything else is a ValueError before any callback runs.
     """
     n_steps = cfg.n_steps
     m1, m2 = sys.m1, sys.m2
+    x = _as_state(x0, sys.n, "x0").copy()
     traj = _alloc(n_steps + 1, sys.n, m2, m1)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if d is None or m1 == 0:
         zero_d = np.zeros(m1)
         d = lambda xs, ts: zero_d
@@ -212,8 +214,10 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
 
     One Trajectory per path; path i draws its whole normal sequence
     up front from a counter-based stream keyed [seed, i]. The recorded
-    disturbance column is the Wiener rate dw/dt of that step.
+    disturbance column is the Wiener rate dw/dt of that step. x0 is
+    checked as in integrate_ode.
     """
+    x0 = _as_state(x0, sys.n, "x0")
     n_steps = cfg.n_steps
     dt = cfg.dt
     sq = math.sqrt(dt)
@@ -222,7 +226,7 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
         Z = rng.standard_normal((n_steps, sys.m1))
         traj = _alloc(n_steps + 1, sys.n, sys.m2, sys.m1)
-        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+        x = x0.copy()
         for k in range(n_steps + 1):
             t = k * dt
             sample = _record(traj, k, t, x, sys, bf, control, u0, None,
@@ -328,7 +332,11 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
 
 
 def write_trajectory_csv(traj, path):
-    """One row per sample, 17 significant digits, stable header."""
+    """One row per sample, 17 significant digits, stable header.
+
+    Rows are formatted CSV_BLOCK samples at a time, so the table is
+    never held as Python floats all at once.
+    """
     n = traj.states.shape[1]
     m2 = traj.controls.shape[1]
     m1 = traj.disturbances.shape[1]
@@ -338,11 +346,12 @@ def write_trajectory_csv(traj, path):
             + ["u0_%d" % (i + 1) for i in range(m2)]
             + ["d_%d" % (i + 1) for i in range(m1)]
             + ["h", "running_cost"])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    parts = (traj.times[:, None], traj.states, traj.controls, traj.nominal,
+             traj.disturbances, traj.h_values[:, None],
+             traj.running_cost[:, None])
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in range(traj.times.size):
-            row = ([traj.times[k]] + list(traj.states[k])
-                   + list(traj.controls[k]) + list(traj.nominal[k])
-                   + list(traj.disturbances[k])
-                   + [traj.h_values[k], traj.running_cost[k]])
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        for start in range(0, traj.times.size, CSV_BLOCK):
+            block = np.hstack([p[start:start + CSV_BLOCK] for p in parts])
+            fh.write("".join([row % tuple(r) for r in block.tolist()]))

@@ -41,6 +41,15 @@ def _as_state(x, n, what="state"):
     return x
 
 
+def vec_norm(v):
+    """Euclidean (Frobenius for a matrix) norm of a float array, as a
+    float: numpy's own sqrt(v.v) for norm(v) and norm(v, "fro"), without
+    its dispatch overhead on the tiny vectors of a single state.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 class ControlAffineSystem:
     def __init__(self, n, m1, m2, f, g1, g2):
         if n < 1 or m2 < 1 or m1 < 0:
@@ -161,7 +170,7 @@ def lie_data(sys, bf, x):
         H = bf.hessian(x)
         G = g1.T @ H @ g1
         trace = 0.5 * float(np.trace(G))
-        frob = float(np.linalg.norm(G, "fro"))
+        frob = vec_norm(G)
     else:
         Lg1h = np.zeros(0)
         G = np.zeros((0, 0))

@@ -15,7 +15,8 @@ from safefilt.sim import (SimConfig, SimulationError, Trajectory,
                           integrate_ode, integrate_ode_scalar, integrate_sde,
                           sde_path_functionals, write_trajectory_csv)
 from safefilt.stochastic import CovarianceSchedule
-from safefilt.systems import BarrierFunction, ModelBlowup, scalar_system
+from safefilt.systems import (BarrierFunction, ControlAffineSystem,
+                              ModelBlowup, scalar_system)
 
 GRID_TOL = 1e-9
 
@@ -331,3 +332,124 @@ def test_record_failure_is_wrapped_with_cause(kind):
 def test_escape_threshold_must_be_finite(thr):
     with pytest.raises(ValueError, match="escape_threshold"):
         SimConfig(dt=0.1, T=1.0, escape_threshold=thr)
+
+
+def planar_disturbed():
+    # n = 2, m1 = 1, m2 = 2: a rotation field with a disturbance channel
+    return ControlAffineSystem(2, 1, 2, lambda x: np.array([x[1], -x[0]]),
+                               lambda x: np.array([[0.0], [1.0]]),
+                               lambda x: np.eye(2))
+
+
+def ball_barrier():
+    return BarrierFunction(lambda x: 1.0 - float(x @ x),
+                           grad=lambda x: -2.0 * x,
+                           hess=lambda x: -2.0 * np.eye(2))
+
+
+def counted(fn, calls):
+    def wrapped(x, t):
+        calls.append(t)
+        return fn(x, t)
+    return wrapped
+
+
+@pytest.mark.parametrize("x0", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_integrate_ode_rejects_wrong_x0_before_any_callback(x0):
+    calls = []
+    with pytest.raises(ValueError, match="x0 shape"):
+        integrate_ode(planar_disturbed(), ball_barrier(),
+                      counted(lambda x, t: np.zeros(2), calls),
+                      counted(lambda x, t: np.zeros(2), calls), x0,
+                      counted(lambda x, t: np.zeros(1), calls),
+                      SimConfig(dt=0.1, T=1.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("x0", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_integrate_sde_rejects_wrong_x0_before_any_callback(x0):
+    calls = []
+    with pytest.raises(ValueError, match="x0 shape"):
+        integrate_sde(planar_disturbed(), ball_barrier(),
+                      counted(lambda x, t: np.zeros(2), calls),
+                      counted(lambda x, t: np.zeros(2), calls), x0,
+                      CovarianceSchedule.constant([[0.2]]),
+                      SimConfig(dt=0.1, T=1.0, paths=2))
+    assert calls == []
+
+
+def test_integrators_leave_the_callers_x0_alone():
+    x0 = np.array([0.3, -0.2])
+    keep = x0.copy()
+    control = lambda x, t: -x
+    traj = integrate_ode(planar_disturbed(), ball_barrier(), control,
+                         control, x0, lambda x, t: np.array([0.1]),
+                         SimConfig(dt=0.1, T=1.0))
+    paths = integrate_sde(planar_disturbed(), ball_barrier(), control,
+                          control, x0, CovarianceSchedule.constant([[0.2]]),
+                          SimConfig(dt=0.1, T=1.0, paths=2))
+    assert np.array_equal(x0, keep)
+    for rec in [traj] + paths:
+        assert np.array_equal(rec.states[0], keep)
+
+
+def per_value_csv(traj, path):
+    """The row-by-row writer the blocked one replaced: the byte oracle."""
+    n = traj.states.shape[1]
+    m2 = traj.controls.shape[1]
+    m1 = traj.disturbances.shape[1]
+    cols = (["t"]
+            + ["x%d" % (i + 1) for i in range(n)]
+            + ["u%d" % (i + 1) for i in range(m2)]
+            + ["u0_%d" % (i + 1) for i in range(m2)]
+            + ["d_%d" % (i + 1) for i in range(m1)]
+            + ["h", "running_cost"])
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(traj.times.size):
+            row = ([traj.times[k]] + list(traj.states[k])
+                   + list(traj.controls[k]) + list(traj.nominal[k])
+                   + list(traj.disturbances[k])
+                   + [traj.h_values[k], traj.running_cost[k]])
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def test_blocked_csv_matches_per_value_writer(tmp_path):
+    rows = 10001                       # more than two blocks of 4096
+    rng = np.random.default_rng(7)
+    traj = Trajectory(times=0.001 * np.arange(rows),
+                      states=rng.normal(size=(rows, 2)),
+                      controls=rng.normal(size=(rows, 2)) * 1e300,
+                      nominal=rng.normal(size=(rows, 2)) * 1e-300,
+                      disturbances=rng.normal(size=(rows, 1)),
+                      h_values=rng.normal(size=rows),
+                      running_cost=np.cumsum(rng.normal(size=rows)))
+    traj.states[5, 0] = np.nan
+    traj.states[4097, 1] = -0.0
+    traj.controls[4096, 0] = np.inf
+    traj.nominal[8191, 1] = -np.inf
+    traj.disturbances[8192, 0] = 5e-324                  # subnormal
+    traj.h_values[rows - 1] = np.nan
+    traj.running_cost[0] = -0.0
+    ours, ref = tmp_path / "blocked.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, ours)
+    per_value_csv(traj, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    text = ours.read_text()
+    for token in ("nan", "-0,", "inf", "-inf", "4.9406564584124654e-324"):
+        assert token in text
+
+
+def test_tombstone_csv_matches_per_value_writer(tmp_path):
+    # x0 already past the escape threshold: a one-sample record whose
+    # outputs are NaN
+    control = lambda x, t: -x
+    traj = integrate_ode(planar_disturbed(), ball_barrier(), control,
+                         control, [2e6, 0.0], lambda x, t: np.array([0.1]),
+                         SimConfig(dt=0.1, T=1.0))
+    assert traj.n_samples == 1 and traj.escape_time == 0.0
+    ours, ref = tmp_path / "tomb.csv", tmp_path / "ref.csv"
+    write_trajectory_csv(traj, ours)
+    per_value_csv(traj, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert ours.read_text().splitlines()[1].count("nan") == 5
