@@ -333,6 +333,12 @@ class ProbeSetup:
     cost: CostSpec
     direction: int            # +1 minimized, -1 maximized
 
+    def __post_init__(self):
+        want = COST_DIRECTION[self.cost.kind]
+        if self.direction != want:
+            raise ValueError("%s cost: direction must be %+d, got %r"
+                             % (self.cost.kind, want, self.direction))
+
 
 def standard_perturbations(T):
     return {

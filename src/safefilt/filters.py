@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, legendre_fenchel
-from .systems import lie_data, vec_norm
+from .systems import _as_state, lie_data, vec_norm
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -83,10 +83,7 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
 
 
 def _u0_at(spec, x, t):
-    u = np.atleast_1d(np.asarray(spec.u0(x, t), dtype=float))
-    if u.shape != (spec.sys.m2,):
-        raise ValueError("u0 shape %s, expected (%d,)" % (u.shape, spec.sys.m2))
-    return u
+    return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
 
 
 def _check_gains(beta_gain, floor, lam=None):

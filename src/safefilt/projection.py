@@ -9,9 +9,10 @@ Three laws for the update direction, given a nominal u0:
   * inverse_optimal_update: nominal plus beta times the qp fix,
     minimizing a meaningful cost (beta >= 2).
 
-simulate_projection integrates d theta_hat/dt = u; for the classic law
-the boundary is located by bisection and the update then slides
-tangentially until the nominal points inward again.
+simulate_projection integrates d theta_hat/dt = u: the continuous laws
+are integrate_ode on that integrator plant (f = 0, g2 = I) with u0 as
+the nominal. The classic law locates the boundary by bisection and
+then slides tangentially until the nominal points inward again.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import MIN_NORM, Weight, _check_gains, correct
-from .sim import _alloc, _rk4
+from .sim import _advance, _alloc, _quiet, _record, _rk4, integrate_ode
+from .systems import ControlAffineSystem, _as_state
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -107,81 +109,74 @@ def projection_penalty_l(spec, theta_hat, u0_val):
 
 def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):
     """Integrate d theta_hat/dt = u(theta_hat, t) under one of the laws
-    ("classic", "qp", "optimal").
-
-    The continuous laws run plain RK4 with the law at every stage. The
-    classic law integrates the nominal field, bisects any boundary
-    crossing onto h = 0, then slides along the projected (tangential)
-    field while the nominal points outward.
+    ("classic", "qp", "optimal"), recording the applied u as the control
+    and u0 as the nominal; every law records and escapes by sim's rules.
     """
     if law not in ("classic", "qp", "optimal"):
         raise ValueError("unknown law %r" % law)
-    p = np.atleast_1d(np.asarray(theta0, dtype=float)).size
+    p = np.size(theta0)
+    zero, eye = np.zeros(p), np.eye(p)
+    plant = ControlAffineSystem(p, 0, p, lambda th: zero, None,
+                                lambda th: eye)
+    if law == "classic":
+        return _simulate_classic(spec, u0_law, plant, theta0, cfg)
+    if law == "qp":
+        def control(th, t):
+            u0v = u0_law(th, t)
+            return u0v + qp_projection(spec, th, u0v)
+    else:
+        def control(th, t):
+            return inverse_optimal_update(spec, th, u0_law(th, t))
+    return integrate_ode(plant, spec.bf, control, u0_law, theta0, None, cfg)
 
-    def u_qp(th, t):
-        return u0_law(th, t) + qp_projection(spec, th, u0_law(th, t))
 
-    def u_opt(th, t):
-        return inverse_optimal_update(spec, th, u0_law(th, t))
+def _simulate_classic(spec, u0_law, plant, theta0, cfg):
+    """The classic law: the nominal field until a step would leave the
+    set, that step bisected onto h = 0, then the sliding (tangential)
+    field while the nominal points outward."""
+    bf, dt, p = spec.bf, cfg.dt, plant.n
 
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    traj = _alloc(n_steps + 1, p, p, 0)
-    th = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    def nominal(x, t):
+        return _as_state(u0_law(x, t), p, "u0")
 
-    if law in ("qp", "optimal"):
-        u_fn = u_qp if law == "qp" else u_opt
-        for k in range(n_steps + 1):
-            t = k * dt
-            traj.times[k] = t
-            traj.states[k] = th
-            traj.nominal[k] = u0_law(th, t)
-            traj.controls[k] = u_fn(th, t)
-            traj.h_values[k] = spec.bf.value(th)
-            if k < n_steps:
-                th = _rk4(u_fn, th, t, dt)
-        return traj
-
-    # classic: nominal field off the boundary, located crossing, sliding
-    def nominal_field(x, t):
-        return np.atleast_1d(np.asarray(u0_law(x, t), dtype=float))
-
-    def sliding_field(x, t):
-        u0v = nominal_field(x, t)
-        g = spec.bf.gradient(x)
+    def sliding(x, t):
+        u0v = nominal(x, t)
+        g = bf.gradient(x)
         return u0v + correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
 
-    on_boundary = abs(spec.bf.value(th)) <= PROJ_BOUNDARY_TOL
-    for k in range(n_steps + 1):
-        t = k * dt
-        traj.times[k] = t
-        traj.states[k] = th
-        traj.nominal[k] = nominal_field(th, t)
-        # the applied field: sliding while pinned, nominal otherwise
-        traj.controls[k] = (sliding_field(th, t) if on_boundary
-                            else traj.nominal[k])
-        traj.h_values[k] = spec.bf.value(th)
-        if k == n_steps:
-            break
-        if on_boundary:
-            g = spec.bf.gradient(th)
-            if float(g @ nominal_field(th, t)) >= 0.0:
-                on_boundary = False
-        if on_boundary:
-            th = _rk4(sliding_field, th, t, dt)
-        else:
-            cand = _rk4(nominal_field, th, t, dt)
-            if spec.bf.value(cand) >= 0.0:
-                th = cand
+    def step(th, t, u0v, uv, pinned):
+        """(state at t + dt, pinned) from th, given the nominal u0v and
+        the applied field uv recorded there."""
+        if pinned and float(bf.gradient(th) @ u0v) >= 0.0:
+            pinned = False
+        if pinned:
+            return _rk4(sliding, th, t, dt, uv), True
+        cand = _rk4(nominal, th, t, dt, u0v)
+        if bf.value(cand) >= 0.0:
+            return cand, False
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if bf.value(_rk4(nominal, th, t, mid * dt, u0v)) >= 0.0:
+                lo = mid
             else:
-                # bisect the step fraction onto the boundary
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if spec.bf.value(_rk4(nominal_field, th, t, mid * dt)) >= 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                th = _rk4(nominal_field, th, t, lo * dt)
-                on_boundary = True
+                hi = mid
+        return _rk4(nominal, th, t, lo * dt, u0v), True
+
+    traj = _alloc(cfg.n_steps + 1, p, p, 0)
+    th = _as_state(theta0, p, "theta0").copy()
+    pinned = abs(bf.value(th)) <= PROJ_BOUNDARY_TOL
+    with _quiet():
+        for k in range(cfg.n_steps + 1):
+            t = k * dt
+            sample = _record(traj, k, t, th, plant, bf,
+                             sliding if pinned else nominal, nominal, None,
+                             cfg.escape_threshold)
+            if sample is None or k == cfg.n_steps:
+                break
+            nxt = _advance(lambda: step(th, t, traj.nominal[k], sample[0],
+                                        pinned), traj, k, t, th, dt)
+            if nxt is None:
+                break
+            th, pinned = nxt
     return traj

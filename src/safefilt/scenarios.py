@@ -140,6 +140,19 @@ def unit_ball_barrier():
         hess=lambda th: -2.0 * np.eye(th.size))
 
 
+def _closed_loop(u_star, u0, x0, cfg, d=None, g1=lambda x: 1.0 + x * x):
+    """The closed-form scalar loop dx = u_star(x) + g1(x) d(x, t) with
+    h = -x, through the scalar fast path; u0(x) is recorded as the
+    nominal and d, when given, as the disturbance."""
+    if d is None:
+        drift = lambda x, t: u_star(x)
+    else:
+        drift = lambda x, t: u_star(x) + g1(x) * d(x, t)
+    return integrate_ode_scalar(drift, x0, cfg, h_fn=lambda x: -x,
+                                u_fn=lambda x, t: u_star(x),
+                                u0_fn=lambda x, t: u0(x), d_fn=d)
+
+
 # ---------------------------------------------------------------------------
 # builtin scenarios
 # ---------------------------------------------------------------------------
@@ -152,10 +165,7 @@ def run_intro_qp_optimal(cfg, out_dir=None):
     def u_star(x):
         return 1.0 + beta * min(0.0, -1.0 - x)         # omega = -1 - x
 
-    traj = integrate_ode_scalar(lambda x, t: u_star(x), -1.0, cfg,
-                                h_fn=lambda x: -x,
-                                u_fn=lambda x, t: u_star(x),
-                                u0_fn=lambda x, t: 1.0)
+    traj = _closed_loop(u_star, lambda x: 1.0, -1.0, cfg)
     cost = CostSpec("intro-min")
     cv = evaluate_cost(traj, cost)
     inv = cv.invariance
@@ -178,10 +188,7 @@ def run_intro_sontag(cfg, out_dir=None):
     def u_star(x):
         return -x - math.hypot(1.0 + x, 1.0)           # u0 = 1
 
-    traj = integrate_ode_scalar(lambda x, t: u_star(x), x0, cfg,
-                                h_fn=lambda x: -x,
-                                u_fn=lambda x, t: u_star(x),
-                                u0_fn=lambda x, t: 1.0)
+    traj = _closed_loop(u_star, lambda x: 1.0, x0, cfg)
     cost = CostSpec("intro-sontag")
     cv = evaluate_cost(traj, cost)
     inv = cv.invariance
@@ -205,10 +212,7 @@ def run_ex1_dssf(cfg, out_dir=None):
     def d_fn(x, t):
         return 0.5 * math.sin(t)
 
-    traj = integrate_ode_scalar(
-        lambda x, t: u_star(x) + (1.0 + x * x) * d_fn(x, t), -1.0, cfg,
-        h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
-        u0_fn=lambda x, t: 0.0, d_fn=d_fn)
+    traj = _closed_loop(u_star, lambda x: 0.0, -1.0, cfg, d=d_fn)
     margins, mn, ok = certify_dssf_bound(traj, linear_extended(1.0),
                                          identity_k())
     res = ScenarioResult({}, ok)
@@ -227,10 +231,7 @@ def run_blowup(cfg, out_dir=None):
     def u_star(x):
         return x ** 3 + min(0.0, -x ** 3 - x)
 
-    traj = integrate_ode_scalar(lambda x, t: u_star(x), -1.0, cfg,
-                                h_fn=lambda x: -x,
-                                u_fn=lambda x, t: u_star(x),
-                                u0_fn=lambda x, t: x ** 3)
+    traj = _closed_loop(u_star, lambda x: x ** 3, -1.0, cfg)
     ok = traj.escape_time is not None and 0.45 <= traj.escape_time <= 0.55
     res = ScenarioResult({}, ok)
     res.report["escape_time"] = (math.nan if traj.escape_time is None
@@ -275,10 +276,8 @@ def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
     u0_s, u_star, d_star, iospec = _ex3_pieces(beta, lam)
     x0 = -1.2
 
-    traj = integrate_ode_scalar(
-        lambda x, t: u_star(x) + (1.0 + x * x) * d_star(x), x0, cfg,
-        h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
-        u0_fn=lambda x, t: u0_s(x), d_fn=lambda x, t: d_star(x))
+    traj = _closed_loop(u_star, u0_s, x0, cfg,
+                        d=lambda x, t: d_star(x))
     cost = CostSpec("disturbance-game", spec=iospec)
     cv = evaluate_cost(traj, cost)
     inv = cv.invariance
@@ -327,10 +326,8 @@ def run_ex4_invopt_qp(cfg, out_dir=None):
     def d_star(x):
         return lam * max(0.0, x)
 
-    traj = integrate_ode_scalar(
-        lambda x, t: u_star(x) + (1.0 + x * x) * d_star(x), x0, cfg,
-        h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
-        u0_fn=lambda x, t: 2.0, d_fn=lambda x, t: d_star(x))
+    traj = _closed_loop(u_star, lambda x: 2.0, x0, cfg,
+                        d=lambda x, t: d_star(x))
 
     spec = DssfCbfSpec(disturbed_gain_system(), neg_state_barrier(),
                        identity_k(), linear_extended(1.0),
@@ -565,10 +562,8 @@ def run_sandwich_scalar(cfg, out_dir=None):
     ok = True
     for tag, d_fn in (("free", None),
                       ("forced", lambda x, t: 0.3 * math.sin(t))):
-        traj = integrate_ode_scalar(
-            lambda x, t: u_star(x) + (0.0 if d_fn is None else d_fn(x, t)),
-            x0, cfg, h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
-            u0_fn=lambda x, t: -x + max(0.0, -x), d_fn=d_fn)
+        traj = _closed_loop(u_star, lambda x: -x + max(0.0, -x), x0, cfg,
+                            d=d_fn, g1=lambda x: 1.0)
         _, lo, lo_ok = certify_dssf_bound(traj, spec.alpha, spec.rho)
         kl0 = kl_solve_grid(spec.alpha0, h0, traj.times)
         dn = (np.zeros(traj.times.size) if d_fn is None

@@ -13,12 +13,16 @@ Conventions that the certification layer relies on:
     escape_threshold (or non-finite), or a ModelBlowup, OverflowError or
     FloatingPointError while recording a sample (stamped at its time) or
     inside a step (stamped at the step's end); any other exception is a
-    SimulationError carrying it as the cause. The stage arithmetic runs
-    with overflow warnings suppressed so a diverging model turns into
+    SimulationError carrying it as the cause. Loops run with numpy
+    overflow warnings suppressed so a diverging model turns into
     non-finite samples, not a warning storm;
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
     batched runs match path-by-path runs bit for bit.
+
+Every loop (integrate_ode, integrate_sde, the scalar fast path and
+projection.simulate_projection) keeps these rules through the same
+helpers: _record, _rk4, _advance and _escape.
 """
 
 import math
@@ -142,8 +146,7 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
         _escape(traj, k, t, np.nan)
         return None
     except Exception as exc:
-        raise SimulationError("policy/model failure at t=%g, x=%s"
-                              % (t, x)) from exc
+        raise _failure(t, x) from exc
     traj.nominal[k] = nominal
     if dv is not None:
         traj.disturbances[k] = dv
@@ -152,19 +155,32 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     return uv, dv
 
 
+def _quiet():
+    """The error state of every loop: overflow reaches the escape test."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _failure(t, x):
+    return SimulationError("policy/model failure at t=%g, x=%s" % (t, x))
+
+
 def _advance(step, traj, k, t, x, dt):
     """step() is the state at t + dt; None when it blew up, with the
     record truncated after sample k and stamped t + dt."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return step()
+        return step()
     except _ESCAPE_ERRORS:
         traj.escape_time = t + dt
         _truncate(traj, k + 1)
         return None
     except Exception as exc:
-        raise SimulationError("policy/model failure at t=%g, x=%s"
-                              % (t, x)) from exc
+        raise _failure(t, x) from exc
+
+
+def _normals(seed, i, shape):
+    """Path i's standard normals, from the stream keyed [seed, i]."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+    return rng.standard_normal(shape)
 
 
 def integrate_ode(sys, bf, control, u0, x0, d, cfg):
@@ -196,16 +212,17 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
         return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
 
     dt = cfg.dt
-    for k in range(n_steps + 1):
-        t = k * dt
-        sample = _record(traj, k, t, x, sys, bf, control, u0, d,
-                         cfg.escape_threshold)
-        if sample is None or k == n_steps:
-            break
-        x = _advance(lambda: _rk4(rate, x, t, dt, field(x, *sample)),
-                     traj, k, t, x, dt)
-        if x is None:
-            break
+    with _quiet():
+        for k in range(n_steps + 1):
+            t = k * dt
+            sample = _record(traj, k, t, x, sys, bf, control, u0, d,
+                             cfg.escape_threshold)
+            if sample is None or k == n_steps:
+                break
+            x = _advance(lambda: _rk4(rate, x, t, dt, field(x, *sample)),
+                         traj, k, t, x, dt)
+            if x is None:
+                break
     return traj
 
 
@@ -223,24 +240,25 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     sq = math.sqrt(dt)
     out = []
     for i in range(cfg.paths):
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, i]))
-        Z = rng.standard_normal((n_steps, sys.m1))
+        Z = _normals(cfg.seed, i, (n_steps, sys.m1))
         traj = _alloc(n_steps + 1, sys.n, sys.m2, sys.m1)
         x = x0.copy()
-        for k in range(n_steps + 1):
-            t = k * dt
-            sample = _record(traj, k, t, x, sys, bf, control, u0, None,
-                             cfg.escape_threshold)
-            if sample is None or k == n_steps:
-                break
-            uv = sample[0]
-            dw = sq * Z[k]
-            traj.disturbances[k] = dw / dt
-            x = _advance(lambda: (x + dt * (sys.f_at(x) + sys.g2_at(x) @ uv)
-                                  + sys.g1_at(x) @ (cov.at(t) @ dw)),
-                         traj, k, t, x, dt)
-            if x is None:
-                break
+        with _quiet():
+            for k in range(n_steps + 1):
+                t = k * dt
+                sample = _record(traj, k, t, x, sys, bf, control, u0, None,
+                                 cfg.escape_threshold)
+                if sample is None or k == n_steps:
+                    break
+                uv = sample[0]
+                dw = sq * Z[k]
+                traj.disturbances[k] = dw / dt
+                x = _advance(
+                    lambda: (x + dt * (sys.f_at(x) + sys.g2_at(x) @ uv)
+                             + sys.g1_at(x) @ (cov.at(t) @ dw)),
+                    traj, k, t, x, dt)
+                if x is None:
+                    break
         out.append(traj)
     return out
 
@@ -250,45 +268,39 @@ def integrate_ode_scalar(drift, x0, cfg, h_fn, u_fn, u0_fn, d_fn=None):
 
     drift(x, t) is the full closed-loop rate; u_fn/u0_fn/d_fn/h_fn are
     recorded per sample. Matches integrate_ode for the same loop, just
-    without array overhead.
+    without array overhead: x0 is checked and the loop escapes by the
+    same rules.
     """
     n_steps = cfg.n_steps
     m1 = 0 if d_fn is None else 1
     traj = _alloc(n_steps + 1, 1, 1, m1)
     dt = cfg.dt
-    x = float(x0)
+    x = float(_as_state(x0, 1, "x0")[0])
     thr = cfg.escape_threshold
-    for k in range(n_steps + 1):
-        t = k * dt
-        traj.times[k] = t
-        traj.states[k, 0] = x
-        if not math.isfinite(x) or abs(x) > thr:
-            traj.controls[k] = np.nan
-            traj.nominal[k] = np.nan
-            if m1:
-                traj.disturbances[k] = np.nan
-            traj.h_values[k] = h_fn(x) if math.isfinite(x) else np.nan
-            traj.escape_time = t
-            return _truncate(traj, k + 1)
-        traj.nominal[k, 0] = u0_fn(x, t)
-        traj.controls[k, 0] = u_fn(x, t)
-        if m1:
-            traj.disturbances[k, 0] = d_fn(x, t)
-        traj.h_values[k] = h_fn(x)
-        if k == n_steps:
-            break
-        try:
-            k1 = drift(x, t)
-            k2 = drift(x + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = drift(x + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = drift(x + dt * k3, t + dt)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except _ESCAPE_ERRORS:
-            traj.escape_time = t + dt
-            return _truncate(traj, k + 1)
-        except Exception as exc:
-            raise SimulationError("policy failure at t=%g, x=%g"
-                                  % (t, x)) from exc
+    with _quiet():
+        for k in range(n_steps + 1):
+            t = k * dt
+            traj.times[k] = t
+            traj.states[k, 0] = x
+            if not (abs(x) <= thr):
+                _escape(traj, k, t, h_fn(x) if math.isfinite(x) else np.nan)
+                break
+            try:
+                traj.nominal[k, 0] = u0_fn(x, t)
+                traj.controls[k, 0] = u_fn(x, t)
+                if m1:
+                    traj.disturbances[k, 0] = d_fn(x, t)
+                traj.h_values[k] = h_fn(x)
+            except _ESCAPE_ERRORS:
+                _escape(traj, k, t, np.nan)
+                break
+            except Exception as exc:
+                raise _failure(t, x) from exc
+            if k == n_steps:
+                break
+            x = _advance(lambda: _rk4(drift, x, t, dt), traj, k, t, x, dt)
+            if x is None:
+                break
     return traj
 
 
@@ -313,9 +325,7 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
         p = min(batch_size, cfg.paths - done)
         Z = np.empty((p, n_steps))
         for i in range(p):
-            rng = np.random.Generator(
-                np.random.Philox(key=[cfg.seed, done + i]))
-            Z[i] = rng.standard_normal(n_steps)
+            Z[i] = _normals(cfg.seed, done + i, n_steps)
         x = np.full(p, float(x0))
         running = np.zeros(p)
         prev = integrand(x)

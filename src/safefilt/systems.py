@@ -75,10 +75,7 @@ class ControlAffineSystem:
     # the same at a state already checked by _as_state
 
     def _f_of(self, x):
-        v = np.atleast_1d(np.asarray(self._f(x), dtype=float))
-        if v.shape != (self.n,):
-            raise ValueError("f(x) shape %s, expected (%d,)" % (v.shape, self.n))
-        return v
+        return _as_state(self._f(x), self.n, "f(x)")
 
     def _g1_of(self, x):
         if self.m1 == 0:
@@ -126,11 +123,7 @@ class BarrierFunction:
     def gradient(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._grad is not None:
-            g = np.atleast_1d(np.asarray(self._grad(x), dtype=float))
-            if g.shape != x.shape:
-                raise ValueError("gradient shape %s, expected %s"
-                                 % (g.shape, x.shape))
-            return g
+            return _as_state(self._grad(x), x.size, "gradient")
         return central_difference(self.value, x)
 
     def hessian(self, x):

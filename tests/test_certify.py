@@ -244,3 +244,17 @@ def test_mc_summary_frozen():
     mean, se = mc_summary([1.0, 2.0, 3.0, 4.0])
     assert mean == pytest.approx(2.5)
     assert se == pytest.approx(math.sqrt(5.0 / 3.0) / 2.0)
+
+
+@pytest.mark.parametrize("kind", ["intro-min", "disturbance-game"])
+def test_probe_direction_must_match_the_cost(kind):
+    sys, u_star, u0 = intro_pieces()
+    spec = _ex3_pieces(2.0, 1.0)[3] if kind == "disturbance-game" else None
+    cost = CostSpec(kind, spec=spec)
+    right = COST_DIRECTION[kind]
+    ProbeSetup(sys=sys, bf=neg_barrier(), u_star=u_star, u0=u0,
+               d_star=None, x0=[-0.5], cost=cost, direction=right)
+    with pytest.raises(ValueError) as err:
+        ProbeSetup(sys=sys, bf=neg_barrier(), u_star=u_star, u0=u0,
+                   d_star=None, x0=[-0.5], cost=cost, direction=-right)
+    assert "direction must be %+d" % right in str(err.value)

@@ -1,5 +1,7 @@
 """Estimate-projection laws on convex barrier sets."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from safefilt.projection import (ProjectionError, ProjectionSpec,
                                  projection_penalty_l, qp_projection,
                                  simulate_projection)
 from safefilt.scenarios import unit_ball_barrier
-from safefilt.sim import SimConfig
+from safefilt.sim import SimConfig, SimulationError, integrate_ode
+from safefilt.systems import BarrierFunction, ControlAffineSystem
 
 BOUNDARY_TOL = 1e-12
 
@@ -120,3 +123,61 @@ def test_classic_sliding_preserves_the_radius():
     assert float(np.max(radii)) <= 1.0 + 1e-9
     # it does reach and ride the boundary
     assert float(np.max(radii)) >= 1.0 - 1e-9
+
+
+def diverging_spec():
+    # h = 1 - theta_1 under the nominal -theta_1^2 e1 from theta_1 = -1:
+    # theta_1 = 1 / (t - 1) leaves every compact at t = 1, inside the set
+    bf = BarrierFunction(lambda th: 1.0 - th[0],
+                         grad=lambda th: np.array([-1.0, 0.0]))
+    return ProjectionSpec(bf, linear_extended(1.0))
+
+
+@pytest.mark.parametrize("law", ["classic", "qp", "optimal"])
+def test_diverging_estimate_escapes_under_every_law(law):
+    cfg = SimConfig(dt=1e-3, T=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = simulate_projection(diverging_spec(),
+                                   lambda th, t: np.array([-th[0] ** 2, 0.0]),
+                                   np.array([-1.0, 0.0]), cfg, law=law)
+    assert traj.escape_time == pytest.approx(1.0, abs=2e-3)
+    assert traj.n_samples == round(traj.escape_time / cfg.dt) + 1
+    assert traj.times[-1] == traj.escape_time
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isnan(traj.controls[-1]))
+    assert np.all(np.isfinite(traj.controls[:-1]))
+
+
+@pytest.mark.parametrize("law", ["qp", "optimal"])
+def test_projection_error_in_a_continuous_law_is_wrapped(law):
+    # a flat gradient where the margin is negative: no correction exists
+    bf = BarrierFunction(lambda th: -1.0, grad=lambda th: np.zeros(2))
+    spec = ProjectionSpec(bf, linear_extended(1.0))
+    with pytest.raises(SimulationError) as err:
+        simulate_projection(spec, lambda th, t: np.array([1.0, 0.0]),
+                            np.array([0.0, 0.0]), SimConfig(dt=0.1, T=1.0),
+                            law=law)
+    assert isinstance(err.value.__cause__, ProjectionError)
+
+
+@pytest.mark.parametrize("law", ["qp", "optimal"])
+def test_continuous_laws_are_integrate_ode_on_the_integrator(law):
+    spec = ball_spec()
+    u0_law = lambda th, t: np.array([1.0, 0.3])
+    cfg = SimConfig(dt=1e-2, T=2.0)
+    if law == "qp":
+        control = lambda th, t: u0_law(th, t) + qp_projection(
+            spec, th, u0_law(th, t))
+    else:
+        control = lambda th, t: inverse_optimal_update(spec, th,
+                                                       u0_law(th, t))
+    plant = ControlAffineSystem(2, 0, 2, lambda th: np.zeros(2), None,
+                                lambda th: np.eye(2))
+    want = integrate_ode(plant, spec.bf, control, u0_law,
+                         np.array([0.5, 0.0]), None, cfg)
+    got = simulate_projection(spec, u0_law, np.array([0.5, 0.0]), cfg,
+                              law=law)
+    for name in ("times", "states", "controls", "nominal", "h_values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.escape_time is None

@@ -453,3 +453,67 @@ def test_tombstone_csv_matches_per_value_writer(tmp_path):
     per_value_csv(traj, ref)
     assert ours.read_bytes() == ref.read_bytes()
     assert ours.read_text().splitlines()[1].count("nan") == 5
+
+
+@pytest.mark.parametrize("exc", [ModelBlowup, OverflowError])
+def test_scalar_record_blowup_is_a_tombstone(exc):
+    # the scalar path records by the rule of the array integrators
+    cfg = SimConfig(dt=0.1, T=1.0)
+    traj = integrate_ode_scalar(lambda x, t: -x, 1.0, cfg,
+                                h_fn=lambda x: -x, u_fn=lambda x, t: -x,
+                                u0_fn=_nominal_failing_after(0.45, exc))
+    assert traj.n_samples == 6
+    assert traj.escape_time == traj.times[-1] == 0.5
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(traj.controls[:-1]))
+    assert np.isnan(traj.controls[-1, 0]) and np.isnan(traj.nominal[-1, 0])
+    assert math.isnan(traj.h_values[-1])
+
+
+def test_scalar_record_failure_is_wrapped_with_cause():
+    cfg = SimConfig(dt=0.1, T=1.0)
+    with pytest.raises(SimulationError) as err:
+        integrate_ode_scalar(lambda x, t: -x, 1.0, cfg, h_fn=lambda x: -x,
+                             u_fn=lambda x, t: -x,
+                             u0_fn=_nominal_failing_after(0.25, ValueError))
+    assert isinstance(err.value.__cause__, ValueError)
+    assert "t=0.3" in str(err.value)
+
+
+def test_scalar_escape_tombstone_matches_general():
+    # dx = x^3 from 1 leaves every compact at t = 0.5; both paths stamp
+    # the same tombstone sample
+    cfg = SimConfig(dt=1e-3, T=1.0)
+    scalar = integrate_ode_scalar(lambda x, t: x ** 3, 1.0, cfg,
+                                  h_fn=lambda x: -x,
+                                  u_fn=lambda x, t: x ** 3,
+                                  u0_fn=lambda x, t: 0.0)
+    general = integrate_ode(integrator_1d(), wide_barrier(),
+                            lambda x, t: x[0] ** 3, lambda x, t: 0.0,
+                            [1.0], None, cfg)
+    assert scalar.escape_time == general.escape_time
+    for name in ("times", "states", "controls", "nominal", "h_values"):
+        a, b = getattr(scalar, name), getattr(general, name)
+        assert a.shape == b.shape
+        assert np.array_equal(a[:-1], b[:-1])
+        assert np.array_equal(a[-1], b[-1], equal_nan=True)
+
+
+@pytest.mark.parametrize("x0", [0.4, [0.4], (0.4,), np.array([0.4]),
+                                np.array(0.4)])
+def test_scalar_path_takes_the_states_integrate_ode_takes(x0):
+    cfg = SimConfig(dt=0.1, T=0.5)
+    traj = integrate_ode_scalar(lambda x, t: -x, x0, cfg, h_fn=lambda x: -x,
+                                u_fn=lambda x, t: -x, u0_fn=lambda x, t: 0.0)
+    assert traj.states[0, 0] == 0.4
+
+
+@pytest.mark.parametrize("x0", [[0.1, 0.2], [[0.1]], np.zeros((1, 1))])
+def test_scalar_path_rejects_wrong_x0_before_any_callback(x0):
+    calls = []
+    with pytest.raises(ValueError, match="x0 shape"):
+        integrate_ode_scalar(lambda x, t: calls.append(t) or -x, x0,
+                             SimConfig(dt=0.1, T=0.5),
+                             h_fn=lambda x: calls.append(x) or -x,
+                             u_fn=lambda x, t: -x, u0_fn=lambda x, t: 0.0)
+    assert calls == []
