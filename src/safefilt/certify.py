@@ -287,6 +287,12 @@ def cost_invariance_check(traj, cost):
 # state bounds
 # ---------------------------------------------------------------------------
 
+def _sup_gains(rho, d):
+    """rho(sup_{j<=k} |d_j|) for each sample k of a disturbance record."""
+    dn = np.linalg.norm(np.atleast_2d(np.asarray(d)), axis=1)
+    return np.array([rho(v) for v in np.maximum.accumulate(dn)])
+
+
 def certify_dssf_bound(traj, alpha, rho, d_history=None):
     """Sample-wise disturbance-to-state safety margin.
 
@@ -297,11 +303,8 @@ def certify_dssf_bound(traj, alpha, rho, d_history=None):
     """
     h = traj.h_values
     kl = kl_solve_grid(alpha, h[0], traj.times)
-    d = traj.disturbances if d_history is None else np.asarray(d_history)
-    dn = np.linalg.norm(np.atleast_2d(d), axis=1)
-    sup = np.maximum.accumulate(dn)
-    gains = np.array([rho(v) for v in sup])
-    margins = h - kl + gains
+    d = traj.disturbances if d_history is None else d_history
+    margins = h - kl + _sup_gains(rho, d)
     mn = float(np.min(margins))
     return margins, mn, mn >= -DSSF_PASS_TOL
 

@@ -2,8 +2,10 @@
 
 Class-K and extended class-K function objects, the Legendre-Fenchel
 transform of a class-Kinf function whose derivative is also class-Kinf,
-Young's inequality gap, and the decay bound obtained by solving the
-scalar comparison ODE dy/dt = -alpha(y).
+Young's inequality gap, and the decay (KL) bound obtained by solving
+the scalar comparison ODE dy/dt = -alpha(y). kl_solve_grid is the one
+decay solver: it steps through sim._rk4 like every simulated loop, and
+kl_solve is that solver at a single time.
 
 Everything here is immutable after construction and evaluation is pure.
 Numeric inverses favour total robustness over speed: the functions are
@@ -17,9 +19,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .sim import _rk4
+
 INV_XTOL = 1e-12            # absolute tolerance handed to brentq
 KL_AGREE_TOL = 1e-8         # successive step-halvings must agree this well
-KL_MIN_STEP = 1e-12         # refuse to halve below this step, report instead
+KL_MIN_STEP = 1e-12         # no agreement at a smaller step: report, stop
 MAX_BRACKET_DOUBLINGS = 200
 
 
@@ -180,73 +184,60 @@ def young_gap(x, y, pair):
     return pair.gamma(nx) + legendre_fenchel(pair, ny) - float(x @ y)
 
 
-def _rk4_decay(alpha, r, t, n):
-    dt = t / n
-    y = float(r)
-    for _ in range(n):
-        k1 = -alpha(y)
-        k2 = -alpha(y + 0.5 * dt * k1)
-        k3 = -alpha(y + 0.5 * dt * k2)
-        k4 = -alpha(y + dt * k3)
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
 def kl_solve(alpha, r, t):
-    """Decay bound: y(t) for dy/dt = -alpha(y), y(0) = r.
-
-    Fixed-step RK4, steps halved until two successive passes agree
-    within KL_AGREE_TOL. Reproducible by construction; underflow of the
-    step size is reported, never silently clamped.
-    """
+    """Decay bound at one time: kl_solve_grid(alpha, r, [t])[0]. A
+    negative or non-finite t is a DomainError."""
     if t < 0.0:
         raise DomainError("kl_solve at negative time %g" % t)
-    if t == 0.0 or r == 0.0:
-        return float(r)
-    n = max(8, int(math.ceil(t / 0.05)))
-    prev = _rk4_decay(alpha, r, t, n)
-    for _ in range(48):
-        n *= 2
-        if t / n < KL_MIN_STEP:
-            raise RuntimeError("kl_solve: step underflow before convergence")
-        cur = _rk4_decay(alpha, r, t, n)
-        if abs(cur - prev) <= KL_AGREE_TOL:
-            return cur
-        prev = cur
-    raise RuntimeError("kl_solve: refinement limit reached without agreement")
+    return float(kl_solve_grid(alpha, r, [t])[0])
 
 
 def kl_solve_grid(alpha, r, times):
-    """kl_solve sampled on an increasing time grid, solved in one sweep.
+    """Decay bound y(t) of dy/dt = -alpha(y), y(0) = r, sampled on a
+    nonnegative, nondecreasing time grid in one sweep; a non-finite
+    time is a DomainError.
 
-    Substeps per grid interval are doubled until the whole sampled curve
-    agrees within KL_AGREE_TOL with the previous pass.
+    Each grid interval starts at max(4, ceil(span/0.05)) RK4 steps of
+    sim._rk4; every interval's step count doubles until two passes over
+    the whole grid agree within KL_AGREE_TOL. Reproducible by
+    construction; underflow of the coarsest step (the one that sets how
+    long the grid takes, not a near-duplicate time's) is reported, never
+    silently clamped.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
+    if not np.isfinite(times).all():
+        raise DomainError("times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise DomainError("times must be nonnegative and nondecreasing")
+    spans = np.diff(times, prepend=0.0).tolist()
+    base = [max(4, math.ceil(span / 0.05)) for span in spans]
+    coarsest = max(span / n for span, n in zip(spans, base))
+    rate = lambda y, t: -alpha(y)
 
-    def sweep(sub):
-        out = np.empty_like(times)
+    def sweep(scale):
+        out = np.empty(len(spans))
         y = float(r)
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            span = t - t_prev
+        for i, span in enumerate(spans):
             if span > 0.0:
-                y = _rk4_decay(alpha, y, span, sub)
+                n = base[i] * scale
+                dt = span / n
+                for _ in range(n):
+                    y = _rk4(rate, y, 0.0, dt)
             out[i] = y
-            t_prev = t
         return out
 
-    sub = 4
-    prev = sweep(sub)
+    scale = 1
+    prev = sweep(scale)
     for _ in range(20):
-        sub *= 2
-        cur = sweep(sub)
+        scale *= 2
+        cur = sweep(scale)
         if float(np.max(np.abs(cur - prev))) <= KL_AGREE_TOL:
             return cur
+        if coarsest / scale < KL_MIN_STEP:
+            raise RuntimeError("kl_solve_grid: step underflow before "
+                               "convergence")
         prev = cur
     raise RuntimeError("kl_solve_grid: refinement limit reached")
 

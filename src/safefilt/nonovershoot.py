@@ -14,11 +14,9 @@ returns u0 plus the unit-gain min-norm correction of one floor margin.
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .filters import MIN_NORM, correct, dssf_margin
 from .stochastic import generator_margin, nssf_margin
-from .systems import lie_data
+from .systems import _as_state, lie_data, vec_norm
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,7 @@ class SandwichSpec:
 
 def _parts(spec, x):
     ld = lie_data(spec.sys, spec.bf, x)
-    u0v = np.atleast_1d(np.asarray(spec.u0(x), dtype=float))
+    u0v = _as_state(spec.u0(x), spec.sys.m2, "u0")
     drift = ld.Lfh + float(ld.Lg2h @ u0v)
     return ld, u0v, drift
 
@@ -43,7 +41,7 @@ def omega0(spec, x):
     """Upper-side margin of the nominal; <= 0 means the nominal already
     drives h down at rate alpha0 whenever h sits above its rho0-ball."""
     ld, _, drift = _parts(spec, x)
-    nrm = float(np.linalg.norm(ld.Lg1h))
+    nrm = vec_norm(ld.Lg1h)
     return (drift + nrm * spec.rho0.inverse(max(0.0, ld.h_val))
             + spec.alpha0(ld.h_val))
 
@@ -70,7 +68,7 @@ def gain_separation_margin(spec, x):
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
     ld = _parts(spec, x)[0]
-    return _separation(spec, ld.h_val, float(np.linalg.norm(ld.Lg1h)))
+    return _separation(spec, ld.h_val, vec_norm(ld.Lg1h))
 
 
 def _separation(spec, h, weight):

@@ -22,7 +22,8 @@ Conventions that the certification layer relies on:
 
 Every loop (integrate_ode, integrate_sde, the scalar fast path and
 projection.simulate_projection) keeps these rules through the same
-helpers: _record, _rk4, _advance and _escape.
+helpers: _record, _rk4, _advance and _escape. comparison.kl_solve_grid
+steps its decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
 """
 
 import math
@@ -54,6 +55,8 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not math.isfinite(self.escape_threshold):
             raise ValueError("escape_threshold must be finite")
+        if not math.isfinite(self.T):
+            raise ValueError("T must be finite")
         if self.T < self.dt:
             raise ValueError("T < dt leaves nothing to integrate")
         if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:

@@ -172,6 +172,8 @@ def test_sandwich_report_overall_is_pass(capsys, tmp_path):
     (["--T", "0"], "T < dt"),
     (["--paths", "0"], "paths"),
     (["--dt", "0.3", "--T", "1"], "whole number of steps"),
+    (["--T", "inf"], "T must be finite"),
+    (["--T", "nan"], "T must be finite"),
 ])
 def test_run_builtin_bad_numbers_exit_2(tmp_path, capsys, flags, needle):
     rc = main(["run-builtin", "blowup", "--out-dir", str(tmp_path)] + flags)

@@ -1,5 +1,6 @@
 """Comparison functions, conjugate pairs, and the decay ODE solver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -185,6 +186,106 @@ def test_kl_decreasing_in_time(t1, t2):
 def test_kl_rejects_negative_time():
     with pytest.raises(ValueError):
         kl_solve(linear_extended(1.0), 1.0, -0.1)
+
+
+def test_kl_rejects_non_finite_times():
+    a = linear_extended(1.0)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            kl_solve(a, 1.0, t)
+    for times in ([0.0, math.nan, 1.0], [0.0, math.inf], [math.nan]):
+        with pytest.raises(DomainError):
+            kl_solve_grid(a, 1.0, times)
+
+
+def _linear_flow(c, r, t):
+    """Exact decay under alpha(y) = c y."""
+    return r * math.exp(-c * t)
+
+
+def _power_flow(p, s, r, t):
+    """Exact decay under alpha(y) = s sign(y) |y|^p with p > 1:
+    sign(r) (|r|^{1-p} - (1-p) s t)^{1/(1-p)}, with |r| factored out so
+    that a tiny r does not overflow |r|^{1-p}."""
+    q = p - 1.0
+    return r * (1.0 + q * s * t * abs(r) ** q) ** (-1.0 / q)
+
+
+flow_r = st.floats(-2.0, 2.0)
+flow_t = st.floats(0.0, 5.0)
+
+
+@given(c=st.floats(0.1, 4.0), r=flow_r, t=flow_t)
+@settings(max_examples=40, deadline=None)
+def test_kl_matches_linear_flow(c, r, t):
+    a = extended_k_from_name("linear:%r" % c)
+    assert abs(kl_solve(a, r, t) - _linear_flow(c, r, t)) <= 1e-7
+
+
+@given(p=st.floats(1.5, 3.0), s=st.floats(0.25, 2.0), r=flow_r, t=flow_t)
+@settings(max_examples=40, deadline=None)
+def test_kl_matches_power_flow(p, s, r, t):
+    a = extended_k_from_name("power:%r:%r" % (p, s))
+    assert abs(kl_solve(a, r, t) - _power_flow(p, s, r, t)) <= 1e-7
+
+
+def _reference_sweep(alpha, r, times):
+    """An inline RK4 decay sweep over np.float64 spans: 4 substeps per
+    interval, doubled until two passes agree within 1e-8."""
+    def sweep(sub):
+        out = np.empty_like(times)
+        y = float(r)
+        t_prev = 0.0
+        for i, t in enumerate(times):
+            span = t - t_prev
+            if span > 0.0:
+                dt = span / sub
+                for _ in range(sub):
+                    k1 = -alpha(y)
+                    k2 = -alpha(y + 0.5 * dt * k1)
+                    k3 = -alpha(y + 0.5 * dt * k2)
+                    k4 = -alpha(y + dt * k3)
+                    y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[i] = y
+            t_prev = t
+        return out
+
+    sub = 4
+    prev = sweep(sub)
+    while True:
+        sub *= 2
+        cur = sweep(sub)
+        if float(np.max(np.abs(cur - prev))) <= 1e-8:
+            return cur
+        prev = cur
+
+
+@pytest.mark.parametrize("name", ["linear:2", "power:3", "power:1.5:0.7",
+                                  "eps:0.5"])
+def test_kl_grid_equals_reference_sweep_on_uniform_grid(name):
+    a = extended_k_from_name(name)
+    times = np.arange(1001) * 2e-3
+    for r in (0.5, -1.25):
+        assert np.array_equal(kl_solve_grid(a, r, times),
+                              _reference_sweep(a, r, times))
+
+
+def test_kl_grid_with_near_duplicate_time():
+    a = linear_extended(1.0)
+    grid = kl_solve_grid(a, 1.0, [0.0, 1e-13, 1.0])
+    assert grid[0] == 1.0
+    assert grid[1] == pytest.approx(1.0, abs=1e-12)
+    assert grid[2] == pytest.approx(math.exp(-1.0), abs=1e-8)
+    assert kl_solve(a, 1.0, 1e-13) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_kl_grid_reports_step_underflow():
+    # a rate that never repeats: no two passes agree, so the step of the
+    # 1e-10 interval falls below KL_MIN_STEP after a few doublings
+    calls = itertools.count()
+    a = ExtendedKFunction(lambda y: 1e9 * next(calls), name="drifting")
+    with pytest.raises(RuntimeError, match="underflow"):
+        kl_solve_grid(a, 1.0, [0.0, 1e-10])
 
 
 # ---- name tags ----

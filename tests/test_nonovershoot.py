@@ -128,3 +128,15 @@ def test_nominal_takes_state_only():
     spec = sandwich_testbed()
     # the nominal law in this setting depends on the state alone
     assert spec.u0(np.array([-1.0]))[0] == pytest.approx(2.0)
+
+
+def test_u0_of_the_wrong_shape_is_a_shape_error():
+    spec = clean_spec(lambda x: -x, linear_extended(1.0),
+                      linear_extended(2.0))
+    bad = SandwichSpec(spec.sys, spec.bf, lambda x: np.array([[0.5]]),
+                       spec.rho0, spec.rho, spec.alpha0, spec.alpha)
+    x = np.array([0.3])
+    for fn in (sandwich_filter, omega_no, omega0):
+        with pytest.raises(ValueError, match=r"u0 shape \(1, 1\), "
+                                             r"expected \(1,\)"):
+            fn(bad, x)

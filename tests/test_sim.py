@@ -250,6 +250,12 @@ def test_sim_config_validation():
     assert SimConfig(dt=1e-3, T=2.0).n_steps == 2000
 
 
+def test_sim_config_rejects_non_finite_horizon():
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="T must be finite"):
+            SimConfig(dt=1e-3, T=T)
+
+
 def test_policy_failure_is_wrapped_with_cause():
     def angry(x, t):
         if t > 0.0:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from safefilt.comparison import identity_k, linear_extended, power_k, \
     power_pair
@@ -13,12 +14,15 @@ from safefilt.scenarios import ex5_spec, ex6_spec, _ex6_display, \
 from safefilt.sim import SimConfig, integrate_sde
 from safefilt.stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
                                  generator_h, hjb_residual, min_eigenvalue,
-                                 nsbf_premise, nssf_hji_residual,
-                                 nssf_qp_filter, omega_nssf, omega_sbfc,
-                                 stoch_inverse_optimal, stoch_qp_filter,
-                                 stoch_sontag_filter, worst_case_covariance)
+                                 nsbf_premise, nssf_condition,
+                                 nssf_hji_residual, nssf_qp_filter,
+                                 nssf_state_penalty_l, nssf_weights,
+                                 omega_nssf, omega_sbfc, stoch_inverse_optimal,
+                                 stoch_io_condition, stoch_qp_filter,
+                                 stoch_sontag_filter, stoch_state_penalty_l,
+                                 stoch_weights, worst_case_covariance)
 from safefilt.systems import BarrierFunction, ControlAffineSystem, \
-    scalar_system
+    lie_data, scalar_system
 
 ACTIVATION = 1.0 - math.sqrt(math.e)
 GEN_TOL = 1e-8
@@ -197,3 +201,40 @@ def test_covariance_schedule_shapes():
     assert sched.at(3.0).shape == (2, 2)
     with pytest.raises(ValueError):
         CovarianceSchedule(lambda t: np.eye(3), 2).at(0.0)
+
+
+# ---- premise margins and state penalties against closed forms ----
+
+def _close(value, terms):
+    """value equals sum(terms) up to rounding on the largest term."""
+    scale = 1.0 + sum(abs(v) for v in terms)
+    return abs(value - sum(terms)) <= 1e-13 * scale
+
+
+@given(x=st.floats(-3.0, 0.9), t=st.floats(0.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_stoch_io_condition_and_penalty_at_random_states(x, t):
+    # ex5: R2 = I and gamma2(r) = r^2/4, so ell_gamma2(|Lg2h|) = |Lg2h|^2
+    spec = ex5_spec(2.0)
+    xv = np.array([x])
+    ld = lie_data(spec.sys, spec.bf, xv)
+    assert _close(stoch_io_condition(spec, xv, t),
+                  [omega_sbfc(spec, xv, t), float(ld.Lg2h @ ld.Lg2h)])
+    assert (stoch_state_penalty_l(spec, xv, t)
+            == stoch_weights(spec, xv, spec.u0(xv, t))[1])
+
+
+@given(x=st.floats(-2.0, 2.0), t=st.floats(0.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_nssf_condition_and_penalty_at_random_states(x, t):
+    # ex6: gamma1(r) = r^2 gives ell_gamma1(frob) = frob^2/4; R2 and
+    # gamma2 as in ex5
+    spec = ex6_spec(beta=2.0)
+    xv = np.array([x])
+    u0v = spec.u0(xv, t)
+    ld = lie_data(spec.sys, spec.bf, xv)
+    assert _close(nssf_condition(spec, xv, t),
+                  [ld.Lfh, float(ld.Lg2h @ u0v), spec.alpha(ld.h_val),
+                   -0.25 * ld.frob_term ** 2, float(ld.Lg2h @ ld.Lg2h)])
+    assert (nssf_state_penalty_l(spec, xv, t)
+            == nssf_weights(spec, xv, u0v)[1])
