@@ -61,6 +61,9 @@ COST_DIRECTION = {
 
 @dataclass(frozen=True)
 class CostSpec:
+    """A cost kind and its data. Only qp-weighted and qp-exact read
+    beta_gain and lam (qp-exact beta_gain alone); the other kinds read
+    their gains from spec. cov is noise-game's covariance schedule."""
     kind: str
     spec: Optional[object] = None
     beta_gain: float = 2.0
@@ -288,8 +291,10 @@ def cost_invariance_check(traj, cost):
 # ---------------------------------------------------------------------------
 
 def _sup_gains(rho, d):
-    """rho(sup_{j<=k} |d_j|) for each sample k of a disturbance record."""
-    dn = np.linalg.norm(np.atleast_2d(np.asarray(d)), axis=1)
+    """rho(sup_{j<=k} |d_j|) for each sample k of a disturbance history
+    with one row per sample; a 1-D history holds one scalar per sample."""
+    d = np.asarray(d, dtype=float)
+    dn = np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=1)
     return np.array([rho(v) for v in np.maximum.accumulate(dn)])
 
 
@@ -298,12 +303,17 @@ def certify_dssf_bound(traj, alpha, rho, d_history=None):
 
         margin_k = h_k - klbound(alpha, h_0, t_k) + rho(sup_{j<=k} |d_j|)
 
-    Returns (margins, min_margin, passed) with the pass line at
-    -DSSF_PASS_TOL to absorb integration error.
+    d_history replaces the recorded disturbances: one row, or for a 1-D
+    history one scalar, per sample of the record. Returns (margins,
+    min_margin, passed) with the pass line at -DSSF_PASS_TOL to absorb
+    integration error.
     """
     h = traj.h_values
+    d = traj.disturbances if d_history is None else np.asarray(d_history)
+    if d.ndim not in (1, 2) or d.shape[0] != h.size:
+        raise ValueError("d_history shape %s, expected (%d,) or (%d, m1)"
+                         % (d.shape, h.size, h.size))
     kl = kl_solve_grid(alpha, h[0], traj.times)
-    d = traj.disturbances if d_history is None else d_history
     margins = h - kl + _sup_gains(rho, d)
     mn = float(np.min(margins))
     return margins, mn, mn >= -DSSF_PASS_TOL

@@ -21,13 +21,24 @@ barrier h, safe set {h >= 0}, and dssf_margin is
   * half_sontag_filter nominal plus half the universal correction
   * inverse_optimal_*  scaled corrections that minimize a meaningful cost
 
-The inverse-optimal layer carries its own certificates: the pointwise
-penalty l, the worst-case disturbance, the value-function residual of
-the underlying game (identically zero up to roundoff), and the gap in
-the disturbance-side Young inequality.
+The inverse-optimal layer is one value equation for three games. Each
+takes the value V = 2 beta h and the weighted direction R2^{-1} Lg2h',
+S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
+
+    disturbance game  (Lfh + Lg2h.u0, ell_gamma(2||Lg1h||), S)
+    covariance game   (Lfh + Lg2h.u0, ell_gamma1(frob), ell_gamma2(sqrt S))
+    Ito value         (Lfh + Lg2h.u0 + trace, 0, ell_gamma2(sqrt S))
+
+    l        = -2 beta (drift - adv + ctrl) - beta (2-lam) adv
+               - beta (beta-2) ctrl                     (state penalty)
+    residual = drift + beta ctrl/2 - lam adv/2 + l/(2 beta)    (= 0)
+    premise  = drift - adv + ctrl + alpha(h) >= 0
+
+beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -86,21 +97,27 @@ def _u0_at(spec, x, t):
     return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
 
 
-def _check_gains(beta_gain, floor, lam=None):
-    """ValueError unless beta_gain >= floor and lam, if given, in (0, 2]."""
+def _check_gains(beta_gain, safety_only=False, lam=None):
+    """The gain gate: ValueError unless beta_gain >= 2, which certifies
+    optimality, or >= 1 if safety_only; and lam, if given, in (0, 2]."""
+    floor = 1.0 if safety_only else 2.0
     if beta_gain < floor:
         raise ValueError("beta_gain %g < %g" % (beta_gain, floor))
     if lam is not None and not (0.0 < lam <= 2.0):
         raise ValueError("lam must lie in (0, 2], got %g" % lam)
 
 
-def _spd_weight(weight, x, u0v, m):
-    """weight(x, u0v) as an (m, m) matrix, identity when weight is None."""
+def _weighted(weight, x, u0v, a):
+    """(R, R^{-1} a, a.R^{-1} a) for the SPD weight R = weight(x, u0v),
+    the identity when weight is None."""
+    m = a.size
     if weight is None:
-        return np.eye(m)
-    W = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
-    np.linalg.cholesky(W)  # raises unless symmetric positive definite
-    return W
+        R = np.eye(m)
+    else:
+        R = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
+        np.linalg.cholesky(R)  # raises unless symmetric positive definite
+    ra = np.linalg.solve(R, a)
+    return R, ra, float(a @ ra)
 
 
 @dataclass(frozen=True)
@@ -199,7 +216,7 @@ def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
     beta_gain >= 2 certifies optimality of a meaningful cost; the
     escape hatch allows beta_gain >= 1, which still certifies safety.
     """
-    _check_gains(beta_gain, 1.0 if allow_safety_only else 2.0)
+    _check_gains(beta_gain, allow_safety_only)
     u0v, omega, a = _dssf_at(spec, x, t)
     return u0v + beta_gain * correct(omega, a)
 
@@ -221,32 +238,46 @@ class InverseOptimalSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        _check_gains(self.beta_gain, 1.0 if self.allow_safety_only else 2.0,
-                     self.lam)
+        _check_gains(self.beta_gain, self.allow_safety_only, self.lam)
 
 
-def _io_parts(iospec, x, u0v):
-    """(ld, drift, R2, r2inv_l2h, S, ell, l) at state x and nominal
-    value u0v; l is the state penalty."""
+# one inverse-optimal game at a state; see the module docstring
+_Game = namedtuple("_Game", "ld R ra S drift adv ctrl l residual")
+
+
+def _value_game(spec, sys, bf, lam, x, u0v, supply):
+    """The game at state x and nominal value u0v. spec carries R2,
+    beta_gain and allow_safety_only; supply(ld, Lfh + Lg2h.u0, S)
+    returns the game's (drift, adv, ctrl)."""
+    beta = spec.beta_gain
+    _check_gains(beta, spec.allow_safety_only)
+    ld = lie_data(sys, bf, x)
+    R, ra, S = _weighted(spec.R2, x, u0v, ld.Lg2h)
+    drift, adv, ctrl = supply(ld, ld.Lfh + float(ld.Lg2h @ u0v), S)
+    l = (-2.0 * beta * (drift - adv + ctrl)
+         - beta * (2.0 - lam) * adv
+         - beta * (beta - 2.0) * ctrl)
+    return _Game(ld, R, ra, S, drift, adv, ctrl, l,
+                 drift + 0.5 * beta * ctrl - 0.5 * lam * adv
+                 + l / (2.0 * beta))
+
+
+def _premise(game, alpha):
+    return game.drift - game.adv + game.ctrl + alpha(game.ld.h_val)
+
+
+def _io_game(iospec, x, u0v):
+    """The disturbance game: (drift, ell_gamma(2||Lg1h||), S)."""
     base = iospec.base
-    beta, lam = iospec.beta_gain, iospec.lam
-    ld = lie_data(base.sys, base.bf, x)
-    drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    R2 = _spd_weight(iospec.R2, x, u0v, base.sys.m2)
-    r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
-    S = float(ld.Lg2h @ r2inv_l2h)
-    ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
-    l = (-2.0 * beta * (drift - ell + S)
-         - beta * (2.0 - lam) * ell
-         - beta * (beta - 2.0) * S)
-    return ld, drift, R2, r2inv_l2h, S, ell, l
+    return _value_game(iospec, base.sys, base.bf, iospec.lam, x, u0v,
+                       lambda ld, drift, S: (drift, legendre_fenchel(
+                           iospec.gamma, 2.0 * vec_norm(ld.Lg1h)), S))
 
 
 def inverse_optimal_general(iospec, x, t):
     """u = u0 + beta * R2^{-1} Lg2h'."""
     u0v = _u0_at(iospec.base, x, t)
-    r2inv_l2h = _io_parts(iospec, x, u0v)[3]
-    return u0v + iospec.beta_gain * r2inv_l2h
+    return u0v + iospec.beta_gain * _io_game(iospec, x, u0v).ra
 
 
 def inverse_optimal_condition(iospec, x, t):
@@ -256,9 +287,8 @@ def inverse_optimal_condition(iospec, x, t):
 
     Returned as-is so the caller decides whether to enforce or report.
     """
-    ld, drift, _, _, S, ell, _ = _io_parts(iospec, x,
-                                           _u0_at(iospec.base, x, t))
-    return drift - ell + S + iospec.base.alpha(ld.h_val)
+    return _premise(_io_game(iospec, x, _u0_at(iospec.base, x, t)),
+                    iospec.base.alpha)
 
 
 def worst_case_disturbance(iospec, x):
@@ -283,8 +313,8 @@ def qp_worst_case_disturbance(spec, lam, x):
 def game_weights(iospec, x, u0v):
     """Control weight R2 (matrix) and state penalty l of the disturbance
     game at state x and nominal value u0v."""
-    terms = _io_parts(iospec, x, u0v)
-    return terms[2], terms[-1]
+    game = _io_game(iospec, x, u0v)
+    return game.R, game.l
 
 
 def state_penalty_l(iospec, x, t):
@@ -302,10 +332,7 @@ def hji_residual(iospec, x, t):
     Identically zero by construction; evaluating it checks the wiring
     of l, S, and the transform against each other.
     """
-    beta, lam = iospec.beta_gain, iospec.lam
-    _, drift, _, _, S, ell, l = _io_parts(iospec, x,
-                                          _u0_at(iospec.base, x, t))
-    return drift + 0.5 * beta * S - 0.5 * lam * ell + l / (2.0 * beta)
+    return _io_game(iospec, x, _u0_at(iospec.base, x, t)).residual
 
 
 def pi_gap(iospec, x, d):
@@ -316,10 +343,7 @@ def pi_gap(iospec, x, d):
     Nonnegative, zero exactly at the worst-case disturbance.
     """
     ld = lie_data(iospec.base.sys, iospec.base.bf, x)
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if d.shape != (iospec.base.sys.m1,):
-        raise ValueError("disturbance shape %s, expected (%d,)"
-                         % (d.shape, iospec.base.sys.m1))
+    d = _as_state(d, iospec.base.sys.m1, "disturbance")
     lam = iospec.lam
     ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
     return (iospec.gamma.gamma(vec_norm(d) / lam)

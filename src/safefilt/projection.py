@@ -38,7 +38,7 @@ class ProjectionSpec:
     beta_gain: float = 2.0
 
     def __post_init__(self):
-        _check_gains(self.beta_gain, 2.0)
+        _check_gains(self.beta_gain)
 
 
 def _parts(theta_hat, u0_val):

@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filters import (MIN_NORM, Weight, _check_gains, _spd_weight, _u0_at,
-                      correct)
+from .filters import MIN_NORM, Weight, _check_gains, _u0_at, _weighted, correct
 from .systems import BarrierFunction, _as_state
 
 
@@ -42,7 +41,7 @@ class RcbfSpec:
         if self.sys.m1 != 0:
             raise ValueError("reciprocal filters assume no disturbance "
                              "channel (m1 = 0), got m1 = %d" % self.sys.m1)
-        _check_gains(self.beta_gain, 2.0)
+        _check_gains(self.beta_gain)
 
 
 def _b_data(spec, x):
@@ -83,16 +82,14 @@ def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
     LgB = _b_data(spec, x)[2]
     u0v = _u0_at(spec, x, t)
-    R = _spd_weight(spec.Rbar, x, u0v, spec.sys.m2)
-    return u0v - spec.beta_gain * np.linalg.solve(R, LgB)
+    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, LgB)[1]
 
 
 def rcbf_condition(spec, x, t):
     """Margin alpha_bar(1/B) - L_{f+g u0}B + Sbar; >= 0 certifies the
     scaled correction keeps B finite."""
     (_, _, LgB), u0v, (omega, _) = _margin_at(spec, x, t)
-    R = _spd_weight(spec.Rbar, x, u0v, spec.sys.m2)
-    return omega + float(LgB @ np.linalg.solve(R, LgB))
+    return omega + _weighted(spec.Rbar, x, u0v, LgB)[2]
 
 
 def reciprocal_weights(spec, x, u0v):

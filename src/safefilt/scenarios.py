@@ -78,14 +78,13 @@ def write_report(report, path):
             fh.write("%s = %s\n" % (k, _fmt(v)))
 
 
-def _emit(result, out_dir, name, traj=None):
+def _emit(result, out_dir, name, traj):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    if traj is not None:
-        p = os.path.join(out_dir, name)
-        write_trajectory_csv(traj, p)
-        result.artifacts.append(p)
+    p = os.path.join(out_dir, name)
+    write_trajectory_csv(traj, p)
+    result.artifacts.append(p)
 
 
 def _finish(result, out_dir, name):
@@ -271,6 +270,13 @@ def _ex3_pieces(beta, lam):
     return u0_scalar, u_star_scalar, d_star_scalar, iospec
 
 
+def _attenuation(traj, lam):
+    """(lhs, rhs) of the bound x(T) + int x dt <= int d^2 dt / (2 lam)."""
+    x, d = traj.states[:, 0], traj.disturbances[:, 0]
+    return (float(x[-1] + trapezoid(x, traj.times)),
+            float(trapezoid(d * d, traj.times) / (2.0 * lam)))
+
+
 def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
     """Fully weighted inverse-optimal loop against its own worst-case
     disturbance; the game cost stays pinned at 2*beta*h(x0)."""
@@ -285,10 +291,7 @@ def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
     traj.running_cost = cv.running
 
     value = 2.0 * beta * (-x0)
-    x = traj.states[:, 0]
-    lhs = float(x[-1] + trapezoid(x, traj.times))
-    d = traj.disturbances[:, 0]
-    rhs = float(trapezoid(d * d, traj.times) / (2.0 * lam))
+    lhs, rhs = _attenuation(traj, lam)
 
     grid = np.linspace(-1.5, -0.6, 61)
     hji = max(abs(hji_residual(iospec, np.array([g]), 0.0)) for g in grid)
@@ -342,10 +345,7 @@ def run_ex4_invopt_qp(cfg, out_dir=None):
     traj.running_cost = cv_e.running
 
     value = 2.0 * beta * (-x0)
-    x = traj.states[:, 0]
-    lhs = float(x[-1] + trapezoid(x, traj.times))
-    d = traj.disturbances[:, 0]
-    rhs = float(trapezoid(d * d, traj.times) / (2.0 * lam))
+    lhs, rhs = _attenuation(traj, lam)
 
     ok = (inv_e <= VALUE_TOL and abs(cv_e.total - value) <= VALUE_TOL
           and lhs <= rhs + VALUE_TOL)

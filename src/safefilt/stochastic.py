@@ -17,10 +17,10 @@ Two problem classes share the machinery:
 
 Each filter pairs generator_margin or nssf_margin with a rule of
 filters.correct; its docstring says whether it returns the full
-control or the correction alone. The inverse-optimal layer mirrors
-the deterministic one: gamma2 shapes the control penalty, gamma1
-(noise-to-state case) the covariance penalty, and the value-equation
-residuals vanish identically.
+control or the correction alone. The inverse-optimal layer is the one
+value equation of `filters`: the covariance game supplies
+(drift, ell_gamma1(frob), ell_gamma2(sqrt S)) and the Ito value is
+that game with no adversary, (drift + trace, 0, ell_gamma2(sqrt S)).
 """
 
 import math
@@ -31,8 +31,8 @@ import numpy as np
 
 from .comparison import legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
-                      _spd_weight, _u0_at, correct)
-from .systems import lie_data
+                      _premise, _u0_at, _value_game, correct)
+from .systems import _as_state, lie_data
 
 
 class ScbfViolation(RuntimeError):
@@ -51,7 +51,7 @@ class StochSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        _check_gains(self.beta_gain, 1.0)
+        _check_gains(self.beta_gain, safety_only=True)
 
 
 def _at(spec, x, t):
@@ -108,7 +108,7 @@ class NssfSpec:
     allow_safety_only: bool = False
 
     def __post_init__(self):
-        _check_gains(self.beta_gain, 1.0, self.lam)
+        _check_gains(self.beta_gain, safety_only=True, lam=self.lam)
 
 
 def nssf_margin(spec, ld, u0v):
@@ -164,41 +164,39 @@ def min_eigenvalue(M):
     return float(np.min(np.linalg.eigvalsh(M)))
 
 
-def _value_core(spec, x, u0v):
-    """(ld, drift, R2, r2inv_l2h, s, ell2), shared by both classes."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    R2 = _spd_weight(spec.R2, x, u0v, spec.sys.m2)
-    r2inv_l2h = np.linalg.solve(R2, ld.Lg2h)
-    s = math.sqrt(max(0.0, float(ld.Lg2h @ r2inv_l2h)))
-    ell2 = legendre_fenchel(spec.gamma2, s)
-    return ld, drift, R2, r2inv_l2h, s, ell2
+def _game(spec, x, u0v, adversary=False):
+    """The value game of either class at state x and nominal value u0v:
+    the covariance game, or with adversary=False the Ito value."""
+    if spec.gamma2 is None or (adversary and spec.gamma1 is None):
+        raise ValueError("inverse-optimal calls need %s"
+                         % ("gamma1 and gamma2" if adversary else "gamma2"))
+
+    def supply(ld, drift, S):
+        ell2 = legendre_fenchel(spec.gamma2, math.sqrt(max(0.0, S)))
+        if adversary:
+            return drift, legendre_fenchel(spec.gamma1, ld.frob_term), ell2
+        return drift + ld.trace_term, 0.0, ell2
+    # lam weighs only the adversary term, which the Ito value lacks
+    return _value_game(spec, spec.sys, spec.bf,
+                       spec.lam if adversary else 2.0, x, u0v, supply)
 
 
-def _scaled_control(spec, u0v, r2inv_l2h, s):
-    """u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s; u0 where s ~ 0."""
+def _inverse_optimal(spec, x, t, adversary):
+    """u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s with s = sqrt(S);
+    u0 where s ~ 0."""
+    u0v = _u0_at(spec, x, t)
+    game = _game(spec, x, u0v, adversary)
+    s = math.sqrt(max(0.0, game.S))
     if s < GRAD_ZERO_TOL:
         return u0v
     gain = spec.gamma2.gamma_prime_inv(s) / s
-    return u0v + 0.5 * spec.beta_gain * gain * r2inv_l2h
-
-
-def _stoch_terms(spec, x, u0v):
-    """_value_core plus the state penalty l of the stochastic value."""
-    if spec.gamma2 is None:
-        raise ValueError("inverse-optimal calls need gamma2")
-    core = _value_core(spec, x, u0v)
-    ld, drift, _, _, _, ell2 = core
-    beta = spec.beta_gain
-    l = (-2.0 * beta * (drift + ld.trace_term + ell2)
-         - beta * (beta - 2.0) * ell2)
-    return core + (l,)
+    return u0v + 0.5 * spec.beta_gain * gain * game.ra
 
 
 def stoch_weights(spec, x, u0v):
     """(R2, l): control weight and state penalty of the Ito value."""
-    terms = _stoch_terms(spec, x, u0v)
-    return terms[2], terms[-1]
+    game = _game(spec, x, u0v)
+    return game.R, game.l
 
 
 def stoch_inverse_optimal(spec, x, t):
@@ -208,16 +206,12 @@ def stoch_inverse_optimal(spec, x, t):
     With gamma2(r) = r^2/4 and the min-norm weight for R2 this
     reproduces stoch_qp_filter wherever the constraint is active.
     """
-    _check_gains(spec.beta_gain, 1.0 if spec.allow_safety_only else 2.0)
-    u0v = _u0_at(spec, x, t)
-    r2inv_l2h, s = _stoch_terms(spec, x, u0v)[3:5]
-    return _scaled_control(spec, u0v, r2inv_l2h, s)
+    return _inverse_optimal(spec, x, t, False)
 
 
 def stoch_io_condition(spec, x, t):
     """Premise margin drift + trace + ell_gamma2(s) + alpha(h) >= 0."""
-    ld, drift, _, _, _, ell2, _ = _stoch_terms(spec, x, _u0_at(spec, x, t))
-    return drift + ld.trace_term + ell2 + spec.alpha(ld.h_val)
+    return _premise(_game(spec, x, _u0_at(spec, x, t)), spec.alpha)
 
 
 def stoch_state_penalty_l(spec, x, t):
@@ -227,47 +221,25 @@ def stoch_state_penalty_l(spec, x, t):
 def hjb_residual(spec, x, t):
     """Dynamic-programming residual of the certified value; zero by
     construction, evaluated as a wiring check."""
-    beta = spec.beta_gain
-    ld, drift, _, _, _, ell2, l = _stoch_terms(spec, x, _u0_at(spec, x, t))
-    return drift + ld.trace_term + 0.5 * beta * ell2 + l / (2.0 * beta)
-
-
-def _nssf_terms(spec, x, u0v):
-    """_value_core plus ell1 = ell_gamma1(frob) and the state penalty l
-    of the covariance game."""
-    if spec.gamma1 is None or spec.gamma2 is None:
-        raise ValueError("inverse-optimal calls need gamma1 and gamma2")
-    _check_gains(spec.beta_gain, 1.0 if spec.allow_safety_only else 2.0)
-    core = _value_core(spec, x, u0v)
-    ld, drift, _, _, _, ell2 = core
-    beta, lam = spec.beta_gain, spec.lam
-    ell1 = legendre_fenchel(spec.gamma1, ld.frob_term)
-    l = (-2.0 * beta * (drift - ell1 + ell2)
-         - beta * (2.0 - lam) * ell1
-         - beta * (beta - 2.0) * ell2)
-    return core + (ell1, l)
+    return _game(spec, x, _u0_at(spec, x, t)).residual
 
 
 def nssf_weights(spec, x, u0v):
     """(R2, l): control weight and state penalty of the covariance game."""
-    terms = _nssf_terms(spec, x, u0v)
-    return terms[2], terms[-1]
+    game = _game(spec, x, u0v, True)
+    return game.R, game.l
 
 
 def nssf_inverse_optimal(spec, x, t):
     """stoch_inverse_optimal against an adversarial covariance; with
     gamma2(r) = r^2/4 and the min-norm weight for R2 it reproduces
     nssf_qp_filter wherever the constraint is active."""
-    u0v = _u0_at(spec, x, t)
-    r2inv_l2h, s = _nssf_terms(spec, x, u0v)[3:5]
-    return _scaled_control(spec, u0v, r2inv_l2h, s)
+    return _inverse_optimal(spec, x, t, True)
 
 
 def nssf_condition(spec, x, t):
     """Premise margin drift - ell_gamma1(frob) + ell_gamma2(s) + alpha(h)."""
-    ld, drift, _, _, _, ell2, ell1, _ = _nssf_terms(spec, x,
-                                                    _u0_at(spec, x, t))
-    return drift - ell1 + ell2 + spec.alpha(ld.h_val)
+    return _premise(_game(spec, x, _u0_at(spec, x, t), True), spec.alpha)
 
 
 def nssf_state_penalty_l(spec, x, t):
@@ -275,11 +247,7 @@ def nssf_state_penalty_l(spec, x, t):
 
 
 def nssf_hji_residual(spec, x, t):
-    beta, lam = spec.beta_gain, spec.lam
-    _, drift, _, _, _, ell2, ell1, l = _nssf_terms(spec, x,
-                                                   _u0_at(spec, x, t))
-    return (drift - 0.5 * lam * ell1 + 0.5 * beta * ell2
-            + l / (2.0 * beta))
+    return _game(spec, x, _u0_at(spec, x, t), True).residual
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +257,7 @@ def nssf_hji_residual(spec, x, t):
 def generator_h(sys, bf, x, u, Sigma=None):
     """L h at (x, u) under covariance factor Sigma (identity if None)."""
     ld = lie_data(sys, bf, x)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = _as_state(u, sys.m2, "u")
     if Sigma is None:
         trace = ld.trace_term
     else:

@@ -103,8 +103,8 @@ def central_difference(fn, x):
 class BarrierFunction:
     """h with optional analytic gradient/Hessian; safe set is {h >= 0}.
 
-    inf_h < 0 < sup_h bound the attainable values of h and gate the
-    class-K evaluations downstream (an alpha defined on (inf_h, sup_h)).
+    inf_h < 0 < sup_h bound the attainable values of h. They are
+    validated here, but nothing downstream reads them.
     """
 
     def __init__(self, h, grad=None, hess=None,

@@ -258,3 +258,27 @@ def test_probe_direction_must_match_the_cost(kind):
         ProbeSetup(sys=sys, bf=neg_barrier(), u_star=u_star, u0=u0,
                    d_star=None, x0=[-0.5], cost=cost, direction=-right)
     assert "direction must be %+d" % right in str(err.value)
+
+
+def test_dssf_bound_reads_a_1d_history_per_sample():
+    # 101 samples under d = 0.3: a 1-D history is one scalar per sample,
+    # the same history as the recorded (101, 1) column
+    traj = decay_loop(0.3, T=0.1)
+    want = certify_dssf_bound(traj, identity_k(), identity_k())
+    got = certify_dssf_bound(traj, identity_k(), identity_k(),
+                             d_history=np.full(101, 0.3))
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    # margin = 0.3 e^{-t}, as in test_dssf_bound_on_matched_decay
+    assert got[1] == pytest.approx(0.3 * math.exp(-0.1), abs=1e-5)
+
+
+@pytest.mark.parametrize("history", [
+    np.full(100, 0.3), np.full((1, 1), 0.3), np.full((102, 1), 0.3),
+    np.float64(0.3), np.full((101, 1, 1), 0.3)],
+    ids=["short", "one-row", "long", "scalar", "3-d"])
+def test_dssf_bound_rejects_a_history_off_the_record(history):
+    traj = decay_loop(0.3, T=0.1)
+    with pytest.raises(ValueError, match="d_history shape"):
+        certify_dssf_bound(traj, identity_k(), identity_k(),
+                           d_history=history)

@@ -238,3 +238,14 @@ def test_nssf_condition_and_penalty_at_random_states(x, t):
                    -0.25 * ld.frob_term ** 2, float(ld.Lg2h @ ld.Lg2h)])
     assert (nssf_state_penalty_l(spec, xv, t)
             == nssf_weights(spec, xv, u0v)[1])
+
+
+def test_generator_h_reads_u_as_a_control():
+    spec = ex5_spec()
+    x = np.array([-0.5])
+    want = generator_h(spec.sys, spec.bf, x, np.array([0.5]))
+    assert generator_h(spec.sys, spec.bf, x, 0.5) == want
+    assert generator_h(spec.sys, spec.bf, x, [0.5]) == want
+    for bad in ([[0.5]], [0.5, 0.1]):
+        with pytest.raises(ValueError, match="u shape"):
+            generator_h(spec.sys, spec.bf, x, bad)
