@@ -15,16 +15,18 @@ arithmetic. A deviation paired with an infinite weight contributes
 zero when the deviation is (numerically) zero and otherwise makes the
 whole cost infinite with the sign the term carries in that cost.
 
-Cost kinds ("selector" strings accepted from configs):
+Cost kinds ("selector" strings accepted from configs); the three with
+a factor c share one evaluator, integrand c (l - R|u - u0|^2) with
+(R, l) of filters.min_norm_certificate and terminal 2*beta*sign(c)*h:
 
     intro-min, intro-sontag       scalar introduction loops, value x0
     disturbance-game              general weights, terminal 2*beta*h
     qp-weighted                   min-norm displayed weights (drifts)
-    qp-exact                      disturbance-free exact certificate
-    reciprocal-min                minimized mirror, terminal -2*beta*h
+    qp-exact                      disturbance-free certificate, c = 1
+    reciprocal-min                h = 1/B, c = -h^2 (minimized mirror)
     stochastic-value              Ito value, E J = 2*beta*h(x0)
     noise-game                    covariance-adversarial variant
-    projection-min                estimate updates, terminal -2*beta*h
+    projection-min                estimate updates, c = -1
 """
 
 import math
@@ -35,9 +37,10 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .comparison import kl_solve_grid
-from .filters import Weight, cbf_margin, game_weights, min_norm_weights
-from .projection import projection_weights
-from .reciprocal import reciprocal_weights
+from .filters import (cbf_margin, game_weights, min_norm_certificate,
+                      min_norm_weights)
+from .projection import _projection_min_data
+from .reciprocal import _reciprocal_min_data
 from .sim import integrate_ode
 from .stochastic import nssf_weights, stoch_weights
 from .systems import lie_data, vec_norm
@@ -46,34 +49,35 @@ DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
 PAIR_TOL = 1e-12            # deviation norm counted as zero against inf
 
-COST_KINDS = ("intro-min", "intro-sontag", "disturbance-game",
-              "qp-weighted", "qp-exact", "reciprocal-min",
-              "stochastic-value", "noise-game", "projection-min")
-
-# +1: filter minimizes the cost, -1: filter maximizes it
-COST_DIRECTION = {
-    "intro-min": +1, "intro-sontag": +1,
-    "disturbance-game": -1, "qp-weighted": -1, "qp-exact": -1,
-    "stochastic-value": -1, "noise-game": -1,
-    "reciprocal-min": +1, "projection-min": +1,
-}
-
 
 @dataclass(frozen=True)
 class CostSpec:
-    """A cost kind and its data. Only qp-weighted and qp-exact read
-    beta_gain and lam (qp-exact beta_gain alone); the other kinds read
-    their gains from spec. cov is noise-game's covariance schedule."""
+    """A cost kind and its data; cov is noise-game's covariance schedule.
+    beta_gain and lam end up the gains the cost uses, None if unread: the
+    spec's where it carries them, else as given or 2.0. A conflicting or
+    unread gain is a ValueError."""
     kind: str
     spec: Optional[object] = None
-    beta_gain: float = 2.0
-    lam: float = 2.0
+    beta_gain: Optional[float] = None
+    lam: Optional[float] = None
     cov: Optional[object] = None
 
     def __post_init__(self):
-        if self.kind not in COST_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError("unknown cost kind %r (known: %s)"
                              % (self.kind, ", ".join(COST_KINDS)))
+        for field, use in zip(("beta_gain", "lam"), _KINDS[self.kind][2:]):
+            given = getattr(self, field)
+            if use == "spec":
+                use = getattr(self.spec, field)
+            elif use is not None and given is not None:
+                use = given
+            if given is not None and given != use:
+                raise ValueError("%s cost uses %s = %r, got %r"
+                                 % (self.kind, field, use, given))
+            object.__setattr__(self, field, use)
+        if self.kind == "noise-game" and self.cov is None:
+            raise ValueError("noise-game needs the covariance schedule")
 
 
 @dataclass
@@ -101,7 +105,7 @@ def _dev_sq(traj):
     return np.einsum("ij,ij->i", d, d)
 
 
-def _intro_min_terms(traj):
+def _intro_min_terms(traj, cost):
     x = traj.states[:, 0]
     u = traj.controls[:, 0]
     u0 = traj.nominal[:, 0]
@@ -118,7 +122,7 @@ def _intro_min_terms(traj):
     return vals, pos_inf, np.zeros_like(pos_inf), x.copy()
 
 
-def _intro_sontag_terms(traj):
+def _intro_sontag_terms(traj, cost):
     x = traj.states[:, 0]
     u = traj.controls[:, 0]
     u0 = traj.nominal[:, 0]
@@ -145,7 +149,7 @@ def _per_sample(traj, term):
 
 def _disturbance_game_terms(traj, cost):
     iospec = cost.spec
-    beta, lam = iospec.beta_gain, iospec.lam
+    beta, lam = cost.beta_gain, cost.lam
 
     def term(k):
         R2, l = game_weights(iospec, traj.states[k], traj.nominal[k])
@@ -171,45 +175,37 @@ def _qp_weighted_terms(traj, cost):
     return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
-def _qp_exact_terms(traj, cost):
-    spec = cost.spec
-    beta = cost.beta_gain
-    dev_sq = _dev_sq(traj)
-
-    def term(k):
-        ld = lie_data(spec.sys, spec.bf, traj.states[k])
-        omega, a = cbf_margin(spec, ld, traj.nominal[k])
-        ctrl, neg_inf = _paired(Weight.ratio(float(a @ a), max(0.0, -omega)),
-                                dev_sq[k])
-        return (2.0 * beta * spec.alpha(ld.h_val)
-                + beta * min((beta - 2.0) * omega, -2.0 * omega)
-                - ctrl), False, neg_inf
-    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
+def _qp_exact_data(spec, x, u0v):
+    """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1)."""
+    ld = lie_data(spec.sys, spec.bf, x)
+    return cbf_margin(spec, ld, u0v) + (spec.alpha(ld.h_val), ld.h_val, 1.0)
 
 
-def _reciprocal_min_terms(traj, cost):
-    spec = cost.spec
-    beta = spec.beta_gain
-    dev_sq = _dev_sq(traj)
-    h = np.zeros(traj.times.size)
-
-    def term(k):
-        R, lbar, Bv = reciprocal_weights(spec, traj.states[k],
-                                         traj.nominal[k])
-        h[k] = 1.0 / Bv
-        ctrl, pos_inf = _paired(R, dev_sq[k])
-        return lbar + h[k] * h[k] * ctrl, pos_inf, False
-    return _per_sample(traj, term) + (-2.0 * beta * h,)
+def _min_norm(data):
+    """The evaluator of a min-norm cost kind whose data(spec, x, u0v) is
+    (omega, a, alpha(h), h, c): integrand c (l - R|u - u0|^2) with (R, l)
+    of filters.min_norm_certificate, terminal -2 beta direction h."""
+    def terms(traj, cost):
+        dev_sq = _dev_sq(traj)
+        vals, h = np.empty((2, dev_sq.size))
+        pos_inf, neg_inf = np.zeros((2, dev_sq.size), dtype=bool)
+        for k in range(dev_sq.size):
+            omega, a, alpha_h, h[k], c = data(cost.spec, traj.states[k],
+                                              traj.nominal[k])
+            R, l = min_norm_certificate(cost.beta_gain, omega, a, alpha_h)
+            ctrl, inf = _paired(R, dev_sq[k])
+            vals[k] = c * l - c * ctrl  # c l: the kind's own penalty, exactly
+            (neg_inf if c > 0.0 else pos_inf)[k] = inf
+        return (vals, pos_inf, neg_inf,
+                -2.0 * cost.beta_gain * COST_DIRECTION[cost.kind] * h)
+    return terms
 
 
 def _ito_value_terms(traj, cost):
     """stochastic-value, and noise-game: the same plus the covariance
     penalty of the recorded schedule."""
-    spec = cost.spec
-    beta = spec.beta_gain
+    spec, beta = cost.spec, cost.beta_gain
     adversary = cost.kind == "noise-game"
-    if adversary and cost.cov is None:
-        raise ValueError("noise-game needs the covariance schedule")
     weights = nssf_weights if adversary else stoch_weights
 
     def term(k):
@@ -221,40 +217,33 @@ def _ito_value_terms(traj, cost):
         if adversary:
             S = cost.cov.at(traj.times[k])
             frob = float(np.linalg.norm(S @ S.T, "fro"))
-            val += beta * spec.lam * spec.gamma1.gamma(frob / spec.lam)
+            val += beta * cost.lam * spec.gamma1.gamma(frob / cost.lam)
         return val, False, False
     return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
 
 
-def _projection_min_terms(traj, cost):
-    spec = cost.spec
-    beta = spec.beta_gain
-    dev_sq = _dev_sq(traj)
-
-    def term(k):
-        R, l = projection_weights(spec, traj.states[k], traj.nominal[k])
-        ctrl, pos_inf = _paired(R, dev_sq[k])
-        return l + ctrl, pos_inf, False
-    return _per_sample(traj, term) + (-2.0 * beta * traj.h_values,)
-
-
-_EVALUATORS = {
-    "intro-min": lambda traj, cost: _intro_min_terms(traj),
-    "intro-sontag": lambda traj, cost: _intro_sontag_terms(traj),
-    "disturbance-game": _disturbance_game_terms,
-    "qp-weighted": _qp_weighted_terms,
-    "qp-exact": _qp_exact_terms,
-    "reciprocal-min": _reciprocal_min_terms,
-    "stochastic-value": _ito_value_terms,
-    "noise-game": _ito_value_terms,
-    "projection-min": _projection_min_terms,
+# kind: (direction, evaluator, beta_gain, lam). direction is +1 where the
+# filter minimizes the cost, -1 where it maximizes it; each gain is the
+# default the kind reads, "spec" where its spec carries it, None if unread.
+_KINDS = {
+    "intro-min": (+1, _intro_min_terms, None, None),
+    "intro-sontag": (+1, _intro_sontag_terms, None, None),
+    "disturbance-game": (-1, _disturbance_game_terms, "spec", "spec"),
+    "qp-weighted": (-1, _qp_weighted_terms, 2.0, 2.0),
+    "qp-exact": (-1, _min_norm(_qp_exact_data), 2.0, None),
+    "reciprocal-min": (+1, _min_norm(_reciprocal_min_data), "spec", None),
+    "stochastic-value": (-1, _ito_value_terms, "spec", None),
+    "noise-game": (-1, _ito_value_terms, "spec", "spec"),
+    "projection-min": (+1, _min_norm(_projection_min_data), "spec", None),
 }
+COST_KINDS = tuple(_KINDS)
+COST_DIRECTION = {kind: row[0] for kind, row in _KINDS.items()}
 
 
-def _terms(traj, cost):
+def _refuse_escaped(traj, what):
+    """ValueError on an escaped record: its last sample is a tombstone."""
     if traj.escape_time is not None:
-        raise ValueError("cost undefined on an escaped record")
-    return _EVALUATORS[cost.kind](traj, cost)
+        raise ValueError("%s undefined on an escaped record" % what)
 
 
 def evaluate_cost(traj, cost):
@@ -265,7 +254,8 @@ def evaluate_cost(traj, cost):
     error, not a number. The returned value also carries the per-sample
     terminal term, so .invariance needs no second pass.
     """
-    vals, pos_inf, neg_inf, terms = _terms(traj, cost)
+    _refuse_escaped(traj, "cost")
+    vals, pos_inf, neg_inf, terms = _KINDS[cost.kind][1](traj, cost)
     if vals.size > 1:
         running = cumulative_trapezoid(vals, traj.times, initial=0.0)
     else:
@@ -308,6 +298,7 @@ def certify_dssf_bound(traj, alpha, rho, d_history=None):
     min_margin, passed) with the pass line at -DSSF_PASS_TOL to absorb
     integration error.
     """
+    _refuse_escaped(traj, "disturbance-to-state bound")
     h = traj.h_values
     d = traj.disturbances if d_history is None else np.asarray(d_history)
     if d.ndim not in (1, 2) or d.shape[0] != h.size:
@@ -322,6 +313,7 @@ def certify_dssf_bound(traj, alpha, rho, d_history=None):
 def ibssf_check(traj, alpha, gamma, lam):
     """Integral safety value h_T + int alpha(h) + (lam/2) int gamma(|d|/lam);
     nonnegative (within DSSF_PASS_TOL) along any filtered run."""
+    _refuse_escaped(traj, "integral safety value")
     a_vals = np.array([alpha(v) for v in traj.h_values])
     dn = np.linalg.norm(traj.disturbances, axis=1)
     g_vals = np.array([gamma.gamma(v / lam) for v in dn])

@@ -375,23 +375,34 @@ class Weight:
         return cls(math.inf, True) if den == 0.0 else cls(num / den)
 
 
+def min_norm_certificate(beta, omega, a, alpha_h):
+    """(R, l) certifying u = u0 + beta * correct(omega, a): the weight
+    R = |a|^2 / max{0, -omega} (inf where omega >= 0) and the penalty
+    l = 2 beta alpha(h) + beta min{(beta-2) omega, -2 omega}, so that
+    l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))."""
+    return (Weight.ratio(float(a @ a), max(0.0, -omega)),
+            2.0 * beta * alpha_h
+            + beta * min((beta - 2.0) * omega, -2.0 * omega))
+
+
 def min_norm_weights(spec, x, u0v, beta_gain, lam):
     """qp_weights at state x and nominal value u0v."""
     ld = lie_data(spec.sys, spec.bf, x)
     omega, a = dssf_margin(spec, ld, u0v)
+    alpha_h = spec.alpha(ld.h_val)
     rinv = spec.rho.inverse(max(0.0, -ld.h_val))
-    l = (2.0 * beta_gain * spec.alpha(ld.h_val)
+    l = (2.0 * beta_gain * alpha_h
          + beta_gain * min(beta_gain * omega, -2.0 * omega)
          - beta_gain * (2.0 - lam) * vec_norm(ld.Lg1h) * rinv)
     return (Weight.ratio(1.0, rinv),
-            Weight.ratio(float(a @ a), max(0.0, -omega)), l)
+            min_norm_certificate(beta_gain, omega, a, alpha_h)[0], l)
 
 
 def qp_weights(spec, x, t, beta_gain=2.0, lam=2.0):
     """Weights (R1, R2, l) certifying the min-norm filter.
 
         R1 = 1 / rho^{-1}(max{0,-h})          (inf where h >= 0)
-        R2 = ||Lg2h||^2 / max{0,-omega}       (inf where omega >= 0)
+        R2 = min_norm_certificate's weight at the dssf margin
         l  = 2 beta alpha(h) + beta min{beta omega, -2 omega}
              - beta (2-lam) ||Lg1h|| rho^{-1}(max{0,-h})
     """

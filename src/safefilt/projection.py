@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import MIN_NORM, Weight, _check_gains, correct
+from .filters import MIN_NORM, _check_gains, correct, min_norm_certificate
 from .sim import _advance, _alloc, _quiet, _record, _rk4, integrate_ode
 from .systems import ControlAffineSystem, _as_state
 
@@ -50,12 +50,18 @@ def _parts(theta_hat, u0_val):
     return theta, u0v
 
 
+def _projection_min_data(spec, theta_hat, u0_val):
+    """projection-min's certificate data (omega, grad h, alpha(h), h, -1)."""
+    theta, u0v = _parts(theta_hat, u0_val)
+    g, h = spec.bf.gradient(theta), spec.bf.value(theta)
+    alpha_h = spec.alpha(h)
+    return float(g @ u0v) + alpha_h, g, alpha_h, h, -1.0
+
+
 def projection_margin(spec, theta_hat, u0_val):
     """(omega, grad h) with omega = grad h . u0 + alpha(h); the
     continuous laws correct where omega < 0."""
-    theta, u0v = _parts(theta_hat, u0_val)
-    g = spec.bf.gradient(theta)
-    return float(g @ u0v) + spec.alpha(spec.bf.value(theta)), g
+    return _projection_min_data(spec, theta_hat, u0_val)[:2]
 
 
 def classic_projection(spec, theta_hat, u0_val):
@@ -85,26 +91,13 @@ def inverse_optimal_update(spec, theta_hat, u0_val):
     return u0v + spec.beta_gain * qp_projection(spec, theta_hat, u0_val)
 
 
-def projection_weights(spec, theta_hat, u0_val):
-    """(R, l): the min-norm certificate weight |grad h|^2 / max{0,-omega}
-    (infinite where omega >= 0) and the state penalty l."""
-    beta = spec.beta_gain
-    theta, u0v = _parts(theta_hat, u0_val)
-    omega, g = projection_margin(spec, theta, u0v)
-    m = max(0.0, -omega)
-    return (Weight.ratio(float(g @ g), m),
-            2.0 * beta * float(g @ u0v) + beta * beta * m)
-
-
 def projection_penalty_l(spec, theta_hat, u0_val):
-    """State penalty certified by the optimal update:
-
-        l = 2 beta grad.u0 + beta^2 max{0, -grad.u0 - alpha(h)}
-
-    Along the optimal update the certified cost stays pinned at
-    -2 beta h(theta_hat(0)).
-    """
-    return projection_weights(spec, theta_hat, u0_val)[1]
+    """State penalty -l certified by the optimal update, with l of
+    filters.min_norm_certificate; -l = 2 beta grad.u0 + beta^2
+    max{0, -grad.u0 - alpha(h)}, and along that update the certified
+    cost stays pinned at -2 beta h(theta_hat(0))."""
+    omega, g, alpha_h, _, c = _projection_min_data(spec, theta_hat, u0_val)
+    return c * min_norm_certificate(spec.beta_gain, omega, g, alpha_h)[1]
 
 
 def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):

@@ -10,7 +10,8 @@ is positive where the nominal pushes toward the boundary, and the
 filters cancel exactly that excess. Everything dualizes to the h-form
 with omega = -h^2 * omega_tilde, which the tests exploit.
 reciprocal_margin hands filters.correct the sign-flipped pair
-(-omega_tilde, -LgB), so the min-norm rule applies unchanged.
+(-omega_tilde, -LgB), so the min-norm rule and its certificate apply
+unchanged; the reciprocal cost is the h-form one times -h^2.
 """
 
 import math
@@ -19,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filters import MIN_NORM, Weight, _check_gains, _u0_at, _weighted, correct
+from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
+                      min_norm_certificate)
 from .systems import BarrierFunction, _as_state
 
 
@@ -92,41 +94,36 @@ def rcbf_condition(spec, x, t):
     return omega + _weighted(spec.Rbar, x, u0v, LgB)[2]
 
 
-def reciprocal_weights(spec, x, u0v):
-    """(Rbar, lbar, B) at state x and nominal value u0v: the min-norm
-    certificate weight, its state penalty (see rcbf_penalty_l) and the
-    barrier value."""
-    beta = spec.beta_gain
+def _reciprocal_min_data(spec, x, u0v):
+    """reciprocal-min's certificate data (omega, a, alpha_bar(h), h, -h^2)
+    in h = 1/B coordinates."""
     bdata = _b_data(spec, x)
-    omega, a = reciprocal_margin(spec, bdata, u0v)
-    om = -omega
     h = 1.0 / bdata[0]
-    lbar = h * h * (-2.0 * beta * spec.alpha_bar(h)
-                    + beta * max((beta - 2.0) * om, -2.0 * om))
-    return Weight.ratio(float(a @ a), max(0.0, om)), lbar, bdata[0]
+    return reciprocal_margin(spec, bdata, u0v) + (spec.alpha_bar(h), h, -h * h)
+
+
+def reciprocal_weights(spec, x, u0v):
+    """(Rbar, lbar = -h^2 l, h) of filters.min_norm_certificate at state
+    x and nominal value u0v."""
+    omega, a, alpha_h, h, c = _reciprocal_min_data(spec, x, u0v)
+    R, l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)
+    return R, c * l, h
 
 
 def rcbf_weights(spec, x, t):
-    """Min-norm certificate weight Rbar = ||LgB||^2 / max{0, omega_tilde}
-    (infinite off the constraint) and the matching state penalty."""
+    """Min-norm certificate weight Rbar (infinite off the constraint)
+    and the matching state penalty lbar."""
     return reciprocal_weights(spec, x, _u0_at(spec, x, t))[:2]
 
 
 def rcbf_penalty_l(spec, x, t):
-    """State penalty of the cost the min-norm filter minimizes.
-
-    In h = 1/B coordinates:
-
-        lbar = h^2 (-2 beta alpha_bar(h)
-                    + beta max{(beta-2) omega_tilde, -2 omega_tilde})
-
-    so lbar >= -(2 beta / B^2) alpha_bar(1/B), tight on the constraint.
-    """
+    """State penalty lbar = -h^2 l (h = 1/B, l of min_norm_certificate)
+    of the cost the min-norm filter minimizes; lbar >= -(2 beta / B^2)
+    alpha_bar(1/B), tight on the constraint."""
     return rcbf_weights(spec, x, t)[1]
 
 
 def rcbf_penalty_bound_gap(spec, x, t):
     """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative."""
-    _, lbar, Bv = reciprocal_weights(spec, x, _u0_at(spec, x, t))
-    floor = -(2.0 * spec.beta_gain / (Bv * Bv)) * spec.alpha_bar(1.0 / Bv)
-    return lbar - floor
+    _, lbar, h = reciprocal_weights(spec, x, _u0_at(spec, x, t))
+    return lbar + 2.0 * spec.beta_gain * h * h * spec.alpha_bar(h)

@@ -831,20 +831,25 @@ def _run_custom(entries, overrides, out_dir):
     d_cb = None if d_fn is None else (lambda x, t: np.array([d_fn(x, t)]))
     traj = integrate_ode(sys, bf, control, spec.u0, np.array([x0]),
                          d_cb, cfg)
-    _, mn, ok = certify_dssf_bound(traj, alpha, rho)
+    escaped = traj.escape_time is not None
+    _, mn, ok = ((None, math.nan, False) if escaped
+                 else certify_dssf_bound(traj, alpha, rho))
 
-    res = ScenarioResult({}, ok and traj.escape_time is None)
+    res = ScenarioResult({}, ok)
     res.report["system"] = sys_name
     res.report["filter"] = filt_text
     res.report["h_min"] = float(np.nanmin(traj.h_values))
     res.report["dssf_min_margin"] = mn
-    if traj.escape_time is not None:
+    if escaped:
         res.report["escape_time"] = traj.escape_time
-    if cost_beta is not None:
+    if cost_beta is not None and escaped:
+        res.report.update(cost_total=math.nan, cost_invariance_max=math.nan)
+    elif cost_beta is not None:
         cost = CostSpec("qp-exact", spec=spec, beta_gain=cost_beta)
         cv = evaluate_cost(traj, cost)
         res.report["cost_total"] = cv.total
-        res.report["cost_invariance_max"] = cv.invariance
+        res.report["cost_invariance_max"] = (math.nan if cv.infinite
+                                             else cv.invariance)
         traj.running_cost = cv.running
     _emit(res, out_dir, "trajectory.csv", traj)
     return _finish(res, out_dir, "custom")
