@@ -8,12 +8,19 @@ sample.
 
 evaluate_cost makes one pass over the record: the total, the running
 integral and the per-sample terminal term all come from it, and the
-invariance (CostValue.invariance) is read off that same pass.
+invariance (CostValue.invariance) is read off that same pass. The pass
+is one array pass: each kind's evaluator hands the whole record, states
+(N, n) and nominal values (N, m2), to the margin and weight functions
+of its filter module, which take stacks (one systems.lie_data_rows call on
+the record, one Cholesky for all the weights) and return one value per
+sample, equal bit for bit to their single-state values.
 
 Weights that blow up off the constraint set never enter float
 arithmetic. A deviation paired with an infinite weight contributes
 zero when the deviation is (numerically) zero and otherwise makes the
-whole cost infinite with the sign the term carries in that cost.
+whole cost infinite with the sign the term carries in that cost; the
+running integral is that infinity from the first interval that touches
+such a sample on.
 
 Cost kinds ("selector" strings accepted from configs); the three with
 a factor c share one evaluator, integrand c (l - R|u - u0|^2) with
@@ -36,14 +43,14 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .comparison import kl_solve_grid
-from .filters import (cbf_margin, game_weights, min_norm_certificate,
-                      min_norm_weights)
+from .comparison import elementwise, kl_solve_grid
+from .filters import (_check_gains, cbf_margin, game_weights,
+                      min_norm_certificate, min_norm_weights)
 from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
 from .sim import integrate_ode
 from .stochastic import nssf_weights, stoch_weights
-from .systems import lie_data, vec_norm
+from .systems import lie_data_rows, row_dot, row_norm
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -55,7 +62,8 @@ class CostSpec:
     """A cost kind and its data; cov is noise-game's covariance schedule.
     beta_gain and lam end up the gains the cost uses, None if unread: the
     spec's where it carries them, else as given or 2.0. A conflicting or
-    unread gain is a ValueError."""
+    unread gain, a gain the cost reads itself that fails the filters'
+    gate (beta >= 2, lam in (0, 2]), and a missing spec are ValueErrors."""
     kind: str
     spec: Optional[object] = None
     beta_gain: Optional[float] = None
@@ -66,16 +74,25 @@ class CostSpec:
         if self.kind not in _KINDS:
             raise ValueError("unknown cost kind %r (known: %s)"
                              % (self.kind, ", ".join(COST_KINDS)))
-        for field, use in zip(("beta_gain", "lam"), _KINDS[self.kind][2:]):
+        gains = _KINDS[self.kind][2:]
+        if self.spec is None and gains != (None, None):
+            raise ValueError("%s cost needs its spec" % self.kind)
+        own = []
+        for field, use in zip(("beta_gain", "lam"), gains):
             given = getattr(self, field)
             if use == "spec":
                 use = getattr(self.spec, field)
-            elif use is not None and given is not None:
-                use = given
+            elif use is not None:
+                own.append(field)
+                if given is not None:
+                    use = given
             if given is not None and given != use:
                 raise ValueError("%s cost uses %s = %r, got %r"
                                  % (self.kind, field, use, given))
             object.__setattr__(self, field, use)
+        if own:
+            _check_gains(self.beta_gain,
+                         lam=self.lam if "lam" in own else None)
         if self.kind == "noise-game" and self.cov is None:
             raise ValueError("noise-game needs the covariance schedule")
 
@@ -133,70 +150,67 @@ def _intro_sontag_terms(traj, cost):
 
 
 def _paired(weight, dev_sq):
-    """(weight * dev_sq, inf flag): an infinite Weight pairs with a
-    numerically zero deviation as 0 and flags anything larger."""
-    if weight.infinite:
-        return 0.0, dev_sq > PAIR_TOL ** 2
-    return float(weight) * dev_sq, False
+    """(weight * dev_sq, inf flags) per sample of a stacked Weight: an
+    infinite weight pairs with a numerically zero deviation as 0 and
+    flags anything larger."""
+    inf = weight.infinite
+    return (np.multiply(weight.value, dev_sq, out=np.zeros(dev_sq.shape),
+                        where=~inf),
+            inf & (dev_sq > PAIR_TOL ** 2))
 
 
-def _per_sample(traj, term):
-    """(vals, pos_inf, neg_inf) from term(k) -> (value, +inf, -inf)."""
-    vals, pos_inf, neg_inf = zip(*(term(k) for k in range(traj.times.size)))
-    return (np.array(vals, dtype=float), np.array(pos_inf, dtype=bool),
-            np.array(neg_inf, dtype=bool))
+def _quad(dev, R):
+    """dev_k . R_k dev_k for each row of dev and its (m, m) weight R_k."""
+    return np.matmul(np.matmul(dev[:, None, :], R), dev[:, :, None])[:, 0, 0]
+
+
+def _finite(vals, terminal):
+    """The terms of a cost kind with no infinite weights."""
+    none = np.zeros(vals.size, dtype=bool)
+    return vals, none, none, terminal
 
 
 def _disturbance_game_terms(traj, cost):
     iospec = cost.spec
     beta, lam = cost.beta_gain, cost.lam
-
-    def term(k):
-        R2, l = game_weights(iospec, traj.states[k], traj.nominal[k])
-        dev = traj.controls[k] - traj.nominal[k]
-        dnorm = vec_norm(traj.disturbances[k])
-        pen = beta * lam * iospec.gamma.gamma(dnorm / lam)
-        return l - float(dev @ R2 @ dev) + pen, False, False
-    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
+    R2, l = game_weights(iospec, traj.states, traj.nominal)
+    pen = beta * lam * elementwise(iospec.gamma.gamma,
+                                   row_norm(traj.disturbances) / lam)
+    return _finite(l - _quad(traj.controls - traj.nominal, R2) + pen,
+                   2.0 * beta * traj.h_values)
 
 
 def _qp_weighted_terms(traj, cost):
-    spec = cost.spec
     beta, lam = cost.beta_gain, cost.lam
-    dev_sq = _dev_sq(traj)
-
-    def term(k):
-        R1, R2, l = min_norm_weights(spec, traj.states[k], traj.nominal[k],
-                                     beta, lam)
-        ctrl, neg_inf = _paired(R2, dev_sq[k])
-        dist, pos_inf = _paired(R1, float(traj.disturbances[k]
-                                          @ traj.disturbances[k]))
-        return l - ctrl + (beta / lam) * dist, pos_inf, neg_inf
-    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
+    R1, R2, l = min_norm_weights(cost.spec, traj.states, traj.nominal,
+                                 beta, lam)
+    ctrl, neg_inf = _paired(R2, _dev_sq(traj))
+    dist, pos_inf = _paired(R1, row_dot(traj.disturbances,
+                                        traj.disturbances))
+    return (l - ctrl + (beta / lam) * dist, pos_inf, neg_inf,
+            2.0 * beta * traj.h_values)
 
 
 def _qp_exact_data(spec, x, u0v):
-    """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1)."""
-    ld = lie_data(spec.sys, spec.bf, x)
-    return cbf_margin(spec, ld, u0v) + (spec.alpha(ld.h_val), ld.h_val, 1.0)
+    """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1),
+    stacked over the rows of x and u0v."""
+    ld = lie_data_rows(spec.sys, spec.bf, x)
+    return cbf_margin(spec, ld, u0v) + (elementwise(spec.alpha, ld.h_val),
+                                        ld.h_val, 1.0)
 
 
 def _min_norm(data):
     """The evaluator of a min-norm cost kind whose data(spec, x, u0v) is
-    (omega, a, alpha(h), h, c): integrand c (l - R|u - u0|^2) with (R, l)
-    of filters.min_norm_certificate, terminal -2 beta direction h."""
+    (omega, a, alpha(h), h, c) stacked over the samples: integrand
+    c (l - R|u - u0|^2) with (R, l) of filters.min_norm_certificate,
+    terminal -2 beta direction h."""
     def terms(traj, cost):
-        dev_sq = _dev_sq(traj)
-        vals, h = np.empty((2, dev_sq.size))
-        pos_inf, neg_inf = np.zeros((2, dev_sq.size), dtype=bool)
-        for k in range(dev_sq.size):
-            omega, a, alpha_h, h[k], c = data(cost.spec, traj.states[k],
-                                              traj.nominal[k])
-            R, l = min_norm_certificate(cost.beta_gain, omega, a, alpha_h)
-            ctrl, inf = _paired(R, dev_sq[k])
-            vals[k] = c * l - c * ctrl  # c l: the kind's own penalty, exactly
-            (neg_inf if c > 0.0 else pos_inf)[k] = inf
-        return (vals, pos_inf, neg_inf,
+        omega, a, alpha_h, h, c = data(cost.spec, traj.states, traj.nominal)
+        R, l = min_norm_certificate(cost.beta_gain, omega, a, alpha_h)
+        ctrl, inf = _paired(R, _dev_sq(traj))
+        maximized = np.asarray(c > 0.0)
+        return (c * l - c * ctrl,  # c l: the kind's own penalty, exactly
+                inf & ~maximized, inf & maximized,
                 -2.0 * cost.beta_gain * COST_DIRECTION[cost.kind] * h)
     return terms
 
@@ -207,24 +221,24 @@ def _ito_value_terms(traj, cost):
     spec, beta = cost.spec, cost.beta_gain
     adversary = cost.kind == "noise-game"
     weights = nssf_weights if adversary else stoch_weights
-
-    def term(k):
-        R2, l = weights(spec, traj.states[k], traj.nominal[k])
-        dev = traj.controls[k] - traj.nominal[k]
-        quad = float(dev @ R2 @ dev)
-        val = l - beta * beta * spec.gamma2.gamma(
-            (2.0 / beta) * math.sqrt(max(0.0, quad)))
-        if adversary:
-            S = cost.cov.at(traj.times[k])
-            frob = float(np.linalg.norm(S @ S.T, "fro"))
-            val += beta * cost.lam * spec.gamma1.gamma(frob / cost.lam)
-        return val, False, False
-    return _per_sample(traj, term) + (2.0 * beta * traj.h_values,)
+    R2, l = weights(spec, traj.states, traj.nominal)
+    quad = _quad(traj.controls - traj.nominal, R2)
+    vals = l - beta * beta * elementwise(
+        lambda q: spec.gamma2.gamma((2.0 / beta) * math.sqrt(max(0.0, q))),
+        quad)
+    if adversary:
+        S = np.array([cost.cov.at(t) for t in traj.times])
+        SS = np.matmul(S, np.swapaxes(S, 1, 2))
+        frob = row_norm(SS.reshape(SS.shape[0], -1))
+        vals = vals + beta * cost.lam * elementwise(spec.gamma1.gamma,
+                                                    frob / cost.lam)
+    return _finite(vals, 2.0 * beta * traj.h_values)
 
 
 # kind: (direction, evaluator, beta_gain, lam). direction is +1 where the
 # filter minimizes the cost, -1 where it maximizes it; each gain is the
-# default the kind reads, "spec" where its spec carries it, None if unread.
+# default the kind reads, "spec" where its spec carries it, None if unread;
+# the kinds that read no gain are closed forms in x and read no spec either.
 _KINDS = {
     "intro-min": (+1, _intro_min_terms, None, None),
     "intro-sontag": (+1, _intro_sontag_terms, None, None),
@@ -265,8 +279,10 @@ def evaluate_cost(traj, cost):
     if has_pos and has_neg:
         raise ValueError("cost has infinite terms of both signs")
     if has_pos or has_neg:
-        return CostValue(math.inf if has_pos else -math.inf, True, running,
-                         terms)
+        inf = math.inf if has_pos else -math.inf
+        # infinite from the first interval that touches a flagged sample
+        running[max(1, int(np.argmax(pos_inf | neg_inf))):] = inf
+        return CostValue(inf, True, running, terms)
     return CostValue(float(running[-1] + terms[-1]), False, running, terms)
 
 

@@ -7,6 +7,9 @@ the scalar comparison ODE dy/dt = -alpha(y). kl_solve_grid is the one
 decay solver: it steps through sim._rk4 like every simulated loop, and
 kl_solve is that solver at a single time.
 
+elementwise applies any of these scalar evaluations to an array one
+element at a time, so a stacked certificate keeps every domain check.
+
 Everything here is immutable after construction and evaluation is pure.
 Numeric inverses favour total robustness over speed: the functions are
 monotone by contract, so bracketing plus brentq cannot go wrong short of
@@ -52,6 +55,16 @@ def numeric_inverse(fn, y, hi0=1.0):
     else:
         raise BracketError("no bracket found for inverse at %g" % y)
     return float(brentq(lambda r: fn(r) - y, 0.0, hi, xtol=INV_XTOL))
+
+
+def elementwise(fn, v):
+    """fn(v) for a number v; for a 1-D array, fn at each element in turn,
+    as a float array. fn is a scalar evaluation such as a class-K
+    function, its inverse or a transform, so each element passes its
+    domain check and the first bad one raises."""
+    if type(v) is np.ndarray:
+        return np.array(list(map(fn, v.tolist())), dtype=float)
+    return fn(v)
 
 
 class KFunction:

@@ -35,6 +35,12 @@ S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
     premise  = drift - adv + ctrl + alpha(h) >= 0
 
 beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
+
+The margins, the games and the weights also take stacks: LieData of N
+states (systems.lie_data_rows on an (N, n) array), with the states and
+nominal values as (N, n) and (N, m2) arrays. Each formula is written
+once; on stacks it returns one entry per row, equal bit for bit to the
+single-state value, so a cost pass is one call per record.
 """
 
 import math
@@ -44,8 +50,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .comparison import LegendreFenchelPair, legendre_fenchel
-from .systems import _as_state, lie_data, vec_norm
+from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
+from .systems import (_as_state, lie_data, lie_data_rows, row_dot, row_norm,
+                      stack_rows, vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -97,6 +104,27 @@ def _u0_at(spec, x, t):
     return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
 
 
+def _lie(sys, bf, x):
+    """lie_data at a state, lie_data_rows at an (N, n) stack of them."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return lie_data_rows(sys, bf, x)
+    return lie_data(sys, bf, x)
+
+
+def _max0(v):
+    """max{0, v}; on an array, elementwise with the same ties."""
+    if type(v) is np.ndarray:
+        return np.where(v > 0.0, v, 0.0)
+    return max(0.0, v)
+
+
+def _min(a, b):
+    """min(a, b); on arrays, elementwise with the same ties."""
+    if type(a) is np.ndarray:
+        return np.where(b < a, b, a)
+    return min(a, b)
+
+
 def _check_gains(beta_gain, safety_only=False, lam=None):
     """The gain gate: ValueError unless beta_gain >= 2, which certifies
     optimality, or >= 1 if safety_only; and lam, if given, in (0, 2]."""
@@ -109,15 +137,24 @@ def _check_gains(beta_gain, safety_only=False, lam=None):
 
 def _weighted(weight, x, u0v, a):
     """(R, R^{-1} a, a.R^{-1} a) for the SPD weight R = weight(x, u0v),
-    the identity when weight is None."""
-    m = a.size
+    the identity when weight is None; on stacks, one weight per row
+    (the one identity for all of them), all checked by one Cholesky,
+    and a 1x1 weight by its sign alone."""
+    m = a.shape[-1]
     if weight is None:
-        R = np.eye(m)
-    else:
+        return np.eye(m), a, row_dot(a, a)
+    if a.ndim == 1:
         R = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
+    else:
+        R = stack_rows(weight, (m, m), x, u0v)
+    if m == 1:
+        if not (R > 0.0).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        ra = a / R[..., 0]
+    else:
         np.linalg.cholesky(R)  # raises unless symmetric positive definite
-    ra = np.linalg.solve(R, a)
-    return R, ra, float(a @ ra)
+        ra = np.linalg.solve(R, a[..., None])[..., 0]
+    return R, ra, row_dot(a, ra)
 
 
 @dataclass(frozen=True)
@@ -138,15 +175,18 @@ class DssfCbfSpec:
 def dssf_margin(spec, ld, u0v):
     """(omega, Lg2h) with the robust margin of the module docstring; any
     spec with rho and alpha, so also the deterministic sandwich floor."""
-    robust = vec_norm(ld.Lg1h) * spec.rho.inverse(max(0.0, -ld.h_val))
-    omega = ld.Lfh + float(ld.Lg2h @ u0v) - robust + spec.alpha(ld.h_val)
+    robust = row_norm(ld.Lg1h) * elementwise(spec.rho.inverse,
+                                             _max0(-ld.h_val))
+    omega = (ld.Lfh + row_dot(ld.Lg2h, u0v) - robust
+             + elementwise(spec.alpha, ld.h_val))
     return omega, ld.Lg2h
 
 
 def cbf_margin(spec, ld, u0v):
     """(omega, Lg2h) with the disturbance-free margin
     omega = Lfh + Lg2h.u0 + alpha(h)."""
-    return ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val), ld.Lg2h
+    return (ld.Lfh + row_dot(ld.Lg2h, u0v)
+            + elementwise(spec.alpha, ld.h_val), ld.Lg2h)
 
 
 def _dssf_at(spec, x, t):
@@ -251,9 +291,9 @@ def _value_game(spec, sys, bf, lam, x, u0v, supply):
     returns the game's (drift, adv, ctrl)."""
     beta = spec.beta_gain
     _check_gains(beta, spec.allow_safety_only)
-    ld = lie_data(sys, bf, x)
+    ld = _lie(sys, bf, x)
     R, ra, S = _weighted(spec.R2, x, u0v, ld.Lg2h)
-    drift, adv, ctrl = supply(ld, ld.Lfh + float(ld.Lg2h @ u0v), S)
+    drift, adv, ctrl = supply(ld, ld.Lfh + row_dot(ld.Lg2h, u0v), S)
     l = (-2.0 * beta * (drift - adv + ctrl)
          - beta * (2.0 - lam) * adv
          - beta * (beta - 2.0) * ctrl)
@@ -270,8 +310,8 @@ def _io_game(iospec, x, u0v):
     """The disturbance game: (drift, ell_gamma(2||Lg1h||), S)."""
     base = iospec.base
     return _value_game(iospec, base.sys, base.bf, iospec.lam, x, u0v,
-                       lambda ld, drift, S: (drift, legendre_fenchel(
-                           iospec.gamma, 2.0 * vec_norm(ld.Lg1h)), S))
+                       lambda ld, drift, S: (drift, elementwise(
+                           iospec.gamma.ell, 2.0 * row_norm(ld.Lg1h)), S))
 
 
 def inverse_optimal_general(iospec, x, t):
@@ -312,7 +352,8 @@ def qp_worst_case_disturbance(spec, lam, x):
 
 def game_weights(iospec, x, u0v):
     """Control weight R2 (matrix) and state penalty l of the disturbance
-    game at state x and nominal value u0v."""
+    game at state x and nominal value u0v, or at each row of their
+    stacks."""
     game = _io_game(iospec, x, u0v)
     return game.R, game.l
 
@@ -355,13 +396,14 @@ class Weight:
     """A cost weight that may be +inf off the constraint set.
 
     Infinite weights never enter float arithmetic here; whoever
-    integrates the cost must pair them with a zero deviation.
+    integrates the cost must pair them with a zero deviation. A stacked
+    weight holds arrays: the values, +inf where `infinite` is True.
     """
     value: float
     infinite: bool = False
 
     def __post_init__(self):
-        if self.infinite:
+        if self.infinite is True:
             object.__setattr__(self, "value", math.inf)
 
     def __float__(self):
@@ -371,7 +413,11 @@ class Weight:
 
     @classmethod
     def ratio(cls, num, den):
-        """num / den, infinite where den == 0."""
+        """num / den, infinite where den == 0; elementwise on arrays."""
+        if type(den) is np.ndarray:
+            inf = den == 0.0
+            return cls(np.divide(num, den, out=np.full(den.shape, math.inf),
+                                 where=~inf), inf)
         return cls(math.inf, True) if den == 0.0 else cls(num / den)
 
 
@@ -380,20 +426,21 @@ def min_norm_certificate(beta, omega, a, alpha_h):
     R = |a|^2 / max{0, -omega} (inf where omega >= 0) and the penalty
     l = 2 beta alpha(h) + beta min{(beta-2) omega, -2 omega}, so that
     l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))."""
-    return (Weight.ratio(float(a @ a), max(0.0, -omega)),
+    return (Weight.ratio(row_dot(a, a), _max0(-omega)),
             2.0 * beta * alpha_h
-            + beta * min((beta - 2.0) * omega, -2.0 * omega))
+            + beta * _min((beta - 2.0) * omega, -2.0 * omega))
 
 
 def min_norm_weights(spec, x, u0v, beta_gain, lam):
-    """qp_weights at state x and nominal value u0v."""
-    ld = lie_data(spec.sys, spec.bf, x)
+    """qp_weights at state x and nominal value u0v, or at each row of
+    their stacks."""
+    ld = _lie(spec.sys, spec.bf, x)
     omega, a = dssf_margin(spec, ld, u0v)
-    alpha_h = spec.alpha(ld.h_val)
-    rinv = spec.rho.inverse(max(0.0, -ld.h_val))
+    alpha_h = elementwise(spec.alpha, ld.h_val)
+    rinv = elementwise(spec.rho.inverse, _max0(-ld.h_val))
     l = (2.0 * beta_gain * alpha_h
-         + beta_gain * min(beta_gain * omega, -2.0 * omega)
-         - beta_gain * (2.0 - lam) * vec_norm(ld.Lg1h) * rinv)
+         + beta_gain * _min(beta_gain * omega, -2.0 * omega)
+         - beta_gain * (2.0 - lam) * row_norm(ld.Lg1h) * rinv)
     return (Weight.ratio(1.0, rinv),
             min_norm_certificate(beta_gain, omega, a, alpha_h)[0], l)
 

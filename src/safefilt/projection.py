@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .comparison import elementwise
 from .filters import MIN_NORM, _check_gains, correct, min_norm_certificate
 from .sim import _advance, _alloc, _quiet, _record, _rk4, integrate_ode
-from .systems import ControlAffineSystem, _as_state
+from .systems import ControlAffineSystem, _as_state, at_rows, row_dot
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -51,11 +52,13 @@ def _parts(theta_hat, u0_val):
 
 
 def _projection_min_data(spec, theta_hat, u0_val):
-    """projection-min's certificate data (omega, grad h, alpha(h), h, -1)."""
+    """projection-min's certificate data (omega, grad h, alpha(h), h, -1),
+    stacked over the rows of (N, p) estimates and nominal values."""
     theta, u0v = _parts(theta_hat, u0_val)
-    g, h = spec.bf.gradient(theta), spec.bf.value(theta)
-    alpha_h = spec.alpha(h)
-    return float(g @ u0v) + alpha_h, g, alpha_h, h, -1.0
+    g, h = at_rows(lambda th: (spec.bf.gradient(th), spec.bf.value(th)),
+                   theta)
+    alpha_h = elementwise(spec.alpha, h)
+    return row_dot(g, u0v) + alpha_h, g, alpha_h, h, -1.0
 
 
 def projection_margin(spec, theta_hat, u0_val):

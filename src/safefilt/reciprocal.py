@@ -16,13 +16,16 @@ unchanged; the reciprocal cost is the h-form one times -h^2.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
                       min_norm_certificate)
-from .systems import BarrierFunction, _as_state
+from .systems import (BarrierFunction, _as_state, at_rows, lie_data_rows,
+                      row_dot)
 
 
 class RcbfViolation(RuntimeError):
@@ -47,6 +50,21 @@ class RcbfSpec:
 
 
 def _b_data(spec, x):
+    """(B, LfB, LgB) at state x, or stacked over the rows of an (N, n) x:
+    there the lie data of B (m1 = 0, so the same model calls), and where
+    that fails or B leaves (0, inf), _b_data row by row, which raises
+    its own error at the first bad row."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        try:
+            ld = lie_data_rows(spec.sys, BarrierFunction(spec.B, spec.gradB),
+                               x)
+        except Exception:
+            # whatever failed, the row-by-row pass below meets it first
+            # as _b_data does, and raises _b_data's own error
+            ld = None
+        if ld is not None and (ld.h_val > 0.0).all():
+            return ld.h_val, ld.Lfh, ld.Lg2h
+        return at_rows(partial(_b_data, spec), x)
     x = _as_state(x, spec.sys.n)
     Bv = float(spec.B(x))
     if not (Bv > 0.0 and math.isfinite(Bv)):
@@ -61,7 +79,8 @@ def reciprocal_margin(spec, bdata, u0v):
     """(omega, a) = (-omega_tilde, -LgB) from bdata = (B, LfB, LgB), so
     that omega_tilde + LgB.v <= 0 reads omega + a.v >= 0."""
     Bv, LfB, LgB = bdata
-    return -(LfB + float(LgB @ u0v) - spec.alpha_bar(1.0 / Bv)), -LgB
+    return (-(LfB + row_dot(LgB, u0v)
+              - elementwise(spec.alpha_bar, 1.0 / Bv)), -LgB)
 
 
 def _margin_at(spec, x, t):
@@ -96,10 +115,11 @@ def rcbf_condition(spec, x, t):
 
 def _reciprocal_min_data(spec, x, u0v):
     """reciprocal-min's certificate data (omega, a, alpha_bar(h), h, -h^2)
-    in h = 1/B coordinates."""
+    in h = 1/B coordinates; stacked over the rows of stacked x, u0v."""
     bdata = _b_data(spec, x)
     h = 1.0 / bdata[0]
-    return reciprocal_margin(spec, bdata, u0v) + (spec.alpha_bar(h), h, -h * h)
+    return reciprocal_margin(spec, bdata, u0v) + (
+        elementwise(spec.alpha_bar, h), h, -h * h)
 
 
 def reciprocal_weights(spec, x, u0v):

@@ -810,6 +810,12 @@ def _run_custom(entries, overrides, out_dir):
     bf = neg_state_barrier()
     spec = DssfCbfSpec(sys, bf, rho, alpha,
                        lambda x, t: np.array([u0_val]))
+    cost = None
+    if cost_beta is not None:
+        try:
+            cost = CostSpec("qp-exact", spec=spec, beta_gain=cost_beta)
+        except ValueError as exc:
+            raise ConfigError("bad gain in %r: %s" % (cost_text, exc))
     if filt_text == "qp":
         control = lambda x, t: (spec.u0(x, t) + qp_filter(spec, x, t))
     elif filt_text == "sontag":
@@ -842,10 +848,9 @@ def _run_custom(entries, overrides, out_dir):
     res.report["dssf_min_margin"] = mn
     if escaped:
         res.report["escape_time"] = traj.escape_time
-    if cost_beta is not None and escaped:
+    if cost is not None and escaped:
         res.report.update(cost_total=math.nan, cost_invariance_max=math.nan)
-    elif cost_beta is not None:
-        cost = CostSpec("qp-exact", spec=spec, beta_gain=cost_beta)
+    elif cost is not None:
         cv = evaluate_cost(traj, cost)
         res.report["cost_total"] = cv.total
         res.report["cost_invariance_max"] = (math.nan if cv.infinite

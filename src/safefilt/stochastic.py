@@ -21,6 +21,8 @@ control or the correction alone. The inverse-optimal layer is the one
 value equation of `filters`: the covariance game supplies
 (drift, ell_gamma1(frob), ell_gamma2(sqrt S)) and the Ito value is
 that game with no adversary, (drift + trace, 0, ell_gamma2(sqrt S)).
+Like the games of `filters`, both take stacks of states and nominal
+values and then give one entry per row.
 """
 
 import math
@@ -29,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .comparison import legendre_fenchel
+from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
                       _premise, _u0_at, _value_game, correct)
 from .systems import _as_state, lie_data
@@ -172,9 +174,10 @@ def _game(spec, x, u0v, adversary=False):
                          % ("gamma1 and gamma2" if adversary else "gamma2"))
 
     def supply(ld, drift, S):
-        ell2 = legendre_fenchel(spec.gamma2, math.sqrt(max(0.0, S)))
+        ell2 = elementwise(lambda s: legendre_fenchel(
+            spec.gamma2, math.sqrt(max(0.0, s))), S)
         if adversary:
-            return drift, legendre_fenchel(spec.gamma1, ld.frob_term), ell2
+            return drift, elementwise(spec.gamma1.ell, ld.frob_term), ell2
         return drift + ld.trace_term, 0.0, ell2
     # lam weighs only the adversary term, which the Ito value lacks
     return _value_game(spec, spec.sys, spec.bf,

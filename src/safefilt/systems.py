@@ -9,11 +9,18 @@ differences with a relative step.
 lie_data evaluates everything the filters need at one state in one
 call: h, the Lie derivatives along f, g1, g2, and the second-order
 terms 0.5*Tr{g1' H g1} and ||g1' H g1||_F used by the stochastic
-generators.
+generators. lie_data_rows does the same at each row of a stack X of
+shape (N, n) and returns one LieData of stacks: the model is still
+called row by row (the loops that call user callables row by row are
+all in this module: stack_rows, at_rows), but its outputs are
+converted, and the Lie derivatives, the Hessian symmetry and the
+finiteness checked, on the stacked arrays, which is what makes a cost
+pass one array pass per record. The integrator's per-stage calls keep
+the single-state lie_data, which is cheaper for one state.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +55,52 @@ def vec_norm(v):
     """
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def row_dot(a, b):
+    """a.b as a float for vectors; for (N, m) stacks, one dot per row,
+    equal bit for bit to the dot of each pair of rows."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_norm(v):
+    """vec_norm of a vector, or of each row of an (N, m) stack."""
+    if v.ndim == 1:
+        return vec_norm(v)
+    return np.sqrt(row_dot(v, v))
+
+
+def at_rows(fn, x):
+    """fn(x) at one state x; at an (N, n) stack, fn at each row, its
+    tuple of outputs stacked field by field along a new leading axis."""
+    if x.ndim == 1:
+        return fn(x)
+    return tuple(np.array(col, dtype=float) for col in zip(*map(fn, x)))
+
+
+def stack_rows(fn, shape, *stacks):
+    """fn at each row of the stacks, each output converted as
+    np.asarray(out, dtype=float).reshape(shape), as one (N,) + shape
+    array. The outputs are converted all at once; only where they do not
+    stack is each converted alone, so a bad one raises its own error."""
+    outs = list(map(fn, *stacks))
+    try:
+        return np.array(outs, dtype=float).reshape((len(outs),) + shape)
+    except ValueError:
+        return np.array([np.asarray(out, dtype=float).reshape(shape)
+                         for out in outs])
+
+
+def _vectors(fn, rows, n):
+    """fn at each row as an (N, n) stack, where each output is an (n,)
+    vector, or a number where n = 1 (what _as_state accepts)."""
+    a = np.array(list(map(fn, rows)), dtype=float)
+    if a.shape[1:] != (n,) and not (n == 1 and a.ndim == 1):
+        raise ValueError("output stack shape %s, expected (N, %d)"
+                         % (a.shape, n))
+    return a.reshape(len(rows), n)
 
 
 class ControlAffineSystem:
@@ -128,20 +181,34 @@ class BarrierFunction:
 
     def hessian(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        n = x.size
+        return self._symmetrized(self._raw_hessian(x))
+
+    def _raw_hessian(self, x):
+        """The Hessian at a checked state before symmetrization: the
+        supplied one, or the difference of the gradient (analytic when
+        available)."""
         if self._hess is not None:
-            H = np.asarray(self._hess(x), dtype=float).reshape(n, n)
-            asym = float(np.max(np.abs(H - H.T))) if n > 1 else 0.0
-            if asym > HESS_SYM_TOL:
-                raise ValueError("supplied Hessian asymmetric by %g" % asym)
-            return 0.5 * (H + H.T)
-        # difference the gradient (analytic when available) and symmetrize
-        H = central_difference(self.gradient, x)
-        return 0.5 * (H + H.T)
+            n = x.size
+            return np.asarray(self._hess(x), dtype=float).reshape(n, n)
+        return central_difference(self.gradient, x)
+
+    def _symmetrized(self, H):
+        """0.5 (H + H') of one Hessian or of a stack of them; a supplied
+        one asymmetric by more than HESS_SYM_TOL is a ValueError."""
+        Ht = H.swapaxes(-1, -2)
+        if self._hess is not None and H.shape[-1] > 1:
+            asym = np.max(np.abs(H - Ht), axis=(-2, -1)).reshape(-1)
+            bad = asym > HESS_SYM_TOL
+            if bad.any():
+                raise ValueError("supplied Hessian asymmetric by %g"
+                                 % asym[bad.argmax()])
+        return 0.5 * (H + Ht)
 
 
 @dataclass(frozen=True)
 class LieData:
+    """At one state; from a stack of N states every field gains a
+    leading axis of length N (floats become (N,) arrays)."""
     h_val: float
     Lfh: float
     Lg1h: np.ndarray       # (m1,)
@@ -176,6 +243,56 @@ def lie_data(sys, bf, x):
     return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
 
 
+def lie_data_rows(sys, bf, X):
+    """lie_data at each row of an (N, n) stack X, as one LieData whose
+    fields have a leading axis of length N, equal bit for bit to the
+    single-state values. The model is called row by row, but its outputs
+    are converted and checked as stacks. Where anything fails, lie_data
+    runs again row by row: it raises its own error at the first bad row,
+    or, for a model whose output shape varies from row to row, gives the
+    same data."""
+    X = np.asarray(X, dtype=float)
+    n, m1 = sys.n, sys.m1
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError("state stack shape %s, expected (N, %d)"
+                         % (X.shape, n))
+    rows = list(X)
+    N = len(rows)
+    try:
+        h = stack_rows(bf._h, (), rows)
+        if bf._grad is None:
+            grad = stack_rows(bf.gradient, (n,), rows)
+        else:
+            grad = _vectors(bf._grad, rows, n)
+        Lfh = row_dot(grad, _vectors(sys._f, rows, n))
+        Lg2h = np.matmul(grad[:, None, :],
+                         stack_rows(sys._g2, (n, sys.m2), rows))[:, 0, :]
+        if m1 > 0:
+            g1 = stack_rows(sys._g1, (n, m1), rows)
+            H = stack_rows(bf._raw_hessian if bf._hess is None
+                           else bf._hess, (n, n), rows)
+            Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
+            H = bf._symmetrized(H)
+            G = np.matmul(np.matmul(np.swapaxes(g1, 1, 2), H), g1)
+            trace = 0.5 * np.trace(G, axis1=1, axis2=2)
+            frob = row_norm(G.reshape(N, m1 * m1))
+        else:
+            Lg1h = np.zeros((N, 0))
+            G = np.zeros((N, 0, 0))
+            trace, frob = np.zeros((2, N))
+        finite = (np.isfinite(h) & np.isfinite(Lfh) & np.isfinite(trace)
+                  & np.isfinite(frob) & np.isfinite(Lg1h).all(axis=1)
+                  & np.isfinite(Lg2h).all(axis=1))
+        if not finite.all():
+            raise ModelBlowup("non-finite model data at x=%s"
+                              % X[finite.argmin()])
+    except Exception:
+        lds = [lie_data(sys, bf, x) for x in rows]
+        return LieData(*(np.array([getattr(ld, f.name) for ld in lds])
+                         for f in fields(LieData)))
+    return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
+
+
 def check_gradient(bf, x):
     """Max relative disagreement between analytic and FD gradients."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -185,10 +302,12 @@ def check_gradient(bf, x):
 
 
 def scalar_system(f, g1, g2):
-    """1-D convenience wrapper; g1=None means no disturbance channel."""
+    """1-D convenience wrapper; g1=None means no disturbance channel. The
+    gains are returned as plain numbers, which ControlAffineSystem reads
+    as (1, 1) matrices (a cheaper conversion than a nested array)."""
     m1 = 0 if g1 is None else 1
     return ControlAffineSystem(
         1, m1, 1,
         lambda x: np.array([f(float(x[0]))]),
-        None if g1 is None else (lambda x: np.array([[g1(float(x[0]))]])),
-        lambda x: np.array([[g2(float(x[0]))]]))
+        None if g1 is None else (lambda x: g1(float(x[0]))),
+        lambda x: g2(float(x[0])))

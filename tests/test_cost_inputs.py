@@ -2,11 +2,14 @@
 
 A CostSpec holds the gains its cost uses: a kind whose spec carries a
 gain takes it from there and rejects a different one, and a gain the
-kind never reads is an error rather than silently ignored. Every
+kind never reads is an error rather than silently ignored. A gain the
+kind reads from the CostSpec itself passes the filters' gain gate, and
+a kind that reads a spec refuses to be built without one. Every
 certificate refuses a record that escaped, whose last sample is a
 tombstone.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -100,6 +103,26 @@ def test_disturbance_game_rejects_gains_it_would_ignore():
         CostSpec("disturbance-game", spec=iospec, beta_gain=2.0, lam=0.5)
 
 
+@pytest.mark.parametrize(
+    "kind", [k for k in COST_KINDS if k not in ("intro-min", "intro-sontag")])
+def test_a_cost_without_its_spec_is_rejected(kind):
+    with pytest.raises(ValueError, match="%s cost needs its spec" % kind):
+        CostSpec(kind)
+
+
+@pytest.mark.parametrize("kind,gains,field", [
+    ("qp-exact", {"beta_gain": 0.75}, "beta_gain"),
+    ("qp-weighted", {"beta_gain": 1.5}, "beta_gain"),
+    ("qp-weighted", {"lam": 7.0}, "lam"),
+    ("qp-weighted", {"lam": 0.0}, "lam"),
+])
+def test_a_gain_the_cost_reads_itself_passes_the_filters_gate(kind, gains,
+                                                              field):
+    # beta >= 2 certifies optimality, lam in (0, 2]: as for every filter
+    with pytest.raises(ValueError, match=field):
+        CostSpec(kind, spec=dssf_spec(), **gains)
+
+
 def test_noise_game_needs_the_schedule_at_construction():
     with pytest.raises(ValueError, match="covariance schedule"):
         CostSpec("noise-game", spec=ex6_spec(beta=2.0))
@@ -163,3 +186,32 @@ def test_infinite_custom_cost_reports_no_invariance(tmp_path, capsys):
     assert report["cost_total"] == "-inf"
     assert report["cost_invariance_max"] == "nan"
     assert math.isfinite(float(report["dssf_min_margin"]))
+
+
+SONTAG_QP_EXACT = ("system = integrator\nx0 = -1\nu0 = const:1\n"
+                   "alpha = linear:1\nfilter = sontag\ncost = qp-exact:2\n"
+                   "T = 1\n")
+
+
+def test_infinite_custom_cost_writes_an_infinite_running_column(tmp_path,
+                                                                capsys):
+    # every sample deviates against the infinite min-norm weight, so the
+    # running integral is -inf from the first interval on, as the total
+    rc, report = run_config(tmp_path, capsys, SONTAG_QP_EXACT)
+    assert rc == 0 and report["cost_total"] == "-inf"
+    with open(tmp_path / "out" / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    running = [float(row["running_cost"]) for row in rows]
+    assert len(running) == 1001
+    assert running[0] == 0.0
+    assert all(v == -math.inf for v in running[1:])
+
+
+def test_custom_cost_gain_below_two_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "loop.cfg"
+    cfg.write_text(SONTAG_QP_EXACT.replace("qp-exact:2", "qp-exact:1.5"))
+    rc = main(["run", str(cfg), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "qp-exact:1.5" in err
+    assert "beta_gain 1.5 < 2" in err

@@ -3,8 +3,9 @@
 evaluate_cost returns the per-sample terminal term with the total, and
 CostValue.invariance is read off that same pass: these tests pin it to
 the public cost_invariance_check for every cost kind, check that the
-terminal column is the one each cost defines, and count the lie_data
-calls the inverse-optimal built-ins make.
+terminal column is the one each cost defines, and count the states
+lie_data and lie_data_rows evaluate for the inverse-optimal built-ins:
+each cost pass is one stacked call over the record.
 """
 
 import math
@@ -26,7 +27,7 @@ from safefilt.scenarios import (_ex3_pieces, disturbed_gain_system,
 from safefilt.sim import SimConfig, Trajectory, integrate_ode, integrate_sde
 from safefilt.stochastic import (CovarianceSchedule, nssf_qp_filter,
                                  stoch_qp_filter)
-from safefilt.systems import lie_data, scalar_system, vec_norm
+from safefilt.systems import lie_data, lie_data_rows, scalar_system, vec_norm
 
 CFG = SimConfig(dt=1e-2, T=1.0)
 
@@ -180,14 +181,37 @@ def test_infinite_cost_has_no_invariance():
         cv.invariance
 
 
+def test_running_cost_is_infinite_from_the_first_flagged_interval():
+    # intro-min: samples 3 and 4 deviate against an infinite weight
+    traj = flat_record(x=-0.5, u=1.0, u0=1.0, d=0.0, n=5)
+    traj.states[:, 0] = [-0.5, -0.6, -0.7, -1.0, -1.0]
+    traj.controls[3:, 0] = 1.5
+    traj.h_values = -traj.states[:, 0]
+    cv = evaluate_cost(traj, CostSpec("intro-min"))
+    assert cv.infinite and cv.total == math.inf
+    head = flat_record(x=-0.5, u=1.0, u0=1.0, d=0.0, n=3)
+    head.states[:, 0] = traj.states[:3, 0]
+    head.h_values = -head.states[:, 0]
+    assert np.array_equal(cv.running[:3],
+                          evaluate_cost(head, CostSpec("intro-min")).running)
+    assert np.all(cv.running[3:] == math.inf)
+
+
 def count_lie_data(monkeypatch):
+    """The states lie_data and lie_data_rows are evaluated at: a stack
+    of N counts N."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return lie_data(*args)
-    monkeypatch.setattr(safefilt.certify, "lie_data", counted)
-    monkeypatch.setattr(safefilt.filters, "lie_data", counted)
+    def counted(fn):
+        def wrapped(sys, bf, x):
+            calls.extend(np.reshape(x, (-1, sys.n)))
+            return fn(sys, bf, x)
+        return wrapped
+    monkeypatch.setattr(safefilt.certify, "lie_data_rows",
+                        counted(lie_data_rows))
+    monkeypatch.setattr(safefilt.filters, "lie_data", counted(lie_data))
+    monkeypatch.setattr(safefilt.filters, "lie_data_rows",
+                        counted(lie_data_rows))
     return calls
 
 
@@ -206,6 +230,19 @@ def test_ex3_makes_one_cost_pass(monkeypatch):
     # condition grids
     assert len(calls) == 101 + 2 * 61
     assert res.passed
+
+
+def test_each_cost_pass_is_one_stacked_call(monkeypatch):
+    stacks = []
+
+    def counted(sys, bf, X):
+        stacks.append(X.shape)
+        return lie_data_rows(sys, bf, X)
+    monkeypatch.setattr(safefilt.certify, "lie_data_rows", counted)
+    monkeypatch.setattr(safefilt.filters, "lie_data_rows", counted)
+    run_ex4_invopt_qp(CFG)
+    # qp-exact, then qp-weighted: the whole record each time
+    assert stacks == [(101, 1), (101, 1)]
 
 
 @pytest.mark.parametrize("v", [
