@@ -44,7 +44,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .comparison import elementwise, kl_solve_grid
-from .filters import (_check_gains, cbf_margin, game_weights,
+from .filters import (_check_gains, game_weights, margin,
                       min_norm_certificate, min_norm_weights)
 from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
@@ -195,8 +195,8 @@ def _qp_exact_data(spec, x, u0v):
     """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1),
     stacked over the rows of x and u0v."""
     ld = lie_data_rows(spec.sys, spec.bf, x)
-    return cbf_margin(spec, ld, u0v) + (elementwise(spec.alpha, ld.h_val),
-                                        ld.h_val, 1.0)
+    alpha_h = elementwise(spec.alpha, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
 
 
 def _min_norm(data):
@@ -301,7 +301,7 @@ def _sup_gains(rho, d):
     with one row per sample; a 1-D history holds one scalar per sample."""
     d = np.asarray(d, dtype=float)
     dn = np.abs(d) if d.ndim == 1 else np.linalg.norm(d, axis=1)
-    return np.array([rho(v) for v in np.maximum.accumulate(dn)])
+    return elementwise(rho, np.maximum.accumulate(dn))
 
 
 def certify_dssf_bound(traj, alpha, rho, d_history=None):
@@ -330,9 +330,9 @@ def ibssf_check(traj, alpha, gamma, lam):
     """Integral safety value h_T + int alpha(h) + (lam/2) int gamma(|d|/lam);
     nonnegative (within DSSF_PASS_TOL) along any filtered run."""
     _refuse_escaped(traj, "integral safety value")
-    a_vals = np.array([alpha(v) for v in traj.h_values])
+    a_vals = elementwise(alpha, traj.h_values)
     dn = np.linalg.norm(traj.disturbances, axis=1)
-    g_vals = np.array([gamma.gamma(v / lam) for v in dn])
+    g_vals = elementwise(gamma.gamma, dn / lam)
     ia = float(trapezoid(a_vals, traj.times))
     ig = float(trapezoid(g_vals, traj.times))
     value = float(traj.h_values[-1]) + ia + 0.5 * lam * ig

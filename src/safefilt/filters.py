@@ -1,20 +1,25 @@
 """Deterministic safety filters and their optimality certificates.
 
 Every filter in the package is one margin, one direction and one rule.
-A margin function takes the nominal value u0 and returns (omega, a):
-omega >= 0 where u0 is already safe, and a correction v moves the
-margin to omega + a.v (a = Lg2h; -LgB for reciprocal barriers; grad h
-for projection). `correct` turns (omega, a) into v by one rule:
+The margin is one formula, `margin`:
+
+    omega = drift + a.u0 [+ side] + alpha(h)
+
+and each filter supplies only its drift, direction a and side term:
+(Lfh, Lg2h, -||Lg1h|| budget(rho, -h)) here (dssf_margin), for the plant
+dx = (f + g1 d + g2 u) dt with barrier h and safe set {h >= 0}, where
+budget(rho, r) = rho^{-1}(max{0, r}); (-LfB, -LgB) for reciprocal
+barriers; (0, grad h) for projection; the trace or Frobenius side terms
+in `stochastic`. omega >= 0 where u0 is already safe; a correction v
+moves the margin to omega + a.v, and `correct` turns (omega, a) into v
+by one rule:
 
     MIN_NORM     -(omega/|a|^2) a where omega < 0, else 0 (the QP)
     SONTAG       kappa(omega, |a|^2) a, Sontag's universal formula
     HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
 
 and raises the caller's violation class where omega < 0 but
-|a| < GRAD_ZERO_TOL. Here the plant is dx = (f + g1 d + g2 u) dt with
-barrier h, safe set {h >= 0}, and dssf_margin is
-
-    omega(x, u0) = Lfh + Lg2h.u0 - ||Lg1h|| rho^{-1}(max{0,-h}) + alpha(h)
+|a| < GRAD_ZERO_TOL.
 
   * qp_filter          min-norm correction
   * sontag_filter      universal-formula correction term
@@ -118,6 +123,18 @@ def _max0(v):
     return max(0.0, v)
 
 
+def budget(rho, r):
+    """rho^{-1}(max{0, r}); on an array, at each element in turn."""
+    return elementwise(rho.inverse, _max0(r))
+
+
+def margin(drift, a, u0v, alpha_h, side=-0.0):
+    """(omega, a) with omega = drift + a.u0 + side + alpha_h, the one
+    margin of the module docstring; on stacks, one omega per row. The
+    default side, -0.0, is the exact additive identity."""
+    return drift + row_dot(a, u0v) + side + alpha_h, a
+
+
 def _min(a, b):
     """min(a, b); on arrays, elementwise with the same ties."""
     if type(a) is np.ndarray:
@@ -129,7 +146,7 @@ def _check_gains(beta_gain, safety_only=False, lam=None):
     """The gain gate: ValueError unless beta_gain >= 2, which certifies
     optimality, or >= 1 if safety_only; and lam, if given, in (0, 2]."""
     floor = 1.0 if safety_only else 2.0
-    if beta_gain < floor:
+    if not beta_gain >= floor:  # a NaN gain fails too
         raise ValueError("beta_gain %g < %g" % (beta_gain, floor))
     if lam is not None and not (0.0 < lam <= 2.0):
         raise ValueError("lam must lie in (0, 2], got %g" % lam)
@@ -173,20 +190,18 @@ class DssfCbfSpec:
 
 
 def dssf_margin(spec, ld, u0v):
-    """(omega, Lg2h) with the robust margin of the module docstring; any
-    spec with rho and alpha, so also the deterministic sandwich floor."""
-    robust = row_norm(ld.Lg1h) * elementwise(spec.rho.inverse,
-                                             _max0(-ld.h_val))
-    omega = (ld.Lfh + row_dot(ld.Lg2h, u0v) - robust
-             + elementwise(spec.alpha, ld.h_val))
-    return omega, ld.Lg2h
+    """(omega, Lg2h) with the robust margin, side -||Lg1h|| budget(rho,
+    -h); any spec with rho and alpha, so also the deterministic sandwich
+    floor."""
+    robust = row_norm(ld.Lg1h) * budget(spec.rho, -ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
+                  -robust)
 
 
 def cbf_margin(spec, ld, u0v):
     """(omega, Lg2h) with the disturbance-free margin
     omega = Lfh + Lg2h.u0 + alpha(h)."""
-    return (ld.Lfh + row_dot(ld.Lg2h, u0v)
-            + elementwise(spec.alpha, ld.h_val), ld.Lg2h)
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val))
 
 
 def _dssf_at(spec, x, t):
@@ -347,7 +362,7 @@ def qp_worst_case_disturbance(spec, lam, x):
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
-    return -lam * spec.rho.inverse(max(0.0, -ld.h_val)) * ld.Lg1h / nrm
+    return -lam * budget(spec.rho, -ld.h_val) * ld.Lg1h / nrm
 
 
 def game_weights(iospec, x, u0v):
@@ -435,12 +450,13 @@ def min_norm_weights(spec, x, u0v, beta_gain, lam):
     """qp_weights at state x and nominal value u0v, or at each row of
     their stacks."""
     ld = _lie(spec.sys, spec.bf, x)
-    omega, a = dssf_margin(spec, ld, u0v)
+    rinv = budget(spec.rho, -ld.h_val)
+    nrm = row_norm(ld.Lg1h)
     alpha_h = elementwise(spec.alpha, ld.h_val)
-    rinv = elementwise(spec.rho.inverse, _max0(-ld.h_val))
+    omega, a = margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, -(nrm * rinv))
     l = (2.0 * beta_gain * alpha_h
          + beta_gain * _min(beta_gain * omega, -2.0 * omega)
-         - beta_gain * (2.0 - lam) * row_norm(ld.Lg1h) * rinv)
+         - beta_gain * (2.0 - lam) * nrm * rinv)
     return (Weight.ratio(1.0, rinv),
             min_norm_certificate(beta_gain, omega, a, alpha_h)[0], l)
 

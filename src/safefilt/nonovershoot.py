@@ -7,14 +7,15 @@ as fast as alpha0, never faster than alpha, both sides degraded by the
 disturbance through rho0/rho. With the correction active the lower
 edge is attained exactly, which the tests lean on.
 
-Policies here are time-invariant: u0 takes the state only. Each filter
+Policies here are time-invariant: u0 takes the state only. Every margin
+is filters.margin; the upper ones take alpha0 and rho0. Each filter
 returns u0 plus the unit-gain min-norm correction of one floor margin.
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .filters import MIN_NORM, correct, dssf_margin
+from .filters import MIN_NORM, budget, correct, dssf_margin, margin
 from .stochastic import generator_margin, nssf_margin
 from .systems import _as_state, lie_data, vec_norm
 
@@ -32,29 +33,26 @@ class SandwichSpec:
 
 def _parts(spec, x):
     ld = lie_data(spec.sys, spec.bf, x)
-    u0v = _as_state(spec.u0(x), spec.sys.m2, "u0")
-    drift = ld.Lfh + float(ld.Lg2h @ u0v)
-    return ld, u0v, drift
+    return ld, _as_state(spec.u0(x), spec.sys.m2, "u0")
 
 
 def omega0(spec, x):
-    """Upper-side margin of the nominal; <= 0 means the nominal already
-    drives h down at rate alpha0 whenever h sits above its rho0-ball."""
-    ld, _, drift = _parts(spec, x)
-    nrm = vec_norm(ld.Lg1h)
-    return (drift + nrm * spec.rho0.inverse(max(0.0, ld.h_val))
-            + spec.alpha0(ld.h_val))
+    """Upper-side margin of the nominal, side ||Lg1h|| budget(rho0, h);
+    <= 0 means the nominal already drives h down at rate alpha0 whenever
+    h sits above its rho0-ball."""
+    ld, u0v = _parts(spec, x)
+    side = vec_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val), side)[0]
 
 
 def omega_no(spec, x):
     """Floor-side margin; negative where the filter must act."""
-    ld, u0v, _ = _parts(spec, x)
-    return dssf_margin(spec, ld, u0v)[0]
+    return dssf_margin(spec, *_parts(spec, x))[0]
 
 
 def sandwich_filter(spec, x):
     """Full control guarding only the floor (unit corrective gain)."""
-    ld, u0v, _ = _parts(spec, x)
+    ld, u0v = _parts(spec, x)
     return u0v + correct(*dssf_margin(spec, ld, u0v), MIN_NORM, RuntimeError)
 
 
@@ -73,8 +71,7 @@ def gain_separation_margin(spec, x):
 
 def _separation(spec, h, weight):
     return (spec.alpha(h) - spec.alpha0(h)
-            - weight * (spec.rho.inverse(max(0.0, -h))
-                        + spec.rho0.inverse(max(0.0, h))))
+            - weight * (budget(spec.rho, -h) + budget(spec.rho0, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,26 +81,26 @@ def _separation(spec, h, weight):
 # ---------------------------------------------------------------------------
 
 def stoch_omega0(spec, x):
-    ld, _, drift = _parts(spec, x)
-    return (drift + 0.5 * ld.frob_term * spec.rho0.inverse(max(0.0, ld.h_val))
-            + spec.alpha0(ld.h_val))
+    """Upper margin with side 0.5 ||g1' H g1||_F budget(rho0, h)."""
+    ld, u0v = _parts(spec, x)
+    side = 0.5 * ld.frob_term * budget(spec.rho0, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val), side)[0]
 
 
 def stoch_omega(spec, x):
     """Floor margin against an unknown covariance (the NSSF margin)."""
-    ld, u0v, _ = _parts(spec, x)
-    return nssf_margin(spec, ld, u0v)[0]
+    return nssf_margin(spec, *_parts(spec, x))[0]
 
 
 def omega0_exact(spec, x):
     """Upper margin with the true identity-covariance trace term."""
-    ld, _, drift = _parts(spec, x)
-    return drift + ld.trace_term + spec.alpha0(ld.h_val)
+    ld, u0v = _parts(spec, x)
+    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val),
+                  ld.trace_term)[0]
 
 
 def omega_exact(spec, x):
-    ld, u0v, _ = _parts(spec, x)
-    return generator_margin(spec, ld, u0v)[0]
+    return generator_margin(spec, *_parts(spec, x))[0]
 
 
 def stoch_sandwich_filter(spec, x, exact_trace=False):
@@ -114,9 +111,9 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
     exactly, and under omega0_exact <= 0 it stays below -alpha0(h)
     everywhere the output is still above the floor (h >= 0).
     """
-    ld, u0v, _ = _parts(spec, x)
-    margin = generator_margin if exact_trace else nssf_margin
-    return u0v + correct(*margin(spec, ld, u0v), MIN_NORM, RuntimeError)
+    ld, u0v = _parts(spec, x)
+    floor = generator_margin if exact_trace else nssf_margin
+    return u0v + correct(*floor(spec, ld, u0v), MIN_NORM, RuntimeError)
 
 
 def stoch_gain_separation_margin(spec, x):

@@ -12,7 +12,8 @@ Three laws for the update direction, given a nominal u0:
 simulate_projection integrates d theta_hat/dt = u: the continuous laws
 are integrate_ode on that integrator plant (f = 0, g2 = I) with u0 as
 the nominal. The classic law locates the boundary by bisection and
-then slides tangentially until the nominal points inward again.
+then slides tangentially until the nominal points inward again, as a
+(sample, step) pair on sim's one loop.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import elementwise
-from .filters import MIN_NORM, _check_gains, correct, min_norm_certificate
-from .sim import _advance, _alloc, _quiet, _record, _rk4, integrate_ode
-from .systems import ControlAffineSystem, _as_state, at_rows, row_dot
+from .filters import (MIN_NORM, _check_gains, correct, margin,
+                      min_norm_certificate)
+from .sim import _alloc, _record, _rk4, _run, integrate_ode
+from .systems import ControlAffineSystem, _as_state, at_rows
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -58,7 +60,8 @@ def _projection_min_data(spec, theta_hat, u0_val):
     g, h = at_rows(lambda th: (spec.bf.gradient(th), spec.bf.value(th)),
                    theta)
     alpha_h = elementwise(spec.alpha, h)
-    return row_dot(g, u0v) + alpha_h, g, alpha_h, h, -1.0
+    # drift -0.0 adds exactly nothing: omega = grad h.u0 + alpha(h)
+    return margin(-0.0, g, u0v, alpha_h) + (alpha_h, h, -1.0)
 
 
 def projection_margin(spec, theta_hat, u0_val):
@@ -140,16 +143,16 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
         g = bf.gradient(x)
         return u0v + correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
 
-    def step(th, t, u0v, uv, pinned):
-        """(state at t + dt, pinned) from th, given the nominal u0v and
-        the applied field uv recorded there."""
+    def step(k, t, th, s):
+        nonlocal pinned
+        u0v, uv = traj.nominal[k], s[0]
         if pinned and float(bf.gradient(th) @ u0v) >= 0.0:
             pinned = False
         if pinned:
-            return _rk4(sliding, th, t, dt, uv), True
+            return _rk4(sliding, th, t, dt, uv)
         cand = _rk4(nominal, th, t, dt, u0v)
         if bf.value(cand) >= 0.0:
-            return cand, False
+            return cand
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -157,22 +160,14 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
                 lo = mid
             else:
                 hi = mid
-        return _rk4(nominal, th, t, lo * dt, u0v), True
+        pinned = True
+        return _rk4(nominal, th, t, lo * dt, u0v)
 
     traj = _alloc(cfg.n_steps + 1, p, p, 0)
     th = _as_state(theta0, p, "theta0").copy()
     pinned = abs(bf.value(th)) <= PROJ_BOUNDARY_TOL
-    with _quiet():
-        for k in range(cfg.n_steps + 1):
-            t = k * dt
-            sample = _record(traj, k, t, th, plant, bf,
-                             sliding if pinned else nominal, nominal, None,
-                             cfg.escape_threshold)
-            if sample is None or k == cfg.n_steps:
-                break
-            nxt = _advance(lambda: step(th, t, traj.nominal[k], sample[0],
-                                        pinned), traj, k, t, th, dt)
-            if nxt is None:
-                break
-            th, pinned = nxt
-    return traj
+    return _run(traj, cfg, th,
+                lambda k, t, th: _record(traj, k, t, th, plant, bf,
+                                         sliding if pinned else nominal,
+                                         nominal, None, cfg.escape_threshold),
+                step)

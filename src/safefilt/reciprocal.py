@@ -23,9 +23,8 @@ import numpy as np
 
 from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
-                      min_norm_certificate)
-from .systems import (BarrierFunction, _as_state, at_rows, lie_data_rows,
-                      row_dot)
+                      margin, min_norm_certificate)
+from .systems import BarrierFunction, _as_state, at_rows, lie_data_rows
 
 
 class RcbfViolation(RuntimeError):
@@ -77,10 +76,10 @@ def _b_data(spec, x):
 
 def reciprocal_margin(spec, bdata, u0v):
     """(omega, a) = (-omega_tilde, -LgB) from bdata = (B, LfB, LgB), so
-    that omega_tilde + LgB.v <= 0 reads omega + a.v >= 0."""
+    that omega_tilde + LgB.v <= 0 reads omega + a.v >= 0: the margin
+    with drift -LfB and alpha_bar(1/B)."""
     Bv, LfB, LgB = bdata
-    return (-(LfB + row_dot(LgB, u0v)
-              - elementwise(spec.alpha_bar, 1.0 / Bv)), -LgB)
+    return margin(-LfB, -LgB, u0v, elementwise(spec.alpha_bar, 1.0 / Bv))
 
 
 def _margin_at(spec, x, t):
@@ -116,10 +115,10 @@ def rcbf_condition(spec, x, t):
 def _reciprocal_min_data(spec, x, u0v):
     """reciprocal-min's certificate data (omega, a, alpha_bar(h), h, -h^2)
     in h = 1/B coordinates; stacked over the rows of stacked x, u0v."""
-    bdata = _b_data(spec, x)
-    h = 1.0 / bdata[0]
-    return reciprocal_margin(spec, bdata, u0v) + (
-        elementwise(spec.alpha_bar, h), h, -h * h)
+    Bv, LfB, LgB = _b_data(spec, x)
+    h = 1.0 / Bv
+    alpha_h = elementwise(spec.alpha_bar, h)
+    return margin(-LfB, -LgB, u0v, alpha_h) + (alpha_h, h, -h * h)
 
 
 def reciprocal_weights(spec, x, u0v):

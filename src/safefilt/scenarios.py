@@ -37,9 +37,10 @@ from .certify import (DSSF_PASS_TOL, CostSpec, _sup_gains,
 from .comparison import (ExtendedKFunction, identity_k, kl_solve_grid,
                          linear_extended, extended_k_from_name, k_from_name,
                          eps_power_extended, power_k, power_pair)
-from .filters import (DssfCbfSpec, InverseOptimalSpec, half_sontag_filter,
-                      hji_residual, inverse_optimal_condition,
-                      inverse_optimal_qp, qp_filter, sontag_filter)
+from .filters import (DssfCbfSpec, InverseOptimalSpec, _check_gains,
+                      half_sontag_filter, hji_residual,
+                      inverse_optimal_condition, inverse_optimal_qp,
+                      qp_filter, sontag_filter)
 from .projection import ProjectionSpec, classic_projection, qp_projection, \
     simulate_projection
 from .sim import (SimConfig, integrate_ode, integrate_ode_scalar,
@@ -757,6 +758,20 @@ def run_config(path, overrides=None, out_dir=None):
     return _run_custom(entries, overrides or {}, out_dir)
 
 
+def _gain(text):
+    """The beta of a '<name>:<beta>' value, through the filters' gain gate
+    (beta >= 2)."""
+    try:
+        beta = float(text.split(":", 1)[1])
+    except ValueError:
+        raise ConfigError("bad gain in %r" % text)
+    try:
+        _check_gains(beta)
+    except ValueError as exc:
+        raise ConfigError("bad gain in %r: %s" % (text, exc))
+    return beta
+
+
 def _run_custom(entries, overrides, out_dir):
     sys_name = _take_str(entries, "system")
     if sys_name == "integrator":
@@ -794,10 +809,7 @@ def _run_custom(entries, overrides, out_dir):
         if not cost_text.startswith("qp-exact:"):
             raise ConfigError("unknown cost %r (none, qp-exact:<beta>)"
                               % cost_text)
-        try:
-            cost_beta = float(cost_text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError("bad gain in %r" % cost_text)
+        cost_beta = _gain(cost_text)
 
     if overrides.get("dt") is not None:
         dt = overrides["dt"]
@@ -810,12 +822,8 @@ def _run_custom(entries, overrides, out_dir):
     bf = neg_state_barrier()
     spec = DssfCbfSpec(sys, bf, rho, alpha,
                        lambda x, t: np.array([u0_val]))
-    cost = None
-    if cost_beta is not None:
-        try:
-            cost = CostSpec("qp-exact", spec=spec, beta_gain=cost_beta)
-        except ValueError as exc:
-            raise ConfigError("bad gain in %r: %s" % (cost_text, exc))
+    cost = (None if cost_beta is None
+            else CostSpec("qp-exact", spec=spec, beta_gain=cost_beta))
     if filt_text == "qp":
         control = lambda x, t: (spec.u0(x, t) + qp_filter(spec, x, t))
     elif filt_text == "sontag":
@@ -824,10 +832,7 @@ def _run_custom(entries, overrides, out_dir):
     elif filt_text == "half-sontag":
         control = lambda x, t: half_sontag_filter(spec, x, t)
     elif filt_text.startswith("io-qp:"):
-        try:
-            beta = float(filt_text.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError("bad gain in %r" % filt_text)
+        beta = _gain(filt_text)
         control = lambda x, t: inverse_optimal_qp(spec, beta, x, t)
     else:
         raise ConfigError("unknown filter %r (qp, sontag, half-sontag, "

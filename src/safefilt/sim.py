@@ -20,10 +20,11 @@ Conventions that the certification layer relies on:
     (seed, path index), so any path can be reproduced in isolation and
     batched runs match path-by-path runs bit for bit.
 
-Every loop (integrate_ode, integrate_sde, the scalar fast path and
-projection.simulate_projection) keeps these rules through the same
-helpers: _record, _rk4, _advance and _escape. comparison.kl_solve_grid
-steps its decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
+_run is the one loop that keeps these rules. integrate_ode, each path
+of integrate_sde, the scalar fast path (with its own float record) and
+projection's classic law are (sample, step) pairs on it.
+comparison.kl_solve_grid steps its decay ODE with _rk4 too, so _rk4 is
+the package's one RK4 step.
 """
 
 import math
@@ -121,7 +122,8 @@ def _rk4(fn, x, t, dt, k1=None):
 
 
 def _escape(traj, k, t, h):
-    """Tombstone sample k: outputs NaN, h as given; truncate and stamp t."""
+    """Tombstone sample k: outputs NaN, h as given; truncate and stamp t.
+    Returns None, what a sample returns at its tombstone."""
     traj.controls[k] = np.nan
     traj.nominal[k] = np.nan
     traj.disturbances[k] = np.nan
@@ -138,16 +140,15 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     traj.times[k] = t
     traj.states[k] = x
     if not (np.abs(x).max() <= thr):
-        _escape(traj, k, t, bf.value(x) if np.isfinite(x).all() else np.nan)
-        return None
+        return _escape(traj, k, t,
+                       bf.value(x) if np.isfinite(x).all() else np.nan)
     try:
         nominal = _as_state(u0(x, t), sys.m2, "u0")
         dv = None if d is None else _as_state(d(x, t), sys.m1, "d")
         uv = _as_state(control(x, t), sys.m2, "control")
         h = bf.value(x)
     except _ESCAPE_ERRORS:
-        _escape(traj, k, t, np.nan)
-        return None
+        return _escape(traj, k, t, np.nan)
     except Exception as exc:
         raise _failure(t, x) from exc
     traj.nominal[k] = nominal
@@ -158,26 +159,31 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     return uv, dv
 
 
-def _quiet():
-    """The error state of every loop: overflow reaches the escape test."""
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def _failure(t, x):
     return SimulationError("policy/model failure at t=%g, x=%s" % (t, x))
 
 
-def _advance(step, traj, k, t, x, dt):
-    """step() is the state at t + dt; None when it blew up, with the
-    record truncated after sample k and stamped t + dt."""
-    try:
-        return step()
-    except _ESCAPE_ERRORS:
-        traj.escape_time = t + dt
-        _truncate(traj, k + 1)
-        return None
-    except Exception as exc:
-        raise _failure(t, x) from exc
+def _run(traj, cfg, x, sample, step):
+    """The one loop: on the grid t = k*dt, sample(k, t, x) records sample
+    k at x and returns s, None at a tombstone; step(k, t, x, s) is the
+    state at t + dt. Stops after the last sample, at a tombstone, or
+    where a step blows up (truncated after sample k, stamped t + dt)."""
+    dt, n_steps = cfg.dt, cfg.n_steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps + 1):
+            t = k * dt
+            s = sample(k, t, x)
+            if s is None or k == n_steps:
+                break
+            try:
+                x = step(k, t, x, s)
+            except _ESCAPE_ERRORS:
+                traj.escape_time = t + dt
+                _truncate(traj, k + 1)
+                break
+            except Exception as exc:
+                raise _failure(t, x) from exc
+    return traj
 
 
 def _normals(seed, i, shape):
@@ -196,10 +202,9 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     docstring. x0 must be an (n,) state (a scalar passes for n = 1);
     anything else is a ValueError before any callback runs.
     """
-    n_steps = cfg.n_steps
     m1, m2 = sys.m1, sys.m2
     x = _as_state(x0, sys.n, "x0").copy()
-    traj = _alloc(n_steps + 1, sys.n, m2, m1)
+    traj = _alloc(cfg.n_steps + 1, sys.n, m2, m1)
     if d is None or m1 == 0:
         zero_d = np.zeros(m1)
         d = lambda xs, ts: zero_d
@@ -214,19 +219,11 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
         dv = _as_state(d(xs, ts), m1, "d")
         return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
 
-    dt = cfg.dt
-    with _quiet():
-        for k in range(n_steps + 1):
-            t = k * dt
-            sample = _record(traj, k, t, x, sys, bf, control, u0, d,
-                             cfg.escape_threshold)
-            if sample is None or k == n_steps:
-                break
-            x = _advance(lambda: _rk4(rate, x, t, dt, field(x, *sample)),
-                         traj, k, t, x, dt)
-            if x is None:
-                break
-    return traj
+    dt, thr = cfg.dt, cfg.escape_threshold
+    return _run(traj, cfg, x,
+                lambda k, t, x: _record(traj, k, t, x, sys, bf, control, u0,
+                                        d, thr),
+                lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s)))
 
 
 def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
@@ -238,32 +235,22 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     checked as in integrate_ode.
     """
     x0 = _as_state(x0, sys.n, "x0")
-    n_steps = cfg.n_steps
-    dt = cfg.dt
+    dt, thr = cfg.dt, cfg.escape_threshold
     sq = math.sqrt(dt)
-    out = []
-    for i in range(cfg.paths):
-        Z = _normals(cfg.seed, i, (n_steps, sys.m1))
-        traj = _alloc(n_steps + 1, sys.n, sys.m2, sys.m1)
-        x = x0.copy()
-        with _quiet():
-            for k in range(n_steps + 1):
-                t = k * dt
-                sample = _record(traj, k, t, x, sys, bf, control, u0, None,
-                                 cfg.escape_threshold)
-                if sample is None or k == n_steps:
-                    break
-                uv = sample[0]
-                dw = sq * Z[k]
-                traj.disturbances[k] = dw / dt
-                x = _advance(
-                    lambda: (x + dt * (sys.f_at(x) + sys.g2_at(x) @ uv)
-                             + sys.g1_at(x) @ (cov.at(t) @ dw)),
-                    traj, k, t, x, dt)
-                if x is None:
-                    break
-        out.append(traj)
-    return out
+
+    def path(i):
+        Z = _normals(cfg.seed, i, (cfg.n_steps, sys.m1))
+        traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
+
+        def step(k, t, x, s):
+            dw = sq * Z[k]
+            traj.disturbances[k] = dw / dt
+            return (x + dt * (sys.f_at(x) + sys.g2_at(x) @ s[0])
+                    + sys.g1_at(x) @ (cov.at(t) @ dw))
+        return _run(traj, cfg, x0.copy(),
+                    lambda k, t, x: _record(traj, k, t, x, sys, bf, control,
+                                            u0, None, thr), step)
+    return [path(i) for i in range(cfg.paths)]
 
 
 def integrate_ode_scalar(drift, x0, cfg, h_fn, u_fn, u0_fn, d_fn=None):
@@ -274,37 +261,29 @@ def integrate_ode_scalar(drift, x0, cfg, h_fn, u_fn, u0_fn, d_fn=None):
     without array overhead: x0 is checked and the loop escapes by the
     same rules.
     """
-    n_steps = cfg.n_steps
     m1 = 0 if d_fn is None else 1
-    traj = _alloc(n_steps + 1, 1, 1, m1)
-    dt = cfg.dt
-    x = float(_as_state(x0, 1, "x0")[0])
-    thr = cfg.escape_threshold
-    with _quiet():
-        for k in range(n_steps + 1):
-            t = k * dt
-            traj.times[k] = t
-            traj.states[k, 0] = x
-            if not (abs(x) <= thr):
-                _escape(traj, k, t, h_fn(x) if math.isfinite(x) else np.nan)
-                break
-            try:
-                traj.nominal[k, 0] = u0_fn(x, t)
-                traj.controls[k, 0] = u_fn(x, t)
-                if m1:
-                    traj.disturbances[k, 0] = d_fn(x, t)
-                traj.h_values[k] = h_fn(x)
-            except _ESCAPE_ERRORS:
-                _escape(traj, k, t, np.nan)
-                break
-            except Exception as exc:
-                raise _failure(t, x) from exc
-            if k == n_steps:
-                break
-            x = _advance(lambda: _rk4(drift, x, t, dt), traj, k, t, x, dt)
-            if x is None:
-                break
-    return traj
+    traj = _alloc(cfg.n_steps + 1, 1, 1, m1)
+    dt, thr = cfg.dt, cfg.escape_threshold
+
+    def sample(k, t, x):
+        traj.times[k] = t
+        traj.states[k, 0] = x
+        if not (abs(x) <= thr):
+            return _escape(traj, k, t,
+                           h_fn(x) if math.isfinite(x) else np.nan)
+        try:
+            traj.nominal[k, 0] = u0_fn(x, t)
+            traj.controls[k, 0] = u_fn(x, t)
+            if m1:
+                traj.disturbances[k, 0] = d_fn(x, t)
+            traj.h_values[k] = h_fn(x)
+        except _ESCAPE_ERRORS:
+            return _escape(traj, k, t, np.nan)
+        except Exception as exc:
+            raise _failure(t, x) from exc
+        return True
+    return _run(traj, cfg, float(_as_state(x0, 1, "x0")[0]), sample,
+                lambda k, t, x, s: _rk4(drift, x, t, dt))
 
 
 def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,

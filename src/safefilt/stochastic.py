@@ -12,10 +12,11 @@ Two problem classes share the machinery:
     a Frobenius budget ||Sigma Sigma'||_F <= rho^{-1}(max{0,-h}), so
     the trace term is replaced by its worst value and the margin reads
 
-        omega = Lfh + Lg2h.u0 + alpha(h)
-                - 0.5 ||g1' H g1||_F rho^{-1}(max{0,-h}).
+        omega = Lfh + Lg2h.u0 - 0.5 ||g1' H g1||_F rho^{-1}(max{0,-h})
+                + alpha(h).
 
-Each filter pairs generator_margin or nssf_margin with a rule of
+generator_margin and nssf_margin are filters.margin with those side
+terms, on one state or on stacks. Each filter pairs one with a rule of
 filters.correct; its docstring says whether it returns the full
 control or the correction alone. The inverse-optimal layer is the one
 value equation of `filters`: the covariance game supplies
@@ -33,7 +34,7 @@ import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
-                      _premise, _u0_at, _value_game, correct)
+                      _premise, _u0_at, _value_game, budget, correct, margin)
 from .systems import _as_state, lie_data
 
 
@@ -61,11 +62,11 @@ def _at(spec, x, t):
 
 
 def generator_margin(spec, ld, u0v):
-    """(omega, Lg2h) with omega = L h(u0) + alpha(h), Sigma = I; also the
-    exact-trace floor of the stochastic sandwich filter."""
-    omega = (ld.Lfh + float(ld.Lg2h @ u0v) + ld.trace_term
-             + spec.alpha(ld.h_val))
-    return omega, ld.Lg2h
+    """(omega, Lg2h) with omega = L h(u0) + alpha(h), Sigma = I: the
+    margin with side the trace term; also the exact-trace floor of the
+    stochastic sandwich filter."""
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
+                  ld.trace_term)
 
 
 def omega_sbfc(spec, x, t):
@@ -115,11 +116,10 @@ class NssfSpec:
 
 def nssf_margin(spec, ld, u0v):
     """(omega, Lg2h) with the worst-covariance margin of the module
-    docstring."""
-    budget = spec.rho.inverse(max(0.0, -ld.h_val))
-    omega = (ld.Lfh + float(ld.Lg2h @ u0v) + spec.alpha(ld.h_val)
-             - 0.5 * ld.frob_term * budget)
-    return omega, ld.Lg2h
+    docstring: the margin with side -0.5 ||g1' H g1||_F budget(rho, -h)."""
+    side = -0.5 * ld.frob_term * budget(spec.rho, -ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
+                  side)
 
 
 def omega_nssf(spec, x, t):
@@ -300,7 +300,7 @@ def nsbf_premise(spec, x, Sigma):
     ld = lie_data(spec.sys, spec.bf, x)
     S = np.asarray(Sigma, dtype=float).reshape(spec.sys.m1, spec.sys.m1)
     actual = 0.5 * float(np.trace(S.T @ ld.g1_hess_g1 @ S))
-    budget = spec.rho.inverse(max(0.0, -ld.h_val))
-    floor = -0.5 * ld.frob_term * budget
+    allowed = budget(spec.rho, -ld.h_val)
+    floor = -0.5 * ld.frob_term * allowed
     used = float(np.linalg.norm(S @ S.T, "fro"))
-    return actual - floor, budget - used
+    return actual - floor, allowed - used

@@ -16,7 +16,9 @@ all in this module: stack_rows, at_rows), but its outputs are
 converted, and the Lie derivatives, the Hessian symmetry and the
 finiteness checked, on the stacked arrays, which is what makes a cost
 pass one array pass per record. The integrator's per-stage calls keep
-the single-state lie_data, which is cheaper for one state.
+the single-state lie_data, which is cheaper for one state. Both run
+the Lie products with numpy's warnings silenced: non-finite model data
+is their ModelBlowup, not a RuntimeWarning first.
 """
 
 import math
@@ -222,20 +224,23 @@ def lie_data(sys, bf, x):
     x = _as_state(x, sys.n)
     h = bf.value(x)
     grad = bf.gradient(x)
-    Lfh = float(grad @ sys._f_of(x))
-    Lg2h = grad @ sys._g2_of(x)
+    f, g2 = sys._f_of(x), sys._g2_of(x)
     if sys.m1 > 0:
-        g1 = sys._g1_of(x)
-        Lg1h = grad @ g1
-        H = bf.hessian(x)
-        G = g1.T @ H @ g1
-        trace = 0.5 * float(np.trace(G))
-        frob = vec_norm(G)
-    else:
-        Lg1h = np.zeros(0)
-        G = np.zeros((0, 0))
-        trace = 0.0
-        frob = 0.0
+        g1, H = sys._g1_of(x), bf._raw_hessian(x)
+    # non-finite model data is the ModelBlowup below, not a numpy warning
+    with np.errstate(all="ignore"):
+        Lfh = float(grad @ f)
+        Lg2h = grad @ g2
+        if sys.m1 > 0:
+            Lg1h = grad @ g1
+            G = g1.T @ bf._symmetrized(H) @ g1
+            trace = 0.5 * float(np.trace(G))
+            frob = vec_norm(G)
+        else:
+            Lg1h = np.zeros(0)
+            G = np.zeros((0, 0))
+            trace = 0.0
+            frob = 0.0
     if not (math.isfinite(h) and math.isfinite(Lfh) and math.isfinite(trace)
             and math.isfinite(frob) and np.isfinite(Lg1h).all()
             and np.isfinite(Lg2h).all()):
@@ -264,22 +269,25 @@ def lie_data_rows(sys, bf, X):
             grad = stack_rows(bf.gradient, (n,), rows)
         else:
             grad = _vectors(bf._grad, rows, n)
-        Lfh = row_dot(grad, _vectors(sys._f, rows, n))
-        Lg2h = np.matmul(grad[:, None, :],
-                         stack_rows(sys._g2, (n, sys.m2), rows))[:, 0, :]
+        fx = _vectors(sys._f, rows, n)
+        g2 = stack_rows(sys._g2, (n, sys.m2), rows)
         if m1 > 0:
             g1 = stack_rows(sys._g1, (n, m1), rows)
             H = stack_rows(bf._raw_hessian if bf._hess is None
                            else bf._hess, (n, n), rows)
-            Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
-            H = bf._symmetrized(H)
-            G = np.matmul(np.matmul(np.swapaxes(g1, 1, 2), H), g1)
-            trace = 0.5 * np.trace(G, axis1=1, axis2=2)
-            frob = row_norm(G.reshape(N, m1 * m1))
-        else:
-            Lg1h = np.zeros((N, 0))
-            G = np.zeros((N, 0, 0))
-            trace, frob = np.zeros((2, N))
+        with np.errstate(all="ignore"):  # as in lie_data
+            Lfh = row_dot(grad, fx)
+            Lg2h = np.matmul(grad[:, None, :], g2)[:, 0, :]
+            if m1 > 0:
+                Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
+                H = bf._symmetrized(H)
+                G = np.matmul(np.matmul(np.swapaxes(g1, 1, 2), H), g1)
+                trace = 0.5 * np.trace(G, axis1=1, axis2=2)
+                frob = row_norm(G.reshape(N, m1 * m1))
+            else:
+                Lg1h = np.zeros((N, 0))
+                G = np.zeros((N, 0, 0))
+                trace, frob = np.zeros((2, N))
         finite = (np.isfinite(h) & np.isfinite(Lfh) & np.isfinite(trace)
                   & np.isfinite(frob) & np.isfinite(Lg1h).all(axis=1)
                   & np.isfinite(Lg2h).all(axis=1))
