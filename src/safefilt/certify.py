@@ -15,6 +15,10 @@ of its filter module, which take stacks (one systems.lie_data_rows call on
 the record, one Cholesky for all the weights) and return one value per
 sample, equal bit for bit to their single-state values.
 
+Every integral here is the trapezoid rule of trapezoid and
+cumulative_trapezoid: numpy evaluating scipy's formula term for term, so
+the same bits without loading scipy.
+
 Weights that blow up off the constraint set never enter float
 arithmetic. A deviation paired with an infinite weight contributes
 zero when the deviation is (numerically) zero and otherwise makes the
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .comparison import elementwise, kl_solve_grid
 from .filters import (_check_gains, game_weights, margin,
@@ -55,6 +58,23 @@ from .systems import lie_data_rows, row_dot, row_norm
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
 PAIR_TOL = 1e-12            # deviation norm counted as zero against inf
+
+
+def _trapezoids(y, x):
+    """The trapezoid area of each interval of y sampled at x."""
+    return np.diff(x) * (y[1:] + y[:-1]) / 2.0
+
+
+def trapezoid(y, x):
+    """Trapezoid-rule integral of y over the grid x, scipy's formula
+    term for term (so the same bits); 0.0 for one sample."""
+    return _trapezoids(y, x).sum()
+
+
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x, one value per sample and
+    0.0 at the first: scipy's cumulative_trapezoid(y, x, initial=0.0)."""
+    return np.concatenate(([0.0], np.cumsum(_trapezoids(y, x))))
 
 
 @dataclass(frozen=True)
@@ -270,10 +290,7 @@ def evaluate_cost(traj, cost):
     """
     _refuse_escaped(traj, "cost")
     vals, pos_inf, neg_inf, terms = _KINDS[cost.kind][1](traj, cost)
-    if vals.size > 1:
-        running = cumulative_trapezoid(vals, traj.times, initial=0.0)
-    else:
-        running = np.zeros(1)
+    running = cumulative_trapezoid(vals, traj.times)
     has_pos = bool(np.any(pos_inf))
     has_neg = bool(np.any(neg_inf))
     if has_pos and has_neg:

@@ -14,13 +14,16 @@ Everything here is immutable after construction and evaluation is pure.
 Numeric inverses favour total robustness over speed: the functions are
 monotone by contract, so bracketing plus brentq cannot go wrong short of
 an unreachable target.
+
+scipy is imported at first use and nowhere else in the package: brentq
+by numeric_inverse, quad by the quadrature branch of legendre_fenchel.
+Closed-form functions and pairs, which every built-in uses, never load
+it.
 """
 
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .sim import _rk4
 
@@ -54,6 +57,7 @@ def numeric_inverse(fn, y, hi0=1.0):
         hi *= 2.0
     else:
         raise BracketError("no bracket found for inverse at %g" % y)
+    from scipy.optimize import brentq
     return float(brentq(lambda r: fn(r) - y, 0.0, hi, xtol=INV_XTOL))
 
 
@@ -179,6 +183,7 @@ def legendre_fenchel(pair, r):
     if pair.has_closed_prime_inv:
         v = pair.gamma_prime_inv(r)
         return r * v - pair.gamma(v)
+    from scipy.integrate import quad
     val, _ = quad(pair.gamma_prime_inv, 0.0, r, limit=200)
     return float(val)
 

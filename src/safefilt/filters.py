@@ -143,11 +143,14 @@ def _min(a, b):
 
 
 def _check_gains(beta_gain, safety_only=False, lam=None):
-    """The gain gate: ValueError unless beta_gain >= 2, which certifies
-    optimality, or >= 1 if safety_only; and lam, if given, in (0, 2]."""
+    """The gain gate: ValueError unless beta_gain is finite and >= 2,
+    which certifies optimality, or >= 1 if safety_only; and lam, if given,
+    in (0, 2]."""
     floor = 1.0 if safety_only else 2.0
     if not beta_gain >= floor:  # a NaN gain fails too
         raise ValueError("beta_gain %g < %g" % (beta_gain, floor))
+    if beta_gain == math.inf:  # u0 + inf * 0 is NaN where no correction
+        raise ValueError("beta_gain %g is not finite" % beta_gain)
     if lam is not None and not (0.0 < lam <= 2.0):
         raise ValueError("lam must lie in (0, 2], got %g" % lam)
 

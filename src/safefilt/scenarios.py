@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .certify import (DSSF_PASS_TOL, CostSpec, _sup_gains,
                       certify_dssf_bound, cost_invariance_check,
-                      evaluate_cost, mc_summary)
+                      evaluate_cost, mc_summary, trapezoid)
 from .comparison import (ExtendedKFunction, identity_k, kl_solve_grid,
                          linear_extended, extended_k_from_name, k_from_name,
                          eps_power_extended, power_k, power_pair)
@@ -710,6 +709,23 @@ def _take_float(entries, key, default=None):
                           % (line, key, val))
 
 
+def _take_int(entries, key, default=None):
+    """A whole number: an integer literal (exact beyond 2**53), or a
+    finite, integral float literal such as 1e3; 1.5, nan and inf are
+    refused."""
+    if key not in entries:
+        return default
+    val, line = entries[key]
+    num = _take_float(entries, key)
+    try:
+        return int(val)
+    except ValueError:
+        if num.is_integer():
+            return int(num)
+    raise ConfigError("line %d: %s must be a whole number, got %r"
+                      % (line, key, val))
+
+
 def _take_str(entries, key, default=None):
     if key not in entries:
         if default is None:
@@ -744,9 +760,12 @@ def run_config(path, overrides=None, out_dir=None):
             raise ConfigError("line %d: unknown scenario %r (known: %s)"
                               % (line, name, ", ".join(sorted(BUILTINS))))
         merged = {}
-        for key in ("dt", "T", "seed", "paths"):
+        for key in ("dt", "T"):
             if key in entries:
                 merged[key] = _take_float(entries, key)
+        for key in ("seed", "paths"):
+            if key in entries:
+                merged[key] = _take_int(entries, key)
         if entries:
             key, (_, line) = next(iter(entries.items()))
             raise ConfigError("line %d: unknown key %r for a scenario "
@@ -799,7 +818,7 @@ def _run_custom(entries, overrides, out_dir):
     d_text = _take_str(entries, "d", "none")
     dt = _take_float(entries, "dt", 1e-3)
     T = _take_float(entries, "T", 10.0)
-    seed = int(_take_float(entries, "seed", 0.0))
+    seed = _take_int(entries, "seed", 0)
     cost_text = _take_str(entries, "cost", "none")
     if entries:
         key, (_, line) = next(iter(entries.items()))

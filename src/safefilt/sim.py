@@ -18,7 +18,8 @@ Conventions that the certification layer relies on:
     non-finite samples, not a warning storm;
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
-    batched runs match path-by-path runs bit for bit.
+    batched runs match path-by-path runs bit for bit; one Philox per
+    call is re-keyed for each path (_normals).
 
 _run is the one loop that keeps these rules. integrate_ode, each path
 of integrate_sde, the scalar fast path (with its own float record) and
@@ -186,10 +187,21 @@ def _run(traj, cfg, x, sample, step):
     return traj
 
 
-def _normals(seed, i, shape):
-    """Path i's standard normals, from the stream keyed [seed, i]."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-    return rng.standard_normal(shape)
+def _normals(seed):
+    """fill(i, out): path i's standard normals into out, from the stream
+    keyed [seed, i]. One Philox is re-keyed for each path (key word 0 as
+    Philox stored it, counter 0, empty buffer), so each path draws what a
+    fresh Generator(Philox(key=[seed, i])) would, without building one."""
+    bits = np.random.Philox(key=[seed, 0])
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    key = fresh["state"]["key"]
+
+    def fill(i, out):
+        key[1] = i
+        bits.state = fresh
+        return rng.standard_normal(out=out)
+    return fill
 
 
 def integrate_ode(sys, bf, control, u0, x0, d, cfg):
@@ -230,16 +242,18 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     """Euler-Maruyama on dx = (f + g2 u) dt + g1 Sigma(t) dw.
 
     One Trajectory per path; path i draws its whole normal sequence
-    up front from a counter-based stream keyed [seed, i]. The recorded
-    disturbance column is the Wiener rate dw/dt of that step. x0 is
-    checked as in integrate_ode.
+    up front from a counter-based stream keyed [seed, i], into one
+    buffer that the paths share. The recorded disturbance column is the
+    Wiener rate dw/dt of that step. x0 is checked as in integrate_ode.
     """
     x0 = _as_state(x0, sys.n, "x0")
     dt, thr = cfg.dt, cfg.escape_threshold
     sq = math.sqrt(dt)
+    normals = _normals(cfg.seed)
+    Z = np.empty((cfg.n_steps, sys.m1))
 
     def path(i):
-        Z = _normals(cfg.seed, i, (cfg.n_steps, sys.m1))
+        normals(i, Z)
         traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
 
         def step(k, t, x, s):
@@ -302,12 +316,14 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
     dt = cfg.dt
     sq = math.sqrt(dt)
     totals = np.empty(cfg.paths)
+    normals = _normals(cfg.seed)
+    noise = np.empty((min(batch_size, cfg.paths), n_steps))
     done = 0
     while done < cfg.paths:
         p = min(batch_size, cfg.paths - done)
-        Z = np.empty((p, n_steps))
+        Z = noise[:p]
         for i in range(p):
-            Z[i] = _normals(cfg.seed, done + i, n_steps)
+            normals(done + i, Z[i])
         x = np.full(p, float(x0))
         running = np.zeros(p)
         prev = integrand(x)
