@@ -10,12 +10,12 @@ everything the certificates need.
 """
 
 from .comparison import (DomainError, ExtendedKFunction, KFunction,
-                         LegendreFenchelPair, eps_power_extended,
+                         LegendreFenchelPair, decay_tube, eps_power_extended,
                          eps_power_k, extended_k_from_name, identity_k,
                          k_from_name, kl_solve, kl_solve_grid,
                          legendre_fenchel, lf_pair_from_name, linear_extended,
-                         linear_k, numeric_inverse, power_extended,
-                         power_k, power_pair, young_gap)
+                         linear_k, numeric_inverse, piecewise_extended,
+                         power_extended, power_k, power_pair, young_gap)
 from .systems import (BarrierFunction, ControlAffineSystem, LieData,
                       ModelBlowup, check_gradient, lie_data, lie_data_rows,
                       scalar_system)

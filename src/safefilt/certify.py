@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .comparison import elementwise, kl_solve_grid
+from .comparison import decay_tube, elementwise
 from .filters import (_check_gains, game_weights, margin,
                       min_norm_certificate, min_norm_weights)
 from .projection import _projection_min_data
@@ -337,7 +337,7 @@ def certify_dssf_bound(traj, alpha, rho, d_history=None):
     if d.ndim not in (1, 2) or d.shape[0] != h.size:
         raise ValueError("d_history shape %s, expected (%d,) or (%d, m1)"
                          % (d.shape, h.size, h.size))
-    kl = kl_solve_grid(alpha, h[0], traj.times)
+    kl = decay_tube(alpha, h[0], traj.times)
     margins = h - kl + _sup_gains(rho, d)
     mn = float(np.min(margins))
     return margins, mn, mn >= -DSSF_PASS_TOL

@@ -6,8 +6,8 @@
     safefilt run CONFIG [same flags]
 
 Exit status: 0 when every scenario check passed, 1 when a check
-failed, 2 for unusable input (unknown id, malformed config, a dt, T
-or path count that SimConfig rejects). Reports
+failed, 2 for unusable input (unknown id, malformed config, a dt, T,
+path count or seed that SimConfig rejects). Reports
 are printed as "key = value" lines and also written to the output
 directory next to any trajectory CSVs.
 """

@@ -3,9 +3,17 @@
 Class-K and extended class-K function objects, the Legendre-Fenchel
 transform of a class-Kinf function whose derivative is also class-Kinf,
 Young's inequality gap, and the decay (KL) bound obtained by solving
-the scalar comparison ODE dy/dt = -alpha(y). kl_solve_grid is the one
-decay solver: it steps through sim._rk4 like every simulated loop, and
-kl_solve is that solver at a single time.
+the scalar comparison ODE dy/dt = -alpha(y), y(0) = r.
+
+decay_tube is the one tube the certificates read. It is exact where the
+constructor of alpha knows the solution: linear:C, power:P:S and eps:E
+with P, E >= 1, and piecewise:A:B carry their closed-form flow. Any
+other alpha, anonymous ones included, goes to kl_solve_grid, the RK4
+solver that steps through sim._rk4 like every simulated loop and that
+the flows are tested against; kl_solve is that solver at a single time.
+A flow is attached only by the constructor that builds the function,
+never read off its name, so an ExtendedKFunction wrapping an arbitrary
+callable under a familiar tag is still solved numerically.
 
 elementwise applies any of these scalar evaluations to an array one
 element at a time, so a stacked certificate keeps every domain check.
@@ -110,15 +118,21 @@ class ExtendedKFunction:
     """Strictly increasing on (lo, hi) with lo < 0 < hi and eval(0) = 0.
 
     Evaluation outside (lo, hi) is an error, never an extrapolation.
+    flow, when given, is flow(r, times): the exact solution of
+    dy/dt = -fn(y), y(0) = r, at each entry of a validated time array.
+    The named constructors supply it; decay_tube uses it in place of
+    the RK4 solver.
     """
 
-    def __init__(self, fn, lo=-math.inf, hi=math.inf, name="alpha"):
+    def __init__(self, fn, lo=-math.inf, hi=math.inf, name="alpha",
+                 flow=None):
         if not (lo < 0.0 < hi):
             raise ValueError("domain (%g, %g) must contain 0" % (lo, hi))
         self._fn = fn
         self.lo = lo
         self.hi = hi
         self.name = name
+        self.flow = flow
 
     def __call__(self, r):
         if not (self.lo < r < self.hi):
@@ -210,6 +224,32 @@ def kl_solve(alpha, r, t):
     return float(kl_solve_grid(alpha, r, [t])[0])
 
 
+def _time_grid(times):
+    """times as a float array, refused unless it is a nonempty 1-D,
+    finite, nonnegative and nondecreasing grid."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-D array")
+    if not np.isfinite(times).all():
+        raise DomainError("times must be finite")
+    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
+        raise DomainError("times must be nonnegative and nondecreasing")
+    return times
+
+
+def decay_tube(alpha, r, times):
+    """Decay bound y(t) of dy/dt = -alpha(y), y(0) = r, on a time grid
+    that kl_solve_grid would accept: alpha.flow(r, times) when alpha's
+    constructor supplied its exact flow, kl_solve_grid's RK4 sweep
+    otherwise. alpha(r) is evaluated once either way, so a non-finite
+    or out-of-domain r is a DomainError."""
+    times = _time_grid(times)
+    alpha(r)
+    if getattr(alpha, "flow", None) is None:
+        return _rk4_tube(alpha, r, times)
+    return alpha.flow(float(r), times)
+
+
 def kl_solve_grid(alpha, r, times):
     """Decay bound y(t) of dy/dt = -alpha(y), y(0) = r, sampled on a
     nonnegative, nondecreasing time grid in one sweep; a non-finite
@@ -222,13 +262,10 @@ def kl_solve_grid(alpha, r, times):
     long the grid takes, not a near-duplicate time's) is reported, never
     silently clamped.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D array")
-    if not np.isfinite(times).all():
-        raise DomainError("times must be finite")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise DomainError("times must be nonnegative and nondecreasing")
+    return _rk4_tube(alpha, r, _time_grid(times))
+
+
+def _rk4_tube(alpha, r, times):
     spans = np.diff(times, prepend=0.0).tolist()
     base = [max(4, math.ceil(span / 0.05)) for span in spans]
     coarsest = max(span / n for span, n in zip(spans, base))
@@ -304,10 +341,31 @@ def eps_power_k(eps):
                      name="eps:%g" % eps)
 
 
+def _exp_flow(c):
+    """r e^{-ct}: the decay under alpha(y) = c y."""
+    return lambda r, times: r * np.exp(-c * times)
+
+
+def _power_flow(p, s):
+    """The decay under alpha(y) = s sign(y) |y|^p for p >= 1: r e^{-st}
+    at p = 1, and r (1 + (p-1) s t |r|^{p-1})^{-1/(p-1)} above, taken
+    through log1p so that p near 1 keeps its accuracy. None for p < 1:
+    that decay reaches 0 in finite time, where the closed form and the
+    RK4 solver part ways, so those laws keep the solver."""
+    if p < 1.0:
+        return None
+    if p == 1.0:
+        return _exp_flow(s)
+    q = p - 1.0
+    return lambda r, times: r * np.exp(
+        np.log1p((q * s * abs(r) ** q) * times) / -q)
+
+
 def linear_extended(c):
     if c <= 0.0:
         raise ValueError("linear slope must be positive, got %g" % c)
-    return ExtendedKFunction(lambda r: c * r, name="linear:%g" % c)
+    return ExtendedKFunction(lambda r: c * r, name="linear:%g" % c,
+                             flow=_exp_flow(c))
 
 
 def power_extended(p, scale=1.0):
@@ -316,7 +374,7 @@ def power_extended(p, scale=1.0):
         raise ValueError("power-law needs p > 0 and scale > 0")
     return ExtendedKFunction(
         lambda r: scale * math.copysign(_pow(abs(r), p), r),
-        name="power:%g:%g" % (p, scale))
+        name="power:%g:%g" % (p, scale), flow=_power_flow(p, scale))
 
 
 def eps_power_extended(eps):
@@ -324,7 +382,19 @@ def eps_power_extended(eps):
         raise ValueError("eps must be positive")
     return ExtendedKFunction(
         lambda r: math.copysign(abs(r) ** eps, r) / eps,
-        name="eps:%g" % eps)
+        name="eps:%g" % eps, flow=_power_flow(eps, 1.0 / eps))
+
+
+def piecewise_extended(a, b):
+    """a r for r >= 0, b r for r < 0. The decay never crosses 0, so it
+    is the linear one of r's side: r e^{-at} or r e^{-bt}."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("piecewise slopes must be positive, got %g, %g"
+                         % (a, b))
+    return ExtendedKFunction(
+        lambda r: a * r if r >= 0.0 else b * r,
+        name="piecewise:%g:%g" % (a, b),
+        flow=lambda r, times: r * np.exp(-(a if r >= 0.0 else b) * times))
 
 
 def power_pair(p, scale=1.0):
@@ -365,7 +435,8 @@ def k_from_name(text):
 
 
 def extended_k_from_name(text):
-    """Extended class-K from a tag; power laws continue odd-symmetrically."""
+    """Extended class-K from a tag: linear:C | power:P[:SCALE] | eps:E |
+    piecewise:A:B. Power laws continue odd-symmetrically."""
     tag, args = _parse_tag(text)
     if tag == "linear" and len(args) == 1:
         return linear_extended(args[0])
@@ -373,6 +444,8 @@ def extended_k_from_name(text):
         return power_extended(*args)
     if tag == "eps" and len(args) == 1:
         return eps_power_extended(args[0])
+    if tag == "piecewise" and len(args) == 2:
+        return piecewise_extended(*args)
     raise ValueError("unknown extended class-K constructor %r" % text)
 
 

@@ -13,7 +13,7 @@ overrides) or a small custom single-state family:
     system = integrator | disturbed-gain
     x0     = <float>
     u0     = const:<v>
-    alpha  = linear:C | power:P[:S] | eps:E
+    alpha  = linear:C | power:P[:S] | eps:E | piecewise:A:B
     rho    = linear:C | power:P[:S] | eps:E        (default linear:1)
     filter = qp | sontag | half-sontag | io-qp:<beta>
     d      = none | const:<v> | sin:<amp>[:<freq>] (default none)
@@ -33,9 +33,10 @@ import numpy as np
 from .certify import (DSSF_PASS_TOL, CostSpec, _sup_gains,
                       certify_dssf_bound, cost_invariance_check,
                       evaluate_cost, mc_summary, trapezoid)
-from .comparison import (ExtendedKFunction, identity_k, kl_solve_grid,
-                         linear_extended, extended_k_from_name, k_from_name,
-                         eps_power_extended, power_k, power_pair)
+from .comparison import (decay_tube, identity_k, linear_extended,
+                         extended_k_from_name, k_from_name,
+                         eps_power_extended, piecewise_extended, power_k,
+                         power_pair)
 from .filters import (DssfCbfSpec, InverseOptimalSpec, _check_gains,
                       half_sontag_filter, hji_residual,
                       inverse_optimal_condition, inverse_optimal_qp,
@@ -540,12 +541,10 @@ def run_proj_ball(cfg, out_dir=None):
 def sandwich_testbed():
     sys = scalar_system(lambda x: 0.0, lambda x: 1.0, lambda x: 1.0)
     bf = neg_state_barrier()
-    alpha0 = ExtendedKFunction(
-        lambda r: r if r >= 0.0 else 3.0 * r, name="piecewise:1:3")
     return SandwichSpec(sys, bf,
                         lambda x: np.array([-x[0] + max(0.0, -x[0])]),
-                        identity_k(), identity_k(), alpha0,
-                        linear_extended(2.0))
+                        identity_k(), identity_k(),
+                        piecewise_extended(1.0, 3.0), linear_extended(2.0))
 
 
 def run_sandwich_scalar(cfg, out_dir=None):
@@ -562,8 +561,8 @@ def run_sandwich_scalar(cfg, out_dir=None):
     # both loops start at h0 on cfg's grid; a truncated record reads a
     # prefix of each tube
     times = np.arange(cfg.n_steps + 1) * cfg.dt
-    kl = kl_solve_grid(spec.alpha, h0, times)
-    kl0 = kl_solve_grid(spec.alpha0, h0, times)
+    kl = decay_tube(spec.alpha, h0, times)
+    kl0 = decay_tube(spec.alpha0, h0, times)
     res = ScenarioResult({}, True)
     ok = True
     for tag, d_fn in (("free", None),

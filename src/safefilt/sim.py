@@ -19,7 +19,11 @@ Conventions that the certification layer relies on:
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
     batched runs match path-by-path runs bit for bit; one Philox per
-    call is re-keyed for each path (_normals).
+    call is re-keyed for each path (_normals). SimConfig takes seeds in
+    [SEED_MIN, SEED_MAX). numpy rounds a key word of 2**63 or more
+    through float64, so up there neighbouring seeds share a stream
+    (about 2048 seeds per float64), and -2**63 shares 2**63's; from
+    SEED_MAX on the rounding reaches 2**64, which Philox cannot store.
 
 _run is the one loop that keeps these rules. integrate_ode, each path
 of integrate_sde, the scalar fast path (with its own float record) and
@@ -38,6 +42,8 @@ from .systems import ModelBlowup, _as_state
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 4096            # samples formatted per write
+SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
+SEED_MAX = 2 ** 64 - 1024
 
 
 class SimulationError(RuntimeError):
@@ -66,6 +72,9 @@ class SimConfig:
                              % (self.T, self.dt))
         if self.paths < 1:
             raise ValueError("paths must be >= 1")
+        if not (SEED_MIN <= self.seed < SEED_MAX):
+            raise ValueError("seed %d outside [-2**63, 2**64 - 1024)"
+                             % self.seed)
 
     @property
     def n_steps(self):

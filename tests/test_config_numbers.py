@@ -5,7 +5,9 @@ the filter is inactive): by the library filters as a ValueError and by
 a custom config as "bad gain", exit 2. A config file's seed and paths
 must be whole finite numbers: nan, inf and fractions are a config error
 naming the line (exit 2), where nan and inf used to end in a traceback
-and fractions were truncated.
+and fractions were truncated. A seed must also lie where Philox can key
+a stream, [-2**63, 2**64 - 1024): SimConfig refuses the rest with a
+ValueError and the command line with exit 2.
 """
 
 import math
@@ -19,6 +21,7 @@ from safefilt.comparison import identity_k, linear_extended, power_pair
 from safefilt.filters import (DssfCbfSpec, InverseOptimalSpec,
                               inverse_optimal_qp)
 from safefilt.scenarios import integrator_system, neg_state_barrier
+from safefilt.sim import SimConfig
 
 IO_QP = ("system = integrator\nx0 = -1\nu0 = const:1\nalpha = linear:1\n"
          "filter = io-qp:%s\nT = 1\n")
@@ -120,3 +123,27 @@ def test_integer_seed_is_read_exactly(tmp_path, capsys):
                      str(tmp_path / "cli")]) in (0, 1)
         assert capsys.readouterr().out == outs[-1]
     assert outs[0] != outs[1]
+
+
+EX5 = ["run-builtin", "ex5-stoch", "--T", "0.01", "--paths", "3"]
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 - 1, 2**64 - 1024,
+                                  -2**63 - 1])
+def test_seed_outside_the_philox_range_is_refused(tmp_path, capsys, seed):
+    message = "seed %d outside [-2**63, 2**64 - 1024)" % seed
+    with pytest.raises(ValueError) as info:
+        SimConfig(dt=0.01, T=0.01, seed=seed)
+    assert str(info.value) == message
+    out_dir = tmp_path / "out"
+    assert main(EX5 + ["--seed", str(seed), "--out-dir", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr() == ("", "config error: %s\n" % message)
+
+
+@pytest.mark.parametrize("seed", [-2**63, 2**63, 2**64 - 1025])
+def test_seeds_at_the_edges_of_the_range_run(tmp_path, capsys, seed):
+    out_dir = tmp_path / "out"
+    assert main(EX5 + ["--seed", str(seed), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "ex5-stoch-report.txt").exists()
+    assert capsys.readouterr().err == ""
