@@ -7,16 +7,17 @@
 
 Exit status: 0 when every scenario check passed, 1 when a check
 failed, 2 for unusable input (unknown id, malformed config, a dt, T,
-path count or seed that SimConfig rejects). Reports
-are printed as "key = value" lines and also written to the output
-directory next to any trajectory CSVs.
+path count or seed that SimConfig rejects), reported as "config
+error: ...". Reports are printed as "key = value" lines (report_text)
+and written to the output directory next to any trajectory CSVs, only
+once the run has returned: a refused or raising run writes nothing.
 """
 
 import argparse
 import sys
 
-from .scenarios import (BUILTINS, FILTER_MODULES, ConfigError, run_builtin,
-                        run_config, _fmt)
+from .scenarios import (BUILTINS, FILTER_MODULES, ConfigError, report_text,
+                        run_builtin, run_config)
 
 
 def _add_run_flags(p):
@@ -53,11 +54,6 @@ def build_parser():
     return parser
 
 
-def _print_report(result):
-    for k, v in result.report.items():
-        print("%s = %s" % (k, _fmt(v)))
-
-
 def _overrides(args):
     return {"dt": args.dt, "T": args.T, "seed": args.seed,
             "paths": args.paths}
@@ -78,12 +74,6 @@ def main(argv=None):
             print("%-18s %-13s %s" % (name, b.module, b.summary))
         return 0
 
-    if args.command == "run-builtin":
-        if args.id not in BUILTINS:
-            print("unknown scenario %r (known: %s)"
-                  % (args.id, ", ".join(sorted(BUILTINS))), file=sys.stderr)
-            return 2
-
     try:
         if args.command == "run-builtin":
             result = run_builtin(args.id, _overrides(args), args.out_dir)
@@ -92,7 +82,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    _print_report(result)
+    print(report_text(result.report), end="")
     return 0 if result.passed else 1
 
 

@@ -218,15 +218,17 @@ def young_gap(x, y, pair):
 
 def kl_solve(alpha, r, t):
     """Decay bound at one time: kl_solve_grid(alpha, r, [t])[0]. A
-    negative or non-finite t is a DomainError."""
+    negative or non-finite t, or a non-finite or out-of-domain r, is a
+    DomainError."""
     if t < 0.0:
         raise DomainError("kl_solve at negative time %g" % t)
     return float(kl_solve_grid(alpha, r, [t])[0])
 
 
-def _time_grid(times):
+def _tube_grid(alpha, r, times):
     """times as a float array, refused unless it is a nonempty 1-D,
-    finite, nonnegative and nondecreasing grid."""
+    finite, nonnegative and nondecreasing grid; then alpha(r) is
+    evaluated once, so a non-finite or out-of-domain r is a DomainError."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
@@ -234,6 +236,7 @@ def _time_grid(times):
         raise DomainError("times must be finite")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise DomainError("times must be nonnegative and nondecreasing")
+    alpha(r)
     return times
 
 
@@ -243,8 +246,7 @@ def decay_tube(alpha, r, times):
     constructor supplied its exact flow, kl_solve_grid's RK4 sweep
     otherwise. alpha(r) is evaluated once either way, so a non-finite
     or out-of-domain r is a DomainError."""
-    times = _time_grid(times)
-    alpha(r)
+    times = _tube_grid(alpha, r, times)
     if getattr(alpha, "flow", None) is None:
         return _rk4_tube(alpha, r, times)
     return alpha.flow(float(r), times)
@@ -260,9 +262,10 @@ def kl_solve_grid(alpha, r, times):
     the whole grid agree within KL_AGREE_TOL. Reproducible by
     construction; underflow of the coarsest step (the one that sets how
     long the grid takes, not a near-duplicate time's) is reported, never
-    silently clamped.
+    silently clamped. A non-finite or out-of-domain r is a DomainError,
+    as in decay_tube.
     """
-    return _rk4_tube(alpha, r, _time_grid(times))
+    return _rk4_tube(alpha, r, _tube_grid(alpha, r, times))
 
 
 def _rk4_tube(alpha, r, times):

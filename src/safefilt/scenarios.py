@@ -1,10 +1,12 @@
 """Built-in demonstration scenarios and the flat config format.
 
-Each scenario assembles a filtered loop, simulates it, evaluates the
-matching cost/certificates, and returns a ScenarioResult whose report
-is a flat mapping rendered as "key = value" lines. Closed-form scalar
-policies are used for speed where they exist; the test suite pins them
-against the general filters, the scenarios just run them.
+Each runner assembles a filtered loop, simulates it, evaluates the
+matching cost/certificates, and returns a ScenarioResult: a flat report
+rendered as "key = value" lines by report_text, and the records to keep
+as CSVs. Runners touch no file: _write, behind run_builtin and
+run_config, is the one writer, so a run that raises writes nothing.
+Closed-form scalar policies are used for speed where they exist; the
+test suite pins them against the general filters.
 
 Config files are flat "key = value" text, one setting per line, with
 either a single `scenario = <builtin-id>` line (plus dt/T/seed/paths
@@ -51,7 +53,7 @@ from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
                          worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import BarrierFunction, lie_data, scalar_system
+from .systems import BarrierFunction, lie_data_rows, scalar_system
 
 VALUE_TOL = 1e-3
 
@@ -60,7 +62,8 @@ VALUE_TOL = 1e-3
 class ScenarioResult:
     report: dict
     passed: bool
-    artifacts: list = field(default_factory=list)
+    records: dict = field(default_factory=dict)    # CSV name -> Trajectory
+    artifacts: list = field(default_factory=list)  # paths _write wrote
 
 
 def _fmt(v):
@@ -73,28 +76,29 @@ def _fmt(v):
     return str(v)
 
 
+def report_text(report):
+    return "".join("%s = %s\n" % (k, _fmt(v)) for k, v in report.items())
+
+
 def write_report(report, path):
     with open(path, "w") as fh:
-        for k, v in report.items():
-            fh.write("%s = %s\n" % (k, _fmt(v)))
+        fh.write(report_text(report))
 
 
-def _emit(result, out_dir, name, traj):
-    if out_dir is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    p = os.path.join(out_dir, name)
-    write_trajectory_csv(traj, p)
-    result.artifacts.append(p)
-
-
-def _finish(result, out_dir, name):
+def _write(result, out_dir, name):
+    """Stamp result's overall verdict, then, with an out_dir, write its
+    records as CSVs in order and its report as <name>-report.txt."""
     result.report["overall"] = result.passed
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        p = os.path.join(out_dir, "%s-report.txt" % name)
-        write_report(result.report, p)
+    if out_dir is None:
+        return result
+    os.makedirs(out_dir, exist_ok=True)
+    for fname, traj in result.records.items():
+        p = os.path.join(out_dir, fname)
+        write_trajectory_csv(traj, p)
         result.artifacts.append(p)
+    p = os.path.join(out_dir, "%s-report.txt" % name)
+    write_report(result.report, p)
+    result.artifacts.append(p)
     return result
 
 
@@ -158,7 +162,7 @@ def _closed_loop(u_star, u0, x0, cfg, d=None, g1=lambda x: 1.0 + x * x):
 # builtin scenarios
 # ---------------------------------------------------------------------------
 
-def run_intro_qp_optimal(cfg, out_dir=None):
+def run_intro_qp_optimal(cfg):
     """Scalar integrator, floor at x <= 0 pushed by u0 = 1; the scaled
     min-norm filter is optimal for the intro-min cost, value x0."""
     beta = 2.0
@@ -171,17 +175,17 @@ def run_intro_qp_optimal(cfg, out_dir=None):
     cv = evaluate_cost(traj, cost)
     inv = cv.invariance
     traj.running_cost = cv.running
-    res = ScenarioResult({}, abs(cv.total - (-1.0)) <= 0.01)
+    res = ScenarioResult({}, abs(cv.total - (-1.0)) <= 0.01,
+                         {"intro-qp-optimal.csv": traj})
     res.report["cost_total"] = cv.total
     res.report["cost_target"] = -1.0
     res.report["cost_gap"] = abs(cv.total + 1.0)
     res.report["invariance_max"] = inv
     res.report["h_min"] = float(np.min(traj.h_values))
-    _emit(res, out_dir, "intro-qp-optimal.csv", traj)
-    return _finish(res, out_dir, "intro-qp-optimal")
+    return res
 
 
-def run_intro_sontag(cfg, out_dir=None):
+def run_intro_sontag(cfg):
     """Same plant under the damping-style correction; its cost totals
     the starting state exactly (the integrand telescopes)."""
     x0 = 0.0
@@ -194,16 +198,16 @@ def run_intro_sontag(cfg, out_dir=None):
     cv = evaluate_cost(traj, cost)
     inv = cv.invariance
     traj.running_cost = cv.running
-    res = ScenarioResult({}, abs(cv.total - x0) <= VALUE_TOL)
+    res = ScenarioResult({}, abs(cv.total - x0) <= VALUE_TOL,
+                         {"intro-sontag.csv": traj})
     res.report["cost_total"] = cv.total
     res.report["cost_target"] = x0
     res.report["invariance_max"] = inv
     res.report["h_min"] = float(np.min(traj.h_values))
-    _emit(res, out_dir, "intro-sontag.csv", traj)
-    return _finish(res, out_dir, "intro-sontag")
+    return res
 
 
-def run_ex1_dssf(cfg, out_dir=None):
+def run_ex1_dssf(cfg):
     """Disturbed gain plant, min-norm filter on the robust margin;
     certify the disturbance-to-state bound sample by sample."""
 
@@ -216,16 +220,15 @@ def run_ex1_dssf(cfg, out_dir=None):
     traj = _closed_loop(u_star, lambda x: 0.0, -1.0, cfg, d=d_fn)
     margins, mn, ok = certify_dssf_bound(traj, linear_extended(1.0),
                                          identity_k())
-    res = ScenarioResult({}, ok)
+    res = ScenarioResult({}, ok, {"ex1-dssf.csv": traj})
     res.report["dssf_min_margin"] = mn
     res.report["h_min"] = float(np.min(traj.h_values))
     res.report["x_max"] = float(np.max(traj.states))
     res.report["sup_d"] = float(np.max(np.abs(traj.disturbances)))
-    _emit(res, out_dir, "ex1-dssf.csv", traj)
-    return _finish(res, out_dir, "ex1-dssf")
+    return res
 
 
-def run_blowup(cfg, out_dir=None):
+def run_blowup(cfg):
     """Nominal u0 = x^3 stays safe (x < 0) but leaves every compact in
     finite time; the record truncates at the detected escape."""
 
@@ -234,14 +237,13 @@ def run_blowup(cfg, out_dir=None):
 
     traj = _closed_loop(u_star, lambda x: x ** 3, -1.0, cfg)
     ok = traj.escape_time is not None and 0.45 <= traj.escape_time <= 0.55
-    res = ScenarioResult({}, ok)
+    res = ScenarioResult({}, ok, {"blowup.csv": traj})
     res.report["escape_time"] = (math.nan if traj.escape_time is None
                                  else traj.escape_time)
     res.report["escape_expected"] = 0.5
     res.report["samples_kept"] = traj.times.size
     res.report["h_min"] = float(np.nanmin(traj.h_values))
-    _emit(res, out_dir, "blowup.csv", traj)
-    return _finish(res, out_dir, "blowup")
+    return res
 
 
 def _ex3_pieces(beta, lam):
@@ -278,7 +280,7 @@ def _attenuation(traj, lam):
             float(trapezoid(d * d, traj.times) / (2.0 * lam)))
 
 
-def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
+def run_ex3_invopt(cfg, beta=2.0, lam=1.0):
     """Fully weighted inverse-optimal loop against its own worst-case
     disturbance; the game cost stays pinned at 2*beta*h(x0)."""
     u0_s, u_star, d_star, iospec = _ex3_pieces(beta, lam)
@@ -301,7 +303,7 @@ def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
 
     ok = (inv <= VALUE_TOL and abs(cv.total - value) <= VALUE_TOL
           and lhs <= rhs + VALUE_TOL and hji <= 1e-9)
-    res = ScenarioResult({}, ok)
+    res = ScenarioResult({}, ok, {"ex3-invopt.csv": traj})
     res.report["beta"] = beta
     res.report["lam"] = lam
     res.report["cost_total"] = cv.total
@@ -311,11 +313,10 @@ def run_ex3_invopt(cfg, out_dir=None, beta=2.0, lam=1.0):
     res.report["attenuation_rhs"] = rhs
     res.report["hji_residual_max"] = hji
     res.report["condition_min"] = cond
-    _emit(res, out_dir, "ex3-invopt.csv", traj)
-    return _finish(res, out_dir, "ex3-invopt")
+    return res
 
 
-def run_ex4_invopt_qp(cfg, out_dir=None):
+def run_ex4_invopt_qp(cfg):
     """Scaled min-norm filter on the disturbed-gain plant, run against
     its (vanishing) worst-case disturbance; the exact disturbance-free
     certificate is invariant, the displayed weights only nearly so."""
@@ -350,7 +351,7 @@ def run_ex4_invopt_qp(cfg, out_dir=None):
 
     ok = (inv_e <= VALUE_TOL and abs(cv_e.total - value) <= VALUE_TOL
           and lhs <= rhs + VALUE_TOL)
-    res = ScenarioResult({}, ok)
+    res = ScenarioResult({}, ok, {"ex4-invopt-qp.csv": traj})
     res.report["exact_total"] = cv_e.total
     res.report["exact_value"] = value
     res.report["exact_invariance_max"] = inv_e
@@ -358,8 +359,7 @@ def run_ex4_invopt_qp(cfg, out_dir=None):
     res.report["weighted_invariance_drift"] = inv_w
     res.report["attenuation_lhs"] = lhs
     res.report["attenuation_rhs"] = rhs
-    _emit(res, out_dir, "ex4-invopt-qp.csv", traj)
-    return _finish(res, out_dir, "ex4-invopt-qp")
+    return res
 
 
 def ex5_spec(beta=2.0):
@@ -370,7 +370,7 @@ def ex5_spec(beta=2.0):
                      gamma2=power_pair(2, 0.25))
 
 
-def run_ex5_stoch(cfg, out_dir=None):
+def run_ex5_stoch(cfg):
     """Shrinking-noise plant under the scaled min-norm generator
     filter. The certified value is exact in the mean: the Monte Carlo
     cost must land within 3 standard errors of 2*beta*h(x0)."""
@@ -413,14 +413,15 @@ def run_ex5_stoch(cfg, out_dir=None):
                           CovarianceSchedule.constant(np.eye(1)), few)
     gen_min = math.inf
     for i, traj in enumerate(paths):
-        for k in range(0, traj.times.size - 1, 50):
-            ld = lie_data(spec.sys, spec.bf, traj.states[k])
-            gen_min = min(gen_min,
-                          generator_margin(spec, ld, traj.controls[k])[0])
-        _emit(res, out_dir, "ex5-stoch-path%d.csv" % i, traj)
+        X = traj.states[:-1:50]
+        if len(X):  # empty when the path stopped at its first sample
+            ld = lie_data_rows(spec.sys, spec.bf, X)
+            omega, _ = generator_margin(spec, ld, traj.controls[:-1:50])
+            gen_min = min(gen_min, np.min(omega))
+        res.records["ex5-stoch-path%d.csv" % i] = traj
     res.report["generator_margin_min"] = gen_min
     res.passed = ok and gen_min >= -1e-8
-    return _finish(res, out_dir, "ex5-stoch")
+    return res
 
 
 def ex6_spec(beta=1.0, lam=2.0, rho=None):
@@ -440,7 +441,7 @@ def _ex6_display(x, u0v, rho_inv):
     return min(u0v, -gain - x)
 
 
-def run_ex6_nssf(cfg, out_dir=None):
+def run_ex6_nssf(cfg):
     """Covariance-adversarial filter on the cubic barrier. The
     worst-case covariance of the relaxed game is indefinite here and is
     reported as such, never silently projected."""
@@ -478,12 +479,12 @@ def run_ex6_nssf(cfg, out_dir=None):
     res.report["nssf_hji_residual_max"] = hji
 
     for i, traj in enumerate(paths[:3]):
-        _emit(res, out_dir, "ex6-nssf-path%d.csv" % i, traj)
+        res.records["ex6-nssf-path%d.csv" % i] = traj
     res.passed = finite and gap_id <= 1e-9 and hji <= 1e-9
-    return _finish(res, out_dir, "ex6-nssf")
+    return res
 
 
-def run_proj_ball(cfg, out_dir=None):
+def run_proj_ball(cfg):
     """Estimate updates constrained to the unit ball: the three laws
     keep the set invariant, the continuous law matches the classic one
     on the boundary, and it converges to it as alpha steepens."""
@@ -500,7 +501,7 @@ def run_proj_ball(cfg, out_dir=None):
         trajs[law] = traj
         h_mins[law] = float(np.min(traj.h_values))
         res.report["h_min_%s" % law] = h_mins[law]
-        _emit(res, out_dir, "proj-ball-%s.csv" % law, traj)
+        res.records["proj-ball-%s.csv" % law] = traj
     res.report["final_radius_classic"] = float(
         np.linalg.norm(trajs["classic"].states[-1]))
 
@@ -535,7 +536,7 @@ def run_proj_ball(cfg, out_dir=None):
     res.passed = (h_mins["qp"] >= -1e-8 and h_mins["optimal"] >= -1e-8
                   and h_mins["classic"] >= -1e-6 and agree <= 1e-12
                   and decreasing and inv <= VALUE_TOL)
-    return _finish(res, out_dir, "proj-ball")
+    return res
 
 
 def sandwich_testbed():
@@ -547,7 +548,7 @@ def sandwich_testbed():
                         piecewise_extended(1.0, 3.0), linear_extended(2.0))
 
 
-def run_sandwich_scalar(cfg, out_dir=None):
+def run_sandwich_scalar(cfg):
     """Two-sided tube around the decaying barrier: no overshoot past
     the alpha0-tube, no safety loss past the alpha-tube, with and
     without a bounded disturbance."""
@@ -575,7 +576,7 @@ def run_sandwich_scalar(cfg, out_dir=None):
         res.report["lower_margin_%s" % tag] = lo
         res.report["upper_margin_%s" % tag] = hi
         ok = ok and lo >= -DSSF_PASS_TOL and hi >= -DSSF_PASS_TOL
-        _emit(res, out_dir, "sandwich-scalar-%s.csv" % tag, traj)
+        res.records["sandwich-scalar-%s.csv" % tag] = traj
 
     grid = np.linspace(-2.0, 2.0, 81)
     dec = min(nominal_decay_margin(spec, np.array([x])) for x in grid)
@@ -586,7 +587,7 @@ def run_sandwich_scalar(cfg, out_dir=None):
     res.report["gain_separation_margin_min"] = sep
     res.report["filter_closed_form_gap"] = law_gap
     res.passed = ok and dec >= -1e-9 and sep >= -1e-9 and law_gap <= 1e-12
-    return _finish(res, out_dir, "sandwich-scalar")
+    return res
 
 
 @dataclass(frozen=True)
@@ -639,32 +640,41 @@ class ConfigError(ValueError):
     pass
 
 
-def _sim_config(**kwargs):
-    """SimConfig whose ValueError (dt <= 0, a partial last step, ...) is
-    a ConfigError."""
+_KNOBS = ("dt", "T", "seed", "paths")
+
+
+def _merged(base, overrides):
+    """base, then overrides, skipping None values; a key other than dt,
+    T, seed or paths is a ConfigError."""
+    merged = {}
+    for key, val in [*base.items(), *(overrides or {}).items()]:
+        if key not in _KNOBS:
+            raise ConfigError("unknown override %r (dt, T, seed, paths)"
+                              % key)
+        if val is not None:
+            merged[key] = val
+    return merged
+
+
+def _sim_config(base, overrides):
+    """SimConfig(**_merged(base, overrides)), whose ValueError (dt <= 0,
+    a partial last step, a fractional seed, ...) is a ConfigError."""
     try:
-        return SimConfig(**kwargs)
+        return SimConfig(**_merged(base, overrides))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def builtin_config(name, overrides=None):
     if name not in BUILTINS:
-        raise KeyError("unknown scenario %r" % name)
-    d = dict(BUILTINS[name].defaults)
-    d.setdefault("T", 10.0)
-    d.setdefault("dt", 1e-3)
-    d.setdefault("seed", 0)
-    d.setdefault("paths", 1)
-    if overrides:
-        d.update({k: v for k, v in overrides.items() if v is not None})
-    return _sim_config(dt=d["dt"], T=d["T"], seed=int(d["seed"]),
-                       paths=int(d["paths"]))
+        raise ConfigError("unknown scenario %r (known: %s)"
+                          % (name, ", ".join(sorted(BUILTINS))))
+    return _sim_config(BUILTINS[name].defaults, overrides)
 
 
 def run_builtin(name, overrides=None, out_dir=None):
     cfg = builtin_config(name, overrides)
-    return BUILTINS[name].runner(cfg, out_dir)
+    return _write(BUILTINS[name].runner(cfg), out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -708,12 +718,12 @@ def _take_float(entries, key, default=None):
                           % (line, key, val))
 
 
-def _take_int(entries, key, default=None):
+def _take_int(entries, key):
     """A whole number: an integer literal (exact beyond 2**53), or a
     finite, integral float literal such as 1e3; 1.5, nan and inf are
-    refused."""
+    refused. None when the key is absent."""
     if key not in entries:
-        return default
+        return None
     val, line = entries[key]
     num = _take_float(entries, key)
     try:
@@ -758,22 +768,15 @@ def run_config(path, overrides=None, out_dir=None):
         if name not in BUILTINS:
             raise ConfigError("line %d: unknown scenario %r (known: %s)"
                               % (line, name, ", ".join(sorted(BUILTINS))))
-        merged = {}
-        for key in ("dt", "T"):
-            if key in entries:
-                merged[key] = _take_float(entries, key)
-        for key in ("seed", "paths"):
-            if key in entries:
-                merged[key] = _take_int(entries, key)
+        values = {key: _take_int(entries, key) if key in ("seed", "paths")
+                  else _take_float(entries, key)
+                  for key in _KNOBS if key in entries}
         if entries:
             key, (_, line) = next(iter(entries.items()))
             raise ConfigError("line %d: unknown key %r for a scenario "
                               "config" % (line, key))
-        if overrides:
-            merged.update({k: v for k, v in overrides.items()
-                           if v is not None})
-        return run_builtin(name, merged, out_dir)
-    return _run_custom(entries, overrides or {}, out_dir)
+        return run_builtin(name, _merged(values, overrides), out_dir)
+    return _write(_run_custom(entries, overrides), out_dir, "custom")
 
 
 def _gain(text):
@@ -790,7 +793,7 @@ def _gain(text):
     return beta
 
 
-def _run_custom(entries, overrides, out_dir):
+def _run_custom(entries, overrides):
     sys_name = _take_str(entries, "system")
     if sys_name == "integrator":
         sys = integrator_system()
@@ -817,7 +820,7 @@ def _run_custom(entries, overrides, out_dir):
     d_text = _take_str(entries, "d", "none")
     dt = _take_float(entries, "dt", 1e-3)
     T = _take_float(entries, "T", 10.0)
-    seed = _take_int(entries, "seed", 0)
+    seed = _take_int(entries, "seed")
     cost_text = _take_str(entries, "cost", "none")
     if entries:
         key, (_, line) = next(iter(entries.items()))
@@ -829,13 +832,7 @@ def _run_custom(entries, overrides, out_dir):
                               % cost_text)
         cost_beta = _gain(cost_text)
 
-    if overrides.get("dt") is not None:
-        dt = overrides["dt"]
-    if overrides.get("T") is not None:
-        T = overrides["T"]
-    if overrides.get("seed") is not None:
-        seed = int(overrides["seed"])
-    cfg = _sim_config(dt=dt, T=T, seed=seed)
+    cfg = _sim_config({"dt": dt, "T": T, "seed": seed}, overrides)
 
     bf = neg_state_barrier()
     spec = DssfCbfSpec(sys, bf, rho, alpha,
@@ -864,7 +861,7 @@ def _run_custom(entries, overrides, out_dir):
     _, mn, ok = ((None, math.nan, False) if escaped
                  else certify_dssf_bound(traj, alpha, rho))
 
-    res = ScenarioResult({}, ok)
+    res = ScenarioResult({}, ok, {"trajectory.csv": traj})
     res.report["system"] = sys_name
     res.report["filter"] = filt_text
     res.report["h_min"] = float(np.nanmin(traj.h_values))
@@ -879,5 +876,4 @@ def _run_custom(entries, overrides, out_dir):
         res.report["cost_invariance_max"] = (math.nan if cv.infinite
                                              else cv.invariance)
         traj.running_cost = cv.running
-    _emit(res, out_dir, "trajectory.csv", traj)
-    return _finish(res, out_dir, "custom")
+    return res

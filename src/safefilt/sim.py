@@ -33,6 +33,7 @@ the package's one RK4 step.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +60,13 @@ class SimConfig:
     paths: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "paths"):  # whole numbers, stored as int
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral)
+                    or isinstance(v, float) and v.is_integer()):
+                raise ValueError("%s must be a whole number, got %r"
+                                 % (name, v))
+            object.__setattr__(self, name, int(v))
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
         if not math.isfinite(self.escape_threshold):
