@@ -18,7 +18,7 @@ from .comparison import (DomainError, ExtendedKFunction, KFunction,
                          power_extended, power_k, power_pair, young_gap)
 from .systems import (BarrierFunction, ControlAffineSystem, LieData,
                       ModelBlowup, check_gradient, lie_data, lie_data_rows,
-                      scalar_system)
+                      scalar_system, stacked)
 from .filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec, Weight,
                       half_sontag_filter, hji_residual,
                       inverse_optimal_condition, inverse_optimal_general,

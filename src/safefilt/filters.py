@@ -41,11 +41,13 @@ S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
 
 beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
 
-The margins, the games and the weights also take stacks: LieData of N
-states (systems.lie_data_rows on an (N, n) array), with the states and
-nominal values as (N, n) and (N, m2) arrays. Each formula is written
-once; on stacks it returns one entry per row, equal bit for bit to the
-single-state value, so a cost pass is one call per record.
+The margins, the games, the weights and `correct` also take stacks:
+LieData of N states (systems.lie_data_rows on an (N, n) array), with
+the states and nominal values as (N, n) and (N, m2) arrays, and u0 at
+a stack through systems.call_rows. Each formula is written once; on
+stacks it returns one entry per row, equal bit for bit to the
+single-state value, so a cost pass is one call per record and the
+stochastic filters step a stack of paths in one call.
 """
 
 import math
@@ -56,8 +58,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (_as_state, lie_data, lie_data_rows, row_dot, row_norm,
-                      stack_rows, vec_norm)
+from .systems import (_as_state, call_rows, lie_data, lie_data_rows, row_dot,
+                      row_norm, stack_rows, vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -89,8 +91,13 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
 
     rule is MIN_NORM, SONTAG or HALF_SONTAG (see the module docstring).
     Raises `error` where omega < 0 and ||a|| < GRAD_ZERO_TOL: no
-    correction can restore the margin there.
+    correction can restore the margin there. On stacks, (N,) margins
+    and (N, m) directions, one correction per row, equal bit for bit
+    to the row's own; where a row may raise, the rows are corrected in
+    turn, so the first that raises does, with its own error.
     """
+    if type(omega) is np.ndarray:
+        return _correct_rows(omega, a, rule, error)
     if rule == MIN_NORM and omega >= 0.0:
         return np.zeros(a.shape)
     q = float(a @ a)
@@ -105,7 +112,28 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
     return kappa * a
 
 
+def _correct_rows(omega, a, rule, error):
+    """correct on stacks: the rows that need no guard at once."""
+    q = row_dot(a, a)
+    weak = np.sqrt(q) < GRAD_ZERO_TOL
+    if weak.any() and (weak & ~(omega >= 0.0)).any():
+        return np.array([correct(w, v, rule, error)
+                         for w, v in zip(omega.tolist(), a)])
+    if rule == MIN_NORM:
+        with np.errstate(all="ignore"):  # the rows where omega >= 0
+            return np.where((omega >= 0.0)[:, None], 0.0,
+                            -(omega / q)[:, None] * a)
+    kappa = np.array([sontag_kappa(w, s)
+                      for w, s in zip(omega.tolist(), q.tolist())])
+    if rule == HALF_SONTAG:
+        kappa *= 0.5
+    return kappa[:, None] * a
+
+
 def _u0_at(spec, x, t):
+    """u0 at a state, or at each row of an (N, n) stack of them."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return call_rows(spec.u0, x, t, spec.sys.m2, "u0")
     return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
 
 

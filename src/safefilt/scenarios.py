@@ -53,7 +53,7 @@ from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
                          worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import BarrierFunction, lie_data_rows, scalar_system
+from .systems import BarrierFunction, lie_data_rows, scalar_system, stacked
 
 VALUE_TOL = 1e-3
 
@@ -362,11 +362,13 @@ def run_ex4_invopt_qp(cfg):
     return res
 
 
+_zero_u0 = stacked(lambda X, t: np.zeros((len(X), 1)))
+
+
 def ex5_spec(beta=2.0):
     sys = scalar_system(lambda x: 0.0, lambda x: 1.0 - x, lambda x: 1.0)
     bf = log_gap_barrier()
-    return StochSpec(sys, bf, linear_extended(1.0),
-                     lambda x, t: np.array([0.0]), beta_gain=beta,
+    return StochSpec(sys, bf, linear_extended(1.0), _zero_u0, beta_gain=beta,
                      gamma2=power_pair(2, 0.25))
 
 
@@ -408,7 +410,7 @@ def run_ex5_stoch(cfg):
     few = SimConfig(dt=cfg.dt, T=cfg.T, seed=cfg.seed,
                     paths=min(3, cfg.paths))
     paths = integrate_sde(spec.sys, spec.bf,
-                          lambda x, t: stoch_qp_filter(spec, x, t),
+                          stacked(lambda X, t: stoch_qp_filter(spec, X, t)),
                           spec.u0, np.array([x0]),
                           CovarianceSchedule.constant(np.eye(1)), few)
     gen_min = math.inf
@@ -430,7 +432,7 @@ def ex6_spec(beta=1.0, lam=2.0, rho=None):
     bf = neg_cube_barrier()
     return NssfSpec(sys, bf, linear_extended(3.0),
                     rho if rho is not None else identity_k(),
-                    lambda x, t: np.array([0.0]), beta_gain=beta, lam=lam,
+                    _zero_u0, beta_gain=beta, lam=lam,
                     gamma1=power_pair(2), gamma2=power_pair(2, 0.25))
 
 
@@ -448,7 +450,7 @@ def run_ex6_nssf(cfg):
     spec = ex6_spec()
     x0 = -0.5
     paths = integrate_sde(spec.sys, spec.bf,
-                          lambda x, t: nssf_qp_filter(spec, x, t),
+                          stacked(lambda X, t: nssf_qp_filter(spec, X, t)),
                           spec.u0, np.array([x0]),
                           CovarianceSchedule.constant(np.eye(1)), cfg)
     res = ScenarioResult({}, True)
@@ -464,18 +466,21 @@ def run_ex6_nssf(cfg):
     res.report["worst_covariance_psd"] = bool(min_eigenvalue(M) >= 0.0)
 
     # displayed vs general update: identical for the linear gain,
-    # materially different once the gain is nonlinear
+    # materially different once the gain is nonlinear; one stacked call
+    # per sweep
     grid = [x for x in np.linspace(-1.5, 1.5, 121) if abs(x) > 1e-6]
-    gap_id = max(abs(nssf_qp_filter(spec, np.array([x]), 0.0)[0]
-                     - _ex6_display(x, 0.0, lambda y: y)) for x in grid)
-    spec_sq = ex6_spec(rho=power_k(2))
-    gap_sq = max(abs(nssf_qp_filter(spec_sq, np.array([x]), 0.0)[0]
-                     - _ex6_display(x, 0.0, math.sqrt)) for x in grid)
+    X = np.array(grid)[:, None]
+
+    def display_gap(spec, rho_inv):
+        display = [_ex6_display(x, 0.0, rho_inv) for x in grid]
+        return float(np.max(np.abs(nssf_qp_filter(spec, X, 0.0)[:, 0]
+                                   - display)))
+    gap_id = display_gap(spec, lambda y: y)
+    gap_sq = display_gap(ex6_spec(rho=power_k(2)), math.sqrt)
     res.report["display_gap_linear_gain"] = gap_id
     res.report["display_gap_sqrt_gain"] = gap_sq
 
-    io = ex6_spec(beta=2.0)
-    hji = max(abs(nssf_hji_residual(io, np.array([x]), 0.0)) for x in grid)
+    hji = float(np.max(np.abs(nssf_hji_residual(ex6_spec(beta=2.0), X, 0.0))))
     res.report["nssf_hji_residual_max"] = hji
 
     for i, traj in enumerate(paths[:3]):

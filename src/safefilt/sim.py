@@ -25,11 +25,16 @@ Conventions that the certification layer relies on:
     (about 2048 seeds per float64), and -2**63 shares 2**63's; from
     SEED_MAX on the rounding reaches 2**64, which Philox cannot store.
 
-_run is the one loop that keeps these rules. integrate_ode, each path
-of integrate_sde, the scalar fast path (with its own float record) and
-projection's classic law are (sample, step) pairs on it.
-comparison.kl_solve_grid steps its decay ODE with _rk4 too, so _rk4 is
-the package's one RK4 step.
+_run is the one loop that keeps these rules. integrate_ode, the scalar
+fast path (with its own float record), projection's classic law and
+integrate_sde are (sample, step) pairs on it. integrate_sde runs all
+its paths in lockstep: x is the (P, n) stack of live rows, one record
+block holds the P records, and a sample or step that is uneventful on
+every row is one stacked pass; where a row escapes or anything raises
+(or one row is left), that sample goes through _record, or that step
+through _stop's rule, one row at a time, so each row keeps the record,
+tombstone and error it would have alone. comparison.kl_solve_grid steps its decay ODE with
+_rk4 too, so _rk4 is the package's one RK4 step.
 """
 
 import math
@@ -39,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import ModelBlowup, _as_state
+from .systems import ModelBlowup, _Stacked, _as_state, call_rows
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 4096            # samples formatted per write
@@ -105,15 +110,18 @@ class Trajectory:
         return self.times.size
 
 
-def _alloc(n_rec, n, m2, m1):
+def _alloc(n_rec, n, m2, m1, paths=None):
+    """A zeroed record of n_rec samples; with paths, a block of that many
+    records along a leading axis, path i's at index i."""
+    lead = (n_rec,) if paths is None else (paths, n_rec)
     return Trajectory(
-        times=np.zeros(n_rec),
-        states=np.zeros((n_rec, n)),
-        controls=np.zeros((n_rec, m2)),
-        nominal=np.zeros((n_rec, m2)),
-        disturbances=np.zeros((n_rec, m1)),
-        h_values=np.zeros(n_rec),
-        running_cost=np.zeros(n_rec),
+        times=np.zeros(lead),
+        states=np.zeros(lead + (n,)),
+        controls=np.zeros(lead + (m2,)),
+        nominal=np.zeros(lead + (m2,)),
+        disturbances=np.zeros(lead + (m1,)),
+        h_values=np.zeros(lead),
+        running_cost=np.zeros(lead),
     )
 
 
@@ -181,11 +189,24 @@ def _failure(t, x):
     return SimulationError("policy/model failure at t=%g, x=%s" % (t, x))
 
 
+def _stop(traj, k, t, dt, x, exc):
+    """A step from sample k at (x, t) raised exc: an escape truncates
+    traj after sample k and stamps t + dt; anything else raises a
+    SimulationError from exc."""
+    if not isinstance(exc, _ESCAPE_ERRORS):
+        raise _failure(t, x) from exc
+    traj.escape_time = t + dt
+    _truncate(traj, k + 1)
+
+
 def _run(traj, cfg, x, sample, step):
     """The one loop: on the grid t = k*dt, sample(k, t, x) records sample
     k at x and returns s, None at a tombstone; step(k, t, x, s) is the
     state at t + dt. Stops after the last sample, at a tombstone, or
-    where a step blows up (truncated after sample k, stamped t + dt)."""
+    where a step raises (_stop's rule). Returns traj. In integrate_sde's
+    lockstep, x is the stack of live rows and traj the list of their
+    records; its sample and step keep these rules row by row, and its
+    step raises nothing."""
     dt, n_steps = cfg.dt, cfg.n_steps
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps + 1):
@@ -195,12 +216,9 @@ def _run(traj, cfg, x, sample, step):
                 break
             try:
                 x = step(k, t, x, s)
-            except _ESCAPE_ERRORS:
-                traj.escape_time = t + dt
-                _truncate(traj, k + 1)
-                break
             except Exception as exc:
-                raise _failure(t, x) from exc
+                _stop(traj, k, t, dt, x, exc)
+                break
     return traj
 
 
@@ -255,33 +273,136 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
                 lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s)))
 
 
+def _mv(A, V):
+    """A @ v for each row v of the (N, b) stack V; A is one (a, b)
+    matrix or an (N, a, b) stack of them."""
+    return np.matmul(A, V[:, :, None])[:, :, 0]
+
+
+def _one_row(fn, m, what):
+    """fn as a single-state policy: itself, or for a stacked fn, fn on
+    the one-row stack of the state, checked by call_rows."""
+    if not isinstance(fn, _Stacked):
+        return fn
+    return lambda x, t: call_rows(fn, x[None], t, m, what)[0]
+
+
 def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     """Euler-Maruyama on dx = (f + g2 u) dt + g1 Sigma(t) dw.
 
-    One Trajectory per path; path i draws its whole normal sequence
-    up front from a counter-based stream keyed [seed, i], into one
-    buffer that the paths share. The recorded disturbance column is the
-    Wiener rate dw/dt of that step. x0 is checked as in integrate_ode.
+    One Trajectory per path. Path i draws its whole normal sequence up
+    front from a counter-based stream keyed [seed, i], into one
+    (P, N, m1) buffer; the recorded disturbance column is the Wiener
+    rate dw/dt of that step. x0 is checked as in integrate_ode.
+
+    The paths run in lockstep, as one stack of live rows on _run, and
+    each keeps the record, escape and failure it would have alone: a
+    row escapes alone, and where rows fail, the lowest path's error is
+    raised once the paths below it are done. A control or u0 marked
+    systems.stacked is called once per step on the live rows; any other
+    is called row by row, with integrate_ode's checks. The plant is
+    called row by row. Where a row escapes or anything raises, that
+    sample is recorded, or that step taken, again one row at a time
+    (through _record, and the plant's checked accessors), so each
+    event lands on its own row. A single live row always goes that
+    way: a stack of one saves no call.
     """
-    x0 = _as_state(x0, sys.n, "x0")
-    dt, thr = cfg.dt, cfg.escape_threshold
-    sq = math.sqrt(dt)
+    n, m1, m2 = sys.n, sys.m1, sys.m2
+    x0 = _as_state(x0, n, "x0")
+    dt, thr, P = cfg.dt, cfg.escape_threshold, cfg.paths
     normals = _normals(cfg.seed)
-    Z = np.empty((cfg.n_steps, sys.m1))
+    DW = np.empty((P, cfg.n_steps, m1))     # path i's increments at [i]
+    for i in range(P):
+        normals(i, DW[i])
+    DW *= math.sqrt(dt)
+    rec = _alloc(cfg.n_steps + 1, n, m2, m1, P)
+    # a step's rate column, for every step up front: a tombstone or a
+    # truncation overwrites or drops the samples no step left
+    np.divide(DW, dt, out=rec.disturbances[:, :-1])
+    trajs = [Trajectory(rec.times[i], rec.states[i], rec.controls[i],
+                        rec.nominal[i], rec.disturbances[i],
+                        rec.h_values[i], rec.running_cost[i])
+             for i in range(P)]
+    row_u0 = _one_row(u0, m2, "u0")
+    row_control = _one_row(control, m2, "control")
+    live = np.arange(P)     # the path of each row of the stack
+    failure = None          # the lowest failing path's error
 
-    def path(i):
-        normals(i, Z)
-        traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
+    def at(live):
+        # the live rows' index into the record block: a slice while no
+        # path has stopped, which numpy indexes faster than an array
+        return live if live.size < P else slice(None)
 
-        def step(k, t, x, s):
-            dw = sq * Z[k]
-            traj.disturbances[k] = dw / dt
-            return (x + dt * (sys.f_at(x) + sys.g2_at(x) @ s[0])
-                    + sys.g1_at(x) @ (cov.at(t) @ dw))
-        return _run(traj, cfg, x0.copy(),
-                    lambda k, t, x: _record(traj, k, t, x, sys, bf, control,
-                                            u0, None, thr), step)
-    return [path(i) for i in range(cfg.paths)]
+    def sample(k, t, X):
+        nonlocal live, failure
+        if not live.size:       # every path has stopped
+            return None
+        if len(X) > 1 and np.abs(X).max() <= thr:
+            try:
+                U0 = call_rows(u0, X, t, m2, "u0")
+                U = call_rows(control, X, t, m2, "control")
+                H = [bf.value(x) for x in X]
+            except Exception:
+                pass
+            else:
+                rows = at(live)
+                rec.times[rows, k] = t
+                rec.states[rows, k] = X
+                rec.nominal[rows, k] = U0
+                rec.controls[rows, k] = U
+                rec.h_values[rows, k] = H
+                return slice(None), U
+        keep, U = [], []
+        for j, i in enumerate(live):
+            try:
+                s = _record(trajs[i], k, t, X[j], sys, bf, row_control,
+                            row_u0, None, thr)
+            except Exception as exc:  # the paths above i no longer run
+                failure = exc
+                break
+            if s is not None:
+                keep.append(j)
+                U.append(s[0])
+        if not keep:
+            return None
+        if len(keep) < live.size:
+            live = live[keep]
+        else:
+            keep = slice(None)
+        return keep, np.array(U)
+
+    def step(k, t, X, s):
+        nonlocal live, failure
+        keep, U = s
+        X = X[keep]
+        if len(X) > 1:
+            try:
+                F, G2, G1 = sys._stacks_of(list(X))
+                return (X + dt * (F + _mv(G2, U))
+                        + _mv(G1, _mv(cov.at(t), DW[at(live), k])))
+            except Exception:
+                pass
+        out, kept = [], []
+        for j, i in enumerate(live):
+            x = X[j]
+            try:            # one row, through the plant's checked accessors
+                out.append(x + dt * (sys.f_at(x) + sys.g2_at(x) @ U[j])
+                           + sys.g1_at(x) @ (cov.at(t) @ DW[i, k]))
+                kept.append(j)
+            except Exception as exc:
+                try:
+                    _stop(trajs[i], k, t, dt, x, exc)
+                except SimulationError as err:
+                    failure = err
+                    break
+        if len(kept) < live.size:
+            live = live[kept]
+        return np.array(out).reshape(len(out), n)
+
+    _run(trajs, cfg, np.tile(x0, (P, 1)), sample, step)
+    if failure is not None:
+        raise failure
+    return trajs
 
 
 def integrate_ode_scalar(drift, x0, cfg, h_fn, u_fn, u0_fn, d_fn=None):
@@ -327,8 +448,12 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
         trapezoid(integrand(x_k), dt) + terminal(x_N)
 
     drawn from the same per-path streams as integrate_sde, so path i
-    here is path i there.
+    here is path i there. x0 is checked as in integrate_ode_scalar. The
+    loop runs with numpy overflow warnings suppressed, as _run does, so
+    a diverging path ends in SimulationError("path functional
+    diverged"), not a warning first.
     """
+    x0 = float(_as_state(x0, 1, "x0")[0])
     n_steps = cfg.n_steps
     dt = cfg.dt
     sq = math.sqrt(dt)
@@ -336,23 +461,24 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
     normals = _normals(cfg.seed)
     noise = np.empty((min(batch_size, cfg.paths), n_steps))
     done = 0
-    while done < cfg.paths:
-        p = min(batch_size, cfg.paths - done)
-        Z = noise[:p]
-        for i in range(p):
-            normals(done + i, Z[i])
-        x = np.full(p, float(x0))
-        running = np.zeros(p)
-        prev = integrand(x)
-        for k in range(n_steps):
-            x = x + dt * drift(x) + diffusion(x) * (sq * Z[:, k])
-            cur = integrand(x)
-            running += 0.5 * dt * (prev + cur)
-            prev = cur
-        if not np.all(np.isfinite(x)):
-            raise SimulationError("path functional diverged")
-        totals[done:done + p] = running + terminal(x)
-        done += p
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < cfg.paths:
+            p = min(batch_size, cfg.paths - done)
+            Z = noise[:p]
+            for i in range(p):
+                normals(done + i, Z[i])
+            x = np.full(p, x0)
+            running = np.zeros(p)
+            prev = integrand(x)
+            for k in range(n_steps):
+                x = x + dt * drift(x) + diffusion(x) * (sq * Z[:, k])
+                cur = integrand(x)
+                running += 0.5 * dt * (prev + cur)
+                prev = cur
+            if not np.all(np.isfinite(x)):
+                raise SimulationError("path functional diverged")
+            totals[done:done + p] = running + terminal(x)
+            done += p
     return totals
 
 

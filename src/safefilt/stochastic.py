@@ -23,7 +23,9 @@ value equation of `filters`: the covariance game supplies
 (drift, ell_gamma1(frob), ell_gamma2(sqrt S)) and the Ito value is
 that game with no adversary, (drift + trace, 0, ell_gamma2(sqrt S)).
 Like the games of `filters`, both take stacks of states and nominal
-values and then give one entry per row.
+values and then give one entry per row; so do the filters, whose
+stacked call (an (N, n) stack of states) returns the (N, m2) stack of
+controls that calls at each row would, bit for bit.
 """
 
 import math
@@ -33,9 +35,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
-from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
+from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains, _lie,
                       _premise, _u0_at, _value_game, budget, correct, margin)
-from .systems import _as_state, lie_data
+from .systems import _as_state, lie_data, row_dot
 
 
 class ScbfViolation(RuntimeError):
@@ -58,7 +60,7 @@ class StochSpec:
 
 
 def _at(spec, x, t):
-    return lie_data(spec.sys, spec.bf, x), _u0_at(spec, x, t)
+    return _lie(spec.sys, spec.bf, x), _u0_at(spec, x, t)
 
 
 def generator_margin(spec, ld, u0v):
@@ -88,7 +90,7 @@ def stoch_sontag_filter(spec, x, t, include_u0=True):
     ld, u0v = _at(spec, x, t)
     omega, a = generator_margin(spec, ld, u0v)
     if not include_u0:
-        omega -= float(a @ u0v)
+        omega = omega - row_dot(a, u0v)
     return correct(omega, a, SONTAG, ScbfViolation)
 
 

@@ -19,6 +19,12 @@ pass one array pass per record. The integrator's per-stage calls keep
 the single-state lie_data, which is cheaper for one state. Both run
 the Lie products with numpy's warnings silenced: non-finite model data
 is their ModelBlowup, not a RuntimeWarning first.
+
+A policy callable u(x, t) takes one (n,) state. stacked(fn) declares
+one that takes an (N, n) stack of states and returns the (N, m) stack
+of its values; call_rows evaluates either kind on a stack, once for a
+stacked one and row by row otherwise. Nothing guesses which kind a
+callable is.
 """
 
 import math
@@ -95,6 +101,45 @@ def stack_rows(fn, shape, *stacks):
                          for out in outs])
 
 
+class _Stacked:
+    """A policy fn(X, t) declared to take an (N, n) stack; see stacked."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x, t):
+        if type(x) is np.ndarray and x.ndim == 2:
+            return self.fn(x, t)
+        return np.asarray(self.fn(np.asarray(x, dtype=float).reshape(1, -1),
+                                  t))[0]
+
+
+def stacked(fn):
+    """Mark the policy fn(X, t) as stacked: it takes an (N, n) stack of
+    states and returns the (N, m) stack of its values, row i at X[i].
+    Integrators and filters then call it once on a stack where they
+    would call it at each row. At one (n,) state the marked callable
+    calls fn on the one-row stack and returns its row, so it serves
+    wherever a single-state policy does."""
+    return fn if isinstance(fn, _Stacked) else _Stacked(fn)
+
+
+def call_rows(fn, X, t, m, what):
+    """The policy fn(x, t) at each row of the (N, n) stack X, as an
+    (N, m) stack: one call when fn is stacked, its output checked as a
+    whole, otherwise one call per row, each output checked by _as_state
+    as at one state. `what` names fn in the shape error."""
+    if isinstance(fn, _Stacked):
+        out = np.asarray(fn.fn(X, t), dtype=float)
+        if out.shape != (len(X), m):
+            raise ValueError("%s stack shape %s, expected (%d, %d)"
+                             % (what, out.shape, len(X), m))
+        return out
+    return np.array([_as_state(fn(x, t), m, what)
+                     for x in X]).reshape(len(X), m)
+
+
 def _vectors(fn, rows, n):
     """fn at each row as an (N, n) stack, where each output is an (n,)
     vector, or a number where n = 1 (what _as_state accepts)."""
@@ -140,6 +185,16 @@ class ControlAffineSystem:
     def _g2_of(self, x):
         return np.asarray(self._g2(x), dtype=float).reshape(self.n, self.m2)
 
+    def _stacks_of(self, rows):
+        """f, g2 and g1 at each of the states `rows`, as (N, n),
+        (N, n, m2) and (N, n, m1) stacks: the model called row by row,
+        its outputs converted as stacks."""
+        n, m1 = self.n, self.m1
+        return (_vectors(self._f, rows, n),
+                stack_rows(self._g2, (n, self.m2), rows),
+                stack_rows(self._g1, (n, m1), rows) if m1 > 0
+                else np.zeros((len(rows), n, 0)))
+
 
 def central_difference(fn, x):
     """Rows (fn(x + s e_i) - fn(x - s e_i)) / (2 s), s = FD_STEP (1 + |x_i|):
@@ -176,7 +231,10 @@ class BarrierFunction:
         return float(self._h(np.asarray(x, dtype=float)))
 
     def gradient(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._gradient_of(np.atleast_1d(np.asarray(x, dtype=float)))
+
+    def _gradient_of(self, x):
+        """The gradient at a state already checked by _as_state."""
         if self._grad is not None:
             return _as_state(self._grad(x), x.size, "gradient")
         return central_difference(self.value, x)
@@ -192,7 +250,7 @@ class BarrierFunction:
         if self._hess is not None:
             n = x.size
             return np.asarray(self._hess(x), dtype=float).reshape(n, n)
-        return central_difference(self.gradient, x)
+        return central_difference(self._gradient_of, x)
 
     def _symmetrized(self, H):
         """0.5 (H + H') of one Hessian or of a stack of them; a supplied
@@ -223,7 +281,7 @@ class LieData:
 def lie_data(sys, bf, x):
     x = _as_state(x, sys.n)
     h = bf.value(x)
-    grad = bf.gradient(x)
+    grad = bf._gradient_of(x)
     f, g2 = sys._f_of(x), sys._g2_of(x)
     if sys.m1 > 0:
         g1, H = sys._g1_of(x), bf._raw_hessian(x)
@@ -266,13 +324,11 @@ def lie_data_rows(sys, bf, X):
     try:
         h = stack_rows(bf._h, (), rows)
         if bf._grad is None:
-            grad = stack_rows(bf.gradient, (n,), rows)
+            grad = stack_rows(bf._gradient_of, (n,), rows)
         else:
             grad = _vectors(bf._grad, rows, n)
-        fx = _vectors(sys._f, rows, n)
-        g2 = stack_rows(sys._g2, (n, sys.m2), rows)
+        fx, g2, g1 = sys._stacks_of(rows)
         if m1 > 0:
-            g1 = stack_rows(sys._g1, (n, m1), rows)
             H = stack_rows(bf._raw_hessian if bf._hess is None
                            else bf._hess, (n, n), rows)
         with np.errstate(all="ignore"):  # as in lie_data
@@ -288,17 +344,15 @@ def lie_data_rows(sys, bf, X):
                 Lg1h = np.zeros((N, 0))
                 G = np.zeros((N, 0, 0))
                 trace, frob = np.zeros((2, N))
-        finite = (np.isfinite(h) & np.isfinite(Lfh) & np.isfinite(trace)
-                  & np.isfinite(frob) & np.isfinite(Lg1h).all(axis=1)
-                  & np.isfinite(Lg2h).all(axis=1))
-        if not finite.all():
-            raise ModelBlowup("non-finite model data at x=%s"
-                              % X[finite.argmin()])
+        finite = np.isfinite(np.concatenate(
+            (h, Lfh, trace, frob, Lg1h.ravel(), Lg2h.ravel()))).all()
     except Exception:
-        lds = [lie_data(sys, bf, x) for x in rows]
-        return LieData(*(np.array([getattr(ld, f.name) for ld in lds])
-                         for f in fields(LieData)))
-    return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
+        finite = False
+    if finite:
+        return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
+    lds = [lie_data(sys, bf, x) for x in rows]
+    return LieData(*(np.array([getattr(ld, f.name) for ld in lds])
+                     for f in fields(LieData)))
 
 
 def check_gradient(bf, x):
