@@ -1,0 +1,169 @@
+"""Per-layer cost of one general single-state RK4 stage, as JSON.
+
+    python scripts/stage_cost.py [--rounds R]
+
+Imports safefilt from the src/ of the checkout that holds this script,
+so running it from two checkouts compares them. Every number is the
+best of R rounds (default 5), timed with perf_counter in this process:
+
+  lie_data.m1_0.us_per_call   lie_data on the integrator plant (no
+                              disturbance channel), h = -x
+  lie_data.m1_1.us_per_call   lie_data on ex3's disturbed-gain plant
+                              dx = (u + (1 + x^2) d) dt, h = -x
+  ode.general.us_per_step     integrate_ode on ex3's closed loop
+                              (x0 = -1.2, dt = 1e-3, T = 2) with its
+                              closed-form control, u0 and worst-case d
+                              as array callables
+  ode.scalar.us_per_step      the same loop on integrate_ode_scalar
+  ode.general_over_scalar     the ratio of the two
+  ode.filter.us_per_step      ex3's loop with inverse_optimal_general
+                              as the control: lie_data at every stage
+  sde.p1.us_per_step          integrate_sde with one path on a scalar
+                              Ornstein-Uhlenbeck plant (T = 0.5)
+
+The two ode records are checked equal bit for bit; a mismatch exits 1.
+Timings depend on the machine and its load; compare two trees only
+from runs taken side by side.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+import safefilt as sf  # noqa: E402
+from safefilt.scenarios import (disturbed_gain_system,  # noqa: E402
+                                integrator_system, neg_state_barrier)
+
+BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
+LIE_CALLS = 20000
+
+
+def best(fn, rounds):
+    """The fastest of `rounds` calls of fn, in seconds."""
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def lie_us(sys_, rounds):
+    bf = neg_state_barrier()
+    x = np.array([-0.5])
+
+    def calls():
+        for _ in range(LIE_CALLS):
+            sf.lie_data(sys_, bf, x)
+    return 1e6 * best(calls, rounds) / LIE_CALLS
+
+
+def ex3_loop():
+    """ex3-invopt's pieces: closed forms of u0, u*, d* and its spec."""
+    def u0(x):
+        return (BETA - LAM) * (1.0 + x * x) ** 2 - (x + 1.0)
+
+    def r2inv(x, u0v):
+        return max(0.0, u0v - ALPHA_GAIN * (-x)) + (1.0 + x * x) ** 2
+
+    def u_star(x):
+        u0v = u0(x)
+        return u0v - BETA * r2inv(x, u0v)
+
+    def d_star(x):
+        return LAM * (1.0 + x * x)
+
+    base = sf.DssfCbfSpec(disturbed_gain_system(), neg_state_barrier(),
+                          sf.identity_k(), sf.linear_extended(ALPHA_GAIN),
+                          lambda x, t: np.array([u0(x[0])]))
+    iospec = sf.InverseOptimalSpec(
+        base, BETA, LAM, sf.power_pair(2),
+        R2=lambda x, u0v: np.array([[1.0 / r2inv(x[0], u0v[0])]]))
+    return u0, u_star, d_star, iospec
+
+
+def ode_numbers(rounds):
+    u0, u_star, d_star, iospec = ex3_loop()
+    base = iospec.base
+    cfg = sf.SimConfig(dt=1e-3, T=2.0)
+    x0 = np.array([-1.2])
+    d_arr = lambda x, t: np.array([d_star(x[0])])
+    out = {}
+
+    def general():
+        out["general"] = sf.integrate_ode(
+            base.sys, base.bf, lambda x, t: np.array([u_star(x[0])]),
+            base.u0, x0, d_arr, cfg)
+
+    def scalar():
+        out["scalar"] = sf.integrate_ode_scalar(
+            lambda x, t: u_star(x) + (1.0 + x * x) * d_star(x), -1.2, cfg,
+            h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
+            u0_fn=lambda x, t: u0(x), d_fn=lambda x, t: d_star(x))
+
+    def filtered():
+        sf.integrate_ode(
+            base.sys, base.bf,
+            lambda x, t: sf.inverse_optimal_general(iospec, x, t),
+            base.u0, x0, d_arr, cfg)
+
+    steps = cfg.n_steps
+    g = 1e6 * best(general, rounds) / steps
+    s = 1e6 * best(scalar, rounds) / steps
+    f = 1e6 * best(filtered, rounds) / steps
+    a, b = out["general"], out["scalar"]
+    same = all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("times", "states", "controls", "nominal",
+                         "disturbances", "h_values"))
+    return {"ode.general.us_per_step": g, "ode.scalar.us_per_step": s,
+            "ode.general_over_scalar": g / s,
+            "ode.filter.us_per_step": f}, same
+
+
+def sde_us(rounds):
+    plant = sf.scalar_system(lambda x: -x, lambda x: 0.5, lambda x: 1.0)
+    bf = sf.BarrierFunction(lambda x: 1.0 - x[0],
+                            grad=lambda x: np.array([-1.0]))
+    cov = sf.CovarianceSchedule(lambda t: np.eye(1), 1)
+    u = np.array([0.1])
+    cfg = sf.SimConfig(dt=1e-3, T=0.5, seed=3)
+    run = lambda: sf.integrate_sde(plant, bf, lambda x, t: u,
+                                   lambda x, t: u, np.array([0.2]), cov, cfg)
+    return 1e6 * best(run, rounds) / cfg.n_steps
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--rounds", type=int, default=5)
+    args = p.parse_args(argv)
+    if args.rounds < 1:
+        p.error("--rounds must be >= 1")
+    numbers = {"lie_data.m1_0.us_per_call": lie_us(integrator_system(),
+                                                   args.rounds),
+               "lie_data.m1_1.us_per_call": lie_us(disturbed_gain_system(),
+                                                   args.rounds)}
+    ode, same = ode_numbers(args.rounds)
+    numbers.update(ode)
+    numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
+    print(json.dumps({
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "machine": platform.machine(),
+                        "nproc": os.cpu_count()},
+        "rounds": args.rounds, "general_equals_scalar": same,
+        "metrics": {k: round(v, 3) if math.isfinite(v) else None
+                    for k, v in numbers.items()}}, indent=1))
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

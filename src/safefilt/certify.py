@@ -406,8 +406,8 @@ def optimality_probe(setup, cfg, perturbations=None,
     for name, delta in perturbations.items():
         for eps in amplitudes:
             def control(x, t, _d=delta, _e=eps):
-                u = np.atleast_1d(np.asarray(setup.u_star(x, t), dtype=float))
-                return u + _e * _d(t)
+                # integrate_ode checks the result's shape as a control
+                return np.asarray(setup.u_star(x, t), dtype=float) + _e * _d(t)
             traj = integrate_ode(setup.sys, setup.bf, control, setup.u0,
                                  setup.x0, setup.d_star, cfg)
             j = evaluate_cost(traj, setup.cost)

@@ -68,10 +68,9 @@ def _b_data(spec, x):
     Bv = float(spec.B(x))
     if not (Bv > 0.0 and math.isfinite(Bv)):
         raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
-    grad = BarrierFunction(spec.B, spec.gradB).gradient(x)
-    LfB = float(grad @ spec.sys.f_at(x))
-    LgB = np.atleast_1d(grad @ spec.sys.g2_at(x))
-    return Bv, LfB, LgB
+    grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
+    LfB = float(grad @ spec.sys._f_of(x))
+    return Bv, LfB, grad @ spec.sys._g2_of(x)
 
 
 def reciprocal_margin(spec, bdata, u0v):

@@ -257,9 +257,11 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
         d = lambda xs, ts: zero_d
 
     def field(xs, uv, dv):
-        dx = sys.f_at(xs) + sys.g2_at(xs) @ uv
+        # xs is x0's checked copy or a stage state built from it, an
+        # (n,) float array already; the model's outputs are checked
+        dx = sys._f_of(xs) + sys._g2_of(xs) @ uv
         if m1 > 0:
-            dx = dx + sys.g1_at(xs) @ dv
+            dx = dx + sys._g1_of(xs) @ dv
         return dx
 
     def rate(xs, ts):
@@ -305,7 +307,8 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     sample is recorded, or that step taken, again one row at a time
     (through _record, and the plant's checked accessors), so each
     event lands on its own row. A single live row always goes that
-    way: a stack of one saves no call.
+    way: a stack of one saves no call. One path (P = 1) runs on _run
+    alone, its state an (n,) row, with the same sample and step.
     """
     n, m1, m2 = sys.n, sys.m1, sys.m2
     x0 = _as_state(x0, n, "x0")
@@ -327,6 +330,17 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     row_control = _one_row(control, m2, "control")
     live = np.arange(P)     # the path of each row of the stack
     failure = None          # the lowest failing path's error
+
+    def row_step(i, k, t, x, u):
+        # path i's row x, through the plant's checked accessors
+        return (x + dt * (sys.f_at(x) + sys.g2_at(x) @ u)
+                + sys.g1_at(x) @ (cov.at(t) @ DW[i, k]))
+
+    if P == 1:      # one path: its own loop, with no stack to keep
+        return [_run(trajs[0], cfg, x0.copy(),
+                     lambda k, t, x: _record(trajs[0], k, t, x, sys, bf,
+                                             row_control, row_u0, None, thr),
+                     lambda k, t, x, s: row_step(0, k, t, x, s[0]))]
 
     def at(live):
         # the live rows' index into the record block: a slice while no
@@ -385,9 +399,8 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
         out, kept = [], []
         for j, i in enumerate(live):
             x = X[j]
-            try:            # one row, through the plant's checked accessors
-                out.append(x + dt * (sys.f_at(x) + sys.g2_at(x) @ U[j])
-                           + sys.g1_at(x) @ (cov.at(t) @ DW[i, k]))
+            try:
+                out.append(row_step(i, k, t, x, U[j]))
                 kept.append(j)
             except Exception as exc:
                 try:

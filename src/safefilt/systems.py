@@ -9,7 +9,10 @@ differences with a relative step.
 lie_data evaluates everything the filters need at one state in one
 call: h, the Lie derivatives along f, g1, g2, and the second-order
 terms 0.5*Tr{g1' H g1} and ||g1' H g1||_F used by the stochastic
-generators. lie_data_rows does the same at each row of a stack X of
+generators. One call checks each thing once: the state's shape, each
+model output's shape as it is converted, a supplied Hessian's symmetry,
+and the finiteness of h and of every Lie product (one math.isfinite
+per number). lie_data_rows does the same at each row of a stack X of
 shape (N, n) and returns one LieData of stacks: the model is still
 called row by row (the loops that call user callables row by row are
 all in this module: stack_rows, at_rows), but its outputs are
@@ -28,7 +31,7 @@ callable is.
 """
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -265,10 +268,11 @@ class BarrierFunction:
         return 0.5 * (H + Ht)
 
 
-@dataclass(frozen=True)
-class LieData:
+class LieData(NamedTuple):
     """At one state; from a stack of N states every field gains a
-    leading axis of length N (floats become (N,) arrays)."""
+    leading axis of length N (floats become (N,) arrays). Immutable: a
+    field cannot be reassigned, and the m1 = 0 Lg1h and g1_hess_g1 of
+    lie_data are read-only arrays that every such call shares."""
     h_val: float
     Lfh: float
     Lg1h: np.ndarray       # (m1,)
@@ -278,9 +282,15 @@ class LieData:
     g1_hess_g1: np.ndarray  # (m1, m1)
 
 
+# lie_data's Lg1h and g1_hess_g1 at m1 = 0: views of an immutable
+# buffer, so no caller can write through them or make them writeable
+_NO_LG1H = np.frombuffer(b"", dtype=float)
+_NO_G1HG1 = _NO_LG1H.reshape(0, 0)
+
+
 def lie_data(sys, bf, x):
     x = _as_state(x, sys.n)
-    h = bf.value(x)
+    h = float(bf._h(x))
     grad = bf._gradient_of(x)
     f, g2 = sys._f_of(x), sys._g2_of(x)
     if sys.m1 > 0:
@@ -289,19 +299,16 @@ def lie_data(sys, bf, x):
     with np.errstate(all="ignore"):
         Lfh = float(grad @ f)
         Lg2h = grad @ g2
+        finite = [h, Lfh, *Lg2h.tolist()]
         if sys.m1 > 0:
             Lg1h = grad @ g1
             G = g1.T @ bf._symmetrized(H) @ g1
-            trace = 0.5 * float(np.trace(G))
+            trace = 0.5 * float(G.trace())
             frob = vec_norm(G)
+            finite += [trace, frob, *Lg1h.tolist()]
         else:
-            Lg1h = np.zeros(0)
-            G = np.zeros((0, 0))
-            trace = 0.0
-            frob = 0.0
-    if not (math.isfinite(h) and math.isfinite(Lfh) and math.isfinite(trace)
-            and math.isfinite(frob) and np.isfinite(Lg1h).all()
-            and np.isfinite(Lg2h).all()):
+            Lg1h, G, trace, frob = _NO_LG1H, _NO_G1HG1, 0.0, 0.0
+    if not all(map(math.isfinite, finite)):
         raise ModelBlowup("non-finite model data at x=%s" % x)
     return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
 
@@ -351,8 +358,8 @@ def lie_data_rows(sys, bf, X):
     if finite:
         return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
     lds = [lie_data(sys, bf, x) for x in rows]
-    return LieData(*(np.array([getattr(ld, f.name) for ld in lds])
-                     for f in fields(LieData)))
+    return LieData(*(np.array([getattr(ld, name) for ld in lds])
+                     for name in LieData._fields))
 
 
 def check_gradient(bf, x):
