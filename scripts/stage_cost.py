@@ -10,6 +10,9 @@ best of R rounds (default 5), timed with perf_counter in this process:
                               disturbance channel), h = -x
   lie_data.m1_1.us_per_call   lie_data on ex3's disturbed-gain plant
                               dx = (u + (1 + x^2) d) dt, h = -x
+  first_order_lie.m1_1.us_per_call
+                              first_order_lie on the same plant: no
+                              Hessian, no Ito terms
   ode.general.us_per_step     integrate_ode on ex3's closed loop
                               (x0 = -1.2, dt = 1e-3, T = 2) with its
                               closed-form control, u0 and worst-case d
@@ -17,7 +20,11 @@ best of R rounds (default 5), timed with perf_counter in this process:
   ode.scalar.us_per_step      the same loop on integrate_ode_scalar
   ode.general_over_scalar     the ratio of the two
   ode.filter.us_per_step      ex3's loop with inverse_optimal_general
-                              as the control: lie_data at every stage
+                              as the control: first_order_lie at every
+                              stage
+  ode.game.us_per_step        the same with worst_case_disturbance as
+                              d, game-cert's shape of ex3: two
+                              first_order_lie calls at every stage
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
 
@@ -42,6 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import safefilt as sf  # noqa: E402
 from safefilt.scenarios import (disturbed_gain_system,  # noqa: E402
                                 integrator_system, neg_state_barrier)
+from safefilt.systems import first_order_lie  # noqa: E402
 
 BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
 LIE_CALLS = 20000
@@ -57,13 +65,13 @@ def best(fn, rounds):
     return min(times)
 
 
-def lie_us(sys_, rounds):
+def lie_us(lie, sys_, rounds):
     bf = neg_state_barrier()
     x = np.array([-0.5])
 
     def calls():
         for _ in range(LIE_CALLS):
-            sf.lie_data(sys_, bf, x)
+            lie(sys_, bf, x)
     return 1e6 * best(calls, rounds) / LIE_CALLS
 
 
@@ -110,23 +118,28 @@ def ode_numbers(rounds):
             h_fn=lambda x: -x, u_fn=lambda x, t: u_star(x),
             u0_fn=lambda x, t: u0(x), d_fn=lambda x, t: d_star(x))
 
+    control = lambda x, t: sf.inverse_optimal_general(iospec, x, t)
+
     def filtered():
-        sf.integrate_ode(
-            base.sys, base.bf,
-            lambda x, t: sf.inverse_optimal_general(iospec, x, t),
-            base.u0, x0, d_arr, cfg)
+        sf.integrate_ode(base.sys, base.bf, control, base.u0, x0, d_arr, cfg)
+
+    def game():
+        sf.integrate_ode(base.sys, base.bf, control, base.u0, x0,
+                         lambda x, t: sf.worst_case_disturbance(iospec, x),
+                         cfg)
 
     steps = cfg.n_steps
     g = 1e6 * best(general, rounds) / steps
     s = 1e6 * best(scalar, rounds) / steps
     f = 1e6 * best(filtered, rounds) / steps
+    w = 1e6 * best(game, rounds) / steps
     a, b = out["general"], out["scalar"]
     same = all(np.array_equal(getattr(a, k), getattr(b, k))
                for k in ("times", "states", "controls", "nominal",
                          "disturbances", "h_values"))
     return {"ode.general.us_per_step": g, "ode.scalar.us_per_step": s,
             "ode.general_over_scalar": g / s,
-            "ode.filter.us_per_step": f}, same
+            "ode.filter.us_per_step": f, "ode.game.us_per_step": w}, same
 
 
 def sde_us(rounds):
@@ -147,10 +160,13 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be >= 1")
-    numbers = {"lie_data.m1_0.us_per_call": lie_us(integrator_system(),
-                                                   args.rounds),
-               "lie_data.m1_1.us_per_call": lie_us(disturbed_gain_system(),
-                                                   args.rounds)}
+    numbers = {
+        "lie_data.m1_0.us_per_call": lie_us(sf.lie_data, integrator_system(),
+                                            args.rounds),
+        "lie_data.m1_1.us_per_call": lie_us(
+            sf.lie_data, disturbed_gain_system(), args.rounds),
+        "first_order_lie.m1_1.us_per_call": lie_us(
+            first_order_lie, disturbed_gain_system(), args.rounds)}
     ode, same = ode_numbers(args.rounds)
     numbers.update(ode)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)

@@ -17,8 +17,8 @@ from .comparison import (DomainError, ExtendedKFunction, KFunction,
                          linear_k, numeric_inverse, piecewise_extended,
                          power_extended, power_k, power_pair, young_gap)
 from .systems import (BarrierFunction, ControlAffineSystem, LieData,
-                      ModelBlowup, check_gradient, lie_data, lie_data_rows,
-                      scalar_system, stacked)
+                      ModelBlowup, SafefiltError, check_gradient, lie_data,
+                      lie_data_rows, scalar_system, stacked)
 from .filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec, Weight,
                       half_sontag_filter, hji_residual,
                       inverse_optimal_condition, inverse_optimal_general,

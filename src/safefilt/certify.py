@@ -11,9 +11,10 @@ integral and the per-sample terminal term all come from it, and the
 invariance (CostValue.invariance) is read off that same pass. The pass
 is one array pass: each kind's evaluator hands the whole record, states
 (N, n) and nominal values (N, m2), to the margin and weight functions
-of its filter module, which take stacks (one systems.lie_data_rows call on
-the record, one Cholesky for all the weights) and return one value per
-sample, equal bit for bit to their single-state values.
+of its filter module, which take stacks (one systems.first_order_lie_rows
+call on the record, lie_data_rows for the two Ito kinds, and one
+Cholesky for all the weights) and return one value per sample, equal
+bit for bit to their single-state values.
 
 Every integral here is the trapezoid rule of trapezoid and
 cumulative_trapezoid: numpy evaluating scipy's formula term for term, so
@@ -53,7 +54,7 @@ from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
 from .sim import integrate_ode
 from .stochastic import nssf_weights, stoch_weights
-from .systems import lie_data_rows, row_dot, row_norm
+from .systems import first_order_lie_rows, row_dot, row_norm
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -214,7 +215,7 @@ def _qp_weighted_terms(traj, cost):
 def _qp_exact_data(spec, x, u0v):
     """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1),
     stacked over the rows of x and u0v."""
-    ld = lie_data_rows(spec.sys, spec.bf, x)
+    ld = first_order_lie_rows(spec.sys, spec.bf, x)
     alpha_h = elementwise(spec.alpha, ld.h_val)
     return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
 

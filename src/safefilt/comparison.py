@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from .sim import _rk4
+from .systems import SafefiltError
 
 INV_XTOL = 1e-12            # absolute tolerance handed to brentq
 KL_AGREE_TOL = 1e-8         # successive step-halvings must agree this well
@@ -41,12 +42,16 @@ KL_MIN_STEP = 1e-12         # no agreement at a smaller step: report, stop
 MAX_BRACKET_DOUBLINGS = 200
 
 
-class DomainError(ValueError):
+class DomainError(SafefiltError, ValueError):
     """Argument outside the declared domain of a comparison function."""
 
 
-class BracketError(RuntimeError):
+class BracketError(SafefiltError, RuntimeError):
     """Numeric inverse could not bracket the target value."""
+
+
+class TubeRefinementError(SafefiltError, RuntimeError):
+    """The RK4 decay tube did not converge under step halving."""
 
 
 def numeric_inverse(fn, y, hi0=1.0):
@@ -294,10 +299,11 @@ def _rk4_tube(alpha, r, times):
         if float(np.max(np.abs(cur - prev))) <= KL_AGREE_TOL:
             return cur
         if coarsest / scale < KL_MIN_STEP:
-            raise RuntimeError("kl_solve_grid: step underflow before "
-                               "convergence")
+            raise TubeRefinementError("kl_solve_grid: step underflow "
+                                      "before convergence")
         prev = cur
-    raise RuntimeError("kl_solve_grid: refinement limit reached")
+    raise TubeRefinementError("kl_solve_grid: refinement limit "
+                              "reached")
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,20 @@ S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
 
 beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
 
+Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
+it takes first-order Lie data (systems.first_order_lie, through _lie1),
+and the barrier Hessian is never called here. The Ito terms are for
+`stochastic`: its games pass _lie, the full lie_data, to the one value
+equation, _value_game, which evaluates whichever Lie data its game
+hands it.
+
 The margins, the games, the weights and `correct` also take stacks:
-LieData of N states (systems.lie_data_rows on an (N, n) array), with
-the states and nominal values as (N, n) and (N, m2) arrays, and u0 at
-a stack through systems.call_rows. Each formula is written once; on
-stacks it returns one entry per row, equal bit for bit to the
-single-state value, so a cost pass is one call per record and the
-stochastic filters step a stack of paths in one call.
+Lie data of N states (systems.first_order_lie_rows or lie_data_rows on
+an (N, n) array), with the states and nominal values as (N, n) and
+(N, m2) arrays, and u0 at a stack through systems.call_rows. Each
+formula is written once; on stacks it returns one entry per row, equal
+bit for bit to the single-state value, so a cost pass is one call per
+record and the stochastic filters step a stack of paths in one call.
 """
 
 import math
@@ -58,8 +65,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (_as_state, call_rows, lie_data, lie_data_rows, row_dot,
-                      row_norm, stack_rows, vec_norm)
+from .systems import (SafefiltError, _as_state, call_rows, first_order_lie,
+                      first_order_lie_rows, lie_data, lie_data_rows,
+                      row_dot, row_norm, stack_rows, vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -68,7 +76,7 @@ SONTAG = "sontag"
 HALF_SONTAG = "half-sontag"
 
 
-class CbfViolation(RuntimeError):
+class CbfViolation(SafefiltError, RuntimeError):
     """Safety constraint violated where the control has no authority."""
 
 
@@ -137,8 +145,17 @@ def _u0_at(spec, x, t):
     return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
 
 
+def _lie1(sys, bf, x):
+    """first_order_lie at a state, first_order_lie_rows at an (N, n)
+    stack of them."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return first_order_lie_rows(sys, bf, x)
+    return first_order_lie(sys, bf, x)
+
+
 def _lie(sys, bf, x):
-    """lie_data at a state, lie_data_rows at an (N, n) stack of them."""
+    """lie_data at a state, lie_data_rows at an (N, n) stack of them:
+    _lie1 plus the Ito terms, for the filters that read them."""
     if type(x) is np.ndarray and x.ndim == 2:
         return lie_data_rows(sys, bf, x)
     return lie_data(sys, bf, x)
@@ -236,7 +253,7 @@ def cbf_margin(spec, ld, u0v):
 
 
 def _dssf_at(spec, x, t):
-    ld = lie_data(spec.sys, spec.bf, x)
+    ld = first_order_lie(spec.sys, spec.bf, x)
     u0v = _u0_at(spec, x, t)
     return (u0v,) + dssf_margin(spec, ld, u0v)
 
@@ -331,13 +348,14 @@ class InverseOptimalSpec:
 _Game = namedtuple("_Game", "ld R ra S drift adv ctrl l residual")
 
 
-def _value_game(spec, sys, bf, lam, x, u0v, supply):
+def _value_game(spec, lie, sys, bf, lam, x, u0v, supply):
     """The game at state x and nominal value u0v. spec carries R2,
-    beta_gain and allow_safety_only; supply(ld, Lfh + Lg2h.u0, S)
-    returns the game's (drift, adv, ctrl)."""
+    beta_gain and allow_safety_only; lie is _lie1 or _lie, the Lie data
+    the game's supply reads; supply(ld, Lfh + Lg2h.u0, S) returns the
+    game's (drift, adv, ctrl)."""
     beta = spec.beta_gain
     _check_gains(beta, spec.allow_safety_only)
-    ld = _lie(sys, bf, x)
+    ld = lie(sys, bf, x)
     R, ra, S = _weighted(spec.R2, x, u0v, ld.Lg2h)
     drift, adv, ctrl = supply(ld, ld.Lfh + row_dot(ld.Lg2h, u0v), S)
     l = (-2.0 * beta * (drift - adv + ctrl)
@@ -355,8 +373,8 @@ def _premise(game, alpha):
 def _io_game(iospec, x, u0v):
     """The disturbance game: (drift, ell_gamma(2||Lg1h||), S)."""
     base = iospec.base
-    return _value_game(iospec, base.sys, base.bf, iospec.lam, x, u0v,
-                       lambda ld, drift, S: (drift, elementwise(
+    return _value_game(iospec, _lie1, base.sys, base.bf, iospec.lam, x,
+                       u0v, lambda ld, drift, S: (drift, elementwise(
                            iospec.gamma.ell, 2.0 * row_norm(ld.Lg1h)), S))
 
 
@@ -379,7 +397,7 @@ def inverse_optimal_condition(iospec, x, t):
 
 def worst_case_disturbance(iospec, x):
     """Maximizing disturbance of the softened game, feedback in x only."""
-    ld = lie_data(iospec.base.sys, iospec.base.bf, x)
+    ld = first_order_lie(iospec.base.sys, iospec.base.bf, x)
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(iospec.base.sys.m1)
@@ -389,7 +407,7 @@ def worst_case_disturbance(iospec, x):
 
 def qp_worst_case_disturbance(spec, lam, x):
     """Worst disturbance for the min-norm weights (rho-shaped penalty)."""
-    ld = lie_data(spec.sys, spec.bf, x)
+    ld = first_order_lie(spec.sys, spec.bf, x)
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
@@ -429,7 +447,7 @@ def pi_gap(iospec, x, d):
 
     Nonnegative, zero exactly at the worst-case disturbance.
     """
-    ld = lie_data(iospec.base.sys, iospec.base.bf, x)
+    ld = first_order_lie(iospec.base.sys, iospec.base.bf, x)
     d = _as_state(d, iospec.base.sys.m1, "disturbance")
     lam = iospec.lam
     ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
@@ -480,7 +498,7 @@ def min_norm_certificate(beta, omega, a, alpha_h):
 def min_norm_weights(spec, x, u0v, beta_gain, lam):
     """qp_weights at state x and nominal value u0v, or at each row of
     their stacks."""
-    ld = _lie(spec.sys, spec.bf, x)
+    ld = _lie1(spec.sys, spec.bf, x)
     rinv = budget(spec.rho, -ld.h_val)
     nrm = row_norm(ld.Lg1h)
     alpha_h = elementwise(spec.alpha, ld.h_val)

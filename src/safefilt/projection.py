@@ -24,12 +24,12 @@ from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, correct, margin,
                       min_norm_certificate)
 from .sim import _alloc, _record, _rk4, _run, integrate_ode
-from .systems import ControlAffineSystem, _as_state, at_rows
+from .systems import ControlAffineSystem, SafefiltError, _as_state, at_rows
 
 PROJ_BOUNDARY_TOL = 1e-12
 
 
-class ProjectionError(RuntimeError):
+class ProjectionError(SafefiltError, RuntimeError):
     """Projection undefined: estimate outside the set, or a flat
     gradient where the constraint is active."""
 

@@ -24,10 +24,11 @@ import numpy as np
 from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
                       margin, min_norm_certificate)
-from .systems import BarrierFunction, _as_state, at_rows, lie_data_rows
+from .systems import (BarrierFunction, SafefiltError, _as_state, at_rows,
+                      first_order_lie_rows)
 
 
-class RcbfViolation(RuntimeError):
+class RcbfViolation(SafefiltError, RuntimeError):
     """Boundary contact, or positive margin with no control authority."""
 
 
@@ -50,13 +51,13 @@ class RcbfSpec:
 
 def _b_data(spec, x):
     """(B, LfB, LgB) at state x, or stacked over the rows of an (N, n) x:
-    there the lie data of B (m1 = 0, so the same model calls), and where
-    that fails or B leaves (0, inf), _b_data row by row, which raises
-    its own error at the first bad row."""
+    there the first-order lie data of B (m1 = 0, so the same model
+    calls), and where that fails or B leaves (0, inf), _b_data row by
+    row, which raises its own error at the first bad row."""
     if type(x) is np.ndarray and x.ndim == 2:
         try:
-            ld = lie_data_rows(spec.sys, BarrierFunction(spec.B, spec.gradB),
-                               x)
+            ld = first_order_lie_rows(
+                spec.sys, BarrierFunction(spec.B, spec.gradB), x)
         except Exception:
             # whatever failed, the row-by-row pass below meets it first
             # as _b_data does, and raises _b_data's own error

@@ -53,7 +53,8 @@ from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
                          worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import BarrierFunction, lie_data_rows, scalar_system, stacked
+from .systems import (BarrierFunction, SafefiltError, lie_data_rows,
+                      scalar_system, stacked)
 
 VALUE_TOL = 1e-3
 
@@ -641,8 +642,8 @@ FILTER_MODULES = ("filters", "reciprocal", "stochastic", "projection",
                   "nonovershoot")
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(SafefiltError, ValueError):
+    """A config, built-in id, seed, path count or override is refused."""
 
 
 _KNOBS = ("dt", "T", "seed", "paths")

@@ -44,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import ModelBlowup, _Stacked, _as_state, call_rows
+from .systems import (ModelBlowup, SafefiltError, _Stacked, _as_state,
+                      call_rows)
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 4096            # samples formatted per write
@@ -52,7 +53,7 @@ SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
 SEED_MAX = 2 ** 64 - 1024
 
 
-class SimulationError(RuntimeError):
+class SimulationError(SafefiltError, RuntimeError):
     """Model or policy failure at a known state and time."""
 
 

@@ -37,10 +37,10 @@ import numpy as np
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains, _lie,
                       _premise, _u0_at, _value_game, budget, correct, margin)
-from .systems import _as_state, lie_data, row_dot
+from .systems import SafefiltError, _as_state, lie_data, row_dot
 
 
-class ScbfViolation(RuntimeError):
+class ScbfViolation(SafefiltError, RuntimeError):
     """Generator condition violated with no control authority."""
 
 
@@ -182,7 +182,7 @@ def _game(spec, x, u0v, adversary=False):
             return drift, elementwise(spec.gamma1.ell, ld.frob_term), ell2
         return drift + ld.trace_term, 0.0, ell2
     # lam weighs only the adversary term, which the Ito value lacks
-    return _value_game(spec, spec.sys, spec.bf,
+    return _value_game(spec, _lie, spec.sys, spec.bf,
                        spec.lam if adversary else 2.0, x, u0v, supply)
 
 

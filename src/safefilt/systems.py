@@ -6,22 +6,38 @@ channel (width m2). A barrier h is safe on {h >= 0}; its gradient and
 Hessian come analytically when supplied, otherwise by central finite
 differences with a relative step.
 
-lie_data evaluates everything the filters need at one state in one
-call: h, the Lie derivatives along f, g1, g2, and the second-order
-terms 0.5*Tr{g1' H g1} and ||g1' H g1||_F used by the stochastic
-generators. One call checks each thing once: the state's shape, each
-model output's shape as it is converted, a supplied Hessian's symmetry,
-and the finiteness of h and of every Lie product (one math.isfinite
-per number). lie_data_rows does the same at each row of a stack X of
-shape (N, n) and returns one LieData of stacks: the model is still
-called row by row (the loops that call user callables row by row are
-all in this module: stack_rows, at_rows), but its outputs are
-converted, and the Lie derivatives, the Hessian symmetry and the
-finiteness checked, on the stacked arrays, which is what makes a cost
-pass one array pass per record. The integrator's per-stage calls keep
-the single-state lie_data, which is cheaper for one state. Both run
-the Lie products with numpy's warnings silenced: non-finite model data
-is their ModelBlowup, not a RuntimeWarning first.
+The Lie data of a barrier comes in two orders, and each consumer
+computes only the order it reads:
+
+  first_order_lie   h, Lfh, Lg1h and Lg2h (a FirstOrderLie). The
+                    deterministic filters, the disturbance game and its
+                    weights, the worst-case disturbances and the
+                    min-norm and qp-exact certificates read only these,
+                    so the barrier Hessian is never called for them.
+  lie_data          the same core plus the Ito terms of a disturbance
+                    channel (m1 > 0): 0.5*Tr{g1' H g1}, ||g1' H g1||_F
+                    and g1' H g1 (a LieData). The stochastic filters and
+                    games read them, and so do nonovershoot's Ito
+                    sandwich and ex5's generator margin; nonovershoot
+                    calls it for its deterministic sandwich as well.
+
+One call checks each thing once: the state's shape, each model output's
+shape as it is converted, a supplied Hessian's symmetry (lie_data
+only), and the finiteness of h and of every Lie product (one
+math.isfinite per number). first_order_lie_rows and lie_data_rows do
+the same at each row of a stack X of shape (N, n) and return one result
+of stacks: the model is still called row by row (the loops that call
+user callables row by row are all in this module: stack_rows, at_rows),
+but its outputs are converted, and the Lie derivatives, the Hessian
+symmetry and the finiteness checked, on the stacked arrays, which is
+what makes a cost pass one array pass per record. The integrator's
+per-stage calls keep the single-state forms, which are cheaper for one
+state. Each call runs under one np.errstate that silences numpy's
+warnings, the model calls and their finite differences included:
+non-finite model data is its ModelBlowup, not a RuntimeWarning first.
+
+SafefiltError is the base of every error the package raises by name;
+each keeps its builtin base as well.
 
 A policy callable u(x, t) takes one (n,) state. stacked(fn) declares
 one that takes an (N, n) stack of states and returns the (N, m) stack
@@ -40,7 +56,14 @@ GRAD_CHECK_TOL = 1e-5
 HESS_SYM_TOL = 1e-10
 
 
-class ModelBlowup(ArithmeticError):
+class SafefiltError(Exception):
+    """Base of the errors this package raises by name. Each subclass
+    also keeps a builtin base (ValueError, RuntimeError or
+    ArithmeticError), so an except clause written for that base still
+    catches it."""
+
+
+class ModelBlowup(SafefiltError, ArithmeticError):
     """Model evaluation produced a non-finite value."""
 
 
@@ -268,11 +291,24 @@ class BarrierFunction:
         return 0.5 * (H + Ht)
 
 
+class FirstOrderLie(NamedTuple):
+    """h and its Lie derivatives at one state: what the deterministic
+    filters, the disturbance game and its weights read. From a stack of
+    N states every field gains a leading axis of length N (floats
+    become (N,) arrays). Its fields are the first four of LieData,
+    which adds the Ito terms; it has no trace_term, frob_term or
+    g1_hess_g1, so reading one of them from it is an AttributeError."""
+    h_val: float
+    Lfh: float
+    Lg1h: np.ndarray       # (m1,)
+    Lg2h: np.ndarray       # (m2,)
+
+
 class LieData(NamedTuple):
-    """At one state; from a stack of N states every field gains a
-    leading axis of length N (floats become (N,) arrays). Immutable: a
-    field cannot be reassigned, and the m1 = 0 Lg1h and g1_hess_g1 of
-    lie_data are read-only arrays that every such call shares."""
+    """FirstOrderLie's four fields, then the Ito terms; stacked the same
+    way. Immutable: a field cannot be reassigned, and the m1 = 0 Lg1h
+    and g1_hess_g1 of lie_data and first_order_lie are read-only arrays
+    that every such call shares."""
     h_val: float
     Lfh: float
     Lg1h: np.ndarray       # (m1,)
@@ -288,78 +324,145 @@ _NO_LG1H = np.frombuffer(b"", dtype=float)
 _NO_G1HG1 = _NO_LG1H.reshape(0, 0)
 
 
-def lie_data(sys, bf, x):
+def _check_finite(numbers, x):
+    if not all(map(math.isfinite, numbers)):
+        raise ModelBlowup("non-finite model data at x=%s" % x)
+
+
+def _first_order(sys, bf, x):
+    """(x checked, g1, the numbers to check, then FirstOrderLie's four
+    fields unchecked) at one state, under the caller's np.errstate. The model
+    is called in the order h, gradient, f, g2, g1, so where two calls
+    raise, the first in that order does."""
     x = _as_state(x, sys.n)
     h = float(bf._h(x))
     grad = bf._gradient_of(x)
     f, g2 = sys._f_of(x), sys._g2_of(x)
+    Lfh = float(grad @ f)
+    Lg2h = grad @ g2
+    finite = [h, Lfh, *Lg2h.tolist()]
     if sys.m1 > 0:
-        g1, H = sys._g1_of(x), bf._raw_hessian(x)
-    # non-finite model data is the ModelBlowup below, not a numpy warning
+        g1 = sys._g1_of(x)
+        Lg1h = grad @ g1
+        finite += Lg1h.tolist()
+    else:
+        g1, Lg1h = None, _NO_LG1H
+    return x, g1, finite, h, Lfh, Lg1h, Lg2h
+
+
+def first_order_lie(sys, bf, x):
+    """h, Lfh, Lg1h and Lg2h at one state, each model output's shape
+    and the four results' finiteness checked once (ModelBlowup if one
+    is not finite). The barrier Hessian is never called."""
+    # non-finite model data, a finite difference of it included, is the
+    # ModelBlowup of _check_finite, not a numpy warning first
     with np.errstate(all="ignore"):
-        Lfh = float(grad @ f)
-        Lg2h = grad @ g2
-        finite = [h, Lfh, *Lg2h.tolist()]
+        x, _, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
+        _check_finite(finite, x)
+    return FirstOrderLie(h, Lfh, Lg1h, Lg2h)
+
+
+def lie_data(sys, bf, x):
+    """first_order_lie plus the Ito terms where m1 > 0: the Hessian is
+    called after g1, a supplied one checked for symmetry, and then the
+    finiteness of every result checked at once."""
+    with np.errstate(all="ignore"):  # as in first_order_lie
+        x, g1, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
         if sys.m1 > 0:
-            Lg1h = grad @ g1
-            G = g1.T @ bf._symmetrized(H) @ g1
+            G = g1.T @ bf._symmetrized(bf._raw_hessian(x)) @ g1
             trace = 0.5 * float(G.trace())
             frob = vec_norm(G)
-            finite += [trace, frob, *Lg1h.tolist()]
+            finite += [trace, frob]
         else:
-            Lg1h, G, trace, frob = _NO_LG1H, _NO_G1HG1, 0.0, 0.0
-    if not all(map(math.isfinite, finite)):
-        raise ModelBlowup("non-finite model data at x=%s" % x)
+            G, trace, frob = _NO_G1HG1, 0.0, 0.0
+        _check_finite(finite, x)
     return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
 
 
-def lie_data_rows(sys, bf, X):
-    """lie_data at each row of an (N, n) stack X, as one LieData whose
-    fields have a leading axis of length N, equal bit for bit to the
-    single-state values. The model is called row by row, but its outputs
-    are converted and checked as stacks. Where anything fails, lie_data
-    runs again row by row: it raises its own error at the first bad row,
-    or, for a model whose output shape varies from row to row, gives the
-    same data."""
+def _state_rows(sys, X):
+    """The rows of an (N, n) state stack X, as a list."""
     X = np.asarray(X, dtype=float)
-    n, m1 = sys.n, sys.m1
-    if X.ndim != 2 or X.shape[1] != n:
+    if X.ndim != 2 or X.shape[1] != sys.n:
         raise ValueError("state stack shape %s, expected (N, %d)"
-                         % (X.shape, n))
-    rows = list(X)
-    N = len(rows)
-    try:
-        h = stack_rows(bf._h, (), rows)
-        if bf._grad is None:
-            grad = stack_rows(bf._gradient_of, (n,), rows)
-        else:
-            grad = _vectors(bf._grad, rows, n)
-        fx, g2, g1 = sys._stacks_of(rows)
-        if m1 > 0:
-            H = stack_rows(bf._raw_hessian if bf._hess is None
-                           else bf._hess, (n, n), rows)
-        with np.errstate(all="ignore"):  # as in lie_data
-            Lfh = row_dot(grad, fx)
-            Lg2h = np.matmul(grad[:, None, :], g2)[:, 0, :]
+                         % (X.shape, sys.n))
+    return list(X)
+
+
+def _first_order_rows(sys, bf, rows):
+    """(g1, the arrays to check, FirstOrderLie's fields unchecked) at
+    each of the states `rows`, as stacks, under the caller's
+    np.errstate."""
+    n = sys.n
+    h = stack_rows(bf._h, (), rows)
+    if bf._grad is None:
+        grad = stack_rows(bf._gradient_of, (n,), rows)
+    else:
+        grad = _vectors(bf._grad, rows, n)
+    fx, g2, g1 = sys._stacks_of(rows)
+    Lfh = row_dot(grad, fx)
+    Lg2h = np.matmul(grad[:, None, :], g2)[:, 0, :]
+    if sys.m1 > 0:
+        Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
+    else:
+        Lg1h = np.zeros((len(rows), 0))
+    return g1, [h, Lfh, Lg1h.ravel(), Lg2h.ravel()], (h, Lfh, Lg1h, Lg2h)
+
+
+def _by_row(kind, single, rows):
+    """single at each row, as one `kind` (FirstOrderLie or LieData)
+    whose fields are the rows' fields stacked: the fallback of the
+    stacked evaluations, which raises single's own error at the first
+    bad row."""
+    lds = [single(x) for x in rows]
+    return kind(*(np.array([getattr(ld, name) for ld in lds])
+                  for name in kind._fields))
+
+
+def first_order_lie_rows(sys, bf, X):
+    """first_order_lie at each row of an (N, n) stack X, as one
+    FirstOrderLie whose fields have a leading axis of length N, equal
+    bit for bit to the single-state values. The model is called row by
+    row, but its outputs are converted and checked as stacks. Where
+    anything fails, first_order_lie runs again row by row: it raises
+    its own error at the first bad row, or, for a model whose output
+    shape varies from row to row, gives the same data."""
+    rows = _state_rows(sys, X)
+    with np.errstate(all="ignore"):  # as in first_order_lie
+        try:
+            _, terms, first = _first_order_rows(sys, bf, rows)
+            if np.isfinite(np.concatenate(terms)).all():
+                return FirstOrderLie(*first)
+        except Exception:
+            pass
+    return _by_row(FirstOrderLie, lambda x: first_order_lie(sys, bf, x),
+                   rows)
+
+
+def lie_data_rows(sys, bf, X):
+    """lie_data at each row of an (N, n) stack X, as one LieData: the
+    stacks of first_order_lie_rows plus the Ito terms, from one Hessian
+    stack, symmetrized and checked at once; where anything fails,
+    lie_data row by row, as there."""
+    rows = _state_rows(sys, X)
+    n, m1, N = sys.n, sys.m1, len(rows)
+    with np.errstate(all="ignore"):  # as in first_order_lie
+        try:
+            g1, terms, first = _first_order_rows(sys, bf, rows)
             if m1 > 0:
-                Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
-                H = bf._symmetrized(H)
+                H = bf._symmetrized(stack_rows(
+                    bf._raw_hessian if bf._hess is None else bf._hess,
+                    (n, n), rows))
                 G = np.matmul(np.matmul(np.swapaxes(g1, 1, 2), H), g1)
                 trace = 0.5 * np.trace(G, axis1=1, axis2=2)
                 frob = row_norm(G.reshape(N, m1 * m1))
             else:
-                Lg1h = np.zeros((N, 0))
                 G = np.zeros((N, 0, 0))
                 trace, frob = np.zeros((2, N))
-        finite = np.isfinite(np.concatenate(
-            (h, Lfh, trace, frob, Lg1h.ravel(), Lg2h.ravel()))).all()
-    except Exception:
-        finite = False
-    if finite:
-        return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
-    lds = [lie_data(sys, bf, x) for x in rows]
-    return LieData(*(np.array([getattr(ld, name) for ld in lds])
-                     for name in LieData._fields))
+            if np.isfinite(np.concatenate(terms + [trace, frob])).all():
+                return LieData(*first, trace, frob, G)
+        except Exception:
+            pass
+    return _by_row(LieData, lambda x: lie_data(sys, bf, x), rows)
 
 
 def check_gradient(bf, x):

@@ -4,8 +4,9 @@ evaluate_cost returns the per-sample terminal term with the total, and
 CostValue.invariance is read off that same pass: these tests pin it to
 the public cost_invariance_check for every cost kind, check that the
 terminal column is the one each cost defines, and count the states
-lie_data and lie_data_rows evaluate for the inverse-optimal built-ins:
-each cost pass is one stacked call over the record.
+lie_data, lie_data_rows and their first-order cores evaluate for the
+inverse-optimal built-ins: each cost pass is one stacked call over the
+record.
 """
 
 import math
@@ -27,7 +28,9 @@ from safefilt.scenarios import (_ex3_pieces, disturbed_gain_system,
 from safefilt.sim import SimConfig, Trajectory, integrate_ode, integrate_sde
 from safefilt.stochastic import (CovarianceSchedule, nssf_qp_filter,
                                  stoch_qp_filter)
-from safefilt.systems import lie_data, lie_data_rows, scalar_system, vec_norm
+from safefilt.systems import (first_order_lie, first_order_lie_rows,
+                              lie_data, lie_data_rows, scalar_system,
+                              vec_norm)
 
 CFG = SimConfig(dt=1e-2, T=1.0)
 
@@ -197,9 +200,16 @@ def test_running_cost_is_infinite_from_the_first_flagged_interval():
     assert np.all(cv.running[3:] == math.inf)
 
 
+# every entry point the filters and certify reach the Lie data through
+LIE_ENTRIES = ((safefilt.certify, first_order_lie_rows),
+               (safefilt.filters, lie_data), (safefilt.filters, lie_data_rows),
+               (safefilt.filters, first_order_lie),
+               (safefilt.filters, first_order_lie_rows))
+
+
 def count_lie_data(monkeypatch):
-    """The states lie_data and lie_data_rows are evaluated at: a stack
-    of N counts N."""
+    """The states lie_data, lie_data_rows and their first-order cores
+    are evaluated at: a stack of N counts N."""
     calls = []
 
     def counted(fn):
@@ -207,11 +217,8 @@ def count_lie_data(monkeypatch):
             calls.extend(np.reshape(x, (-1, sys.n)))
             return fn(sys, bf, x)
         return wrapped
-    monkeypatch.setattr(safefilt.certify, "lie_data_rows",
-                        counted(lie_data_rows))
-    monkeypatch.setattr(safefilt.filters, "lie_data", counted(lie_data))
-    monkeypatch.setattr(safefilt.filters, "lie_data_rows",
-                        counted(lie_data_rows))
+    for module, fn in LIE_ENTRIES:
+        monkeypatch.setattr(module, fn.__name__, counted(fn))
     return calls
 
 
@@ -235,11 +242,14 @@ def test_ex3_makes_one_cost_pass(monkeypatch):
 def test_each_cost_pass_is_one_stacked_call(monkeypatch):
     stacks = []
 
-    def counted(sys, bf, X):
-        stacks.append(X.shape)
-        return lie_data_rows(sys, bf, X)
-    monkeypatch.setattr(safefilt.certify, "lie_data_rows", counted)
-    monkeypatch.setattr(safefilt.filters, "lie_data_rows", counted)
+    def counted(fn):
+        def wrapped(sys, bf, X):
+            stacks.append(X.shape)
+            return fn(sys, bf, X)
+        return wrapped
+    for module, fn in LIE_ENTRIES:
+        if fn.__name__.endswith("_rows"):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
     run_ex4_invopt_qp(CFG)
     # qp-exact, then qp-weighted: the whole record each time
     assert stacks == [(101, 1), (101, 1)]

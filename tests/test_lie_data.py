@@ -11,22 +11,59 @@ asymmetric Hessian a ValueError. LieData is immutable, and the
 read-only m1 = 0 arrays that lie_data shares cannot be written through.
 Also here: the perturbed control of optimality_probe, which hands
 u_star's value to integrate_ode's control check unconverted.
+
+The first-order core, first_order_lie(_rows), is lie_data's first four
+fields, bit for bit, and raises ModelBlowup for a NaN or inf in any
+output it reads. Every first-order consumer in filters and certify,
+and the disturbance-game, qp-exact and qp-weighted cost passes, give
+the same bits as when they read the full LieData. A barrier Hessian
+that raises, is NaN, is asymmetric or has the wrong shape changes none
+of them, while lie_data, lie_data_rows and the Ito filters still raise
+for it. Finite differences of non-finite model data raise ModelBlowup
+under warnings-as-errors, and every named error is a SafefiltError.
 """
 
+import contextlib
+import itertools
 import math
+import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from safefilt.certify import CostSpec, ProbeSetup, optimality_probe
-from safefilt.comparison import identity_k, linear_extended
-from safefilt.filters import DssfCbfSpec, inverse_optimal_qp
-from safefilt.scenarios import integrator_system, neg_state_barrier
-from safefilt.sim import SimConfig, SimulationError
-from safefilt.systems import (BarrierFunction, ControlAffineSystem,
-                              LieData, ModelBlowup, _as_state, lie_data,
-                              lie_data_rows, vec_norm)
+import safefilt
+import safefilt.certify
+import safefilt.filters
+from safefilt.certify import (CostSpec, CostValue, ProbeSetup, _qp_exact_data,
+                              evaluate_cost, optimality_probe)
+from safefilt.comparison import (BracketError, DomainError, ExtendedKFunction,
+                                 TubeRefinementError, identity_k,
+                                 kl_solve_grid, linear_extended, linear_k,
+                                 power_pair)
+from safefilt.filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec,
+                              Weight, game_weights, half_sontag_filter,
+                              hji_residual, inverse_optimal_condition,
+                              inverse_optimal_general, inverse_optimal_qp,
+                              min_norm_weights, omega_dssf, pi_gap, qp_filter,
+                              qp_filter_affine_form, qp_weights,
+                              qp_worst_case_disturbance, sontag_filter,
+                              state_penalty_l, worst_case_disturbance)
+from safefilt.nonovershoot import SandwichSpec, sandwich_filter
+from safefilt.projection import ProjectionError
+from safefilt.reciprocal import RcbfViolation
+from safefilt.scenarios import (ConfigError, integrator_system,
+                                neg_state_barrier)
+from safefilt.sim import SimConfig, SimulationError, Trajectory
+from safefilt.stochastic import (NssfSpec, ScbfViolation, StochSpec,
+                                 nssf_qp_filter, stoch_qp_filter)
+from safefilt.systems import (FD_STEP, BarrierFunction, ControlAffineSystem,
+                              FirstOrderLie, LieData, ModelBlowup,
+                              SafefiltError, _as_state, first_order_lie,
+                              first_order_lie_rows, lie_data, lie_data_rows,
+                              vec_norm)
 
 OUTPUTS = ("h", "grad", "hess", "f", "g1", "g2")
 
@@ -255,3 +292,275 @@ def test_probe_u_star_as_a_number_or_a_vector_gives_the_same_margins():
     a = optimality_probe(probe_setup(vector), cfg)
     b = optimality_probe(probe_setup(number), cfg)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# first-order Lie data: the deterministic consumers never read the Hessian
+# ---------------------------------------------------------------------------
+
+class HessianFault(Exception):
+    """Raised by a barrier Hessian that must not be called."""
+
+
+@contextlib.contextmanager
+def full_lie_data():
+    """The first-order entry points of filters and certify replaced by
+    lie_data and lie_data_rows: each consumer then reads its four fields
+    off the full LieData, the Hessian called and checked."""
+    with mock.patch.object(safefilt.filters, "first_order_lie", lie_data), \
+            mock.patch.object(safefilt.filters, "first_order_lie_rows",
+                              lie_data_rows), \
+            mock.patch.object(safefilt.certify, "first_order_lie_rows",
+                              lie_data_rows):
+        yield
+
+
+def bits(v):
+    """v's type and exact bytes, recursively; an exception's class and
+    text."""
+    if isinstance(v, BaseException):
+        return type(v), str(v)
+    if isinstance(v, tuple):
+        return type(v).__name__, tuple(bits(e) for e in v)
+    if isinstance(v, Weight):
+        return "Weight", bits(v.value), bits(v.infinite)
+    if isinstance(v, CostValue):
+        return ("CostValue", bits(v.total), v.infinite, bits(v.running),
+                bits(v.terminal))
+    a = np.asarray(v)
+    return type(v).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+def first_order_consumers(sys, bf, X, seed):
+    """Every first-order consumer at the rows of X (and at the whole
+    stack where it takes one), as thunks by name, with specs drawn from
+    seed: a state-dependent u0, R2 the identity or a state-dependent SPD
+    weight, and a record of the rows for the three cost passes."""
+    rng = np.random.default_rng(seed)
+    n, m1, m2 = sys.n, sys.m1, sys.m2
+    K, k = rng.normal(size=(m2, n)), rng.normal(size=m2)
+    L = rng.normal(size=(m2, m2))
+    weighted = bool(rng.integers(2))
+    R2 = (lambda x, u0v: L @ L.T + (1.0 + x @ x) * np.eye(m2)) \
+        if weighted else None
+    base = DssfCbfSpec(sys, bf, linear_k(rng.uniform(0.5, 2.0)),
+                       linear_extended(rng.uniform(0.5, 3.0)),
+                       lambda x, t: K @ x + k)
+    beta, lam = 2.0 + 3.0 * rng.random(), rng.uniform(0.5, 2.0)
+    iospec = InverseOptimalSpec(base, beta, lam, power_pair(2), R2=R2)
+    U0 = X @ K.T + k
+    # no disturbance at all in half the draws: qp-weighted's infinite
+    # disturbance weight (h >= 0) then meets no deviation
+    D = rng.normal(size=(len(X), m1)) * rng.integers(2)
+    traj = Trajectory(times=np.linspace(0.0, 0.1, len(X)), states=X,
+                      controls=U0 + rng.normal(size=U0.shape), nominal=U0,
+                      disturbances=D, h_values=rng.normal(size=len(X)),
+                      running_cost=np.zeros(len(X)))
+    t = 0.3
+    out = {
+        "game_weights": lambda: game_weights(iospec, X, U0),
+        "min_norm_weights": lambda: min_norm_weights(base, X, U0, beta,
+                                                     lam),
+        "qp_exact_data": lambda: _qp_exact_data(base, X, U0),
+        "cost.disturbance-game": lambda: evaluate_cost(
+            traj, CostSpec("disturbance-game", spec=iospec)),
+        "cost.qp-exact": lambda: evaluate_cost(
+            traj, CostSpec("qp-exact", spec=base)),
+        "cost.qp-weighted": lambda: evaluate_cost(
+            traj, CostSpec("qp-weighted", spec=base)),
+    }
+    for i, (x, d) in enumerate(zip(X, D)):
+        out.update({"%s@%d" % (fn.__name__, i): partial(fn, base, x, t)
+                    for fn in (omega_dssf, qp_filter, qp_filter_affine_form,
+                               sontag_filter, half_sontag_filter,
+                               qp_weights)})
+        out.update({"%s@%d" % (fn.__name__, i): partial(fn, iospec, x, t)
+                    for fn in (inverse_optimal_general, hji_residual,
+                               inverse_optimal_condition, state_penalty_l)})
+        out["inverse_optimal_qp@%d" % i] = partial(inverse_optimal_qp, base,
+                                                   beta, x, t)
+        out["worst_case_disturbance@%d" % i] = partial(
+            worst_case_disturbance, iospec, x)
+        out["qp_worst_case_disturbance@%d" % i] = partial(
+            qp_worst_case_disturbance, base, lam, x)
+        out["pi_gap@%d" % i] = partial(pi_gap, iospec, x, d)
+        out["game_weights@%d" % i] = partial(game_weights, iospec, x, U0[i])
+        out["min_norm_weights@%d" % i] = partial(min_norm_weights, base, x,
+                                                 U0[i], beta, lam)
+    return out
+
+
+def consumer_bits(thunks):
+    return {name: bits(outcome(fn)) for name, fn in thunks.items()}
+
+
+@given(dims=dims, seed=st.integers(0, 2 ** 16), grad=st.booleans(),
+       hess=st.booleans(), xs=states, rows=st.sampled_from((1, 3)))
+@settings(max_examples=60, deadline=None)
+def test_first_order_consumers_equal_their_full_lie_data_reference(
+        dims, seed, grad, hess, xs, rows):
+    n, m1, m2 = dims
+    sys, bf = model(n, m1, m2, seed, grad, hess)
+    X = np.array(xs[:rows * n]).reshape(rows, n)
+    thunks = first_order_consumers(sys, bf, X, seed)
+    got = consumer_bits(thunks)
+    with full_lie_data():
+        want = consumer_bits(thunks)
+    assert got == want
+    # and the cores are lie_data's first four fields, bit for bit
+    for x in X:
+        full = lie_data(sys, bf, x)
+        assert_first_fields_equal(first_order_lie(sys, bf, x), full)
+    assert_first_fields_equal(first_order_lie_rows(sys, bf, X),
+                              lie_data_rows(sys, bf, X))
+
+
+def assert_first_fields_equal(first, full):
+    assert type(first) is FirstOrderLie
+    assert FirstOrderLie._fields == LieData._fields[:4]
+    assert bits(tuple(first)) == bits(tuple(full[:4]))
+    with pytest.raises(AttributeError):
+        first.trace_term
+
+
+@given(dims=dims, seed=st.integers(0, 2 ** 16), grad=st.booleans(),
+       xs=states, which=st.sampled_from(("h", "grad", "f", "g1", "g2")),
+       index=st.integers(0, 8),
+       value=st.sampled_from((math.nan, math.inf, -math.inf)),
+       row=st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_non_finite_first_order_output_is_a_blowup(dims, seed, grad, xs,
+                                                   which, index, value, row):
+    n, m1, m2 = dims
+    if (which == "grad" and not grad) or (which == "g1" and m1 == 0):
+        which = "f"         # an output that first_order_lie calls
+    X = np.array(xs[:3 * n]).reshape(3, n)
+    x = X[row]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys, bf = model(n, m1, m2, seed, grad, True,
+                        bad=(which, index, value))
+        assert isinstance(outcome(first_order_lie, sys, bf, x), ModelBlowup)
+        sys, bf = model(n, m1, m2, seed, grad, True,
+                        bad=(which, index, value), at=x)
+        assert isinstance(outcome(first_order_lie_rows, sys, bf, X),
+                          ModelBlowup)
+
+
+def faulty_hessian(fault, n):
+    def hess(x):
+        if fault == "raise":
+            raise HessianFault("called")
+        if fault == "shape":
+            return np.zeros(n + 1)
+        H = np.eye(n)
+        if fault == "nan":
+            H[0, 0] = math.nan
+        else:                       # asymmetric by far more than the tol
+            H[0, n - 1] += 1.0
+        return H
+    return hess
+
+
+# the Hessian fault, and what the Ito consumers raise for it
+FAULTS = {"raise": (HessianFault, "called"), "nan": (ModelBlowup, "non-fin"),
+          "asym": (ValueError, "asymmetric"), "shape": (ValueError, "shape")}
+
+
+@given(dims=dims, seed=st.integers(0, 2 ** 16), grad=st.booleans(),
+       xs=states, rows=st.sampled_from((1, 3)),
+       fault=st.sampled_from(sorted(FAULTS)))
+@settings(max_examples=60, deadline=None)
+def test_hessian_faults_reach_only_the_ito_consumers(dims, seed, grad, xs,
+                                                     rows, fault):
+    n, m1, m2 = dims
+    m1 = max(m1, 1)                 # a disturbance channel: the Ito terms
+    if fault == "asym" and n == 1:  # a 1x1 Hessian cannot be asymmetric
+        fault = "nan"
+    sys, good = model(n, m1, m2, seed, grad, True)
+    bad = BarrierFunction(good._h, grad=good._grad,
+                          hess=faulty_hessian(fault, n))
+    X = np.array(xs[:rows * n]).reshape(rows, n)
+    got = consumer_bits(first_order_consumers(sys, bad, X, seed))
+    with full_lie_data():
+        want = consumer_bits(first_order_consumers(sys, good, X, seed))
+    assert got == want
+    # the Ito consumers still call the Hessian, and raise for it
+    u0 = lambda x, t: np.zeros(m2)
+    stoch = StochSpec(sys, bad, linear_extended(1.0), u0)
+    nssf = NssfSpec(sys, bad, linear_extended(1.0), identity_k(), u0)
+    sandwich = SandwichSpec(sys, bad, lambda x: np.zeros(m2), identity_k(),
+                            identity_k(), linear_extended(0.5),
+                            linear_extended(1.0))
+    error, text = FAULTS[fault]
+    calls = [lambda: lie_data(sys, bad, X[0]),
+             lambda: lie_data_rows(sys, bad, X),
+             lambda: sandwich_filter(sandwich, X[0])]
+    for filt, spec in ((stoch_qp_filter, stoch), (nssf_qp_filter, nssf)):
+        calls += [partial(filt, spec, X[0], 0.0), partial(filt, spec, X, 0.0)]
+    for call in calls:
+        with pytest.raises(error, match=text):
+            call()
+
+
+# an h that is +inf just right of X_EDGE and -inf just left of it: its
+# difference gradient is inf at X_EDGE and at both points the Hessian's
+# difference steps to, so that difference meets inf - inf
+X_EDGE = -0.5
+_S = FD_STEP * (1.0 + abs(X_EDGE))
+
+
+def _edge_h(x):
+    if x[0] > X_EDGE + 0.5 * _S:
+        return math.inf
+    return -math.inf if x[0] < X_EDGE - 0.5 * _S else 0.0
+
+
+@pytest.mark.parametrize("barrier", [
+    BarrierFunction(_edge_h),
+    BarrierFunction(lambda x: -x[0], grad=lambda x: np.array([math.inf])),
+], ids=["h-without-gradient", "gradient-without-hessian"])
+@pytest.mark.parametrize("call", [
+    lambda s, b: lie_data(s, b, np.array([X_EDGE])),
+    lambda s, b: lie_data_rows(s, b, np.full((2, 1), X_EDGE)),
+    lambda s, b: first_order_lie(s, b, np.array([X_EDGE])),
+    lambda s, b: first_order_lie_rows(s, b, np.full((2, 1), X_EDGE)),
+], ids=["lie_data", "lie_data_rows", "first_order_lie",
+        "first_order_lie_rows"])
+def test_finite_differences_run_under_the_calls_error_state(barrier, call):
+    sys = ControlAffineSystem(1, 1, 1, lambda x: np.array([0.0]),
+                              lambda x: np.array([[1.0]]),
+                              lambda x: np.array([[1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelBlowup, match="non-finite model data"):
+            call(sys, barrier)
+
+
+# every error the package raises by name, with the builtin base it keeps
+NAMED_ERRORS = [
+    (CbfViolation, RuntimeError), (ScbfViolation, RuntimeError),
+    (RcbfViolation, RuntimeError), (ProjectionError, RuntimeError),
+    (SimulationError, RuntimeError), (ModelBlowup, ArithmeticError),
+    (DomainError, ValueError), (BracketError, RuntimeError),
+    (ConfigError, ValueError), (TubeRefinementError, RuntimeError),
+]
+
+
+@pytest.mark.parametrize("error, builtin", NAMED_ERRORS,
+                         ids=[e.__name__ for e, _ in NAMED_ERRORS])
+def test_every_named_error_is_a_safefilt_error(error, builtin):
+    assert safefilt.SafefiltError is SafefiltError
+    assert issubclass(error, SafefiltError) and issubclass(error, builtin)
+    with pytest.raises(SafefiltError):
+        raise error("x")
+    with pytest.raises(builtin):
+        raise error("x")
+
+
+def test_rk4_tube_failure_is_a_named_error():
+    calls = itertools.count()
+    drifting = ExtendedKFunction(lambda y: 1e9 * next(calls), name="drift")
+    with pytest.raises(TubeRefinementError, match="underflow") as err:
+        kl_solve_grid(drifting, 1.0, [0.0, 1e-10])
+    assert isinstance(err.value, RuntimeError)
