@@ -48,13 +48,21 @@ and the barrier Hessian is never called here. The Ito terms are for
 equation, _value_game, which evaluates whichever Lie data its game
 hands it.
 
-The margins, the games, the weights and `correct` also take stacks:
-Lie data of N states (systems.first_order_lie_rows or lie_data_rows on
-an (N, n) array), with the states and nominal values as (N, n) and
-(N, m2) arrays, and u0 at a stack through systems.call_rows. Each
-formula is written once; on stacks it returns one entry per row, equal
-bit for bit to the single-state value, so a cost pass is one call per
-record and the stochastic filters step a stack of paths in one call.
+One convention holds for every margin, filter, premise, weight and
+penalty of the package: each takes one (n,) state or an (N, n) stack of
+them (and nominal values as (m2,) or (N, m2)), and on a stack returns
+one entry per row, equal bit for bit to the single-state value. The
+choice is made only by the helpers: _lie1 and _lie (the Lie data of a
+state or of a stack), _u0_at (u0 at a state, or at a stack through
+systems.call_rows), systems.row_dot and row_norm, and
+comparison.elementwise for every class-K function. So each formula is
+written once, a cost pass is one call per record, a built-in's grid
+sweep is one call, and the stochastic filters step a stack of paths in
+one call. Where one row is bad, the stack raises what that row raises
+alone. Single-state only: qp_filter_affine_form (a matrix pair and a
+flag per state), scp_diagnostic (it counts each state's raise) and the
+disturbance-side worst_case_disturbance, qp_worst_case_disturbance and
+pi_gap.
 """
 
 import math
@@ -253,7 +261,7 @@ def cbf_margin(spec, ld, u0v):
 
 
 def _dssf_at(spec, x, t):
-    ld = first_order_lie(spec.sys, spec.bf, x)
+    ld = _lie1(spec.sys, spec.bf, x)
     u0v = _u0_at(spec, x, t)
     return (u0v,) + dssf_margin(spec, ld, u0v)
 
@@ -278,7 +286,8 @@ def qp_filter_affine_form(spec, x, t):
 
     Returns (chi0, chi1, active) with u = chi0 @ u0 + chi1. Off the
     constraint chi0 = I, chi1 = 0; on it chi0 projects out the Lg2h
-    direction, so for m2 = 1 the nominal is overridden entirely.
+    direction, so for m2 = 1 the nominal is overridden entirely. At one
+    state only.
     """
     u0v, omega, a = _dssf_at(spec, x, t)
     correct(omega, a)  # the authority guard
@@ -299,7 +308,7 @@ def sontag_filter(spec, x, t, include_u0=True):
     """
     u0v, omega, a = _dssf_at(spec, x, t)
     if not include_u0:
-        omega -= float(a @ u0v)
+        omega = omega - row_dot(a, u0v)
     return correct(omega, a, SONTAG)
 
 
@@ -367,7 +376,8 @@ def _value_game(spec, lie, sys, bf, lam, x, u0v, supply):
 
 
 def _premise(game, alpha):
-    return game.drift - game.adv + game.ctrl + alpha(game.ld.h_val)
+    return (game.drift - game.adv + game.ctrl
+            + elementwise(alpha, game.ld.h_val))
 
 
 def _io_game(iospec, x, u0v):
@@ -396,7 +406,8 @@ def inverse_optimal_condition(iospec, x, t):
 
 
 def worst_case_disturbance(iospec, x):
-    """Maximizing disturbance of the softened game, feedback in x only."""
+    """Maximizing disturbance of the softened game, feedback in x only;
+    at one state."""
     ld = first_order_lie(iospec.base.sys, iospec.base.bf, x)
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
@@ -406,7 +417,8 @@ def worst_case_disturbance(iospec, x):
 
 
 def qp_worst_case_disturbance(spec, lam, x):
-    """Worst disturbance for the min-norm weights (rho-shaped penalty)."""
+    """Worst disturbance for the min-norm weights (rho-shaped penalty);
+    at one state."""
     ld = first_order_lie(spec.sys, spec.bf, x)
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
@@ -445,7 +457,8 @@ def pi_gap(iospec, x, d):
 
         gamma(|d|/lam) + ell_gamma(2||Lg1h||) + (2/lam) Lg1h.d
 
-    Nonnegative, zero exactly at the worst-case disturbance.
+    Nonnegative, zero exactly at the worst-case disturbance. At one
+    state and one disturbance.
     """
     ld = first_order_lie(iospec.base.sys, iospec.base.bf, x)
     d = _as_state(d, iospec.base.sys.m1, "disturbance")
@@ -480,8 +493,9 @@ class Weight:
         """num / den, infinite where den == 0; elementwise on arrays."""
         if type(den) is np.ndarray:
             inf = den == 0.0
-            return cls(np.divide(num, den, out=np.full(den.shape, math.inf),
-                                 where=~inf), inf)
+            with np.errstate(over="ignore"):  # inf, as num / den on floats
+                return cls(np.divide(num, den, where=~inf,
+                                     out=np.full(den.shape, math.inf)), inf)
         return cls(math.inf, True) if den == 0.0 else cls(num / den)
 
 
@@ -526,6 +540,7 @@ def scp_diagnostic(spec, points, t=0.0):
 
     A cheap continuity/feasibility sweep; a nonzero violation count
     means the barrier loses control authority somewhere it matters.
+    Each point is filtered alone, so each raise is counted.
     """
     max_corr = 0.0
     violations = 0

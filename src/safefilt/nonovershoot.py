@@ -10,14 +10,19 @@ edge is attained exactly, which the tests lean on.
 Policies here are time-invariant: u0 takes the state only. Every margin
 is filters.margin; the upper ones take alpha0 and rho0. Each filter
 returns u0 plus the unit-gain min-norm correction of one floor margin.
+Every margin and filter keeps the one convention of `filters`: one
+state or an (N, n) stack of them, and on a stack one entry per row,
+equal bit for bit to the calls at each row (u0 is still called row by
+row).
 """
 
 from dataclasses import dataclass
 from typing import Callable
 
-from .filters import MIN_NORM, budget, correct, dssf_margin, margin
+from .comparison import elementwise
+from .filters import MIN_NORM, _lie, budget, correct, dssf_margin, margin
 from .stochastic import generator_margin, nssf_margin
-from .systems import _as_state, lie_data, vec_norm
+from .systems import _as_state, call_rows, row_norm
 
 
 @dataclass(frozen=True)
@@ -32,7 +37,12 @@ class SandwichSpec:
 
 
 def _parts(spec, x):
-    ld = lie_data(spec.sys, spec.bf, x)
+    """(lie_data, u0) at a state, or their stacks at each row of an
+    (N, n) stack of states, u0 called and checked row by row."""
+    ld = _lie(spec.sys, spec.bf, x)
+    if ld.Lg2h.ndim == 2:  # a stack
+        return ld, call_rows(lambda row, t: spec.u0(row), x, None,
+                             spec.sys.m2, "u0")
     return ld, _as_state(spec.u0(x), spec.sys.m2, "u0")
 
 
@@ -41,8 +51,9 @@ def omega0(spec, x):
     <= 0 means the nominal already drives h down at rate alpha0 whenever
     h sits above its rho0-ball."""
     ld, u0v = _parts(spec, x)
-    side = vec_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val), side)[0]
+    side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
+                  side)[0]
 
 
 def omega_no(spec, x):
@@ -66,11 +77,11 @@ def gain_separation_margin(spec, x):
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
     ld = _parts(spec, x)[0]
-    return _separation(spec, ld.h_val, vec_norm(ld.Lg1h))
+    return _separation(spec, ld.h_val, row_norm(ld.Lg1h))
 
 
 def _separation(spec, h, weight):
-    return (spec.alpha(h) - spec.alpha0(h)
+    return (elementwise(spec.alpha, h) - elementwise(spec.alpha0, h)
             - weight * (budget(spec.rho, -h) + budget(spec.rho0, h)))
 
 
@@ -84,7 +95,8 @@ def stoch_omega0(spec, x):
     """Upper margin with side 0.5 ||g1' H g1||_F budget(rho0, h)."""
     ld, u0v = _parts(spec, x)
     side = 0.5 * ld.frob_term * budget(spec.rho0, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val), side)[0]
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
+                  side)[0]
 
 
 def stoch_omega(spec, x):
@@ -95,7 +107,7 @@ def stoch_omega(spec, x):
 def omega0_exact(spec, x):
     """Upper margin with the true identity-covariance trace term."""
     ld, u0v = _parts(spec, x)
-    return margin(ld.Lfh, ld.Lg2h, u0v, spec.alpha0(ld.h_val),
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
                   ld.trace_term)[0]
 
 

@@ -9,6 +9,12 @@ Three laws for the update direction, given a nominal u0:
   * inverse_optimal_update: nominal plus beta times the qp fix,
     minimizing a meaningful cost (beta >= 2).
 
+The continuous laws, projection_margin and projection_penalty_l keep
+the one convention of `filters`: one estimate and nominal, or (N, p)
+stacks of them, and on stacks one entry per row, equal bit for bit to
+the calls at each row. classic_projection, an event law, takes one
+estimate only.
+
 simulate_projection integrates d theta_hat/dt = u: the continuous laws
 are integrate_ode on that integrator plant (f = 0, g2 = I) with u0 as
 the nominal. The classic law locates the boundary by bisection and
@@ -71,7 +77,8 @@ def projection_margin(spec, theta_hat, u0_val):
 
 
 def classic_projection(spec, theta_hat, u0_val):
-    """Correction of the discontinuous law; zero strictly inside."""
+    """Correction of the discontinuous law; zero strictly inside. At one
+    estimate only: the boundary test is an event, not a formula."""
     theta, u0v = _parts(theta_hat, u0_val)
     h = spec.bf.value(theta)
     act = spec.alpha(h)

@@ -11,7 +11,10 @@ filters cancel exactly that excess. Everything dualizes to the h-form
 with omega = -h^2 * omega_tilde, which the tests exploit.
 reciprocal_margin hands filters.correct the sign-flipped pair
 (-omega_tilde, -LgB), so the min-norm rule and its certificate apply
-unchanged; the reciprocal cost is the h-form one times -h^2.
+unchanged; the reciprocal cost is the h-form one times -h^2. Every
+entry keeps the one convention of `filters`: one state or an (N, n)
+stack of them, and on a stack one entry per row, equal bit for bit to
+the calls at each row.
 """
 
 import math
@@ -145,4 +148,4 @@ def rcbf_penalty_l(spec, x, t):
 def rcbf_penalty_bound_gap(spec, x, t):
     """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative."""
     _, lbar, h = reciprocal_weights(spec, x, _u0_at(spec, x, t))
-    return lbar + 2.0 * spec.beta_gain * h * h * spec.alpha_bar(h)
+    return lbar + 2.0 * spec.beta_gain * h * h * elementwise(spec.alpha_bar, h)

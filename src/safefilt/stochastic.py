@@ -22,10 +22,12 @@ control or the correction alone. The inverse-optimal layer is the one
 value equation of `filters`: the covariance game supplies
 (drift, ell_gamma1(frob), ell_gamma2(sqrt S)) and the Ito value is
 that game with no adversary, (drift + trace, 0, ell_gamma2(sqrt S)).
-Like the games of `filters`, both take stacks of states and nominal
-values and then give one entry per row; so do the filters, whose
-stacked call (an (N, n) stack of states) returns the (N, m2) stack of
-controls that calls at each row would, bit for bit.
+Every margin, filter, premise, weight and residual here keeps the one
+convention of `filters`: one state or an (N, n) stack of them, and on
+a stack one entry per row, equal bit for bit to the calls at each row
+(a filter returns the (N, m2) stack of controls). Single-state only:
+worst_case_covariance (a matrix per state), generator_h (a supplied
+control and covariance) and nsbf_premise (a supplied covariance).
 """
 
 import math
@@ -36,7 +38,8 @@ import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains, _lie,
-                      _premise, _u0_at, _value_game, budget, correct, margin)
+                      _max0, _premise, _u0_at, _value_game, budget, correct,
+                      margin)
 from .systems import SafefiltError, _as_state, lie_data, row_dot
 
 
@@ -149,7 +152,7 @@ def worst_case_covariance(spec, x):
     Aligned against the curvature block g1' H g1; zero where that block
     vanishes. Symmetric always, sign-definiteness is the caller's to
     inspect (min_eigenvalue) and report: the maximizer of the relaxed
-    game need not be a legitimate covariance.
+    game need not be a legitimate covariance. At one state.
     """
     if spec.gamma1 is None:
         raise ValueError("worst-case covariance needs gamma1")
@@ -188,14 +191,15 @@ def _game(spec, x, u0v, adversary=False):
 
 def _inverse_optimal(spec, x, t, adversary):
     """u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s with s = sqrt(S);
-    u0 where s ~ 0."""
+    u0 itself at each row where s ~ 0."""
     u0v = _u0_at(spec, x, t)
     game = _game(spec, x, u0v, adversary)
-    s = math.sqrt(max(0.0, game.S))
-    if s < GRAD_ZERO_TOL:
-        return u0v
-    gain = spec.gamma2.gamma_prime_inv(s) / s
-    return u0v + 0.5 * spec.beta_gain * gain * game.ra
+    s = elementwise(math.sqrt, _max0(game.S))
+    gain = elementwise(lambda r: spec.gamma2.gamma_prime_inv(r) / r
+                       if r >= GRAD_ZERO_TOL else 0.0, s)
+    live = np.asarray(s >= GRAD_ZERO_TOL)[..., None]
+    step = 0.5 * spec.beta_gain * np.asarray(gain)[..., None] * game.ra
+    return np.where(live, u0v + step, u0v)
 
 
 def stoch_weights(spec, x, u0v):
@@ -260,7 +264,8 @@ def nssf_hji_residual(spec, x, t):
 # ---------------------------------------------------------------------------
 
 def generator_h(sys, bf, x, u, Sigma=None):
-    """L h at (x, u) under covariance factor Sigma (identity if None)."""
+    """L h at (x, u) under covariance factor Sigma (identity if None);
+    at one state."""
     ld = lie_data(sys, bf, x)
     u = _as_state(u, sys.m2, "u")
     if Sigma is None:
@@ -297,7 +302,7 @@ def nsbf_premise(spec, x, Sigma):
     Returns (generator_slack, budget_slack): the first is the actual
     trace term minus its assumed floor, the second the Frobenius budget
     minus the actual ||Sigma Sigma'||_F. budget_slack >= 0 should force
-    generator_slack >= 0.
+    generator_slack >= 0. At one state.
     """
     ld = lie_data(spec.sys, spec.bf, x)
     S = np.asarray(Sigma, dtype=float).reshape(spec.sys.m1, spec.sys.m1)

@@ -168,9 +168,10 @@ def call_rows(fn, X, t, m, what):
 
 def _vectors(fn, rows, n):
     """fn at each row as an (N, n) stack, where each output is an (n,)
-    vector, or a number where n = 1 (what _as_state accepts)."""
+    vector, or a number where n = 1 (what _as_state accepts); (0, n)
+    where there are no rows."""
     a = np.array(list(map(fn, rows)), dtype=float)
-    if a.shape[1:] != (n,) and not (n == 1 and a.ndim == 1):
+    if a.shape[1:] != (n,) and not (a.ndim == 1 and (n == 1 or not rows)):
         raise ValueError("output stack shape %s, expected (N, %d)"
                          % (a.shape, n))
     return a.reshape(len(rows), n)

@@ -564,3 +564,20 @@ def test_rk4_tube_failure_is_a_named_error():
     with pytest.raises(TubeRefinementError, match="underflow") as err:
         kl_solve_grid(drifting, 1.0, [0.0, 1e-10])
     assert isinstance(err.value, RuntimeError)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m1", [0, 1, 2])
+@pytest.mark.parametrize("grad", [True, False], ids=["analytic", "fd"])
+def test_empty_stack_gives_empty_stacks_of_each_width(n, m1, grad):
+    # the stacked path, not the row-by-row fallback, whose stack of no
+    # rows would have no width
+    m2 = 2
+    sys, bf = model(n, m1, m2, 0, grad, True)
+    X = np.zeros((0, n))
+    shapes = [(0,), (0,), (0, m1), (0, m2)]
+    for ld in (first_order_lie_rows(sys, bf, X), lie_data_rows(sys, bf, X)):
+        assert [np.shape(v) for v in ld[:4]] == shapes
+    full = lie_data_rows(sys, bf, X)
+    assert [np.shape(v) for v in full[4:]] == [(0,), (0,), (0, m1, m1)]
+    assert all(np.asarray(v).dtype == np.float64 for v in full)
