@@ -25,8 +25,17 @@ best of R rounds (default 5), timed with perf_counter in this process:
   ode.game.us_per_step        the same with worst_case_disturbance as
                               d, game-cert's shape of ex3: two
                               first_order_lie calls at every stage
+  ode.io_general.us_per_call  inverse_optimal_general, the control of
+                              ode.filter's loop, at one state of it
+                              (x = -1.2)
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
+  probe.game.s                one optimality_probe of game-cert's shape:
+                              the integrator plant dx = u dt, h = -x,
+                              u0 = 1, alpha(h) = h, inverse_optimal_qp
+                              (beta = 2) as u*, x0 = -1.1, the four
+                              standard shapes at amplitudes -0.1 and
+                              0.1, dt = 2e-3, T = 1, cost intro-min
 
 The two ode records are checked equal bit for bit; a mismatch exits 1.
 Timings depend on the machine and its load; compare two trees only
@@ -53,6 +62,7 @@ from safefilt.systems import first_order_lie  # noqa: E402
 
 BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
 LIE_CALLS = 20000
+IO_CALLS = 5000
 
 
 def best(fn, rounds):
@@ -128,6 +138,10 @@ def ode_numbers(rounds):
                          lambda x, t: sf.worst_case_disturbance(iospec, x),
                          cfg)
 
+    def io_general():
+        for _ in range(IO_CALLS):
+            control(x0, 0.0)
+
     steps = cfg.n_steps
     g = 1e6 * best(general, rounds) / steps
     s = 1e6 * best(scalar, rounds) / steps
@@ -139,7 +153,9 @@ def ode_numbers(rounds):
                          "disturbances", "h_values"))
     return {"ode.general.us_per_step": g, "ode.scalar.us_per_step": s,
             "ode.general_over_scalar": g / s,
-            "ode.filter.us_per_step": f, "ode.game.us_per_step": w}, same
+            "ode.filter.us_per_step": f, "ode.game.us_per_step": w,
+            "ode.io_general.us_per_call":
+                1e6 * best(io_general, rounds) / IO_CALLS}, same
 
 
 def sde_us(rounds):
@@ -152,6 +168,18 @@ def sde_us(rounds):
     run = lambda: sf.integrate_sde(plant, bf, lambda x, t: u,
                                    lambda x, t: u, np.array([0.2]), cov, cfg)
     return 1e6 * best(run, rounds) / cfg.n_steps
+
+
+def probe_s(rounds):
+    spec = sf.DssfCbfSpec(integrator_system(), neg_state_barrier(),
+                          sf.identity_k(), sf.linear_extended(1.0),
+                          lambda x, t: np.array([1.0]))
+    setup = sf.ProbeSetup(
+        spec.sys, spec.bf, lambda x, t: sf.inverse_optimal_qp(spec, 2.0, x, t),
+        spec.u0, None, [-1.1], sf.CostSpec("intro-min"), +1)
+    cfg = sf.SimConfig(dt=2e-3, T=1.0)
+    return best(lambda: sf.optimality_probe(setup, cfg,
+                                            amplitudes=(-0.1, 0.1)), rounds)
 
 
 def main(argv=None):
@@ -170,6 +198,7 @@ def main(argv=None):
     ode, same = ode_numbers(args.rounds)
     numbers.update(ode)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
+    numbers["probe.game.s"] = probe_s(args.rounds)
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,

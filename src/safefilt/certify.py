@@ -52,9 +52,9 @@ from .filters import (_check_gains, game_weights, margin,
                       min_norm_certificate, min_norm_weights)
 from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
-from .sim import integrate_ode
+from .sim import _ode_rows
 from .stochastic import nssf_weights, stoch_weights
-from .systems import first_order_lie_rows, row_dot, row_norm
+from .systems import call_rows, first_order_lie_rows, row_dot, row_norm
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -390,31 +390,65 @@ def standard_perturbations(T):
 
 def optimality_probe(setup, cfg, perturbations=None,
                      amplitudes=(-0.2, -0.05, 0.05, 0.2)):
-    """Integrate the certified loop, then re-integrate with the control
-    perturbed by eps*delta(t), and demand the total never beats it.
+    """Integrate the certified loop and, with the control perturbed by
+    eps*delta(t), one loop per (shape, amplitude), and demand that no
+    perturbed total beats the certified one.
 
     Returns {"j_opt", "margins", "worst", "passed"}; each margin is
     direction * (J_pert - J_opt) and must clear -PROBE_TOL.
+
+    The 1 + K loops run as one lockstep RK4 stack (sim's lockstep
+    routine), each row bit for bit the loop integrate_ode runs alone,
+    record, escape and error alike. A u_star, u0 or d_star marked
+    systems.stacked is called once per stage on the live rows; any
+    other is called row by row. Errors come in the order the loops
+    would raise them one after another: the certified loop's failure,
+    escape or infinite cost first, then the lowest perturbed loop whose
+    integration fails or whose cost is undefined.
     """
     if perturbations is None:
         perturbations = standard_perturbations(cfg.T)
-    base = integrate_ode(setup.sys, setup.bf, setup.u_star, setup.u0,
-                         setup.x0, setup.d_star, cfg)
-    j_opt = evaluate_cost(base, setup.cost)
-    if j_opt.infinite:
-        raise ValueError("certified loop produced an infinite cost")
-    margins = {}
+    u_star, m2 = setup.u_star, setup.sys.m2
+    names, controls, offsets = [], [u_star], []
     for name, delta in perturbations.items():
         for eps in amplitudes:
             def control(x, t, _d=delta, _e=eps):
                 # integrate_ode checks the result's shape as a control
-                return np.asarray(setup.u_star(x, t), dtype=float) + _e * _d(t)
-            traj = integrate_ode(setup.sys, setup.bf, control, setup.u0,
-                                 setup.x0, setup.d_star, cfg)
-            j = evaluate_cost(traj, setup.cost)
-            # +-inf totals fall through the same arithmetic correctly
-            margins["%s@%+g" % (name, eps)] = (
-                setup.direction * (j.total - j_opt.total))
+                return np.asarray(u_star(x, t), dtype=float) + _e * _d(t)
+            names.append("%s@%+g" % (name, eps))
+            controls.append(control)
+            offsets.append((eps, delta))
+
+    def stack(X, t, live):
+        # row j is controls[live[j]] at X[j]: u_star, plus eps*delta(t)
+        # on the perturbed rows (live row 0 is the certified loop's)
+        U = call_rows(u_star, X, t, m2, "control")
+        base = int(live[0] == 0)
+        if base == len(live):
+            return U
+        off = np.array([e * delta(t) for e, delta in
+                        (offsets[i - 1] for i in live[base:].tolist())],
+                       dtype=float)
+        V = U[base:] + (off[:, None] if off.ndim == 1 else off)
+        if V.shape != (len(live) - base, m2):  # each row's own check raises
+            raise ValueError("perturbed control stack shape %s" % (V.shape,))
+        return np.concatenate((U[:base], V)) if base else V
+
+    trajs, failure = _ode_rows(setup.sys, setup.bf, controls, stack,
+                               setup.u0, setup.x0, setup.d_star, cfg)
+
+    def cost(i):
+        if failure is not None and failure[0] == i:
+            raise failure[1]
+        return evaluate_cost(trajs[i], setup.cost)
+
+    j_opt = cost(0)
+    if j_opt.infinite:
+        raise ValueError("certified loop produced an infinite cost")
+    margins = {}
+    for i, name in enumerate(names, 1):
+        # +-inf totals fall through the same arithmetic correctly
+        margins[name] = setup.direction * (cost(i).total - j_opt.total)
     worst = min(margins.values())
     return {"j_opt": j_opt.total, "margins": margins, "worst": worst,
             "passed": worst >= -PROBE_TOL}

@@ -40,6 +40,10 @@ S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
     premise  = drift - adv + ctrl + alpha(h) >= 0
 
 beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
+The control laws (u0 + beta R2^{-1} Lg2h' here, the Ito laws in
+`stochastic`) read only the weights (_game_weights: the gain gate, the
+Lie data and R2^{-1} Lg2h', S); the value equation (_value_game) is
+built on them for the penalties, residuals and premises.
 
 Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
 it takes first-order Lie data (systems.first_order_lie, through _lie1),
@@ -211,11 +215,13 @@ def _check_gains(beta_gain, safety_only=False, lam=None):
 def _weighted(weight, x, u0v, a):
     """(R, R^{-1} a, a.R^{-1} a) for the SPD weight R = weight(x, u0v),
     the identity when weight is None; on stacks, one weight per row
-    (the one identity for all of them), all checked by one Cholesky,
-    and a 1x1 weight by its sign alone."""
+    (for None a read-only (N, m, m) view of the one identity), all
+    checked by one Cholesky, and a 1x1 weight by its sign alone."""
     m = a.shape[-1]
     if weight is None:
-        return np.eye(m), a, row_dot(a, a)
+        eye = np.eye(m)
+        return (eye if a.ndim == 1 else np.broadcast_to(eye, a.shape + (m,)),
+                a, row_dot(a, a))
     if a.ndim == 1:
         R = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
     else:
@@ -353,24 +359,34 @@ class InverseOptimalSpec:
         _check_gains(self.beta_gain, self.allow_safety_only, self.lam)
 
 
-# one inverse-optimal game at a state; see the module docstring
-_Game = namedtuple("_Game", "ld R ra S drift adv ctrl l residual")
+# the weights of one inverse-optimal game at a state, all that its
+# control law reads; and the game: its weights and its value equation
+_Weights = namedtuple("_Weights", "ld R ra S")
+_Game = namedtuple("_Game", _Weights._fields + ("drift", "adv", "ctrl", "l",
+                                                "residual"))
+
+
+def _game_weights(spec, lie, sys, bf, x, u0v):
+    """The weights of a game at state x and nominal value u0v: the gain
+    gate on spec (beta_gain, allow_safety_only), the Lie data lie(sys,
+    bf, x) (_lie1 or _lie) and (R, R^{-1} Lg2h', S) of _weighted with
+    spec.R2."""
+    _check_gains(spec.beta_gain, spec.allow_safety_only)
+    ld = lie(sys, bf, x)
+    return _Weights(ld, *_weighted(spec.R2, x, u0v, ld.Lg2h))
 
 
 def _value_game(spec, lie, sys, bf, lam, x, u0v, supply):
-    """The game at state x and nominal value u0v. spec carries R2,
-    beta_gain and allow_safety_only; lie is _lie1 or _lie, the Lie data
-    the game's supply reads; supply(ld, Lfh + Lg2h.u0, S) returns the
-    game's (drift, adv, ctrl)."""
+    """The game at state x and nominal value u0v: _game_weights, then
+    the value equation of the module docstring; supply(ld, Lfh +
+    Lg2h.u0, S) returns the game's (drift, adv, ctrl)."""
     beta = spec.beta_gain
-    _check_gains(beta, spec.allow_safety_only)
-    ld = lie(sys, bf, x)
-    R, ra, S = _weighted(spec.R2, x, u0v, ld.Lg2h)
-    drift, adv, ctrl = supply(ld, ld.Lfh + row_dot(ld.Lg2h, u0v), S)
+    w = _game_weights(spec, lie, sys, bf, x, u0v)
+    drift, adv, ctrl = supply(w.ld, w.ld.Lfh + row_dot(w.ld.Lg2h, u0v), w.S)
     l = (-2.0 * beta * (drift - adv + ctrl)
          - beta * (2.0 - lam) * adv
          - beta * (beta - 2.0) * ctrl)
-    return _Game(ld, R, ra, S, drift, adv, ctrl, l,
+    return _Game(*w, drift, adv, ctrl, l,
                  drift + 0.5 * beta * ctrl - 0.5 * lam * adv
                  + l / (2.0 * beta))
 
@@ -390,8 +406,10 @@ def _io_game(iospec, x, u0v):
 
 def inverse_optimal_general(iospec, x, t):
     """u = u0 + beta * R2^{-1} Lg2h'."""
-    u0v = _u0_at(iospec.base, x, t)
-    return u0v + iospec.beta_gain * _io_game(iospec, x, u0v).ra
+    base = iospec.base
+    u0v = _u0_at(base, x, t)
+    return u0v + iospec.beta_gain * _game_weights(
+        iospec, _lie1, base.sys, base.bf, x, u0v).ra
 
 
 def inverse_optimal_condition(iospec, x, t):
@@ -490,13 +508,15 @@ class Weight:
 
     @classmethod
     def ratio(cls, num, den):
-        """num / den, infinite where den == 0; elementwise on arrays."""
+        """num / den, infinite where den == 0 or the quotient overflows
+        to +inf; elementwise on arrays."""
         if type(den) is np.ndarray:
-            inf = den == 0.0
             with np.errstate(over="ignore"):  # inf, as num / den on floats
-                return cls(np.divide(num, den, where=~inf,
-                                     out=np.full(den.shape, math.inf)), inf)
-        return cls(math.inf, True) if den == 0.0 else cls(num / den)
+                q = np.divide(num, den, where=den != 0.0,
+                              out=np.full(den.shape, math.inf))
+            return cls(q, q == math.inf)
+        q = math.inf if den == 0.0 else num / den
+        return cls(q, bool(q == math.inf))
 
 
 def min_norm_certificate(beta, omega, a, alpha_h):

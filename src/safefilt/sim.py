@@ -26,15 +26,18 @@ Conventions that the certification layer relies on:
     SEED_MAX on the rounding reaches 2**64, which Philox cannot store.
 
 _run is the one loop that keeps these rules. integrate_ode, the scalar
-fast path (with its own float record), projection's classic law and
-integrate_sde are (sample, step) pairs on it. integrate_sde runs all
-its paths in lockstep: x is the (P, n) stack of live rows, one record
-block holds the P records, and a sample or step that is uneventful on
-every row is one stacked pass; where a row escapes or anything raises
-(or one row is left), that sample goes through _record, or that step
-through _stop's rule, one row at a time, so each row keeps the record,
-tombstone and error it would have alone. comparison.kl_solve_grid steps its decay ODE with
-_rk4 too, so _rk4 is the package's one RK4 step.
+fast path (with its own float record) and projection's classic law are
+(sample, step) pairs on it. _lockstep is the one lockstep routine on
+it, for ODE and SDE alike: x is the (P, n) stack of live rows, one
+record block holds the P records, and a sample or step that is
+uneventful on every row is one stacked pass; where a row escapes or
+anything raises (or one row is left), that sample goes through _record,
+or that step through _stop's rule, one row at a time, so each row keeps
+the record, tombstone and error it would have alone. Its two steps are
+Euler-Maruyama (integrate_sde's paths) and RK4 (_ode_rows: P loops of
+integrate_ode from one x0, each under its own control, which
+certify.optimality_probe runs). comparison.kl_solve_grid steps its
+decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
 """
 
 import math
@@ -240,19 +243,12 @@ def _normals(seed):
     return fill
 
 
-def integrate_ode(sys, bf, control, u0, x0, d, cfg):
-    """Classical RK4 on dx = f + g1 d + g2 u with u = control(x, t).
-
-    d may be None (zero disturbance); it is ignored when the plant has
-    no disturbance channel (m1 = 0). Stage 1 of each step reuses the
-    control and d of the recorded sample, so they are called 4 times
-    per step and once at the last sample. Escapes as in the module
-    docstring. x0 must be an (n,) state (a scalar passes for n = 1);
-    anything else is a ValueError before any callback runs.
-    """
+def _rk4_loop(sys, d, dt):
+    """integrate_ode's pieces: (d, step). d is zero where None or the
+    plant has no disturbance channel (m1 = 0); step(control) is the RK4
+    step (k, t, x, s) of the loop under control, with the plant's
+    outputs checked, whose stage 1 reuses the sample's (u, d) in s."""
     m1, m2 = sys.m1, sys.m2
-    x = _as_state(x0, sys.n, "x0").copy()
-    traj = _alloc(cfg.n_steps + 1, sys.n, m2, m1)
     if d is None or m1 == 0:
         zero_d = np.zeros(m1)
         d = lambda xs, ts: zero_d
@@ -265,15 +261,32 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
             dx = dx + sys._g1_of(xs) @ dv
         return dx
 
-    def rate(xs, ts):
-        dv = _as_state(d(xs, ts), m1, "d")
-        return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
+    def step(control):
+        def rate(xs, ts):
+            dv = _as_state(d(xs, ts), m1, "d")
+            return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
+        return lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s))
+    return d, step
 
-    dt, thr = cfg.dt, cfg.escape_threshold
+
+def integrate_ode(sys, bf, control, u0, x0, d, cfg):
+    """Classical RK4 on dx = f + g1 d + g2 u with u = control(x, t).
+
+    d may be None (zero disturbance); it is ignored when the plant has
+    no disturbance channel (m1 = 0). Stage 1 of each step reuses the
+    control and d of the recorded sample, so they are called 4 times
+    per step and once at the last sample. Escapes as in the module
+    docstring. x0 must be an (n,) state (a scalar passes for n = 1);
+    anything else is a ValueError before any callback runs.
+    """
+    x = _as_state(x0, sys.n, "x0").copy()
+    traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
+    d, step = _rk4_loop(sys, d, cfg.dt)
+    thr = cfg.escape_threshold
     return _run(traj, cfg, x,
                 lambda k, t, x: _record(traj, k, t, x, sys, bf, control, u0,
                                         d, thr),
-                lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s)))
+                step(control))
 
 
 def _mv(A, V):
@@ -290,6 +303,166 @@ def _one_row(fn, m, what):
     return lambda x, t: call_rows(fn, x[None], t, m, what)[0]
 
 
+def _block(cfg, n, m2, m1, paths):
+    """A record block of `paths` records and the Trajectory of each, a
+    view of its row of the block."""
+    rec = _alloc(cfg.n_steps + 1, n, m2, m1, paths)
+    return rec, [Trajectory(rec.times[i], rec.states[i], rec.controls[i],
+                            rec.nominal[i], rec.disturbances[i],
+                            rec.h_values[i], rec.running_cost[i])
+                 for i in range(paths)]
+
+
+def _rows_of(live, paths):
+    """The live rows' index into a block of `paths` rows: a slice while
+    no row has stopped, which numpy indexes faster than an array."""
+    return live if live.size < paths else slice(None)
+
+
+def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
+    """The one lockstep routine: the rows of X, row i the state of
+    record trajs[i], run on _run as one stack of live rows, and each
+    keeps the record, tombstone and failure it would have alone.
+
+    Where every live row is inside the escape threshold, a sample is
+    one stacked pass: policies(X, t, live) gives the live rows' u0, d
+    and control stacks (d None where the record keeps its own
+    disturbance column), and h is read row by row. Where that raises,
+    where a row escapes, or where one row is left, the sample goes
+    through record(i, k, t, x) row by row (_record on row i's record,
+    its (u, d) or None at a tombstone). A step is one stacked
+    advance(k, t, X, U, D, live); where that raises (or one row is
+    left), step(i, k, t, x, u, d) takes each row alone, with _stop's
+    rule. live holds the row index of each live row.
+
+    Returns (i, error) for the lowest row i that failed, or None: the
+    error its own loop raises. The rows above it stop where it fails;
+    the rows below it run on.
+    """
+    P, n = X.shape
+    live = np.arange(P)
+    failure = None
+    thr, dt = cfg.escape_threshold, cfg.dt
+
+    def sample(k, t, X):
+        nonlocal live, failure
+        if not live.size:       # every row has stopped
+            return None
+        if len(X) > 1 and np.abs(X).max() <= thr:
+            try:
+                U0, D, U = policies(X, t, live)
+                H = [bf.value(x) for x in X]
+            except Exception:
+                pass
+            else:
+                rows = _rows_of(live, P)
+                rec.times[rows, k] = t
+                rec.states[rows, k] = X
+                rec.nominal[rows, k] = U0
+                if D is not None:
+                    rec.disturbances[rows, k] = D
+                rec.controls[rows, k] = U
+                rec.h_values[rows, k] = H
+                return slice(None), U, D
+        keep, S = [], []
+        for j, i in enumerate(live):
+            try:
+                s = record(i, k, t, X[j])
+            except Exception as exc:  # the rows above i no longer run
+                failure = i, exc
+                break
+            if s is not None:
+                keep.append(j)
+                S.append(s)
+        if not keep:
+            return None
+        if len(keep) < live.size:
+            live = live[keep]
+        else:
+            keep = slice(None)
+        return (keep, np.array([s[0] for s in S]),
+                None if S[0][1] is None else np.array([s[1] for s in S]))
+
+    def stepped(k, t, X, s):
+        nonlocal live, failure
+        keep, U, D = s
+        X = X[keep]
+        if len(X) > 1:
+            try:
+                return advance(k, t, X, U, D, live)
+            except Exception:
+                pass
+        out, kept = [], []
+        for j, i in enumerate(live):
+            x = X[j]
+            try:
+                out.append(step(i, k, t, x, U[j], None if D is None else D[j]))
+                kept.append(j)
+            except Exception as exc:
+                try:
+                    _stop(trajs[i], k, t, dt, x, exc)
+                except SimulationError as err:
+                    failure = i, err
+                    break
+        if len(kept) < live.size:
+            live = live[kept]
+        return np.array(out).reshape(len(out), n)
+
+    _run(trajs, cfg, X, sample, stepped)
+    return failure
+
+
+def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
+    """integrate_ode of one loop per entry of controls, all from x0 with
+    u0 and d, in lockstep on _lockstep: loop i runs under controls[i].
+
+    stack(X, t, live) is the live rows' (N, m2) stack of controls, row j
+    equal bit for bit to controls[live[j]] at X[j] and checked as
+    integrate_ode checks it; where it raises, that sample or step runs
+    row by row. u0 and d are called as call_rows calls them, once on the
+    stack where they are marked systems.stacked, else row by row; the
+    plant is called row by row (ControlAffineSystem._stacks_of). The
+    row-by-row route calls each loop's own callables as integrate_ode
+    does. Returns (records, failure) with _lockstep's failure.
+    """
+    n, m1, m2 = sys.n, sys.m1, sys.m2
+    x0 = _as_state(x0, n, "x0")
+    dt, thr, P = cfg.dt, cfg.escape_threshold, len(controls)
+    rec, trajs = _block(cfg, n, m2, m1, P)
+    d_row, step = _rk4_loop(sys, d, dt)
+    steps = [step(c) for c in controls]
+    zero_d = d is None or m1 == 0
+
+    def disturbances(X, t):
+        if zero_d:
+            return np.zeros((len(X), m1))
+        return call_rows(d, X, t, m1, "d")
+
+    def field(X, U, D):
+        F, G2, G1 = sys._stacks_of(list(X))
+        dX = F + _mv(G2, U)
+        if m1 > 0:
+            dX = dX + _mv(G1, D)
+        return dX
+
+    def policies(X, t, live):
+        return (call_rows(u0, X, t, m2, "u0"), disturbances(X, t),
+                stack(X, t, live))
+
+    def advance(k, t, X, U, D, live):
+        def rate(Xs, ts):
+            Ds = disturbances(Xs, ts)
+            return field(Xs, stack(Xs, ts, live), Ds)
+        return _rk4(rate, X, t, dt, field(X, U, D))
+
+    failure = _lockstep(
+        rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
+        lambda i, k, t, x: _record(trajs[i], k, t, x, sys, bf, controls[i],
+                                   u0, d_row, thr),
+        advance, lambda i, k, t, x, u, dv: steps[i](k, t, x, (u, dv)))
+    return trajs, failure
+
+
 def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     """Euler-Maruyama on dx = (f + g2 u) dt + g1 Sigma(t) dw.
 
@@ -298,10 +471,10 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     (P, N, m1) buffer; the recorded disturbance column is the Wiener
     rate dw/dt of that step. x0 is checked as in integrate_ode.
 
-    The paths run in lockstep, as one stack of live rows on _run, and
-    each keeps the record, escape and failure it would have alone: a
-    row escapes alone, and where rows fail, the lowest path's error is
-    raised once the paths below it are done. A control or u0 marked
+    The paths run in lockstep on _lockstep, as one stack of live rows,
+    and each keeps the record, escape and failure it would have alone:
+    a row escapes alone, and where rows fail, the lowest path's error
+    is raised once the paths below it are done. A control or u0 marked
     systems.stacked is called once per step on the live rows; any other
     is called row by row, with integrate_ode's checks. The plant is
     called row by row. Where a row escapes or anything raises, that
@@ -319,20 +492,18 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     for i in range(P):
         normals(i, DW[i])
     DW *= math.sqrt(dt)
-    rec = _alloc(cfg.n_steps + 1, n, m2, m1, P)
+    rec, trajs = _block(cfg, n, m2, m1, P)
     # a step's rate column, for every step up front: a tombstone or a
     # truncation overwrites or drops the samples no step left
     np.divide(DW, dt, out=rec.disturbances[:, :-1])
-    trajs = [Trajectory(rec.times[i], rec.states[i], rec.controls[i],
-                        rec.nominal[i], rec.disturbances[i],
-                        rec.h_values[i], rec.running_cost[i])
-             for i in range(P)]
     row_u0 = _one_row(u0, m2, "u0")
     row_control = _one_row(control, m2, "control")
-    live = np.arange(P)     # the path of each row of the stack
-    failure = None          # the lowest failing path's error
 
-    def row_step(i, k, t, x, u):
+    def record(i, k, t, x):
+        return _record(trajs[i], k, t, x, sys, bf, row_control, row_u0,
+                       None, thr)
+
+    def step(i, k, t, x, u, _):
         # path i's row x, through the plant's checked accessors
         return (x + dt * (sys.f_at(x) + sys.g2_at(x) @ u)
                 + sys.g1_at(x) @ (cov.at(t) @ DW[i, k]))
@@ -341,81 +512,21 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
         return [_run(trajs[0], cfg, x0.copy(),
                      lambda k, t, x: _record(trajs[0], k, t, x, sys, bf,
                                              row_control, row_u0, None, thr),
-                     lambda k, t, x, s: row_step(0, k, t, x, s[0]))]
+                     lambda k, t, x, s: step(0, k, t, x, *s))]
 
-    def at(live):
-        # the live rows' index into the record block: a slice while no
-        # path has stopped, which numpy indexes faster than an array
-        return live if live.size < P else slice(None)
+    def policies(X, t, live):
+        return (call_rows(u0, X, t, m2, "u0"), None,
+                call_rows(control, X, t, m2, "control"))
 
-    def sample(k, t, X):
-        nonlocal live, failure
-        if not live.size:       # every path has stopped
-            return None
-        if len(X) > 1 and np.abs(X).max() <= thr:
-            try:
-                U0 = call_rows(u0, X, t, m2, "u0")
-                U = call_rows(control, X, t, m2, "control")
-                H = [bf.value(x) for x in X]
-            except Exception:
-                pass
-            else:
-                rows = at(live)
-                rec.times[rows, k] = t
-                rec.states[rows, k] = X
-                rec.nominal[rows, k] = U0
-                rec.controls[rows, k] = U
-                rec.h_values[rows, k] = H
-                return slice(None), U
-        keep, U = [], []
-        for j, i in enumerate(live):
-            try:
-                s = _record(trajs[i], k, t, X[j], sys, bf, row_control,
-                            row_u0, None, thr)
-            except Exception as exc:  # the paths above i no longer run
-                failure = exc
-                break
-            if s is not None:
-                keep.append(j)
-                U.append(s[0])
-        if not keep:
-            return None
-        if len(keep) < live.size:
-            live = live[keep]
-        else:
-            keep = slice(None)
-        return keep, np.array(U)
+    def advance(k, t, X, U, _, live):
+        F, G2, G1 = sys._stacks_of(list(X))
+        return (X + dt * (F + _mv(G2, U))
+                + _mv(G1, _mv(cov.at(t), DW[_rows_of(live, P), k])))
 
-    def step(k, t, X, s):
-        nonlocal live, failure
-        keep, U = s
-        X = X[keep]
-        if len(X) > 1:
-            try:
-                F, G2, G1 = sys._stacks_of(list(X))
-                return (X + dt * (F + _mv(G2, U))
-                        + _mv(G1, _mv(cov.at(t), DW[at(live), k])))
-            except Exception:
-                pass
-        out, kept = [], []
-        for j, i in enumerate(live):
-            x = X[j]
-            try:
-                out.append(row_step(i, k, t, x, U[j]))
-                kept.append(j)
-            except Exception as exc:
-                try:
-                    _stop(trajs[i], k, t, dt, x, exc)
-                except SimulationError as err:
-                    failure = err
-                    break
-        if len(kept) < live.size:
-            live = live[kept]
-        return np.array(out).reshape(len(out), n)
-
-    _run(trajs, cfg, np.tile(x0, (P, 1)), sample, step)
+    failure = _lockstep(rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
+                        record, advance, step)
     if failure is not None:
-        raise failure
+        raise failure[1]
     return trajs
 
 

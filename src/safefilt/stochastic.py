@@ -37,9 +37,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
-from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains, _lie,
-                      _max0, _premise, _u0_at, _value_game, budget, correct,
-                      margin)
+from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
+                      _game_weights, _lie, _max0, _premise, _u0_at,
+                      _value_game, budget, correct, margin)
 from .systems import SafefiltError, _as_state, lie_data, row_dot
 
 
@@ -171,12 +171,18 @@ def min_eigenvalue(M):
     return float(np.min(np.linalg.eigvalsh(M)))
 
 
-def _game(spec, x, u0v, adversary=False):
-    """The value game of either class at state x and nominal value u0v:
-    the covariance game, or with adversary=False the Ito value."""
+def _need_gammas(spec, adversary):
+    """The inverse-optimal calls' ValueError where spec lacks gamma2, or
+    with an adversary gamma1."""
     if spec.gamma2 is None or (adversary and spec.gamma1 is None):
         raise ValueError("inverse-optimal calls need %s"
                          % ("gamma1 and gamma2" if adversary else "gamma2"))
+
+
+def _game(spec, x, u0v, adversary=False):
+    """The value game of either class at state x and nominal value u0v:
+    the covariance game, or with adversary=False the Ito value."""
+    _need_gammas(spec, adversary)
 
     def supply(ld, drift, S):
         ell2 = elementwise(lambda s: legendre_fenchel(
@@ -193,12 +199,13 @@ def _inverse_optimal(spec, x, t, adversary):
     """u0 + (beta/2) R2^{-1} Lg2h' (gamma2')^{-1}(s)/s with s = sqrt(S);
     u0 itself at each row where s ~ 0."""
     u0v = _u0_at(spec, x, t)
-    game = _game(spec, x, u0v, adversary)
-    s = elementwise(math.sqrt, _max0(game.S))
+    _need_gammas(spec, adversary)
+    w = _game_weights(spec, _lie, spec.sys, spec.bf, x, u0v)
+    s = elementwise(math.sqrt, _max0(w.S))
     gain = elementwise(lambda r: spec.gamma2.gamma_prime_inv(r) / r
                        if r >= GRAD_ZERO_TOL else 0.0, s)
     live = np.asarray(s >= GRAD_ZERO_TOL)[..., None]
-    step = 0.5 * spec.beta_gain * np.asarray(gain)[..., None] * game.ra
+    step = 0.5 * spec.beta_gain * np.asarray(gain)[..., None] * w.ra
     return np.where(live, u0v + step, u0v)
 
 
