@@ -4,10 +4,21 @@
 
 Imports safefilt from the src/ of the checkout that holds this script,
 so running it from two checkouts compares them. Every number is the
-best of R rounds (default 5), timed with perf_counter in this process:
+best of R rounds (default 5), timed with perf_counter in this process
+and reported at reference machine speed, as bench/run.py reports its
+times: each round's raw time is scaled by REFERENCE_KERNEL_S over the
+mean of the reference kernel's times taken just before and after it
+(the kernel and its constant are imported from bench/run.py). The
+kernel's median time over five runs at the end is printed as kernel_s,
+beside reference_kernel_s, the time it takes on the reference machine.
+A shared host's single-thread speed swings by tens of percent for
+minutes, and the kernel swings with it, so scaled numbers from two runs
+compare where raw ones do not.
 
   lie_data.m1_0.us_per_call   lie_data on the integrator plant (no
                               disturbance channel), h = -x
+  first_order_lie.m1_0.us_per_call
+                              first_order_lie on the same plant
   lie_data.m1_1.us_per_call   lie_data on ex3's disturbed-gain plant
                               dx = (u + (1 + x^2) d) dt, h = -x
   first_order_lie.m1_1.us_per_call
@@ -28,6 +39,9 @@ best of R rounds (default 5), timed with perf_counter in this process:
   ode.io_general.us_per_call  inverse_optimal_general, the control of
                               ode.filter's loop, at one state of it
                               (x = -1.2)
+  filters.io_qp.us_per_call   inverse_optimal_qp (beta = 2) at one
+                              state (x = -1.1) on probe.game's plant:
+                              the probe's u*
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
   probe.game.s                one optimality_probe of game-cert's shape:
@@ -37,28 +51,58 @@ best of R rounds (default 5), timed with perf_counter in this process:
                               standard shapes at amplitudes -0.1 and
                               0.1, dt = 2e-3, T = 1, cost intro-min
 
-The two ode records are checked equal bit for bit; a mismatch exits 1.
-Timings depend on the machine and its load; compare two trees only
-from runs taken side by side.
+Two flags are checked, and either one false exits 1:
+
+  general_equals_scalar       the two ode records are equal bit for bit
+  contractions_equal_matmul   each contraction helper of
+                              safefilt.systems (row_dot, vecmat, matvec,
+                              vec_norm, row_norm), single and stacked,
+                              gives the bytes of @ / np.matmul (of
+                              sqrt(v.v) for the norms) on a fixed grid
+                              of width-one special values (+-0, +-inf,
+                              NaNs, subnormals, overflowing products)
+                              and on a few wider shapes
+
+Compare timings of two trees only from runs taken side by side; the
+scaling narrows the spread but does not remove it.
 """
 
 import argparse
+import importlib.util
+import itertools
 import json
 import math
 import os
 import platform
+import statistics
+import struct
 import sys
 import time
 
-import numpy as np
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "src"))
+
+def _bench_run():
+    """bench/run.py as a module (its main() is not run); loaded before
+    numpy, so its one-thread BLAS pinning holds here too."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(ROOT, "bench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_run()
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import safefilt as sf  # noqa: E402
 from safefilt.scenarios import (disturbed_gain_system,  # noqa: E402
                                 integrator_system, neg_state_barrier)
-from safefilt.systems import first_order_lie  # noqa: E402
+from safefilt.systems import (first_order_lie, matvec,  # noqa: E402
+                              row_dot, row_norm, vec_norm, vecmat)
 
 BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
 LIE_CALLS = 20000
@@ -66,12 +110,19 @@ IO_CALLS = 5000
 
 
 def best(fn, rounds):
-    """The fastest of `rounds` calls of fn, in seconds."""
+    """The fastest of `rounds` calls of fn, in seconds at reference
+    speed: each call's time scaled by REFERENCE_KERNEL_S over the mean
+    of the kernel times taken just before and after it."""
     times = []
+    before = BENCH.kernel_seconds()
     for _ in range(rounds):
         t0 = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
+        after = BENCH.kernel_seconds()
+        times.append(seconds * BENCH.REFERENCE_KERNEL_S
+                     / (0.5 * (before + after)))
+        before = after
     return min(times)
 
 
@@ -170,16 +221,95 @@ def sde_us(rounds):
     return 1e6 * best(run, rounds) / cfg.n_steps
 
 
-def probe_s(rounds):
-    spec = sf.DssfCbfSpec(integrator_system(), neg_state_barrier(),
+def probe_spec():
+    """probe.game's filter spec: the integrator plant dx = u dt, h = -x,
+    u0 = 1, alpha(h) = h."""
+    return sf.DssfCbfSpec(integrator_system(), neg_state_barrier(),
                           sf.identity_k(), sf.linear_extended(1.0),
                           lambda x, t: np.array([1.0]))
+
+
+def io_qp_us(rounds):
+    spec = probe_spec()
+    x = np.array([-1.1])
+
+    def calls():
+        for _ in range(IO_CALLS):
+            sf.inverse_optimal_qp(spec, 2.0, x, 0.0)
+    return 1e6 * best(calls, rounds) / IO_CALLS
+
+
+def probe_s(rounds):
+    spec = probe_spec()
     setup = sf.ProbeSetup(
         spec.sys, spec.bf, lambda x, t: sf.inverse_optimal_qp(spec, 2.0, x, t),
         spec.u0, None, [-1.1], sf.CostSpec("intro-min"), +1)
     cfg = sf.SimConfig(dt=2e-3, T=1.0)
     return best(lambda: sf.optimality_probe(setup, cfg,
                                             amplitudes=(-0.1, 0.1)), rounds)
+
+
+# width-one operands: signed zeros and infinities, NaNs of two payloads
+# and signs, subnormals, and pairs whose product overflows or underflows
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 3.7, -0.3, math.inf, -math.inf, math.nan,
+           -math.nan, struct.unpack("<d", struct.pack("<Q",
+                                                      0x7FF8000000000123))[0],
+           5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e200,
+           -1e200, 1.7976931348623157e308]
+
+
+def _same(a, b):
+    """Equal bytes, shape and dtype: a NaN equals only the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _pairs_equal(x, y):
+    """Each helper against @ / np.matmul at each pair of float sequences
+    a in x, b in y of one length k: vectors a and b, the (k, k) matrix
+    B of b's cyclic shifts, and three-row stacks of each."""
+    ok = True
+    for a, b in zip(x, y):
+        k = len(a)
+        a, b = np.array(a), np.array(b)
+        B = b[(np.arange(k)[:, None] + np.arange(k)) % max(k, 1)]  # (k, k)
+        S, T = np.tile(a, (3, 1)), np.tile(b, (3, 1))
+        TB = np.tile(B, (3, 1, 1))
+        ok &= _same(row_dot(a, b), float(a @ b))
+        ok &= _same(vecmat(a, B), a @ B)
+        ok &= _same(matvec(B, a), B @ a)
+        ok &= _same(vec_norm(a), math.sqrt(a.dot(a)))
+        ok &= _same(vec_norm(B), float(np.linalg.norm(B)))
+        ok &= _same(row_dot(S, T),
+                    np.matmul(S[:, None, :], T[:, :, None])[:, 0, 0])
+        ok &= _same(row_norm(S),
+                    np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]))
+        ok &= _same(vecmat(S, TB), np.matmul(S[:, None, :], TB)[:, 0, :])
+        ok &= _same(matvec(TB, S), np.matmul(TB, S[:, :, None])[:, :, 0])
+        ok &= _same(matvec(B, S), np.matmul(B, S[:, :, None])[:, :, 0])
+    return bool(ok)
+
+
+def contractions_equal_matmul():
+    """The systems helpers against @ / np.matmul: every pair of SPECIAL
+    values at width one, and seeded draws mixed with SPECIAL at widths
+    0, 2 and 3; numpy's warnings silenced, as a filter's np.errstate
+    would."""
+    grid = list(itertools.product(SPECIAL, repeat=2))
+    x = [[a] for a, _ in grid]
+    y = [[b] for _, b in grid]
+    rng = np.random.default_rng(0)
+    for k in (0, 2, 3):
+        for _ in range(40):
+            draw = rng.standard_normal((2, k)) * 10.0 ** rng.integers(
+                -3, 4, (2, k))
+            mask = rng.random((2, k)) < 0.2
+            draw[mask] = rng.choice(SPECIAL, mask.sum())
+            x.append(list(draw[0]))
+            y.append(list(draw[1]))
+    with np.errstate(all="ignore"):
+        return _pairs_equal(x, y)
 
 
 def main(argv=None):
@@ -193,21 +323,30 @@ def main(argv=None):
                                             args.rounds),
         "lie_data.m1_1.us_per_call": lie_us(
             sf.lie_data, disturbed_gain_system(), args.rounds),
+        "first_order_lie.m1_0.us_per_call": lie_us(
+            first_order_lie, integrator_system(), args.rounds),
         "first_order_lie.m1_1.us_per_call": lie_us(
             first_order_lie, disturbed_gain_system(), args.rounds)}
     ode, same = ode_numbers(args.rounds)
     numbers.update(ode)
+    numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["probe.game.s"] = probe_s(args.rounds)
+    equal = contractions_equal_matmul()
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "machine": platform.machine(),
                         "nproc": os.cpu_count()},
-        "rounds": args.rounds, "general_equals_scalar": same,
+        "rounds": args.rounds,
+        "reference_kernel_s": BENCH.REFERENCE_KERNEL_S,
+        "kernel_s": round(statistics.median(
+            BENCH.kernel_seconds() for _ in range(5)), 6),
+        "general_equals_scalar": same,
+        "contractions_equal_matmul": equal,
         "metrics": {k: round(v, 3) if math.isfinite(v) else None
                     for k, v in numbers.items()}}, indent=1))
-    return 0 if same else 1
+    return 0 if same and equal else 1
 
 
 if __name__ == "__main__":

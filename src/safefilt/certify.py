@@ -54,7 +54,8 @@ from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
 from .sim import _ode_rows
 from .stochastic import nssf_weights, stoch_weights
-from .systems import call_rows, first_order_lie_rows, row_dot, row_norm
+from .systems import (call_rows, first_order_lie_rows, row_dot, row_norm,
+                      vecmat)
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -182,7 +183,7 @@ def _paired(weight, dev_sq):
 
 def _quad(dev, R):
     """dev_k . R_k dev_k for each row of dev and its (m, m) weight R_k."""
-    return np.matmul(np.matmul(dev[:, None, :], R), dev[:, :, None])[:, 0, 0]
+    return row_dot(vecmat(dev, R), dev)
 
 
 def _finite(vals, terminal):

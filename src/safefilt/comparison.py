@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .sim import _rk4
-from .systems import SafefiltError
+from .systems import SafefiltError, row_dot, vec_norm
 
 INV_XTOL = 1e-12            # absolute tolerance handed to brentq
 KL_AGREE_TOL = 1e-8         # successive step-halvings must agree this well
@@ -216,9 +216,8 @@ def young_gap(x, y, pair):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise ValueError("shape mismatch %s vs %s" % (x.shape, y.shape))
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    return pair.gamma(nx) + legendre_fenchel(pair, ny) - float(x @ y)
+    return (pair.gamma(vec_norm(x)) + legendre_fenchel(pair, vec_norm(y))
+            - row_dot(x, y))
 
 
 def kl_solve(alpha, r, t):

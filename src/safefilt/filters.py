@@ -120,7 +120,7 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
         return _correct_rows(omega, a, rule, error)
     if rule == MIN_NORM and omega >= 0.0:
         return np.zeros(a.shape)
-    q = float(a @ a)
+    q = row_dot(a, a)
     if omega < 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:
         raise error("margin %g < 0 with no control authority (|a| = %g)"
                     % (omega, math.sqrt(q)))
@@ -300,9 +300,9 @@ def qp_filter_affine_form(spec, x, t):
     m2 = spec.sys.m2
     if omega >= 0.0:
         return np.eye(m2), np.zeros(m2), False
-    q = float(a @ a)
+    q = row_dot(a, a)
     chi0 = np.eye(m2) - np.outer(a, a) / q
-    return chi0, -((omega - float(a @ u0v)) / q) * a, True
+    return chi0, -((omega - row_dot(a, u0v)) / q) * a, True
 
 
 def sontag_filter(spec, x, t, include_u0=True):
@@ -483,7 +483,7 @@ def pi_gap(iospec, x, d):
     lam = iospec.lam
     ell = legendre_fenchel(iospec.gamma, 2.0 * vec_norm(ld.Lg1h))
     return (iospec.gamma.gamma(vec_norm(d) / lam)
-            + ell + (2.0 / lam) * float(ld.Lg1h @ d))
+            + ell + (2.0 / lam) * row_dot(ld.Lg1h, d))
 
 
 @dataclass(frozen=True)
@@ -570,5 +570,5 @@ def scp_diagnostic(spec, points, t=0.0):
         except CbfViolation:
             violations += 1
             continue
-        max_corr = max(max_corr, float(np.linalg.norm(ubar)))
+        max_corr = max(max_corr, vec_norm(ubar))
     return {"max_correction": max_corr, "violations": violations}

@@ -30,7 +30,8 @@ from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, correct, margin,
                       min_norm_certificate)
 from .sim import _alloc, _record, _rk4, _run, integrate_ode
-from .systems import ControlAffineSystem, SafefiltError, _as_state, at_rows
+from .systems import (_F64, ControlAffineSystem, SafefiltError, _as_state,
+                      at_rows, row_dot)
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -50,9 +51,18 @@ class ProjectionSpec:
         _check_gains(self.beta_gain)
 
 
+def _checked(v):
+    """v as a float array of at least one dimension; one that already
+    is passes unchanged."""
+    if type(v) is np.ndarray and v.dtype == _F64 and v.ndim:
+        return v
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
 def _parts(theta_hat, u0_val):
-    theta = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    u0v = np.atleast_1d(np.asarray(u0_val, dtype=float))
+    """The estimate and the nominal value, checked once: the barrier is
+    then read through bf._h and bf._gradient_of, which convert nothing."""
+    theta, u0v = _checked(theta_hat), _checked(u0_val)
     if u0v.shape != theta.shape:
         raise ValueError("u0 shape %s, estimate shape %s"
                          % (u0v.shape, theta.shape))
@@ -63,8 +73,8 @@ def _projection_min_data(spec, theta_hat, u0_val):
     """projection-min's certificate data (omega, grad h, alpha(h), h, -1),
     stacked over the rows of (N, p) estimates and nominal values."""
     theta, u0v = _parts(theta_hat, u0_val)
-    g, h = at_rows(lambda th: (spec.bf.gradient(th), spec.bf.value(th)),
-                   theta)
+    bf = spec.bf
+    g, h = at_rows(lambda th: (bf._gradient_of(th), float(bf._h(th))), theta)
     alpha_h = elementwise(spec.alpha, h)
     # drift -0.0 adds exactly nothing: omega = grad h.u0 + alpha(h)
     return margin(-0.0, g, u0v, alpha_h) + (alpha_h, h, -1.0)
@@ -80,15 +90,15 @@ def classic_projection(spec, theta_hat, u0_val):
     """Correction of the discontinuous law; zero strictly inside. At one
     estimate only: the boundary test is an event, not a formula."""
     theta, u0v = _parts(theta_hat, u0_val)
-    h = spec.bf.value(theta)
+    h = float(spec.bf._h(theta))
     act = spec.alpha(h)
     if act > PROJ_BOUNDARY_TOL:
         return np.zeros(u0v.shape)
     if act < -PROJ_BOUNDARY_TOL:
         raise ProjectionError("estimate outside the constraint set, h=%g" % h)
     # on the boundary the margin is the normal component grad h . u0
-    g = spec.bf.gradient(theta)
-    return correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
+    g = spec.bf._gradient_of(theta)
+    return correct(row_dot(g, u0v), g, MIN_NORM, ProjectionError)
 
 
 def qp_projection(spec, theta_hat, u0_val):
@@ -100,8 +110,8 @@ def qp_projection(spec, theta_hat, u0_val):
 
 def inverse_optimal_update(spec, theta_hat, u0_val):
     """Full update u0 + beta * qp_projection."""
-    u0v = np.atleast_1d(np.asarray(u0_val, dtype=float))
-    return u0v + spec.beta_gain * qp_projection(spec, theta_hat, u0_val)
+    return (_checked(u0_val)
+            + spec.beta_gain * qp_projection(spec, theta_hat, u0_val))
 
 
 def projection_penalty_l(spec, theta_hat, u0_val):
@@ -147,23 +157,23 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
 
     def sliding(x, t):
         u0v = nominal(x, t)
-        g = bf.gradient(x)
-        return u0v + correct(float(g @ u0v), g, MIN_NORM, ProjectionError)
+        g = bf._gradient_of(x)
+        return u0v + correct(row_dot(g, u0v), g, MIN_NORM, ProjectionError)
 
     def step(k, t, th, s):
         nonlocal pinned
         u0v, uv = traj.nominal[k], s[0]
-        if pinned and float(bf.gradient(th) @ u0v) >= 0.0:
+        if pinned and row_dot(bf._gradient_of(th), u0v) >= 0.0:
             pinned = False
         if pinned:
             return _rk4(sliding, th, t, dt, uv)
         cand = _rk4(nominal, th, t, dt, u0v)
-        if bf.value(cand) >= 0.0:
+        if float(bf._h(cand)) >= 0.0:
             return cand
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if bf.value(_rk4(nominal, th, t, mid * dt, u0v)) >= 0.0:
+            if float(bf._h(_rk4(nominal, th, t, mid * dt, u0v))) >= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -172,7 +182,7 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
 
     traj = _alloc(cfg.n_steps + 1, p, p, 0)
     th = _as_state(theta0, p, "theta0").copy()
-    pinned = abs(bf.value(th)) <= PROJ_BOUNDARY_TOL
+    pinned = abs(float(bf._h(th))) <= PROJ_BOUNDARY_TOL
     return _run(traj, cfg, th,
                 lambda k, t, th: _record(traj, k, t, th, plant, bf,
                                          sliding if pinned else nominal,

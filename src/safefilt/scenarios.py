@@ -54,7 +54,7 @@ from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
 from .systems import (BarrierFunction, SafefiltError, lie_data_rows,
-                      row_norm, scalar_system, stacked)
+                      row_dot, row_norm, scalar_system, stacked, vec_norm)
 
 VALUE_TOL = 1e-3
 
@@ -141,7 +141,7 @@ def neg_cube_barrier():
 
 def unit_ball_barrier():
     return BarrierFunction(
-        lambda th: 1.0 - float(th @ th),
+        lambda th: 1.0 - row_dot(th, th),
         grad=lambda th: -2.0 * th,
         hess=lambda th: -2.0 * np.eye(th.size))
 
@@ -507,8 +507,8 @@ def run_proj_ball(cfg):
         h_mins[law] = float(np.min(traj.h_values))
         res.report["h_min_%s" % law] = h_mins[law]
         res.records["proj-ball-%s.csv" % law] = traj
-    res.report["final_radius_classic"] = float(
-        np.linalg.norm(trajs["classic"].states[-1]))
+    res.report["final_radius_classic"] = vec_norm(
+        trajs["classic"].states[-1])
 
     # boundary agreement of the two min-norm laws
     agree = 0.0
@@ -518,7 +518,7 @@ def run_proj_ball(cfg):
             u0v = np.array(u0v)
             c = classic_projection(spec, th, u0v)
             q = qp_projection(spec, th, u0v)
-            agree = max(agree, float(np.linalg.norm(c - q)))
+            agree = max(agree, vec_norm(c - q))
     res.report["boundary_agreement_gap"] = agree
 
     # steepening family: the continuous law approaches the classic one;

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .systems import (ModelBlowup, SafefiltError, _Stacked, _as_state,
-                      call_rows)
+                      call_rows, matvec)
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 4096            # samples formatted per write
@@ -256,9 +256,9 @@ def _rk4_loop(sys, d, dt):
     def field(xs, uv, dv):
         # xs is x0's checked copy or a stage state built from it, an
         # (n,) float array already; the model's outputs are checked
-        dx = sys._f_of(xs) + sys._g2_of(xs) @ uv
+        dx = sys._f_of(xs) + matvec(sys._g2_of(xs), uv)
         if m1 > 0:
-            dx = dx + sys._g1_of(xs) @ dv
+            dx = dx + matvec(sys._g1_of(xs), dv)
         return dx
 
     def step(control):
@@ -287,12 +287,6 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
                 lambda k, t, x: _record(traj, k, t, x, sys, bf, control, u0,
                                         d, thr),
                 step(control))
-
-
-def _mv(A, V):
-    """A @ v for each row v of the (N, b) stack V; A is one (a, b)
-    matrix or an (N, a, b) stack of them."""
-    return np.matmul(A, V[:, :, None])[:, :, 0]
 
 
 def _one_row(fn, m, what):
@@ -440,9 +434,9 @@ def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
 
     def field(X, U, D):
         F, G2, G1 = sys._stacks_of(list(X))
-        dX = F + _mv(G2, U)
+        dX = F + matvec(G2, U)
         if m1 > 0:
-            dX = dX + _mv(G1, D)
+            dX = dX + matvec(G1, D)
         return dX
 
     def policies(X, t, live):
@@ -505,8 +499,8 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
 
     def step(i, k, t, x, u, _):
         # path i's row x, through the plant's checked accessors
-        return (x + dt * (sys.f_at(x) + sys.g2_at(x) @ u)
-                + sys.g1_at(x) @ (cov.at(t) @ DW[i, k]))
+        return (x + dt * (sys.f_at(x) + matvec(sys.g2_at(x), u))
+                + matvec(sys.g1_at(x), matvec(cov.at(t), DW[i, k])))
 
     if P == 1:      # one path: its own loop, with no stack to keep
         return [_run(trajs[0], cfg, x0.copy(),
@@ -520,8 +514,8 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
 
     def advance(k, t, X, U, _, live):
         F, G2, G1 = sys._stacks_of(list(X))
-        return (X + dt * (F + _mv(G2, U))
-                + _mv(G1, _mv(cov.at(t), DW[_rows_of(live, P), k])))
+        return (X + dt * (F + matvec(G2, U))
+                + matvec(G1, matvec(cov.at(t), DW[_rows_of(live, P), k])))
 
     failure = _lockstep(rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
                         record, advance, step)

@@ -40,7 +40,7 @@ from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
                       _game_weights, _lie, _max0, _premise, _u0_at,
                       _value_game, budget, correct, margin)
-from .systems import SafefiltError, _as_state, lie_data, row_dot
+from .systems import SafefiltError, _as_state, lie_data, row_dot, vec_norm
 
 
 class ScbfViolation(SafefiltError, RuntimeError):
@@ -280,7 +280,7 @@ def generator_h(sys, bf, x, u, Sigma=None):
     else:
         S = np.asarray(Sigma, dtype=float).reshape(sys.m1, sys.m1)
         trace = 0.5 * float(np.trace(S.T @ ld.g1_hess_g1 @ S))
-    return ld.Lfh + float(ld.Lg2h @ u) + trace
+    return ld.Lfh + row_dot(ld.Lg2h, u) + trace
 
 
 class CovarianceSchedule:
@@ -316,5 +316,5 @@ def nsbf_premise(spec, x, Sigma):
     actual = 0.5 * float(np.trace(S.T @ ld.g1_hess_g1 @ S))
     allowed = budget(spec.rho, -ld.h_val)
     floor = -0.5 * ld.frob_term * allowed
-    used = float(np.linalg.norm(S @ S.T, "fro"))
+    used = vec_norm(S @ S.T)
     return actual - floor, allowed - used

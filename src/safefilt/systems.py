@@ -36,6 +36,25 @@ state. Each call runs under one np.errstate that silences numpy's
 warnings, the model calls and their finite differences included:
 non-finite model data is its ModelBlowup, not a RuntimeWarning first.
 
+One contraction rule serves every vector product of the package:
+row_dot (vector.vector, to a float), vecmat (vector @ matrix), matvec
+(matrix @ vector), each also on (N, ...) stacks, and vec_norm and
+row_norm. At one state of width one, where both operands hold a single
+number x and y, the product is the float 0.0 + x*y and the norm
+sqrt(x*x), and an empty vector's norm is 0.0. That is exactly what
+np.matmul gives there (its sum starts from +0.0, so a -0.0 product
+comes out +0.0, and the operands multiply in matmul's order, which
+keeps a NaN's payload), for a fraction of the cost of a 1x1 matmul
+call, and every example of the paper runs on a scalar plant. One
+difference is not in the value: a float product that overflows is inf
+with no warning, where matmul warns outside an np.errstate (x**2 would
+raise OverflowError, so the rule writes x*x). Every wider product calls
+np.matmul, since a sum of two or more float products can round
+differently from matmul's, and ndarray.dot gives -0.0 where matmul
+gives +0.0 at width one. Every stack calls np.matmul as well: it is one
+call per pass, not per row, so its values and warnings stay matmul's.
+The helpers choose from the operands' sizes alone.
+
 SafefiltError is the base of every error the package raises by name;
 each keeps its builtin base as well.
 
@@ -68,6 +87,7 @@ class ModelBlowup(SafefiltError, ArithmeticError):
 
 
 _F64 = np.dtype(float)
+_FLOAT_TYPES = (float, np.float64)
 
 
 def _as_state(x, n, what="state"):
@@ -84,17 +104,26 @@ def _as_state(x, n, what="state"):
 
 def vec_norm(v):
     """Euclidean (Frobenius for a matrix) norm of a float array, as a
-    float: numpy's own sqrt(v.v) for norm(v) and norm(v, "fro"), without
-    its dispatch overhead on the tiny vectors of a single state.
-    """
+    float, by the contraction rule: sqrt(x*x) for one number x, 0.0 for
+    none, otherwise numpy's own sqrt(v.v) for norm(v) and norm(v, "fro")
+    without its dispatch overhead."""
+    size = v.size
+    if size == 1:
+        x = v.item()
+        return math.sqrt(x * x)
+    if size == 0:
+        return 0.0
     v = v.ravel(order="K")
     return math.sqrt(v.dot(v))
 
 
 def row_dot(a, b):
-    """a.b as a float for vectors; for (N, m) stacks, one dot per row,
-    equal bit for bit to the dot of each pair of rows."""
+    """a.b as a float for vectors, by the contraction rule; for (N, m)
+    stacks, one dot per row, equal bit for bit to the dot of each pair
+    of rows."""
     if a.ndim == 1:
+        if a.size == 1:
+            return 0.0 + a.item() * b.item()
         return float(a @ b)
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
@@ -104,6 +133,29 @@ def row_norm(v):
     if v.ndim == 1:
         return vec_norm(v)
     return np.sqrt(row_dot(v, v))
+
+
+def vecmat(a, B):
+    """a @ B for a vector a (k,) and a matrix B (k, m), by the
+    contraction rule; for an (N, k) stack a and an (N, k, m) stack B,
+    a_i @ B_i at each row, as an (N, m) stack."""
+    if a.ndim == 1:
+        if B.size == 1:
+            return np.array((0.0 + a.item() * B.item(),))
+        return a @ B
+    return np.matmul(a[:, None, :], B)[:, 0, :]
+
+
+def matvec(A, v):
+    """A @ v for a matrix A (p, k) and a vector v (k,), by the
+    contraction rule; for an (N, k) stack v, A_i @ v_i at each row, as
+    an (N, p) stack, where A is one (p, k) matrix or an (N, p, k) stack
+    of them."""
+    if v.ndim == 1:
+        if A.size == 1:
+            return np.array((0.0 + A.item() * v.item(),))
+        return A @ v
+    return np.matmul(A, v[:, :, None])[:, :, 0]
 
 
 def at_rows(fn, x):
@@ -155,15 +207,28 @@ def call_rows(fn, X, t, m, what):
     """The policy fn(x, t) at each row of the (N, n) stack X, as an
     (N, m) stack: one call when fn is stacked, its output checked as a
     whole, otherwise one call per row, each output checked by _as_state
-    as at one state. `what` names fn in the shape error."""
+    as at one state (where m = 1 a float number passes as it is), the
+    first bad row raising before later rows are called. `what` names fn
+    in the shape error."""
     if isinstance(fn, _Stacked):
         out = np.asarray(fn.fn(X, t), dtype=float)
         if out.shape != (len(X), m):
             raise ValueError("%s stack shape %s, expected (%d, %d)"
                              % (what, out.shape, len(X), m))
         return out
+    if m == 1:
+        return np.array([_one_value(fn(x, t), what)
+                         for x in X]).reshape(len(X), 1)
     return np.array([_as_state(fn(x, t), m, what)
                      for x in X]).reshape(len(X), m)
+
+
+def _one_value(out, what):
+    """A width-one policy output as a float: a Python or numpy float64
+    number as it is, anything else through _as_state's check."""
+    if type(out) in _FLOAT_TYPES:
+        return out
+    return _as_state(out, 1, what).item()
 
 
 def _vectors(fn, rows, n):
@@ -339,12 +404,12 @@ def _first_order(sys, bf, x):
     h = float(bf._h(x))
     grad = bf._gradient_of(x)
     f, g2 = sys._f_of(x), sys._g2_of(x)
-    Lfh = float(grad @ f)
-    Lg2h = grad @ g2
+    Lfh = row_dot(grad, f)
+    Lg2h = vecmat(grad, g2)
     finite = [h, Lfh, *Lg2h.tolist()]
     if sys.m1 > 0:
         g1 = sys._g1_of(x)
-        Lg1h = grad @ g1
+        Lg1h = vecmat(grad, g1)
         finite += Lg1h.tolist()
     else:
         g1, Lg1h = None, _NO_LG1H
@@ -401,9 +466,9 @@ def _first_order_rows(sys, bf, rows):
         grad = _vectors(bf._grad, rows, n)
     fx, g2, g1 = sys._stacks_of(rows)
     Lfh = row_dot(grad, fx)
-    Lg2h = np.matmul(grad[:, None, :], g2)[:, 0, :]
+    Lg2h = vecmat(grad, g2)
     if sys.m1 > 0:
-        Lg1h = np.matmul(grad[:, None, :], g1)[:, 0, :]
+        Lg1h = vecmat(grad, g1)
     else:
         Lg1h = np.zeros((len(rows), 0))
     return g1, [h, Lfh, Lg1h.ravel(), Lg2h.ravel()], (h, Lfh, Lg1h, Lg2h)
