@@ -24,6 +24,14 @@ compare where raw ones do not.
   first_order_lie.m1_1.us_per_call
                               first_order_lie on the same plant: no
                               Hessian, no Ito terms
+  first_order_lie.m1_1.array.us_per_call
+                              the same on the plant's array twin: the
+                              plant built with ControlAffineSystem
+                              from array callables that wrap its float
+                              f, g1 and g2, so the model is read
+                              through (1,) arrays and (1, 1) matrices
+                              where the scalar_system plant reads
+                              floats
   ode.general.us_per_step     integrate_ode on ex3's closed loop
                               (x0 = -1.2, dt = 1e-3, T = 2) with its
                               closed-form control, u0 and worst-case d
@@ -36,6 +44,8 @@ compare where raw ones do not.
   ode.game.us_per_step        the same with worst_case_disturbance as
                               d, game-cert's shape of ex3: two
                               first_order_lie calls at every stage
+  ode.game.array.us_per_step  the same loop on the array twin of ex3's
+                              plant
   ode.io_general.us_per_call  inverse_optimal_general, the control of
                               ode.filter's loop, at one state of it
                               (x = -1.2)
@@ -51,9 +61,17 @@ compare where raw ones do not.
                               standard shapes at amplitudes -0.1 and
                               0.1, dt = 2e-3, T = 1, cost intro-min
 
-Two flags are checked, and either one false exits 1:
+Three flags are checked, and any one false exits 1:
 
   general_equals_scalar       the two ode records are equal bit for bit
+  scalar_equals_array         the scalar_system plant and its array
+                              twin give the same bits: ode.game's
+                              records, and first_order_lie, lie_data,
+                              first_order_lie_rows and lie_data_rows
+                              on ex3's plant at a fixed set of states
+                              (signed zeros, subnormals, 1e+-200), or
+                              the same error and text where the model
+                              data is not finite
   contractions_equal_matmul   each contraction helper of
                               safefilt.systems (row_dot, vecmat, matvec,
                               vec_norm, row_norm), single and stacked,
@@ -101,7 +119,8 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import safefilt as sf  # noqa: E402
 from safefilt.scenarios import (disturbed_gain_system,  # noqa: E402
                                 integrator_system, neg_state_barrier)
-from safefilt.systems import (first_order_lie, matvec,  # noqa: E402
+from safefilt.systems import (first_order_lie,  # noqa: E402
+                              first_order_lie_rows, lie_data_rows, matvec,
                               row_dot, row_norm, vec_norm, vecmat)
 
 BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
@@ -136,8 +155,24 @@ def lie_us(lie, sys_, rounds):
     return 1e6 * best(calls, rounds) / LIE_CALLS
 
 
-def ex3_loop():
-    """ex3-invopt's pieces: closed forms of u0, u*, d* and its spec."""
+# ex3's plant dx = (u + (1 + x^2) d) dt: its f, g1 and g2 on floats, as
+# scenarios.disturbed_gain_system builds it
+EX3_MODEL = (lambda x: 0.0, lambda x: 1.0 + x * x, lambda x: 1.0)
+
+
+def array_twin(f, g1, g2):
+    """scalar_system(f, g1, g2) built with ControlAffineSystem instead,
+    from array callables that wrap the float ones: the same model, read
+    through arrays."""
+    return sf.ControlAffineSystem(
+        1, 0 if g1 is None else 1, 1, lambda x: np.array([f(float(x[0]))]),
+        None if g1 is None else (lambda x: g1(float(x[0]))),
+        lambda x: g2(float(x[0])))
+
+
+def ex3_loop(plant=None):
+    """ex3-invopt's pieces: closed forms of u0, u*, d* and its spec, on
+    `plant` (ex3's plant where None)."""
     def u0(x):
         return (BETA - LAM) * (1.0 + x * x) ** 2 - (x + 1.0)
 
@@ -151,7 +186,8 @@ def ex3_loop():
     def d_star(x):
         return LAM * (1.0 + x * x)
 
-    base = sf.DssfCbfSpec(disturbed_gain_system(), neg_state_barrier(),
+    base = sf.DssfCbfSpec(plant or disturbed_gain_system(),
+                          neg_state_barrier(),
                           sf.identity_k(), sf.linear_extended(ALPHA_GAIN),
                           lambda x, t: np.array([u0(x[0])]))
     iospec = sf.InverseOptimalSpec(
@@ -162,6 +198,7 @@ def ex3_loop():
 
 def ode_numbers(rounds):
     u0, u_star, d_star, iospec = ex3_loop()
+    twin = ex3_loop(array_twin(*EX3_MODEL))[3]
     base = iospec.base
     cfg = sf.SimConfig(dt=1e-3, T=2.0)
     x0 = np.array([-1.2])
@@ -184,10 +221,14 @@ def ode_numbers(rounds):
     def filtered():
         sf.integrate_ode(base.sys, base.bf, control, base.u0, x0, d_arr, cfg)
 
-    def game():
-        sf.integrate_ode(base.sys, base.bf, control, base.u0, x0,
-                         lambda x, t: sf.worst_case_disturbance(iospec, x),
-                         cfg)
+    def game(spec, key):
+        def run():
+            out[key] = sf.integrate_ode(
+                spec.base.sys, spec.base.bf,
+                lambda x, t: sf.inverse_optimal_general(spec, x, t),
+                spec.base.u0, x0,
+                lambda x, t: sf.worst_case_disturbance(spec, x), cfg)
+        return run
 
     def io_general():
         for _ in range(IO_CALLS):
@@ -197,7 +238,8 @@ def ode_numbers(rounds):
     g = 1e6 * best(general, rounds) / steps
     s = 1e6 * best(scalar, rounds) / steps
     f = 1e6 * best(filtered, rounds) / steps
-    w = 1e6 * best(game, rounds) / steps
+    w = 1e6 * best(game(iospec, "game"), rounds) / steps
+    wa = 1e6 * best(game(twin, "game.array"), rounds) / steps
     a, b = out["general"], out["scalar"]
     same = all(np.array_equal(getattr(a, k), getattr(b, k))
                for k in ("times", "states", "controls", "nominal",
@@ -205,8 +247,54 @@ def ode_numbers(rounds):
     return {"ode.general.us_per_step": g, "ode.scalar.us_per_step": s,
             "ode.general_over_scalar": g / s,
             "ode.filter.us_per_step": f, "ode.game.us_per_step": w,
+            "ode.game.array.us_per_step": wa,
             "ode.io_general.us_per_call":
-                1e6 * best(io_general, rounds) / IO_CALLS}, same
+                1e6 * best(io_general, rounds) / IO_CALLS}, same, \
+        _same_record(out["game"], out["game.array"])
+
+
+def _same_record(a, b):
+    """Two records with the same bytes in every column and the same
+    escape time."""
+    return a.escape_time == b.escape_time and all(
+        _same(getattr(a, k), getattr(b, k))
+        for k in ("times", "states", "controls", "nominal", "disturbances",
+                  "h_values", "running_cost"))
+
+
+def _lie_outcome(lie, plant, x):
+    """lie's fields at x as bytes, or its error's class and text."""
+    try:
+        with np.errstate(all="ignore"):
+            ld = lie(plant, neg_state_barrier(), x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [np.asarray(v).tobytes() for v in ld]
+
+
+# states of ex3's plant: signed zeros, subnormals, 1e+-200 (where
+# 1 + x^2 overflows, so first_order_lie raises ModelBlowup)
+LIE_STATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1.2, 0.5, 3.7, 1e-200,
+              -1e-200, 1e200, -1e200, 1.3e154]
+
+
+def lie_equal_array():
+    """ex3's scalar_system plant and its array twin: the same bytes or
+    the same error from the four Lie data functions at LIE_STATES, one
+    state at a time and as stacks (with and without the overflowing
+    states)."""
+    plant = sf.scalar_system(*EX3_MODEL)
+    twin = array_twin(*EX3_MODEL)
+    ok = True
+    for lie in (first_order_lie, sf.lie_data):
+        for v in LIE_STATES:
+            x = np.array([v])
+            ok &= _lie_outcome(lie, plant, x) == _lie_outcome(lie, twin, x)
+    X = np.array(LIE_STATES)[:, None]
+    for lie in (first_order_lie_rows, lie_data_rows):
+        for S in (X, X[np.abs(X[:, 0]) < 1e100], X[:0]):
+            ok &= _lie_outcome(lie, plant, S) == _lie_outcome(lie, twin, S)
+    return bool(ok)
 
 
 def sde_us(rounds):
@@ -326,13 +414,17 @@ def main(argv=None):
         "first_order_lie.m1_0.us_per_call": lie_us(
             first_order_lie, integrator_system(), args.rounds),
         "first_order_lie.m1_1.us_per_call": lie_us(
-            first_order_lie, disturbed_gain_system(), args.rounds)}
-    ode, same = ode_numbers(args.rounds)
+            first_order_lie, disturbed_gain_system(), args.rounds),
+        "first_order_lie.m1_1.array.us_per_call": lie_us(
+            first_order_lie, array_twin(*EX3_MODEL),
+            args.rounds)}
+    ode, same, game_same = ode_numbers(args.rounds)
     numbers.update(ode)
     numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()
+    twins = game_same and lie_equal_array()
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
@@ -344,9 +436,10 @@ def main(argv=None):
             BENCH.kernel_seconds() for _ in range(5)), 6),
         "general_equals_scalar": same,
         "contractions_equal_matmul": equal,
+        "scalar_equals_array": twins,
         "metrics": {k: round(v, 3) if math.isfinite(v) else None
                     for k, v in numbers.items()}}, indent=1))
-    return 0 if same and equal else 1
+    return 0 if same and equal and twins else 1
 
 
 if __name__ == "__main__":

@@ -411,25 +411,31 @@ def optimality_probe(setup, cfg, perturbations=None,
         perturbations = standard_perturbations(cfg.T)
     u_star, m2 = setup.u_star, setup.sys.m2
     names, controls, offsets = [], [u_star], []
-    for name, delta in perturbations.items():
+    deltas = list(perturbations.values())
+    for shape, (name, delta) in enumerate(perturbations.items()):
         for eps in amplitudes:
             def control(x, t, _d=delta, _e=eps):
                 # integrate_ode checks the result's shape as a control
                 return np.asarray(u_star(x, t), dtype=float) + _e * _d(t)
             names.append("%s@%+g" % (name, eps))
             controls.append(control)
-            offsets.append((eps, delta))
+            offsets.append((eps, shape))
 
     def stack(X, t, live):
         # row j is controls[live[j]] at X[j]: u_star, plus eps*delta(t)
-        # on the perturbed rows (live row 0 is the certified loop's)
+        # on the perturbed rows (live row 0 is the certified loop's),
+        # each shape's delta(t) taken once, in the order of its rows
         U = call_rows(u_star, X, t, m2, "control")
         base = int(live[0] == 0)
         if base == len(live):
             return U
-        off = np.array([e * delta(t) for e, delta in
-                        (offsets[i - 1] for i in live[base:].tolist())],
-                       dtype=float)
+        at_t, off = {}, []
+        for i in live[base:].tolist():
+            eps, shape = offsets[i - 1]
+            if shape not in at_t:
+                at_t[shape] = deltas[shape](t)
+            off.append(eps * at_t[shape])
+        off = np.array(off, dtype=float)
         V = U[base:] + (off[:, None] if off.ndim == 1 else off)
         if V.shape != (len(live) - base, m2):  # each row's own check raises
             raise ValueError("perturbed control stack shape %s" % (V.shape,))

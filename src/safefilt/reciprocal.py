@@ -27,8 +27,8 @@ import numpy as np
 from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
                       margin, min_norm_certificate)
-from .systems import (BarrierFunction, SafefiltError, _as_state, at_rows,
-                      first_order_lie_rows, row_dot, vecmat)
+from .systems import (BarrierFunction, SafefiltError, _as_state, _products,
+                      at_rows, first_order_lie_rows)
 
 
 class RcbfViolation(SafefiltError, RuntimeError):
@@ -73,8 +73,8 @@ def _b_data(spec, x):
     if not (Bv > 0.0 and math.isfinite(Bv)):
         raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
     grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
-    LfB = row_dot(grad, spec.sys._f_of(x))
-    return Bv, LfB, vecmat(grad, spec.sys._g2_of(x))
+    LfB, LgB, _, _ = _products(spec.sys, x, grad)
+    return Bv, LfB, LgB
 
 
 def reciprocal_margin(spec, bdata, u0v):

@@ -38,6 +38,12 @@ Euler-Maruyama (integrate_sde's paths) and RK4 (_ode_rows: P loops of
 integrate_ode from one x0, each under its own control, which
 certify.optimality_probe runs). comparison.kl_solve_grid steps its
 decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
+
+The plant's rate at a stage is ControlAffineSystem._field, and the
+lockstep's stacked rate reads the plant through _stacks_of; on a
+scalar_system plant both read f, g1 and g2 as floats, with the bits of
+the array route. A sample reads h through the barrier's own callable
+at the checked state, never through the public BarrierFunction.value.
 """
 
 import math
@@ -171,12 +177,12 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     traj.states[k] = x
     if not (np.abs(x).max() <= thr):
         return _escape(traj, k, t,
-                       bf.value(x) if np.isfinite(x).all() else np.nan)
+                       float(bf._h(x)) if np.isfinite(x).all() else np.nan)
     try:
         nominal = _as_state(u0(x, t), sys.m2, "u0")
         dv = None if d is None else _as_state(d(x, t), sys.m1, "d")
         uv = _as_state(control(x, t), sys.m2, "control")
-        h = bf.value(x)
+        h = float(bf._h(x))
     except _ESCAPE_ERRORS:
         return _escape(traj, k, t, np.nan)
     except Exception as exc:
@@ -253,13 +259,9 @@ def _rk4_loop(sys, d, dt):
         zero_d = np.zeros(m1)
         d = lambda xs, ts: zero_d
 
-    def field(xs, uv, dv):
-        # xs is x0's checked copy or a stage state built from it, an
-        # (n,) float array already; the model's outputs are checked
-        dx = sys._f_of(xs) + matvec(sys._g2_of(xs), uv)
-        if m1 > 0:
-            dx = dx + matvec(sys._g1_of(xs), dv)
-        return dx
+    # at x0's checked copy or a stage state built from it, an (n,)
+    # float array already; it checks the model's outputs
+    field = sys._field
 
     def step(control):
         def rate(xs, ts):
@@ -345,7 +347,7 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
         if len(X) > 1 and np.abs(X).max() <= thr:
             try:
                 U0, D, U = policies(X, t, live)
-                H = [bf.value(x) for x in X]
+                H = [float(bf._h(x)) for x in X]
             except Exception:
                 pass
             else:
@@ -433,7 +435,7 @@ def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
         return call_rows(d, X, t, m1, "d")
 
     def field(X, U, D):
-        F, G2, G1 = sys._stacks_of(list(X))
+        F, G2, G1 = sys._stacks_of(X)
         dX = F + matvec(G2, U)
         if m1 > 0:
             dX = dX + matvec(G1, D)
@@ -513,7 +515,7 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
                 call_rows(control, X, t, m2, "control"))
 
     def advance(k, t, X, U, _, live):
-        F, G2, G1 = sys._stacks_of(list(X))
+        F, G2, G1 = sys._stacks_of(X)
         return (X + dt * (F + matvec(G2, U))
                 + matvec(G1, matvec(cov.at(t), DW[_rows_of(live, P), k])))
 

@@ -55,6 +55,16 @@ gives +0.0 at width one. Every stack calls np.matmul as well: it is one
 call per pass, not per row, so its values and warnings stay matmul's.
 The helpers choose from the operands' sizes alone.
 
+A plant built by scalar_system is scalar: its f, g1 and g2 take the
+state as a Python float and return a number, and every model read takes
+their outputs as floats (_floats_at, _f_value, _gain_value): the Lie
+data at one state (_products, which reciprocal's B data shares) and on
+stacks (ControlAffineSystem._stacks_of), and the RK4 field
+(ControlAffineSystem._field). Each read calls the model in the order f,
+g2, g1 and applies the contraction rule in float arithmetic, so it
+gives the bits, errors and calls of the same plant built from array
+callables; only this module knows the format. Barriers stay array-based.
+
 SafefiltError is the base of every error the package raises by name;
 each keeps its builtin base as well.
 
@@ -88,6 +98,7 @@ class ModelBlowup(SafefiltError, ArithmeticError):
 
 _F64 = np.dtype(float)
 _FLOAT_TYPES = (float, np.float64)
+_FLOAT_TYPE_SET = frozenset(_FLOAT_TYPES)
 
 
 def _as_state(x, n, what="state"):
@@ -171,7 +182,11 @@ def stack_rows(fn, shape, *stacks):
     np.asarray(out, dtype=float).reshape(shape), as one (N,) + shape
     array. The outputs are converted all at once; only where they do not
     stack is each converted alone, so a bad one raises its own error."""
-    outs = list(map(fn, *stacks))
+    return _stacked_outputs(list(map(fn, *stacks)), shape)
+
+
+def _stacked_outputs(outs, shape):
+    """The list outs converted as stack_rows converts its outputs."""
     try:
         return np.array(outs, dtype=float).reshape((len(outs),) + shape)
     except ValueError:
@@ -231,18 +246,63 @@ def _one_value(out, what):
     return _as_state(out, 1, what).item()
 
 
-def _vectors(fn, rows, n):
-    """fn at each row as an (N, n) stack, where each output is an (n,)
-    vector, or a number where n = 1 (what _as_state accepts); (0, n)
-    where there are no rows."""
-    a = np.array(list(map(fn, rows)), dtype=float)
-    if a.shape[1:] != (n,) and not (a.ndim == 1 and (n == 1 or not rows)):
+def _vectors(outs, n):
+    """The list outs, one output per row, as an (N, n) stack, where each
+    is an (n,) vector, or a number where n = 1 (what _as_state
+    accepts); (0, n) where there are none."""
+    a = np.array(outs, dtype=float)
+    if a.shape[1:] != (n,) and not (a.ndim == 1 and (n == 1 or not outs)):
         raise ValueError("output stack shape %s, expected (N, %d)"
                          % (a.shape, n))
-    return a.reshape(len(rows), n)
+    return a.reshape(len(outs), n)
+
+
+# A scalar plant's output that is a Python or numpy float is that float;
+# any other is converted and checked as an array plant's would be, with
+# the same errors: f's as np.array([out]) through _as_state, a gain's
+# through np.asarray(out, dtype=float).reshape(1, 1).
+
+def _f_value(out):
+    """A scalar plant's f output as a float."""
+    if type(out) is float:
+        return out
+    if type(out) is np.float64:
+        return float(out)
+    return _as_state(np.array([out]), 1, "f(x)").item()
+
+
+def _gain_value(out):
+    """A scalar plant's g1 or g2 output as a float."""
+    if type(out) is float:
+        return out
+    if type(out) is np.float64:
+        return float(out)
+    return np.asarray(out, dtype=float).reshape(1, 1).item()
+
+
+def _column(outs, convert):
+    """A scalar plant's outputs of one field at the rows of a stack (an
+    iterable, taken whole before any is read), as one float array: at
+    once where each is a Python or numpy float, else convert(outs), an
+    array plant's conversion of the stack, with its shape and errors."""
+    outs = list(outs)
+    if set(map(type, outs)) <= _FLOAT_TYPE_SET:
+        return np.array(outs, dtype=float)
+    return convert(outs)
 
 
 class ControlAffineSystem:
+    """dx = f(x) dt + g1(x) d dt + g2(x) u dt on states of width n.
+
+    f(x) is an (n,) vector and the gains (n, m1) and (n, m2) matrices,
+    of an (n,) state. A plant built by scalar_system is scalar (_scalar
+    true): n = m2 = 1, m1 is 0 or 1, and f, g1 and g2 take the state as
+    a Python float and return a number, which the model reads below take
+    as a float (_f_value, _gain_value); nothing else is ever scalar.
+    """
+
+    _scalar = False
+
     def __init__(self, n, m1, m2, f, g1, g2):
         if n < 1 or m2 < 1 or m1 < 0:
             raise ValueError("need n >= 1, m2 >= 1, m1 >= 0")
@@ -267,25 +327,69 @@ class ControlAffineSystem:
     # the same at a state already checked by _as_state
 
     def _f_of(self, x):
+        if self._scalar:
+            return np.array((_f_value(self._f(x.item())),))
         return _as_state(self._f(x), self.n, "f(x)")
 
     def _g1_of(self, x):
         if self.m1 == 0:
             return np.zeros((self.n, 0))
+        if self._scalar:
+            return np.array(((_gain_value(self._g1(x.item())),),))
         return np.asarray(self._g1(x), dtype=float).reshape(self.n, self.m1)
 
     def _g2_of(self, x):
+        if self._scalar:
+            return np.array(((_gain_value(self._g2(x.item())),),))
         return np.asarray(self._g2(x), dtype=float).reshape(self.n, self.m2)
 
-    def _stacks_of(self, rows):
-        """f, g2 and g1 at each of the states `rows`, as (N, n),
-        (N, n, m2) and (N, n, m1) stacks: the model called row by row,
-        its outputs converted as stacks."""
-        n, m1 = self.n, self.m1
-        return (_vectors(self._f, rows, n),
-                stack_rows(self._g2, (n, self.m2), rows),
+    def _floats_at(self, v):
+        """f, g2 and g1 of a scalar plant at the float state v, as
+        floats (g1 None where m1 = 0): called in that order, each output
+        read before the next call."""
+        f = _f_value(self._f(v))
+        g2 = _gain_value(self._g2(v))
+        if self.m1 == 0:
+            return f, g2, None
+        return f, g2, _gain_value(self._g1(v))
+
+    def _field(self, x, u, d):
+        """f + g2 u + g1 d at a checked state x, for checked controls u
+        (m2,) and disturbances d (m1,), as an (n,) array: the products
+        by the contraction rule, added in that order (no g1 term where
+        m1 = 0). On a scalar plant it is float arithmetic throughout,
+        the same bits."""
+        if self._scalar:
+            f, g2, g1 = self._floats_at(x.item())
+            dx = f + (0.0 + g2 * u.item())
+            if g1 is not None:
+                dx = dx + (0.0 + g1 * d.item())
+            return np.array((dx,))
+        dx = self._f_of(x) + matvec(self._g2_of(x), u)
+        if self.m1 > 0:
+            dx = dx + matvec(self._g1_of(x), d)
+        return dx
+
+    def _stacks_of(self, X):
+        """f, g2 and g1 at each row of the (N, n) state stack X, as
+        (N, n), (N, n, m2) and (N, n, m1) stacks: the model called row
+        by row, f at every row, then g2, then g1, and each field's
+        outputs converted as a stack."""
+        n, m1, m2, N = self.n, self.m1, self.m2, len(X)
+        if self._scalar:
+            xs = X[:, 0].tolist()
+            vector = lambda outs: _vectors([np.array([o]) for o in outs], 1)
+            gain = lambda outs: _stacked_outputs(outs, (1, 1))
+            F = _column(map(self._f, xs), vector)
+            G2 = _column(map(self._g2, xs), gain)
+            G1 = (_column(map(self._g1, xs), gain).reshape(N, 1, 1)
+                  if m1 > 0 else np.zeros((N, 1, 0)))
+            return F.reshape(N, 1), G2.reshape(N, 1, 1), G1
+        rows = list(X)
+        return (_vectors(list(map(self._f, rows)), n),
+                stack_rows(self._g2, (n, m2), rows),
                 stack_rows(self._g1, (n, m1), rows) if m1 > 0
-                else np.zeros((len(rows), n, 0)))
+                else np.zeros((N, n, 0)))
 
 
 def central_difference(fn, x):
@@ -395,24 +499,39 @@ def _check_finite(numbers, x):
         raise ModelBlowup("non-finite model data at x=%s" % x)
 
 
+def _products(sys, x, grad):
+    """(Lfh, Lg2h, Lg1h, g1) at a checked state x from the barrier
+    gradient grad there: the model called in the order f, g2, g1 (g1
+    only where m1 > 0; else Lg1h is the shared empty one and g1 None),
+    each product by the contraction rule. g1 is the (n, m1) gain, or on
+    a scalar plant its float: there every product is float arithmetic,
+    the same bits."""
+    if sys._scalar:
+        f, g2, g1 = sys._floats_at(x.item())
+        gr = grad.item()
+        Lg2h = np.array((0.0 + gr * g2,))
+        if g1 is None:
+            return 0.0 + gr * f, Lg2h, _NO_LG1H, None
+        return 0.0 + gr * f, Lg2h, np.array((0.0 + gr * g1,)), g1
+    f, g2 = sys._f_of(x), sys._g2_of(x)
+    Lfh = row_dot(grad, f)
+    Lg2h = vecmat(grad, g2)
+    if sys.m1 == 0:
+        return Lfh, Lg2h, _NO_LG1H, None
+    g1 = sys._g1_of(x)
+    return Lfh, Lg2h, vecmat(grad, g1), g1
+
+
 def _first_order(sys, bf, x):
     """(x checked, g1, the numbers to check, then FirstOrderLie's four
     fields unchecked) at one state, under the caller's np.errstate. The model
     is called in the order h, gradient, f, g2, g1, so where two calls
-    raise, the first in that order does."""
+    raise, the first in that order does. g1 is _products' g1."""
     x = _as_state(x, sys.n)
     h = float(bf._h(x))
     grad = bf._gradient_of(x)
-    f, g2 = sys._f_of(x), sys._g2_of(x)
-    Lfh = row_dot(grad, f)
-    Lg2h = vecmat(grad, g2)
-    finite = [h, Lfh, *Lg2h.tolist()]
-    if sys.m1 > 0:
-        g1 = sys._g1_of(x)
-        Lg1h = vecmat(grad, g1)
-        finite += Lg1h.tolist()
-    else:
-        g1, Lg1h = None, _NO_LG1H
+    Lfh, Lg2h, Lg1h, g1 = _products(sys, x, grad)
+    finite = [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
     return x, g1, finite, h, Lfh, Lg1h, Lg2h
 
 
@@ -435,6 +554,8 @@ def lie_data(sys, bf, x):
     with np.errstate(all="ignore"):  # as in first_order_lie
         x, g1, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
         if sys.m1 > 0:
+            if sys._scalar:
+                g1 = np.array(((g1,),))
             G = g1.T @ bf._symmetrized(bf._raw_hessian(x)) @ g1
             trace = 0.5 * float(G.trace())
             frob = vec_norm(G)
@@ -445,26 +566,26 @@ def lie_data(sys, bf, x):
     return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
 
 
-def _state_rows(sys, X):
-    """The rows of an (N, n) state stack X, as a list."""
+def _state_stack(sys, X):
+    """An (N, n) state stack X as a float array, checked."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != sys.n:
         raise ValueError("state stack shape %s, expected (N, %d)"
                          % (X.shape, sys.n))
-    return list(X)
+    return X
 
 
-def _first_order_rows(sys, bf, rows):
+def _first_order_rows(sys, bf, X, rows):
     """(g1, the arrays to check, FirstOrderLie's fields unchecked) at
-    each of the states `rows`, as stacks, under the caller's
-    np.errstate."""
+    each row of the checked state stack X, whose rows are `rows`, as
+    stacks, under the caller's np.errstate."""
     n = sys.n
     h = stack_rows(bf._h, (), rows)
     if bf._grad is None:
         grad = stack_rows(bf._gradient_of, (n,), rows)
     else:
-        grad = _vectors(bf._grad, rows, n)
-    fx, g2, g1 = sys._stacks_of(rows)
+        grad = _vectors(list(map(bf._grad, rows)), n)
+    fx, g2, g1 = sys._stacks_of(X)
     Lfh = row_dot(grad, fx)
     Lg2h = vecmat(grad, g2)
     if sys.m1 > 0:
@@ -492,10 +613,11 @@ def first_order_lie_rows(sys, bf, X):
     anything fails, first_order_lie runs again row by row: it raises
     its own error at the first bad row, or, for a model whose output
     shape varies from row to row, gives the same data."""
-    rows = _state_rows(sys, X)
+    X = _state_stack(sys, X)
+    rows = list(X)
     with np.errstate(all="ignore"):  # as in first_order_lie
         try:
-            _, terms, first = _first_order_rows(sys, bf, rows)
+            _, terms, first = _first_order_rows(sys, bf, X, rows)
             if np.isfinite(np.concatenate(terms)).all():
                 return FirstOrderLie(*first)
         except Exception:
@@ -509,11 +631,12 @@ def lie_data_rows(sys, bf, X):
     stacks of first_order_lie_rows plus the Ito terms, from one Hessian
     stack, symmetrized and checked at once; where anything fails,
     lie_data row by row, as there."""
-    rows = _state_rows(sys, X)
+    X = _state_stack(sys, X)
+    rows = list(X)
     n, m1, N = sys.n, sys.m1, len(rows)
     with np.errstate(all="ignore"):  # as in first_order_lie
         try:
-            g1, terms, first = _first_order_rows(sys, bf, rows)
+            g1, terms, first = _first_order_rows(sys, bf, X, rows)
             if m1 > 0:
                 H = bf._symmetrized(stack_rows(
                     bf._raw_hessian if bf._hess is None else bf._hess,
@@ -540,12 +663,13 @@ def check_gradient(bf, x):
 
 
 def scalar_system(f, g1, g2):
-    """1-D convenience wrapper; g1=None means no disturbance channel. The
-    gains are returned as plain numbers, which ControlAffineSystem reads
-    as (1, 1) matrices (a cheaper conversion than a nested array)."""
-    m1 = 0 if g1 is None else 1
-    return ControlAffineSystem(
-        1, m1, 1,
-        lambda x: np.array([f(float(x[0]))]),
-        None if g1 is None else (lambda x: g1(float(x[0]))),
-        lambda x: g2(float(x[0])))
+    """The plant dx = f(x) dt + g1(x) d dt + g2(x) u dt on a scalar
+    state; g1=None means no disturbance channel. f, g1 and g2 take x as
+    a Python float and return a number. The plant is scalar (see
+    ControlAffineSystem): its model reads take the outputs as floats,
+    where a Python or numpy float is read as it is and anything else is
+    converted and checked as an array plant's f (an (n,) vector) and
+    gains ((n, m) matrices) are, with the same errors."""
+    plant = ControlAffineSystem(1, 0 if g1 is None else 1, 1, f, g1, g2)
+    plant._scalar = True
+    return plant
