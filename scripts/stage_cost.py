@@ -32,6 +32,13 @@ compare where raw ones do not.
                               through (1,) arrays and (1, 1) matrices
                               where the scalar_system plant reads
                               floats
+  first_order_lie_rows.m1_1.us_per_row
+                              first_order_lie_rows on ex3's plant, on a
+                              stack of ROWS states in [-1.2, -0.2] (the
+                              length of a cost pass over ex3's record),
+                              per row
+  lie_data_rows.m1_1.us_per_row
+                              lie_data_rows on the same stack, per row
   ode.general.us_per_step     integrate_ode on ex3's closed loop
                               (x0 = -1.2, dt = 1e-3, T = 2) with its
                               closed-form control, u0 and worst-case d
@@ -46,6 +53,11 @@ compare where raw ones do not.
                               first_order_lie calls at every stage
   ode.game.array.us_per_step  the same loop on the array twin of ex3's
                               plant
+  ode.rows.us_per_row_step    sim._ode_rows, the lockstep RK4 stack, on
+                              ex3's plant: LOOPS loops from x0 = -1.2
+                              (dt = 1e-3, T = 1), loop i under u* plus
+                              a constant offset, with u0 and d* marked
+                              systems.stacked, per row and step
   ode.io_general.us_per_call  inverse_optimal_general, the control of
                               ode.filter's loop, at one state of it
                               (x = -1.2)
@@ -61,7 +73,7 @@ compare where raw ones do not.
                               standard shapes at amplitudes -0.1 and
                               0.1, dt = 2e-3, T = 1, cost intro-min
 
-Three flags are checked, and any one false exits 1:
+Four flags are checked, and any one false exits 1:
 
   general_equals_scalar       the two ode records are equal bit for bit
   scalar_equals_array         the scalar_system plant and its array
@@ -72,6 +84,16 @@ Three flags are checked, and any one false exits 1:
                               (signed zeros, subnormals, 1e+-200), or
                               the same error and text where the model
                               data is not finite
+  rows_equal_single           each consumer that takes a stack
+                              (first_order_lie_rows, lie_data_rows,
+                              call_rows with a plain and with a stacked
+                              policy, game_weights, rcbf_weights,
+                              projection_margin), on the same states as
+                              a stack (and on its rows below 1e100 in
+                              size, and its rows below -1e-300), gives the
+                              bytes of its single-state form called at
+                              each row, or the error and text of the
+                              first row that raises
   contractions_equal_matmul   each contraction helper of
                               safefilt.systems (row_dot, vecmat, matvec,
                               vec_norm, row_norm), single and stacked,
@@ -117,15 +139,22 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import safefilt as sf  # noqa: E402
-from safefilt.scenarios import (disturbed_gain_system,  # noqa: E402
-                                integrator_system, neg_state_barrier)
-from safefilt.systems import (first_order_lie,  # noqa: E402
+from safefilt.filters import Weight, game_weights  # noqa: E402
+from safefilt.projection import projection_margin  # noqa: E402
+from safefilt.scenarios import (_ex3_pieces,  # noqa: E402
+                                disturbed_gain_system, integrator_system,
+                                neg_state_barrier, unit_ball_barrier)
+from safefilt.sim import _ode_rows  # noqa: E402
+from safefilt.systems import (_as_state, _single_state,  # noqa: E402
+                              call_rows, first_order_lie,
                               first_order_lie_rows, lie_data_rows, matvec,
                               row_dot, row_norm, vec_norm, vecmat)
 
 BETA, LAM, ALPHA_GAIN = 2.0, 1.0, 12.0      # ex3-invopt's gains
 LIE_CALLS = 20000
 IO_CALLS = 5000
+ROWS = 2001                 # states per stacked Lie data call
+LOOPS = 8                   # loops of ode.rows
 
 
 def best(fn, rounds):
@@ -153,6 +182,36 @@ def lie_us(lie, sys_, rounds):
         for _ in range(LIE_CALLS):
             lie(sys_, bf, x)
     return 1e6 * best(calls, rounds) / LIE_CALLS
+
+
+def rows_us(lie, rounds):
+    """lie (a *_rows function) on ex3's plant at ROWS states, per row."""
+    plant, bf = disturbed_gain_system(), neg_state_barrier()
+    X = np.linspace(-1.2, -0.2, ROWS)[:, None]
+    return 1e6 * best(lambda: lie(plant, bf, X), rounds) / ROWS
+
+
+def ode_rows_us(rounds):
+    """sim._ode_rows on ex3's plant, LOOPS loops, per row and step."""
+    u0, u_star, d_star, iospec = _ex3_pieces(BETA, LAM)
+    offsets = np.linspace(-0.2, 0.2, LOOPS)
+
+    def stack(X, t, live):
+        return (np.array([u_star(v) for v in X[:, 0].tolist()])
+                + offsets[live])[:, None]
+    controls = [lambda x, t, _i=i: stack(x[None], t, [_i])[0]
+                for i in range(LOOPS)]
+    U0 = sf.stacked(lambda X, t: np.array([[u0(v)] for v in X[:, 0]]))
+    D = sf.stacked(lambda X, t: LAM * (1.0 + X * X))
+    cfg = sf.SimConfig(dt=1e-3, T=1.0)
+    base = iospec.base
+
+    def run():
+        _, failure = _ode_rows(base.sys, base.bf, controls, stack, U0,
+                               [-1.2], D, cfg)
+        if failure is not None:
+            raise failure[1]
+    return 1e6 * best(run, rounds) / (LOOPS * cfg.n_steps)
 
 
 # ex3's plant dx = (u + (1 + x^2) d) dt: its f, g1 and g2 on floats, as
@@ -297,6 +356,86 @@ def lie_equal_array():
     return bool(ok)
 
 
+def _fields(out):
+    """A consumer's output (one array or a tuple of them) as a tuple of
+    fields, a Weight as its value and its infinite flag."""
+    fields = []
+    for v in out if isinstance(out, tuple) else (out,):
+        fields += [v.value, v.infinite] if isinstance(v, Weight) else [v]
+    return tuple(fields)
+
+
+def _parts(fields):
+    """Fields as their (shape, dtype, bytes)."""
+    return [(a.shape, a.dtype.str, a.tobytes())
+            for a in map(np.asarray, fields)]
+
+
+def _stack_outcome(fn, *stacks):
+    """fn on the stacks, as _parts, or its error's class and text."""
+    try:
+        with np.errstate(all="ignore"):
+            return _parts(_fields(fn(*stacks)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _rows_outcome(fn, *stacks):
+    """fn at each row of the stacks in turn, its fields stacked, as
+    _parts; or the class and text of the first row's error."""
+    rows = []
+    for row in zip(*stacks):
+        try:
+            with np.errstate(all="ignore"):
+                rows.append(_fields(fn(*row)))
+        except Exception as exc:
+            return type(exc), str(exc)
+    return _parts(np.array(col) for col in zip(*rows))
+
+
+def rows_equal_single():
+    """Each stacked consumer against its single-state form at each row,
+    on LIE_STATES as a stack, on its rows below 1e100 in size and on its
+    rows below -1e-300, with u0 at each as the nominal: the same bytes,
+    or the same first error and text."""
+    plant, bf = sf.scalar_system(*EX3_MODEL), neg_state_barrier()
+    u0, u_star, _, iospec = _ex3_pieces(BETA, LAM)
+    recip = sf.RcbfSpec(integrator_system(), lambda x: -1.0 / x[0],
+                        sf.identity_k(), lambda x, t: np.array([1.0 + x[0]]),
+                        gradB=lambda x: np.array([1.0 / x[0] ** 2]))
+    proj = sf.ProjectionSpec(unit_ball_barrier(), sf.linear_extended(1.0))
+    plain = lambda x, t: u_star(x[0])
+    marked = sf.stacked(lambda X, t: np.array([[u_star(v)] for v in X[:, 0]]))
+
+    def policy(fn):
+        # call_rows on a stack; at one state, what integrate_ode reads
+        row = _single_state(fn, 1, "control")
+        return (lambda X, U: call_rows(fn, X, 0.0, 1, "control"),
+                lambda x, u: _as_state(row(x, 0.0), 1, "control"))
+    pairs = [
+        (lambda X, U: first_order_lie_rows(plant, bf, X),
+         lambda x, u: tuple(first_order_lie(plant, bf, x))),
+        (lambda X, U: lie_data_rows(plant, bf, X),
+         lambda x, u: tuple(sf.lie_data(plant, bf, x))),
+        policy(plain), policy(marked),
+        (lambda X, U: game_weights(iospec, X, U),
+         lambda x, u: game_weights(iospec, x, u)),
+        (lambda X, U: sf.rcbf_weights(recip, X, 0.0),
+         lambda x, u: sf.rcbf_weights(recip, x, 0.0)),
+        (lambda X, U: projection_margin(proj, X, U),
+         lambda x, u: projection_margin(proj, x, u))]
+    X = np.array(LIE_STATES)[:, None]
+    ok = True
+    for S in (X, X[np.abs(X[:, 0]) < 1e100], X[X[:, 0] < -1e-300]):
+        with np.errstate(all="ignore"):
+            # numpy floats, so u0 overflows to inf, not OverflowError
+            U = np.array([[u0(v)] for v in S[:, 0]])
+        for stacked_fn, single in pairs:
+            ok &= (_stack_outcome(stacked_fn, S, U)
+                   == _rows_outcome(single, S, U))
+    return bool(ok)
+
+
 def sde_us(rounds):
     plant = sf.scalar_system(lambda x: -x, lambda x: 0.5, lambda x: 1.0)
     bf = sf.BarrierFunction(lambda x: 1.0 - x[0],
@@ -417,14 +556,20 @@ def main(argv=None):
             first_order_lie, disturbed_gain_system(), args.rounds),
         "first_order_lie.m1_1.array.us_per_call": lie_us(
             first_order_lie, array_twin(*EX3_MODEL),
-            args.rounds)}
+            args.rounds),
+        "first_order_lie_rows.m1_1.us_per_row": rows_us(
+            first_order_lie_rows, args.rounds),
+        "lie_data_rows.m1_1.us_per_row": rows_us(lie_data_rows,
+                                                 args.rounds)}
     ode, same, game_same = ode_numbers(args.rounds)
     numbers.update(ode)
+    numbers["ode.rows.us_per_row_step"] = ode_rows_us(args.rounds)
     numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()
     twins = game_same and lie_equal_array()
+    rows = rows_equal_single()
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
@@ -437,9 +582,10 @@ def main(argv=None):
         "general_equals_scalar": same,
         "contractions_equal_matmul": equal,
         "scalar_equals_array": twins,
+        "rows_equal_single": rows,
         "metrics": {k: round(v, 3) if math.isfinite(v) else None
                     for k, v in numbers.items()}}, indent=1))
-    return 0 if same and equal and twins else 1
+    return 0 if same and equal and twins and rows else 1
 
 
 if __name__ == "__main__":

@@ -39,11 +39,19 @@ integrate_ode from one x0, each under its own control, which
 certify.optimality_probe runs). comparison.kl_solve_grid steps its
 decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
 
-The plant's rate at a stage is ControlAffineSystem._field, and the
-lockstep's stacked rate reads the plant through _stacks_of; on a
-scalar_system plant both read f, g1 and g2 as floats, with the bits of
-the array route. A sample reads h through the barrier's own callable
-at the checked state, never through the public BarrierFunction.value.
+This module runs loops; systems calls the user's callables on rows.
+The plant's rate at a stage, at one state or on the lockstep's stack,
+is ControlAffineSystem._field; on a scalar_system plant it reads f, g1
+and g2 as floats, with the bits of the array route. Only integrate_sde
+forms its own Euler-Maruyama increment, whose g1 term is not scaled by
+dt: per path through the plant's private readers at the checked row,
+and on the stack through _stacks_of. Each integrator takes its
+policies (control, u0, d) once as single-state ones
+(systems._single_state), so a policy marked systems.stacked is called
+on the one-row stack of a state and its wrong width is the same
+"stack shape" error as on a stack; call_rows calls them on stacks. A
+sample reads h through the barrier's own callable at the checked
+state, never through the public BarrierFunction.value.
 """
 
 import math
@@ -53,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import (ModelBlowup, SafefiltError, _Stacked, _as_state,
+from .systems import (ModelBlowup, SafefiltError, _as_state, _single_state,
                       call_rows, matvec)
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
@@ -250,14 +258,17 @@ def _normals(seed):
 
 
 def _rk4_loop(sys, d, dt):
-    """integrate_ode's pieces: (d, step). d is zero where None or the
-    plant has no disturbance channel (m1 = 0); step(control) is the RK4
-    step (k, t, x, s) of the loop under control, with the plant's
-    outputs checked, whose stage 1 reuses the sample's (u, d) in s."""
+    """integrate_ode's pieces: (d, step), d as a single-state policy
+    (systems._single_state), zero where None or the plant has no
+    disturbance channel (m1 = 0); step(control) is the RK4 step
+    (k, t, x, s) of the loop under the single-state control, with the
+    plant's outputs checked, whose stage 1 reuses the sample's (u, d) in
+    s."""
     m1, m2 = sys.m1, sys.m2
     if d is None or m1 == 0:
         zero_d = np.zeros(m1)
         d = lambda xs, ts: zero_d
+    d = _single_state(d, m1, "d")
 
     # at x0's checked copy or a stage state built from it, an (n,)
     # float array already; it checks the model's outputs
@@ -277,26 +288,22 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     d may be None (zero disturbance); it is ignored when the plant has
     no disturbance channel (m1 = 0). Stage 1 of each step reuses the
     control and d of the recorded sample, so they are called 4 times
-    per step and once at the last sample. Escapes as in the module
-    docstring. x0 must be an (n,) state (a scalar passes for n = 1);
-    anything else is a ValueError before any callback runs.
+    per step and once at the last sample. A policy marked
+    systems.stacked is called on the one-row stack of each state and
+    checked as a stack. Escapes as in the module docstring. x0 must be
+    an (n,) state (a scalar passes for n = 1); anything else is a
+    ValueError before any callback runs.
     """
     x = _as_state(x0, sys.n, "x0").copy()
     traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
     d, step = _rk4_loop(sys, d, cfg.dt)
+    control = _single_state(control, sys.m2, "control")
+    u0 = _single_state(u0, sys.m2, "u0")
     thr = cfg.escape_threshold
     return _run(traj, cfg, x,
                 lambda k, t, x: _record(traj, k, t, x, sys, bf, control, u0,
                                         d, thr),
                 step(control))
-
-
-def _one_row(fn, m, what):
-    """fn as a single-state policy: itself, or for a stacked fn, fn on
-    the one-row stack of the state, checked by call_rows."""
-    if not isinstance(fn, _Stacked):
-        return fn
-    return lambda x, t: call_rows(fn, x[None], t, m, what)[0]
 
 
 def _block(cfg, n, m2, m1, paths):
@@ -417,29 +424,25 @@ def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
     integrate_ode checks it; where it raises, that sample or step runs
     row by row. u0 and d are called as call_rows calls them, once on the
     stack where they are marked systems.stacked, else row by row; the
-    plant is called row by row (ControlAffineSystem._stacks_of). The
-    row-by-row route calls each loop's own callables as integrate_ode
-    does. Returns (records, failure) with _lockstep's failure.
+    plant is called row by row (ControlAffineSystem._field on the
+    stack). The row-by-row route calls each loop's own callables as
+    integrate_ode does. Returns (records, failure) with _lockstep's failure.
     """
     n, m1, m2 = sys.n, sys.m1, sys.m2
     x0 = _as_state(x0, n, "x0")
     dt, thr, P = cfg.dt, cfg.escape_threshold, len(controls)
     rec, trajs = _block(cfg, n, m2, m1, P)
-    d_row, step = _rk4_loop(sys, d, dt)
+    row_d, step = _rk4_loop(sys, d, dt)
+    row_u0 = _single_state(u0, m2, "u0")
+    controls = [_single_state(c, m2, "control") for c in controls]
     steps = [step(c) for c in controls]
     zero_d = d is None or m1 == 0
+    field = sys._field
 
     def disturbances(X, t):
         if zero_d:
             return np.zeros((len(X), m1))
         return call_rows(d, X, t, m1, "d")
-
-    def field(X, U, D):
-        F, G2, G1 = sys._stacks_of(X)
-        dX = F + matvec(G2, U)
-        if m1 > 0:
-            dX = dX + matvec(G1, D)
-        return dX
 
     def policies(X, t, live):
         return (call_rows(u0, X, t, m2, "u0"), disturbances(X, t),
@@ -454,7 +457,7 @@ def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
     failure = _lockstep(
         rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
         lambda i, k, t, x: _record(trajs[i], k, t, x, sys, bf, controls[i],
-                                   u0, d_row, thr),
+                                   row_u0, row_d, thr),
         advance, lambda i, k, t, x, u, dv: steps[i](k, t, x, (u, dv)))
     return trajs, failure
 
@@ -475,8 +478,9 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     is called row by row, with integrate_ode's checks. The plant is
     called row by row. Where a row escapes or anything raises, that
     sample is recorded, or that step taken, again one row at a time
-    (through _record, and the plant's checked accessors), so each
-    event lands on its own row. A single live row always goes that
+    (through _record, and the plant's readers at the row), so each
+    event lands on its own row. A stacked policy called at one row is
+    called on its one-row stack and checked as a stack. A single live row always goes that
     way: a stack of one saves no call. One path (P = 1) runs on _run
     alone, its state an (n,) row, with the same sample and step.
     """
@@ -492,17 +496,17 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     # a step's rate column, for every step up front: a tombstone or a
     # truncation overwrites or drops the samples no step left
     np.divide(DW, dt, out=rec.disturbances[:, :-1])
-    row_u0 = _one_row(u0, m2, "u0")
-    row_control = _one_row(control, m2, "control")
+    row_u0 = _single_state(u0, m2, "u0")
+    row_control = _single_state(control, m2, "control")
 
     def record(i, k, t, x):
         return _record(trajs[i], k, t, x, sys, bf, row_control, row_u0,
                        None, thr)
 
     def step(i, k, t, x, u, _):
-        # path i's row x, through the plant's checked accessors
-        return (x + dt * (sys.f_at(x) + matvec(sys.g2_at(x), u))
-                + matvec(sys.g1_at(x), matvec(cov.at(t), DW[i, k])))
+        # path i's row x, a checked (n,) state
+        return (x + dt * (sys._f_of(x) + matvec(sys._g2_of(x), u))
+                + matvec(sys._g1_of(x), matvec(cov.at(t), DW[i, k])))
 
     if P == 1:      # one path: its own loop, with no stack to keep
         return [_run(trajs[0], cfg, x0.copy(),

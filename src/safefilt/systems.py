@@ -26,15 +26,30 @@ shape as it is converted, a supplied Hessian's symmetry (lie_data
 only), and the finiteness of h and of every Lie product (one
 math.isfinite per number). first_order_lie_rows and lie_data_rows do
 the same at each row of a stack X of shape (N, n) and return one result
-of stacks: the model is still called row by row (the loops that call
-user callables row by row are all in this module: stack_rows, at_rows),
-but its outputs are converted, and the Lie derivatives, the Hessian
-symmetry and the finiteness checked, on the stacked arrays, which is
-what makes a cost pass one array pass per record. The integrator's
-per-stage calls keep the single-state forms, which are cheaper for one
-state. Each call runs under one np.errstate that silences numpy's
-warnings, the model calls and their finite differences included:
-non-finite model data is its ModelBlowup, not a RuntimeWarning first.
+of stacks: the model is still called row by row, but its outputs are
+converted, and the Lie derivatives, the Hessian symmetry and the
+finiteness checked, on the stacked arrays, which is what makes a cost
+pass one array pass per record. The integrator's per-stage calls keep
+the single-state forms, which are cheaper for one state. Each call runs
+under one np.errstate that silences numpy's warnings, the model calls
+and their finite differences included: non-finite model data is its
+ModelBlowup, not a RuntimeWarning first.
+
+This module holds the one row mapper of the package, which calls the
+user's model and policy callables on the rows of a stack. stack_rows
+calls a model callable (plant field, barrier, gradient, Hessian,
+weight) at each row and converts the outputs with _stacked, the one
+stack converter: all at once, each output as it would convert at one
+state (a vector shape as _as_state takes it, any other shape as
+reshape does), and one at a time only where they do not stack, so a
+bad output raises its own error; a scalar plant's fields go through
+_column, its float reads. at_rows stacks the tuples of a single-state
+function, the row-by-row fallback of the *_rows functions among them.
+call_rows maps a policy (u0, control, d) over a stack, and
+_single_state turns a stacked policy into the single-state one that
+the integrators call, checked as a stack. ControlAffineSystem._field
+forms f + g2 u + g1 d at one state or on a stack, so sim only runs
+loops.
 
 One contraction rule serves every vector product of the package:
 row_dot (vector.vector, to a float), vecmat (vector @ matrix), matvec
@@ -71,8 +86,10 @@ each keeps its builtin base as well.
 A policy callable u(x, t) takes one (n,) state. stacked(fn) declares
 one that takes an (N, n) stack of states and returns the (N, m) stack
 of its values; call_rows evaluates either kind on a stack, once for a
-stacked one and row by row otherwise. Nothing guesses which kind a
-callable is.
+stacked one and row by row otherwise, and the integrators call a
+stacked one at one state on its one-row stack, so its wrong width is
+the same "stack shape" error in every integrator. Nothing guesses which
+kind a callable is.
 """
 
 import math
@@ -178,20 +195,31 @@ def at_rows(fn, x):
 
 
 def stack_rows(fn, shape, *stacks):
-    """fn at each row of the stacks, each output converted as
-    np.asarray(out, dtype=float).reshape(shape), as one (N,) + shape
-    array. The outputs are converted all at once; only where they do not
-    stack is each converted alone, so a bad one raises its own error."""
-    return _stacked_outputs(list(map(fn, *stacks)), shape)
+    """fn at each row of the stacks, its outputs as one (N,) + shape
+    array (_stacked)."""
+    return _stacked(list(map(fn, *stacks)), shape)
 
 
-def _stacked_outputs(outs, shape):
-    """The list outs converted as stack_rows converts its outputs."""
+def _stacked(outs, shape):
+    """The list outs, one output per row, as one (N,) + shape float
+    array, each output converted as at one state: to a vector shape (k,)
+    as _as_state converts it (a number passes for k = 1), to any other
+    shape as np.asarray(out, dtype=float).reshape(shape). The list is
+    converted at once; only where its outputs do not stack is each
+    converted alone, so a bad one raises its own error."""
+    N = len(outs)
     try:
-        return np.array(outs, dtype=float).reshape((len(outs),) + shape)
+        a = np.array(outs, dtype=float)
+        if len(shape) != 1 or a.shape[1:] == shape or (
+                a.shape == (N,) and (shape == (1,) or not N)):
+            return a.reshape((N,) + shape)
     except ValueError:
-        return np.array([np.asarray(out, dtype=float).reshape(shape)
-                         for out in outs])
+        pass
+    if len(shape) == 1:
+        return np.array([_as_state(out, shape[0], "output")
+                         for out in outs]).reshape((N,) + shape)
+    return np.array([np.asarray(out, dtype=float).reshape(shape)
+                     for out in outs])
 
 
 class _Stacked:
@@ -238,23 +266,21 @@ def call_rows(fn, X, t, m, what):
                      for x in X]).reshape(len(X), m)
 
 
+def _single_state(fn, m, what):
+    """The policy fn as a single-state one, for the integrators: fn
+    itself, or for a stacked fn, fn on the one-row stack of the state,
+    checked by call_rows, so its error is the stack's."""
+    if not isinstance(fn, _Stacked):
+        return fn
+    return lambda x, t: call_rows(fn, x[None], t, m, what)[0]
+
+
 def _one_value(out, what):
     """A width-one policy output as a float: a Python or numpy float64
     number as it is, anything else through _as_state's check."""
     if type(out) in _FLOAT_TYPES:
         return out
     return _as_state(out, 1, what).item()
-
-
-def _vectors(outs, n):
-    """The list outs, one output per row, as an (N, n) stack, where each
-    is an (n,) vector, or a number where n = 1 (what _as_state
-    accepts); (0, n) where there are none."""
-    a = np.array(outs, dtype=float)
-    if a.shape[1:] != (n,) and not (a.ndim == 1 and (n == 1 or not outs)):
-        raise ValueError("output stack shape %s, expected (N, %d)"
-                         % (a.shape, n))
-    return a.reshape(len(outs), n)
 
 
 # A scalar plant's output that is a Python or numpy float is that float;
@@ -280,15 +306,15 @@ def _gain_value(out):
     return np.asarray(out, dtype=float).reshape(1, 1).item()
 
 
-def _column(outs, convert):
+def _column(outs, value):
     """A scalar plant's outputs of one field at the rows of a stack (an
-    iterable, taken whole before any is read), as one float array: at
-    once where each is a Python or numpy float, else convert(outs), an
-    array plant's conversion of the stack, with its shape and errors."""
+    iterable, taken whole before any is read), as one (N,) float array:
+    at once where each is a Python or numpy float, else each read by
+    value (_f_value or _gain_value) as at one state, with its errors."""
     outs = list(outs)
     if set(map(type, outs)) <= _FLOAT_TYPE_SET:
         return np.array(outs, dtype=float)
-    return convert(outs)
+    return np.array([value(out) for out in outs], dtype=float)
 
 
 class ControlAffineSystem:
@@ -355,38 +381,44 @@ class ControlAffineSystem:
 
     def _field(self, x, u, d):
         """f + g2 u + g1 d at a checked state x, for checked controls u
-        (m2,) and disturbances d (m1,), as an (n,) array: the products
-        by the contraction rule, added in that order (no g1 term where
-        m1 = 0). On a scalar plant it is float arithmetic throughout,
-        the same bits."""
-        if self._scalar:
+        (m2,) and disturbances d (m1,), as an (n,) array; at an (N, n)
+        stack x, of (N, m2) and (N, m1) stacks u and d, the (N, n)
+        stack of the rows' rates, the plant read by _stacks_of. The
+        products are by the contraction rule, added in that order (no
+        g1 term where m1 = 0). At one state of a scalar plant it is
+        float arithmetic throughout, the same bits."""
+        if x.ndim == 2:
+            f, g2, g1 = self._stacks_of(x)
+        elif self._scalar:
             f, g2, g1 = self._floats_at(x.item())
             dx = f + (0.0 + g2 * u.item())
             if g1 is not None:
                 dx = dx + (0.0 + g1 * d.item())
             return np.array((dx,))
-        dx = self._f_of(x) + matvec(self._g2_of(x), u)
+        else:
+            f, g2 = self._f_of(x), self._g2_of(x)
+            g1 = self._g1_of(x) if self.m1 > 0 else None
+        dx = f + matvec(g2, u)
         if self.m1 > 0:
-            dx = dx + matvec(self._g1_of(x), d)
+            dx = dx + matvec(g1, d)
         return dx
 
     def _stacks_of(self, X):
         """f, g2 and g1 at each row of the (N, n) state stack X, as
         (N, n), (N, n, m2) and (N, n, m1) stacks: the model called row
         by row, f at every row, then g2, then g1, and each field's
-        outputs converted as a stack."""
+        outputs converted as a stack (stack_rows; a scalar plant's by
+        _column)."""
         n, m1, m2, N = self.n, self.m1, self.m2, len(X)
         if self._scalar:
             xs = X[:, 0].tolist()
-            vector = lambda outs: _vectors([np.array([o]) for o in outs], 1)
-            gain = lambda outs: _stacked_outputs(outs, (1, 1))
-            F = _column(map(self._f, xs), vector)
-            G2 = _column(map(self._g2, xs), gain)
-            G1 = (_column(map(self._g1, xs), gain).reshape(N, 1, 1)
+            F = _column(map(self._f, xs), _f_value)
+            G2 = _column(map(self._g2, xs), _gain_value)
+            G1 = (_column(map(self._g1, xs), _gain_value).reshape(N, 1, 1)
                   if m1 > 0 else np.zeros((N, 1, 0)))
             return F.reshape(N, 1), G2.reshape(N, 1, 1), G1
         rows = list(X)
-        return (_vectors(list(map(self._f, rows)), n),
+        return (stack_rows(self._f, (n,), rows),
                 stack_rows(self._g2, (n, m2), rows),
                 stack_rows(self._g1, (n, m1), rows) if m1 > 0
                 else np.zeros((N, n, 0)))
@@ -579,12 +611,8 @@ def _first_order_rows(sys, bf, X, rows):
     """(g1, the arrays to check, FirstOrderLie's fields unchecked) at
     each row of the checked state stack X, whose rows are `rows`, as
     stacks, under the caller's np.errstate."""
-    n = sys.n
     h = stack_rows(bf._h, (), rows)
-    if bf._grad is None:
-        grad = stack_rows(bf._gradient_of, (n,), rows)
-    else:
-        grad = _vectors(list(map(bf._grad, rows)), n)
+    grad = stack_rows(bf._grad or bf._gradient_of, (sys.n,), rows)
     fx, g2, g1 = sys._stacks_of(X)
     Lfh = row_dot(grad, fx)
     Lg2h = vecmat(grad, g2)
@@ -593,16 +621,6 @@ def _first_order_rows(sys, bf, X, rows):
     else:
         Lg1h = np.zeros((len(rows), 0))
     return g1, [h, Lfh, Lg1h.ravel(), Lg2h.ravel()], (h, Lfh, Lg1h, Lg2h)
-
-
-def _by_row(kind, single, rows):
-    """single at each row, as one `kind` (FirstOrderLie or LieData)
-    whose fields are the rows' fields stacked: the fallback of the
-    stacked evaluations, which raises single's own error at the first
-    bad row."""
-    lds = [single(x) for x in rows]
-    return kind(*(np.array([getattr(ld, name) for ld in lds])
-                  for name in kind._fields))
 
 
 def first_order_lie_rows(sys, bf, X):
@@ -622,8 +640,7 @@ def first_order_lie_rows(sys, bf, X):
                 return FirstOrderLie(*first)
         except Exception:
             pass
-    return _by_row(FirstOrderLie, lambda x: first_order_lie(sys, bf, x),
-                   rows)
+    return FirstOrderLie(*at_rows(lambda x: first_order_lie(sys, bf, x), X))
 
 
 def lie_data_rows(sys, bf, X):
@@ -651,7 +668,7 @@ def lie_data_rows(sys, bf, X):
                 return LieData(*first, trace, frob, G)
         except Exception:
             pass
-    return _by_row(LieData, lambda x: lie_data(sys, bf, x), rows)
+    return LieData(*at_rows(lambda x: lie_data(sys, bf, x), X))
 
 
 def check_gradient(bf, x):
