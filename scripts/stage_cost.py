@@ -64,6 +64,11 @@ compare where raw ones do not.
   filters.io_qp.us_per_call   inverse_optimal_qp (beta = 2) at one
                               state (x = -1.1) on probe.game's plant:
                               the probe's u*
+  filters.rcbf_qp.us_per_call rcbf_qp_filter (beta = 2) at one state
+                              (x = -0.5) of the integrator plant, B =
+                              -1/x, u0 = 1: the correction is active
+  filters.wcd.us_per_call     worst_case_disturbance at one state of
+                              ex3's game (x = -1.2)
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
   probe.game.s                one optimality_probe of game-cert's shape:
@@ -73,7 +78,7 @@ compare where raw ones do not.
                               standard shapes at amplitudes -0.1 and
                               0.1, dt = 2e-3, T = 1, cost intro-min
 
-Four flags are checked, and any one false exits 1:
+Five flags are checked, and any one false exits 1:
 
   general_equals_scalar       the two ode records are equal bit for bit
   scalar_equals_array         the scalar_system plant and its array
@@ -102,6 +107,23 @@ Four flags are checked, and any one false exits 1:
                               of width-one special values (+-0, +-inf,
                               NaNs, subnormals, overflowing products)
                               and on a few wider shapes
+  filtered_equals_array       the width-one float arithmetic of the
+                              filters gives the array expression's
+                              bytes, or the same error class and text
+                              (numpy's warnings raised as errors, so a
+                              warning counts as its text): _filtered
+                              against u0 + beta correct(omega, a), for
+                              each rule and beta in (1, 2, 2.5), at
+                              every triple of SPECIAL values (u0,
+                              omega, a), and at beta = 1 against u0 +
+                              correct(omega, a) too; _weighted with a
+                              1x1 weight against a / R, at every pair
+                              of SPECIAL values (R, a); and both
+                              worst-case disturbances against
+                              s Lg1h / ||Lg1h|| with a gamma' inverse
+                              (rho inverse) of each SPECIAL value, at
+                              each SPECIAL state of a plant whose Lg1h
+                              is -x
 
 Compare timings of two trees only from runs taken side by side; the
 scaling narrows the spread but does not remove it.
@@ -118,6 +140,7 @@ import statistics
 import struct
 import sys
 import time
+import warnings
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -139,7 +162,10 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import safefilt as sf  # noqa: E402
-from safefilt.filters import Weight, game_weights  # noqa: E402
+from safefilt.filters import (GRAD_ZERO_TOL, HALF_SONTAG,  # noqa: E402
+                               MIN_NORM, SONTAG, CbfViolation, Weight,
+                               _filtered, _weighted, budget, correct,
+                               game_weights)
 from safefilt.projection import projection_margin  # noqa: E402
 from safefilt.scenarios import (_ex3_pieces,  # noqa: E402
                                 disturbed_gain_system, integrator_system,
@@ -466,6 +492,29 @@ def io_qp_us(rounds):
     return 1e6 * best(calls, rounds) / IO_CALLS
 
 
+def rcbf_qp_us(rounds):
+    spec = sf.RcbfSpec(integrator_system(), lambda x: -1.0 / x[0],
+                       sf.identity_k(), lambda x, t: np.array([1.0]),
+                       gradB=lambda x: np.array([1.0 / x[0] ** 2]),
+                       beta_gain=2.0)
+    x = np.array([-0.5])
+
+    def calls():
+        for _ in range(IO_CALLS):
+            sf.rcbf_qp_filter(spec, x, 0.0)
+    return 1e6 * best(calls, rounds) / IO_CALLS
+
+
+def wcd_us(rounds):
+    iospec = _ex3_pieces(BETA, LAM)[3]
+    x = np.array([-1.2])
+
+    def calls():
+        for _ in range(IO_CALLS):
+            sf.worst_case_disturbance(iospec, x)
+    return 1e6 * best(calls, rounds) / IO_CALLS
+
+
 def probe_s(rounds):
     spec = probe_spec()
     setup = sf.ProbeSetup(
@@ -539,6 +588,87 @@ def contractions_equal_matmul():
         return _pairs_equal(x, y)
 
 
+def _outcome(fn):
+    """fn()'s fields as _parts, or its error's class and text, with
+    numpy's warnings raised as errors."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _parts(_fields(fn()))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _weighted_array(R, a):
+    """_weighted's (R, R^{-1} a, a.R^{-1} a) for a 1x1 weight at one
+    state, as array arithmetic."""
+    if not (R > 0.0).all():
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    ra = a / R[..., 0]
+    return R, ra, row_dot(a, ra)
+
+
+def _disturbances(c):
+    """worst_case_disturbance and qp_worst_case_disturbance whose
+    gamma' inverse and rho inverse return c, on the plant dx = (u + x d)
+    dt with h = -x (so Lg1h = -x), each with its array expression."""
+    plant = sf.scalar_system(lambda x: 0.0, lambda x: x, lambda x: 1.0)
+    base = sf.DssfCbfSpec(plant, neg_state_barrier(),
+                          sf.KFunction(lambda r: r, inverse_fn=lambda y: c),
+                          sf.linear_extended(1.0),
+                          lambda x, t: np.array([0.0]))
+    gamma = sf.LegendreFenchelPair(lambda r: r * r, lambda r: 2.0 * r,
+                                   lambda s: c)
+    iospec = sf.InverseOptimalSpec(base, BETA, 0.7, gamma)
+
+    def wcd_array(x):
+        ld = first_order_lie(plant, base.bf, x)
+        nrm = vec_norm(ld.Lg1h)
+        if nrm < GRAD_ZERO_TOL:
+            return np.zeros(1)
+        v = gamma.gamma_prime_inv(2.0 * nrm)
+        return -iospec.lam * v * ld.Lg1h / nrm
+
+    def qp_wcd_array(x):
+        ld = first_order_lie(plant, base.bf, x)
+        nrm = vec_norm(ld.Lg1h)
+        if nrm < GRAD_ZERO_TOL:
+            return np.zeros(1)
+        return -0.7 * budget(base.rho, -ld.h_val) * ld.Lg1h / nrm
+    return [(lambda x: sf.worst_case_disturbance(iospec, x), wcd_array),
+            (lambda x: sf.qp_worst_case_disturbance(base, 0.7, x),
+             qp_wcd_array)]
+
+
+def filtered_equals_array():
+    """The width-one float routes of the filters against their array
+    expressions at SPECIAL values; see the module docstring."""
+    ok = True
+    for rule, beta in itertools.product((MIN_NORM, SONTAG, HALF_SONTAG),
+                                        (1.0, 2.0, 2.5)):
+        for u, w, a in itertools.product(SPECIAL, repeat=3):
+            u0v, av = np.array([u]), np.array([a])
+            got = _outcome(lambda: _filtered(u0v, beta, w, av, rule,
+                                             CbfViolation))
+            ok &= got == _outcome(lambda: u0v + beta * correct(
+                w, av, rule, CbfViolation))
+            if beta == 1.0:
+                ok &= got == _outcome(lambda: u0v + correct(
+                    w, av, rule, CbfViolation))
+    x, u0v = np.array([-0.5]), np.array([1.0])
+    for r, a in itertools.product(SPECIAL, repeat=2):
+        R, av = np.array([[r]]), np.array([a])
+        ok &= (_outcome(lambda: _weighted(lambda x, u: R, x, u0v, av))
+               == _outcome(lambda: _weighted_array(R, av)))
+    for c in SPECIAL:
+        for routed, array in _disturbances(c):
+            for v in SPECIAL:
+                x = np.array([v])
+                ok &= _outcome(lambda: routed(x)) == _outcome(
+                    lambda: array(x))
+    return bool(ok)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--rounds", type=int, default=5)
@@ -565,11 +695,14 @@ def main(argv=None):
     numbers.update(ode)
     numbers["ode.rows.us_per_row_step"] = ode_rows_us(args.rounds)
     numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
+    numbers["filters.rcbf_qp.us_per_call"] = rcbf_qp_us(args.rounds)
+    numbers["filters.wcd.us_per_call"] = wcd_us(args.rounds)
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()
     twins = game_same and lie_equal_array()
     rows = rows_equal_single()
+    filtered = filtered_equals_array()
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
@@ -583,9 +716,10 @@ def main(argv=None):
         "contractions_equal_matmul": equal,
         "scalar_equals_array": twins,
         "rows_equal_single": rows,
+        "filtered_equals_array": filtered,
         "metrics": {k: round(v, 3) if math.isfinite(v) else None
                     for k, v in numbers.items()}}, indent=1))
-    return 0 if same and equal and twins and rows else 1
+    return 0 if same and equal and twins and rows and filtered else 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,23 @@ by one rule:
     HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
 
 and raises the caller's violation class where omega < 0 but
-|a| < GRAD_ZERO_TOL.
+|a| < GRAD_ZERO_TOL. Every filter that returns the full control takes
+one step, _filtered:
+
+    u = u0 + beta correct(omega, a)
+
+with beta = 1 for the plain filters (half-Sontag, the NSSF Sontag
+law, the sandwich filters, the projection's sliding law) and the
+spec's beta_gain for the scaled min-norm laws (inverse_optimal_qp,
+rcbf_qp_filter, stoch_qp_filter, nssf_qp_filter; inverse-optimal where
+beta >= 2). At one state of width one (m2 = 1) the step is float
+arithmetic in the array expression's order, u0 + beta (k a) with
+correct's factor k, and gives its bits; where the result is not finite
+it is the array expression's own result, so a NaN keeps the array's
+sign and payload and numpy's warnings stay the array's. The same
+width-one rule computes _weighted's R^{-1} a for a 1x1 weight and the
+worst-case disturbances' s Lg1h / ||Lg1h|| (_along). Stacks and wider
+controls take the array expression.
 
   * qp_filter          min-norm correction
   * sontag_filter      universal-formula correction term
@@ -57,9 +73,10 @@ penalty of the package: each takes one (n,) state or an (N, n) stack of
 them (and nominal values as (m2,) or (N, m2)), and on a stack returns
 one entry per row, equal bit for bit to the single-state value. The
 choice is made only by the helpers: _lie1 and _lie (the Lie data of a
-state or of a stack), _u0_at (u0 at a state, or at a stack through
-systems.call_rows), systems.row_dot and row_norm, and
-comparison.elementwise for every class-K function. So each formula is
+state or of a stack), _u0_at (u0 at a state through
+systems._single_state, so a stacked u0 is checked as a stack there too,
+or at a stack through systems.call_rows), systems.row_dot and row_norm,
+and comparison.elementwise for every class-K function. So each formula is
 written once, a cost pass is one call per record, a built-in's grid
 sweep is one call, and the stochastic filters step a stack of paths in
 one call. Where one row is bad, the stack raises what that row raises
@@ -77,9 +94,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (SafefiltError, _as_state, call_rows, first_order_lie,
-                      first_order_lie_rows, lie_data, lie_data_rows,
-                      row_dot, row_norm, stack_rows, vec_norm)
+from .systems import (SafefiltError, _as_state, _single_state, call_rows,
+                      first_order_lie, first_order_lie_rows, lie_data,
+                      lie_data_rows, row_dot, row_norm, stack_rows,
+                      vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -118,18 +136,44 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
     """
     if type(omega) is np.ndarray:
         return _correct_rows(omega, a, rule, error)
+    k = _factor(omega, a, rule, error)
+    return np.zeros(a.shape) if k is None else k * a
+
+
+def _factor(omega, a, rule, error):
+    """The number k of correct's v = k a at one state, None where the
+    min-norm rule leaves the nominal alone (v = 0); raises as correct."""
     if rule == MIN_NORM and omega >= 0.0:
-        return np.zeros(a.shape)
+        return None
     q = row_dot(a, a)
     if omega < 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:
         raise error("margin %g < 0 with no control authority (|a| = %g)"
                     % (omega, math.sqrt(q)))
     if rule == MIN_NORM:
-        return -(omega / q) * a
+        return -(omega / q)
     kappa = sontag_kappa(omega, q)
     if rule == HALF_SONTAG:
         kappa *= 0.5
-    return kappa * a
+    return kappa
+
+
+def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
+    """The filtered control u0 + beta correct(omega, a, rule, error),
+    the one step of every filter that returns the full control. At one
+    state of width one (a number omega, a (1,) direction) it is float
+    arithmetic in the same order, u0 + beta (k a), the bits of the
+    array expression; a result that is not finite comes from the array
+    expression itself, so its NaN sign and payload and numpy's warnings
+    are the array's. On stacks and wider controls, the array
+    expression."""
+    if type(omega) is np.ndarray or a.size != 1:
+        return u0v + beta * correct(omega, a, rule, error)
+    k = _factor(omega, a, rule, error)
+    v = 0.0 if k is None else float(k) * a.item()
+    u = u0v.item() + float(beta) * v
+    if math.isfinite(u):
+        return np.array((u,))
+    return u0v + beta * (np.zeros(a.shape) if k is None else k * a)
 
 
 def _correct_rows(omega, a, rule, error):
@@ -152,9 +196,10 @@ def _correct_rows(omega, a, rule, error):
 
 def _u0_at(spec, x, t):
     """u0 at a state, or at each row of an (N, n) stack of them."""
+    m2 = spec.sys.m2
     if type(x) is np.ndarray and x.ndim == 2:
-        return call_rows(spec.u0, x, t, spec.sys.m2, "u0")
-    return _as_state(spec.u0(x, t), spec.sys.m2, "u0")
+        return call_rows(spec.u0, x, t, m2, "u0")
+    return _as_state(_single_state(spec.u0, m2, "u0")(x, t), m2, "u0")
 
 
 def _lie1(sys, bf, x):
@@ -227,8 +272,12 @@ def _weighted(weight, x, u0v, a):
     else:
         R = stack_rows(weight, (m, m), x, u0v)
     if m == 1:
-        if not (R > 0.0).all():
+        if not (R.item() > 0.0 if a.ndim == 1 else (R > 0.0).all()):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
+        if a.ndim == 1:  # float arithmetic, as _filtered's
+            ra = a.item() / R.item()
+            if math.isfinite(ra):
+                return R, np.array((ra,)), 0.0 + a.item() * ra
         ra = a / R[..., 0]
     else:
         np.linalg.cholesky(R)  # raises unless symmetric positive definite
@@ -325,7 +374,7 @@ def half_sontag_filter(spec, x, t):
     0.5*(omega - sqrt(omega^2 + q^2)) + Lg2h.v = 0 with minimum norm.
     """
     u0v, omega, a = _dssf_at(spec, x, t)
-    return u0v + correct(omega, a, HALF_SONTAG)
+    return _filtered(u0v, 1.0, omega, a, HALF_SONTAG)
 
 
 def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
@@ -336,7 +385,7 @@ def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
     """
     _check_gains(beta_gain, allow_safety_only)
     u0v, omega, a = _dssf_at(spec, x, t)
-    return u0v + beta_gain * correct(omega, a)
+    return _filtered(u0v, beta_gain, omega, a)
 
 
 @dataclass(frozen=True)
@@ -431,7 +480,7 @@ def worst_case_disturbance(iospec, x):
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(iospec.base.sys.m1)
     v = iospec.gamma.gamma_prime_inv(2.0 * nrm)
-    return -iospec.lam * v * ld.Lg1h / nrm
+    return _along(-iospec.lam * v, ld.Lg1h, nrm)
 
 
 def qp_worst_case_disturbance(spec, lam, x):
@@ -441,7 +490,18 @@ def qp_worst_case_disturbance(spec, lam, x):
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
-    return -lam * budget(spec.rho, -ld.h_val) * ld.Lg1h / nrm
+    return _along(-lam * budget(spec.rho, -ld.h_val), ld.Lg1h, nrm)
+
+
+def _along(s, g, nrm):
+    """s g / nrm, a worst-case disturbance of size |s| against the
+    (m1,) direction g of norm nrm; at width one float arithmetic, as
+    _filtered's."""
+    if g.size == 1:
+        d = float(s) * g.item() / nrm
+        if math.isfinite(d):
+            return np.array((d,))
+    return s * g / nrm
 
 
 def game_weights(iospec, x, u0v):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .comparison import elementwise
-from .filters import MIN_NORM, _lie, budget, correct, dssf_margin, margin
+from .filters import MIN_NORM, _filtered, _lie, budget, dssf_margin, margin
 from .stochastic import generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
@@ -64,7 +64,8 @@ def omega_no(spec, x):
 def sandwich_filter(spec, x):
     """Full control guarding only the floor (unit corrective gain)."""
     ld, u0v = _parts(spec, x)
-    return u0v + correct(*dssf_margin(spec, ld, u0v), MIN_NORM, RuntimeError)
+    return _filtered(u0v, 1.0, *dssf_margin(spec, ld, u0v), MIN_NORM,
+                     RuntimeError)
 
 
 def nominal_decay_margin(spec, x):
@@ -125,7 +126,7 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
     """
     ld, u0v = _parts(spec, x)
     floor = generator_margin if exact_trace else nssf_margin
-    return u0v + correct(*floor(spec, ld, u0v), MIN_NORM, RuntimeError)
+    return _filtered(u0v, 1.0, *floor(spec, ld, u0v), MIN_NORM, RuntimeError)
 
 
 def stoch_gain_separation_margin(spec, x):

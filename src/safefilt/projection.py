@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, _check_gains, correct, margin,
+from .filters import (MIN_NORM, _check_gains, _filtered, correct, margin,
                       min_norm_certificate)
 from .sim import _alloc, _record, _rk4, _run, integrate_ode
 from .systems import (_F64, ControlAffineSystem, SafefiltError, _as_state,
-                      at_rows, row_dot)
+                      _h_value, at_rows, row_dot)
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -74,7 +74,8 @@ def _projection_min_data(spec, theta_hat, u0_val):
     stacked over the rows of (N, p) estimates and nominal values."""
     theta, u0v = _parts(theta_hat, u0_val)
     bf = spec.bf
-    g, h = at_rows(lambda th: (bf._gradient_of(th), float(bf._h(th))), theta)
+    g, h = at_rows(lambda th: (bf._gradient_of(th), _h_value(bf._h(th))),
+                   theta)
     alpha_h = elementwise(spec.alpha, h)
     # drift -0.0 adds exactly nothing: omega = grad h.u0 + alpha(h)
     return margin(-0.0, g, u0v, alpha_h) + (alpha_h, h, -1.0)
@@ -90,7 +91,7 @@ def classic_projection(spec, theta_hat, u0_val):
     """Correction of the discontinuous law; zero strictly inside. At one
     estimate only: the boundary test is an event, not a formula."""
     theta, u0v = _parts(theta_hat, u0_val)
-    h = float(spec.bf._h(theta))
+    h = _h_value(spec.bf._h(theta))
     act = spec.alpha(h)
     if act > PROJ_BOUNDARY_TOL:
         return np.zeros(u0v.shape)
@@ -158,7 +159,8 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
     def sliding(x, t):
         u0v = nominal(x, t)
         g = bf._gradient_of(x)
-        return u0v + correct(row_dot(g, u0v), g, MIN_NORM, ProjectionError)
+        return _filtered(u0v, 1.0, row_dot(g, u0v), g, MIN_NORM,
+                         ProjectionError)
 
     def step(k, t, th, s):
         nonlocal pinned
@@ -168,12 +170,13 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
         if pinned:
             return _rk4(sliding, th, t, dt, uv)
         cand = _rk4(nominal, th, t, dt, u0v)
-        if float(bf._h(cand)) >= 0.0:
+        if _h_value(bf._h(cand)) >= 0.0:
             return cand
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if float(bf._h(_rk4(nominal, th, t, mid * dt, u0v))) >= 0.0:
+            cut = _rk4(nominal, th, t, mid * dt, u0v)
+            if _h_value(bf._h(cut)) >= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -182,7 +185,7 @@ def _simulate_classic(spec, u0_law, plant, theta0, cfg):
 
     traj = _alloc(cfg.n_steps + 1, p, p, 0)
     th = _as_state(theta0, p, "theta0").copy()
-    pinned = abs(float(bf._h(th))) <= PROJ_BOUNDARY_TOL
+    pinned = abs(_h_value(bf._h(th))) <= PROJ_BOUNDARY_TOL
     return _run(traj, cfg, th,
                 lambda k, t, th: _record(traj, k, t, th, plant, bf,
                                          sliding if pinned else nominal,

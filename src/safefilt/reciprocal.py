@@ -25,10 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, _check_gains, _u0_at, _weighted, correct,
+from .filters import (MIN_NORM, _check_gains, _filtered, _u0_at, _weighted,
                       margin, min_norm_certificate)
-from .systems import (BarrierFunction, SafefiltError, _as_state, _products,
-                      at_rows, first_order_lie_rows)
+from .systems import (BarrierFunction, SafefiltError, _as_state, _h_value,
+                      _products, at_rows, first_order_lie_rows)
 
 
 class RcbfViolation(SafefiltError, RuntimeError):
@@ -69,11 +69,11 @@ def _b_data(spec, x):
             return ld.h_val, ld.Lfh, ld.Lg2h
         return at_rows(partial(_b_data, spec), x)
     x = _as_state(x, spec.sys.n)
-    Bv = float(spec.B(x))
+    Bv = _h_value(spec.B(x))
     if not (Bv > 0.0 and math.isfinite(Bv)):
         raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
     grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
-    LfB, LgB, _, _ = _products(spec.sys, x, grad)
+    LfB, LgB = _products(spec.sys, x, grad)[:2]
     return Bv, LfB, LgB
 
 
@@ -98,7 +98,7 @@ def omega_tilde(spec, x, t):
 def rcbf_qp_filter(spec, x, t):
     """Full control: nominal minus beta times the min-norm excess."""
     _, u0v, (omega, a) = _margin_at(spec, x, t)
-    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, RcbfViolation)
+    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, RcbfViolation)
 
 
 def rcbf_inverse_optimal(spec, x, t):

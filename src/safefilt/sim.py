@@ -61,8 +61,8 @@ from typing import Optional
 
 import numpy as np
 
-from .systems import (ModelBlowup, SafefiltError, _as_state, _single_state,
-                      call_rows, matvec)
+from .systems import (ModelBlowup, SafefiltError, _as_state, _h_value,
+                      _single_state, call_rows, matvec)
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 4096            # samples formatted per write
@@ -184,13 +184,13 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     traj.times[k] = t
     traj.states[k] = x
     if not (np.abs(x).max() <= thr):
-        return _escape(traj, k, t,
-                       float(bf._h(x)) if np.isfinite(x).all() else np.nan)
+        return _escape(traj, k, t, _h_value(bf._h(x))
+                       if np.isfinite(x).all() else np.nan)
     try:
         nominal = _as_state(u0(x, t), sys.m2, "u0")
         dv = None if d is None else _as_state(d(x, t), sys.m1, "d")
         uv = _as_state(control(x, t), sys.m2, "control")
-        h = float(bf._h(x))
+        h = _h_value(bf._h(x))
     except _ESCAPE_ERRORS:
         return _escape(traj, k, t, np.nan)
     except Exception as exc:
@@ -354,7 +354,7 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
         if len(X) > 1 and np.abs(X).max() <= thr:
             try:
                 U0, D, U = policies(X, t, live)
-                H = [float(bf._h(x)) for x in X]
+                H = [_h_value(bf._h(x)) for x in X]
             except Exception:
                 pass
             else:

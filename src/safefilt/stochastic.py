@@ -38,8 +38,8 @@ import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
-                      _game_weights, _lie, _max0, _premise, _u0_at,
-                      _value_game, budget, correct, margin)
+                      _filtered, _game_weights, _lie, _max0, _premise,
+                      _u0_at, _value_game, budget, correct, margin)
 from .systems import SafefiltError, _as_state, lie_data, row_dot, vec_norm
 
 
@@ -83,7 +83,7 @@ def stoch_qp_filter(spec, x, t):
     """Full control u0 + beta * min-norm fix of the generator margin."""
     ld, u0v = _at(spec, x, t)
     omega, a = generator_margin(spec, ld, u0v)
-    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, ScbfViolation)
+    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, ScbfViolation)
 
 
 def stoch_sontag_filter(spec, x, t, include_u0=True):
@@ -136,14 +136,14 @@ def nssf_qp_filter(spec, x, t):
     """Full control u0 + beta * min-norm fix of the NSSF margin."""
     ld, u0v = _at(spec, x, t)
     omega, a = nssf_margin(spec, ld, u0v)
-    return u0v + spec.beta_gain * correct(omega, a, MIN_NORM, ScbfViolation)
+    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, ScbfViolation)
 
 
 def nssf_sontag_filter(spec, x, t):
     """Full control u0 + universal correction of the NSSF margin."""
     ld, u0v = _at(spec, x, t)
     omega, a = nssf_margin(spec, ld, u0v)
-    return u0v + correct(omega, a, SONTAG, ScbfViolation)
+    return _filtered(u0v, 1.0, omega, a, SONTAG, ScbfViolation)
 
 
 def worst_case_covariance(spec, x):

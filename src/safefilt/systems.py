@@ -87,9 +87,17 @@ A policy callable u(x, t) takes one (n,) state. stacked(fn) declares
 one that takes an (N, n) stack of states and returns the (N, m) stack
 of its values; call_rows evaluates either kind on a stack, once for a
 stacked one and row by row otherwise, and the integrators call a
-stacked one at one state on its one-row stack, so its wrong width is
-the same "stack shape" error in every integrator. Nothing guesses which
-kind a callable is.
+stacked one at one state on its one-row stack (_single_state), as do
+the filters, so its wrong width is the same "stack shape" error in
+every integrator and filter. Nothing guesses which kind a callable is.
+
+A barrier's h is read by one rule on every route: _h_value at one state
+(BarrierFunction.value, the Lie data, sim's records, the projection
+laws and reciprocal's B) and stack_rows(bf._h, (), rows) on a stack take
+the same outputs, any one number (a float, a numpy scalar, or a 0-d,
+(1,) or (1, 1) array); any other size is the ValueError "h(x) shape
+..., expected one number", which a stack meets as it falls back to its
+rows.
 """
 
 import math
@@ -272,7 +280,23 @@ def _single_state(fn, m, what):
     checked by call_rows, so its error is the stack's."""
     if not isinstance(fn, _Stacked):
         return fn
-    return lambda x, t: call_rows(fn, x[None], t, m, what)[0]
+    return lambda x, t: call_rows(
+        fn, np.asarray(x, dtype=float).reshape(1, -1), t, m, what)[0]
+
+
+def _h_value(out):
+    """A barrier's output h(x) as a float, the one reader of h at one
+    state (a stack's h, stack_rows(bf._h, (), rows), takes the same
+    outputs): a Python or numpy float as it is; anything else through
+    np.asarray, where one number of any shape (0-d, (1,), (1, 1), ...)
+    is read by float(), and any other size is ValueError("h(x) shape
+    (k,), expected one number")."""
+    if type(out) in _FLOAT_TYPE_SET:
+        return float(out)
+    a = np.asarray(out)
+    if a.size != 1:
+        raise ValueError("h(x) shape %s, expected one number" % (a.shape,))
+    return float(a.reshape(()))
 
 
 def _one_value(out, what):
@@ -456,7 +480,7 @@ class BarrierFunction:
         self.sup_h = sup_h
 
     def value(self, x):
-        return float(self._h(np.asarray(x, dtype=float)))
+        return _h_value(self._h(np.asarray(x, dtype=float)))
 
     def gradient(self, x):
         return self._gradient_of(np.atleast_1d(np.asarray(x, dtype=float)))
@@ -532,26 +556,30 @@ def _check_finite(numbers, x):
 
 
 def _products(sys, x, grad):
-    """(Lfh, Lg2h, Lg1h, g1) at a checked state x from the barrier
-    gradient grad there: the model called in the order f, g2, g1 (g1
-    only where m1 > 0; else Lg1h is the shared empty one and g1 None),
-    each product by the contraction rule. g1 is the (n, m1) gain, or on
-    a scalar plant its float: there every product is float arithmetic,
-    the same bits."""
+    """(Lfh, Lg2h, Lg1h, g1, numbers) at a checked state x from the
+    barrier gradient grad there: the model called in the order f, g2, g1
+    (g1 only where m1 > 0; else Lg1h is the shared empty one and g1
+    None), each product by the contraction rule, and numbers the
+    products as one list of floats, for the finiteness check. g1 is the
+    (n, m1) gain, or on a scalar plant its float: there every product
+    is float arithmetic, the same bits, and numbers the floats held."""
     if sys._scalar:
         f, g2, g1 = sys._floats_at(x.item())
         gr = grad.item()
-        Lg2h = np.array((0.0 + gr * g2,))
+        Lfh, lg2 = 0.0 + gr * f, 0.0 + gr * g2
         if g1 is None:
-            return 0.0 + gr * f, Lg2h, _NO_LG1H, None
-        return 0.0 + gr * f, Lg2h, np.array((0.0 + gr * g1,)), g1
+            return Lfh, np.array((lg2,)), _NO_LG1H, None, [Lfh, lg2]
+        lg1 = 0.0 + gr * g1
+        return (Lfh, np.array((lg2,)), np.array((lg1,)), g1,
+                [Lfh, lg2, lg1])
     f, g2 = sys._f_of(x), sys._g2_of(x)
     Lfh = row_dot(grad, f)
     Lg2h = vecmat(grad, g2)
     if sys.m1 == 0:
-        return Lfh, Lg2h, _NO_LG1H, None
+        return Lfh, Lg2h, _NO_LG1H, None, [Lfh, *Lg2h.tolist()]
     g1 = sys._g1_of(x)
-    return Lfh, Lg2h, vecmat(grad, g1), g1
+    Lg1h = vecmat(grad, g1)
+    return Lfh, Lg2h, Lg1h, g1, [Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
 
 
 def _first_order(sys, bf, x):
@@ -560,11 +588,10 @@ def _first_order(sys, bf, x):
     is called in the order h, gradient, f, g2, g1, so where two calls
     raise, the first in that order does. g1 is _products' g1."""
     x = _as_state(x, sys.n)
-    h = float(bf._h(x))
+    h = _h_value(bf._h(x))
     grad = bf._gradient_of(x)
-    Lfh, Lg2h, Lg1h, g1 = _products(sys, x, grad)
-    finite = [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
-    return x, g1, finite, h, Lfh, Lg1h, Lg2h
+    Lfh, Lg2h, Lg1h, g1, numbers = _products(sys, x, grad)
+    return x, g1, [h, *numbers], h, Lfh, Lg1h, Lg2h
 
 
 def first_order_lie(sys, bf, x):
