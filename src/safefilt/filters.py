@@ -25,17 +25,18 @@ one step, _filtered:
     u = u0 + beta correct(omega, a)
 
 with beta = 1 for the plain filters (half-Sontag, the NSSF Sontag
-law, the sandwich filters, the projection's sliding law) and the
-spec's beta_gain for the scaled min-norm laws (inverse_optimal_qp,
-rcbf_qp_filter, stoch_qp_filter, nssf_qp_filter; inverse-optimal where
-beta >= 2). At one state of width one (m2 = 1) the step is float
-arithmetic in the array expression's order, u0 + beta (k a) with
-correct's factor k, and gives its bits; where the result is not finite
-it is the array expression's own result, so a NaN keeps the array's
-sign and payload and numpy's warnings stay the array's. The same
-width-one rule computes _weighted's R^{-1} a for a 1x1 weight and the
-worst-case disturbances' s Lg1h / ||Lg1h|| (_along). Stacks and wider
-controls take the array expression.
+law, the sandwich filters, the projection's sliding and qp laws) and
+the spec's beta_gain for the scaled min-norm laws (inverse_optimal_qp,
+rcbf_qp_filter, stoch_qp_filter, nssf_qp_filter, the projection's
+inverse_optimal_update; inverse-optimal where beta >= 2). At one state
+of width one (m2 = 1) the step is float arithmetic in the array
+expression's order, u0 + beta (k a) with correct's factor k, and gives
+its bits; where the result is not finite it is the array expression's
+own result, so a NaN keeps the array's sign and payload and numpy's
+warnings stay the array's. The same width-one rule computes _weighted's
+R^{-1} a for a 1x1 weight and the worst-case disturbances'
+s Lg1h / ||Lg1h|| (_along). Stacks and wider controls take the array
+expression.
 
   * qp_filter          min-norm correction
   * sontag_filter      universal-formula correction term
@@ -165,9 +166,11 @@ def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
     array expression; a result that is not finite comes from the array
     expression itself, so its NaN sign and payload and numpy's warnings
     are the array's. On stacks and wider controls, the array
-    expression."""
+    expression, without the product at unit gain (1.0 v is v, bit for
+    bit)."""
     if type(omega) is np.ndarray or a.size != 1:
-        return u0v + beta * correct(omega, a, rule, error)
+        v = correct(omega, a, rule, error)
+        return u0v + v if beta == 1.0 else u0v + beta * v
     k = _factor(omega, a, rule, error)
     v = 0.0 if k is None else float(k) * a.item()
     u = u0v.item() + float(beta) * v

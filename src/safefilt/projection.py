@@ -110,9 +110,11 @@ def qp_projection(spec, theta_hat, u0_val):
 
 
 def inverse_optimal_update(spec, theta_hat, u0_val):
-    """Full update u0 + beta * qp_projection."""
-    return (_checked(u0_val)
-            + spec.beta_gain * qp_projection(spec, theta_hat, u0_val))
+    """Full update u0 + beta * qp_projection, by filters'
+    filtered-control step."""
+    return _filtered(_checked(u0_val), spec.beta_gain,
+                     *projection_margin(spec, theta_hat, u0_val), MIN_NORM,
+                     ProjectionError)
 
 
 def projection_penalty_l(spec, theta_hat, u0_val):
@@ -139,8 +141,9 @@ def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):
         return _simulate_classic(spec, u0_law, plant, theta0, cfg)
     if law == "qp":
         def control(th, t):
-            u0v = u0_law(th, t)
-            return u0v + qp_projection(spec, th, u0v)
+            u0v = _checked(u0_law(th, t))
+            return _filtered(u0v, 1.0, *projection_margin(spec, th, u0v),
+                             MIN_NORM, ProjectionError)
     else:
         def control(th, t):
             return inverse_optimal_update(spec, th, u0_law(th, t))

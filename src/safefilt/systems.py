@@ -559,10 +559,10 @@ def _products(sys, x, grad):
     """(Lfh, Lg2h, Lg1h, g1, numbers) at a checked state x from the
     barrier gradient grad there: the model called in the order f, g2, g1
     (g1 only where m1 > 0; else Lg1h is the shared empty one and g1
-    None), each product by the contraction rule, and numbers the
-    products as one list of floats, for the finiteness check. g1 is the
-    (n, m1) gain, or on a scalar plant its float: there every product
-    is float arithmetic, the same bits, and numbers the floats held."""
+    None), each product by the contraction rule. g1 is the (n, m1) gain,
+    or on a scalar plant its float: there every product is float
+    arithmetic, the same bits, and numbers is the list of the product
+    floats held, for the finiteness check; on other plants it is None."""
     if sys._scalar:
         f, g2, g1 = sys._floats_at(x.item())
         gr = grad.item()
@@ -576,10 +576,9 @@ def _products(sys, x, grad):
     Lfh = row_dot(grad, f)
     Lg2h = vecmat(grad, g2)
     if sys.m1 == 0:
-        return Lfh, Lg2h, _NO_LG1H, None, [Lfh, *Lg2h.tolist()]
+        return Lfh, Lg2h, _NO_LG1H, None, None
     g1 = sys._g1_of(x)
-    Lg1h = vecmat(grad, g1)
-    return Lfh, Lg2h, Lg1h, g1, [Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
+    return Lfh, Lg2h, vecmat(grad, g1), g1, None
 
 
 def _first_order(sys, bf, x):
@@ -591,7 +590,11 @@ def _first_order(sys, bf, x):
     h = _h_value(bf._h(x))
     grad = bf._gradient_of(x)
     Lfh, Lg2h, Lg1h, g1, numbers = _products(sys, x, grad)
-    return x, g1, [h, *numbers], h, Lfh, Lg1h, Lg2h
+    if numbers is None:
+        finite = [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
+    else:
+        finite = [h, *numbers]
+    return x, g1, finite, h, Lfh, Lg1h, Lg2h
 
 
 def first_order_lie(sys, bf, x):

@@ -9,28 +9,32 @@ u0v + beta * correct(omega, a) of its own margin (u0v + correct(...)
 for the unit-gain filters). Against the inline expression numpy's
 warnings are raised as errors, so a warning counts as its text; against
 the stack they are silenced, as the stack's Lie data silences them.
+The projection laws (the classic law's sliding field, the qp law and
+inverse_optimal_update) are pinned through simulate_projection against
+the same run with the step written out inline.
 """
 
 import math
 import struct
 import warnings
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import safefilt as sf
+from safefilt import projection
 from safefilt.filters import (HALF_SONTAG, MIN_NORM, SONTAG, _dssf_at,
                               _filtered, correct, dssf_margin)
 from safefilt.nonovershoot import _parts as _sandwich_parts
-from safefilt.projection import ProjectionError
+from safefilt.projection import ProjectionError, ProjectionSpec
 from safefilt.reciprocal import RcbfViolation, _margin_at
 from safefilt.scenarios import (disturbed_gain_system, ex5_spec, ex6_spec,
                                 integrator_system, neg_state_barrier,
                                 sandwich_testbed, unit_ball_barrier)
 from safefilt.stochastic import (ScbfViolation, _at, generator_margin,
                                  nssf_margin)
-from safefilt.systems import row_dot
 
 # signed zeros and infinities, NaNs of both signs and two payloads,
 # subnormals and values whose squares overflow
@@ -142,33 +146,6 @@ def sandwich(exact_trace=None):
     return build
 
 
-def sliding(width):
-    """The classic projection's sliding law on the unit ball of this
-    width, u0 + correct(grad h . u0, grad h), its estimate x."""
-    def build(c, beta):
-        bf = unit_ball_barrier()
-
-        def u0_at(x):
-            return np.full(width, c)
-
-        def law(x):
-            u0v, g = u0_at(x), bf._gradient_of(x)
-            return _filtered(u0v, 1.0, row_dot(g, u0v), g, MIN_NORM,
-                             ProjectionError)
-
-        def inline(x):
-            u0v, g = u0_at(x), bf._gradient_of(x)
-            return u0v + correct(row_dot(g, u0v), g, MIN_NORM,
-                                 ProjectionError)
-
-        def stacked_law(X):
-            U0, G = np.tile(u0_at(X[0]), (len(X), 1)), -2.0 * X
-            return _filtered(U0, 1.0, row_dot(G, U0), G, MIN_NORM,
-                             ProjectionError)
-        return law, inline, stacked_law
-    return build
-
-
 FILTERS = {
     "inverse_optimal_qp": io_qp,
     "half_sontag_filter": half_sontag,
@@ -197,14 +174,62 @@ def test_filter_one_state_equals_stack_and_inline(name, v, c, beta):
     assert outcome(lambda: fn(x)) == outcome(lambda: inline(x))
 
 
-@given(width=st.sampled_from([1, 2]), v=st.lists(STATES, min_size=2,
-                                                 max_size=2), c=VALUES)
-@settings(max_examples=150, deadline=None)
-def test_sliding_law_one_state_equals_stack_and_inline(width, v, c):
-    law, inline, stacked_law = sliding(width)(c, 1.0)
-    x = np.array(v[:width])
-    assert quiet(lambda: law(x)) == row_quiet(lambda: stacked_law(x[None]))
-    assert outcome(lambda: law(x)) == outcome(lambda: inline(x))
+def inline_step(gain):
+    """The inline expression the projection laws wrote out before the
+    filtered-control step, in place of _filtered(u0v, beta, omega, a,
+    ...): u0v + correct(omega, a) for the sliding and qp laws (gain
+    None), u0v + gain * correct(omega, a) for inverse_optimal_update.
+    The gain, rule and error class are the law's own, not the caller's."""
+    def step(u0v, beta, omega, a, rule, error):
+        v = correct(omega, a, MIN_NORM, ProjectionError)
+        return u0v + v if gain is None else u0v + gain * v
+    return step
+
+
+def trajectory(fn):
+    """outcome(fn) for a Trajectory: every record's shape, dtype and
+    bytes, and the escape time, or the error's class and text."""
+    def records():
+        traj = fn()
+        return [(r.shape, r.dtype.str, r.tobytes()) for r in (
+            traj.times, traj.states, traj.controls, traj.nominal,
+            traj.disturbances, traj.h_values)] + [traj.escape_time]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return records()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(law=st.sampled_from(["classic", "qp", "optimal"]),
+       width=st.sampled_from([1, 2]), turn=st.floats(-3.2, 3.2),
+       inside=st.sampled_from([0.0, 0.0, 0.3, 0.99]), c=VALUES,
+       slope=st.floats(-2.0, 2.0), beta=st.sampled_from([2.0, 2.5]))
+@settings(max_examples=120, deadline=None)
+def test_projection_laws_equal_inline_expression(law, width, turn, inside,
+                                                 c, slope, beta):
+    """simulate_projection under each law, from a start on the unit
+    ball's boundary (pinned: the classic law slides from its first
+    step) or inside it, equals the same run with the step written out
+    inline, bit for bit or by error class and text."""
+    spec = ProjectionSpec(unit_ball_barrier(), sf.linear_extended(1.0),
+                          beta_gain=beta)
+    start = np.array([math.cos(turn), math.sin(turn)][:width])
+    theta0 = (1.0 - inside) * start / np.linalg.norm(start)
+    u0v = np.array([c, 0.5][:width])
+
+    def u0_law(th, t):
+        return u0v + slope * th
+
+    cfg = sf.SimConfig(dt=0.02, T=0.3)
+    got = trajectory(lambda: sf.simulate_projection(spec, u0_law, theta0,
+                                                    cfg, law=law))
+    gain = beta if law == "optimal" else None
+    with patch.object(projection, "_filtered", inline_step(gain)):
+        want = trajectory(lambda: sf.simulate_projection(
+            spec, u0_law, theta0, cfg, law=law))
+    assert got == want
 
 
 @given(rule=st.sampled_from([MIN_NORM, SONTAG, HALF_SONTAG]),
