@@ -69,6 +69,15 @@ compare where raw ones do not.
                               -1/x, u0 = 1: the correction is active
   filters.wcd.us_per_call     worst_case_disturbance at one state of
                               ex3's game (x = -1.2)
+  cost.intro_min.us_per_sample
+                              evaluate_cost under intro-min on the
+                              record of the intro-qp-optimal built-in
+                              at its defaults (dt = 1e-4, T = 10), per
+                              sample
+  cost.intro_sontag.us_per_sample
+                              evaluate_cost under intro-sontag on the
+                              record of the intro-sontag built-in at its
+                              defaults (dt = 1e-3, T = 10), per sample
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
   probe.game.s                one optimality_probe of game-cert's shape:
@@ -462,6 +471,20 @@ def rows_equal_single():
     return bool(ok)
 
 
+def intro_cost_us(rounds):
+    """cost.intro_min and cost.intro_sontag: evaluate_cost of each
+    intro kind on its built-in's record, per sample."""
+    out = {}
+    for bid, kind in (("intro-qp-optimal", "intro-min"),
+                      ("intro-sontag", "intro-sontag")):
+        (traj,) = sf.run_builtin(bid).records.values()
+        cost = sf.CostSpec(kind)
+        out["cost.%s.us_per_sample" % kind.replace("-", "_")] = (
+            1e6 * best(lambda: sf.evaluate_cost(traj, cost), rounds)
+            / traj.times.size)
+    return out
+
+
 def sde_us(rounds):
     plant = sf.scalar_system(lambda x: -x, lambda x: 0.5, lambda x: 1.0)
     bf = sf.BarrierFunction(lambda x: 1.0 - x[0],
@@ -697,6 +720,7 @@ def main(argv=None):
     numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
     numbers["filters.rcbf_qp.us_per_call"] = rcbf_qp_us(args.rounds)
     numbers["filters.wcd.us_per_call"] = wcd_us(args.rounds)
+    numbers.update(intro_cost_us(args.rounds))
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()

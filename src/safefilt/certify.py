@@ -27,11 +27,16 @@ whole cost infinite with the sign the term carries in that cost; the
 running integral is that infinity from the first interval that touches
 such a sample on.
 
-Cost kinds ("selector" strings accepted from configs); the three with
-a factor c share one evaluator, integrand c (l - R|u - u0|^2) with
-(R, l) of filters.min_norm_certificate and terminal 2*beta*sign(c)*h:
+Cost kinds ("selector" strings accepted from configs). The five with
+a factor c share one evaluator, _min_norm: integrand c (l - R|u - u0|^2)
+with (R, l) of filters.rule_certificate under the kind's correction
+rule, and terminal -2 beta direction h. The intro kinds are its
+normalised instances on the introduction plant dx = u dt, h = -x, their
+data read off the record: c = -1/(2 beta) and h/(2 beta) in the
+terminal, so the value is x0.
 
-    intro-min, intro-sontag       scalar introduction loops, value x0
+    intro-min                     min-norm rule, beta = 2, c = -1/4
+    intro-sontag                  Sontag rule, beta = 1, c = -1/2
     disturbance-game              general weights, terminal 2*beta*h
     qp-weighted                   min-norm displayed weights (drifts)
     qp-exact                      disturbance-free certificate, c = 1
@@ -48,8 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .comparison import decay_tube, elementwise
-from .filters import (_check_gains, game_weights, margin,
-                      min_norm_certificate, min_norm_weights)
+from .filters import (MIN_NORM, SONTAG, _check_gains, game_weights, margin,
+                      min_norm_weights, rule_certificate)
 from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
 from .sim import _ode_rows
@@ -144,33 +149,6 @@ def _dev_sq(traj):
     return np.einsum("ij,ij->i", d, d)
 
 
-def _intro_min_terms(traj, cost):
-    x = traj.states[:, 0]
-    u = traj.controls[:, 0]
-    u0 = traj.nominal[:, 0]
-    m = np.maximum(0.0, u0 + x)
-    num = (u - u0) ** 2
-    vals = np.maximum(x, -u0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = num / (4.0 * m)
-    zero_m = m == 0.0
-    paired = zero_m & (num <= PAIR_TOL ** 2)
-    pos_inf = zero_m & ~paired
-    quot[zero_m] = 0.0
-    vals = vals + quot
-    return vals, pos_inf, np.zeros_like(pos_inf), x.copy()
-
-
-def _intro_sontag_terms(traj, cost):
-    x = traj.states[:, 0]
-    u = traj.controls[:, 0]
-    u0 = traj.nominal[:, 0]
-    Q = np.hypot(u0 + x, 1.0)
-    vals = 0.5 * (-u0 + x + Q) + (u - u0) ** 2 / (2.0 * (u0 + x + Q))
-    none = np.zeros(x.size, dtype=bool)
-    return vals, none, none.copy(), x.copy()
-
-
 def _paired(weight, dev_sq):
     """(weight * dev_sq, inf flags) per sample of a stacked Weight: an
     infinite weight pairs with a numerically zero deviation as 0 and
@@ -221,20 +199,38 @@ def _qp_exact_data(spec, x, u0v):
     return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
 
 
-def _min_norm(data):
-    """The evaluator of a min-norm cost kind whose data(spec, x, u0v) is
-    (omega, a, alpha(h), h, c) stacked over the samples: integrand
-    c (l - R|u - u0|^2) with (R, l) of filters.min_norm_certificate,
-    terminal -2 beta direction h."""
+def _min_norm(data, rule=MIN_NORM, beta=None):
+    """The evaluator of a cost kind certified by filters.rule_certificate
+    under rule, whose data(spec, x, u0v) is (omega, a, alpha(h), h, c)
+    stacked over the samples: integrand c (l - R|u - u0|^2), terminal
+    -2 beta direction h; beta is the kind's own fixed gain, or the
+    CostSpec's where None."""
     def terms(traj, cost):
+        gain = cost.beta_gain if beta is None else beta
         omega, a, alpha_h, h, c = data(cost.spec, traj.states, traj.nominal)
-        R, l = min_norm_certificate(cost.beta_gain, omega, a, alpha_h)
+        R, l = rule_certificate(rule, gain, omega, a, alpha_h)
         ctrl, inf = _paired(R, _dev_sq(traj))
         maximized = np.asarray(c > 0.0)
         return (c * l - c * ctrl,  # c l: the kind's own penalty, exactly
                 inf & ~maximized, inf & maximized,
-                -2.0 * cost.beta_gain * COST_DIRECTION[cost.kind] * h)
+                -2.0 * gain * COST_DIRECTION[cost.kind] * h)
     return terms
+
+
+def _intro(rule, beta):
+    """An intro kind: the rule instance of _min_norm at the fixed gain
+    beta on the introduction plant dx = u dt with h = -x (Lfh = 0,
+    Lg2h = -1, alpha(h) = h), its data read off the record's states and
+    nominal values. c = -1/(2 beta) and the terminal's h/(2 beta)
+    normalise the value to x0; both scales are powers of two, so they
+    are exact (above the subnormals)."""
+    s = 0.5 / beta
+
+    def data(spec, x, u0v):
+        h = -x[:, 0]
+        return (margin(-0.0, np.full(u0v.shape, -1.0), u0v, h)
+                + (h, s * h, -s))
+    return _min_norm(data, rule, beta)
 
 
 def _ito_value_terms(traj, cost):
@@ -260,10 +256,10 @@ def _ito_value_terms(traj, cost):
 # kind: (direction, evaluator, beta_gain, lam). direction is +1 where the
 # filter minimizes the cost, -1 where it maximizes it; each gain is the
 # default the kind reads, "spec" where its spec carries it, None if unread;
-# the kinds that read no gain are closed forms in x and read no spec either.
+# the intro kinds read no gain and no spec: their evaluators fix the gain.
 _KINDS = {
-    "intro-min": (+1, _intro_min_terms, None, None),
-    "intro-sontag": (+1, _intro_sontag_terms, None, None),
+    "intro-min": (+1, _intro(MIN_NORM, 2.0), None, None),
+    "intro-sontag": (+1, _intro(SONTAG, 1.0), None, None),
     "disturbance-game": (-1, _disturbance_game_terms, "spec", "spec"),
     "qp-weighted": (-1, _qp_weighted_terms, 2.0, 2.0),
     "qp-exact": (-1, _min_norm(_qp_exact_data), 2.0, None),
@@ -462,8 +458,11 @@ def optimality_probe(setup, cfg, perturbations=None,
 
 
 def mc_summary(totals):
-    """(mean, standard error) of per-path cost totals."""
+    """(mean, standard error) of per-path cost totals; ValueError for
+    fewer than two, which have no standard error."""
     totals = np.asarray(totals, dtype=float)
+    if totals.size < 2:
+        raise ValueError("mc_summary needs two totals, got %d" % totals.size)
     mean = float(np.mean(totals))
     se = float(np.std(totals, ddof=1) / math.sqrt(totals.size))
     return mean, se

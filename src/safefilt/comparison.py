@@ -314,8 +314,8 @@ def identity_k():
 
 
 def linear_k(c):
-    if c <= 0.0:
-        raise ValueError("linear slope must be positive, got %g" % c)
+    if not 0.0 < c < math.inf:  # a NaN fails too
+        raise ValueError("linear slope must lie in (0, inf), got %g" % c)
     return KFunction(lambda r: c * r, inverse_fn=lambda y: y / c,
                      name="linear:%g" % c)
 
@@ -333,8 +333,8 @@ def _pow(r, p):
 
 
 def power_k(p, scale=1.0):
-    if p <= 0.0 or scale <= 0.0:
-        raise ValueError("power-law needs p > 0 and scale > 0")
+    if not (0.0 < p < math.inf and 0.0 < scale < math.inf):
+        raise ValueError("power-law needs finite p > 0 and scale > 0")
     return KFunction(lambda r: scale * _pow(r, p),
                      inverse_fn=lambda y: (y / scale) ** (1.0 / p),
                      name="power:%g:%g" % (p, scale))
@@ -342,8 +342,8 @@ def power_k(p, scale=1.0):
 
 def eps_power_k(eps):
     """(1/eps) r**eps; steepens toward a hard wall as eps shrinks."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return KFunction(lambda r: (r ** eps) / eps,
                      inverse_fn=lambda y: (eps * y) ** (1.0 / eps),
                      name="eps:%g" % eps)
@@ -370,24 +370,24 @@ def _power_flow(p, s):
 
 
 def linear_extended(c):
-    if c <= 0.0:
-        raise ValueError("linear slope must be positive, got %g" % c)
+    if not 0.0 < c < math.inf:
+        raise ValueError("linear slope must lie in (0, inf), got %g" % c)
     return ExtendedKFunction(lambda r: c * r, name="linear:%g" % c,
                              flow=_exp_flow(c))
 
 
 def power_extended(p, scale=1.0):
     # odd-symmetric continuation keeps the extension strictly increasing
-    if p <= 0.0 or scale <= 0.0:
-        raise ValueError("power-law needs p > 0 and scale > 0")
+    if not (0.0 < p < math.inf and 0.0 < scale < math.inf):
+        raise ValueError("power-law needs finite p > 0 and scale > 0")
     return ExtendedKFunction(
         lambda r: scale * math.copysign(_pow(abs(r), p), r),
         name="power:%g:%g" % (p, scale), flow=_power_flow(p, scale))
 
 
 def eps_power_extended(eps):
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return ExtendedKFunction(
         lambda r: math.copysign(abs(r) ** eps, r) / eps,
         name="eps:%g" % eps, flow=_power_flow(eps, 1.0 / eps))
@@ -396,9 +396,9 @@ def eps_power_extended(eps):
 def piecewise_extended(a, b):
     """a r for r >= 0, b r for r < 0. The decay never crosses 0, so it
     is the linear one of r's side: r e^{-at} or r e^{-bt}."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("piecewise slopes must be positive, got %g, %g"
-                         % (a, b))
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError("piecewise slopes must be positive and finite, "
+                         "got %g, %g" % (a, b))
     return ExtendedKFunction(
         lambda r: a * r if r >= 0.0 else b * r,
         name="piecewise:%g:%g" % (a, b),
@@ -407,11 +407,11 @@ def piecewise_extended(a, b):
 
 def power_pair(p, scale=1.0):
     """gamma(r) = scale * r**p with p > 1, so gamma' is class-Kinf."""
-    if p <= 1.0:
-        raise ValueError("transform needs p > 1 so the derivative is "
-                         "class-Kinf, got p=%g" % p)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 1.0 < p < math.inf:
+        raise ValueError("transform needs a finite p > 1 so the derivative "
+                         "is class-Kinf, got p=%g" % p)
+    if not 0.0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     cp = scale * p
     return LegendreFenchelPair(
         power_k(p, scale),

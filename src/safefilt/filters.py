@@ -19,8 +19,19 @@ by one rule:
     HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
 
 and raises the caller's violation class where omega < 0 but
-|a| < GRAD_ZERO_TOL. Every filter that returns the full control takes
-one step, _filtered:
+|a| < GRAD_ZERO_TOL. Each rule has one certificate, rule_certificate:
+a weight R and a state penalty l with
+
+    l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))
+
+along u = u0 + beta correct(omega, a, rule), by completing the square
+(the inverse optimality of Freeman and Kokotovic, which covers Sontag's
+formula too): R = |a|^2 / max{0, -omega} under MIN_NORM
+(min_norm_certificate), R = 1/k with correct's own factor k under
+SONTAG and HALF_SONTAG, whose per-row factor is one helper
+(_sontag_factor) for both. Every cost kind of `certify` with a margin
+of this form integrates it. Every filter that returns the full control
+takes one step, _filtered:
 
     u = u0 + beta correct(omega, a)
 
@@ -152,10 +163,19 @@ def _factor(omega, a, rule, error):
                     % (omega, math.sqrt(q)))
     if rule == MIN_NORM:
         return -(omega / q)
-    kappa = sontag_kappa(omega, q)
-    if rule == HALF_SONTAG:
-        kappa *= 0.5
-    return kappa
+    return _sontag_factor(omega, q, rule)
+
+
+def _sontag_factor(omega, q, rule):
+    """correct's factor k under SONTAG, kappa(omega, q), or half of it
+    under HALF_SONTAG; at one margin, or per row of stacked margins
+    omega and squared norms q."""
+    if type(omega) is np.ndarray:
+        k = np.array([sontag_kappa(w, s)
+                      for w, s in zip(omega.tolist(), q.tolist())])
+    else:
+        k = sontag_kappa(omega, q)
+    return 0.5 * k if rule == HALF_SONTAG else k
 
 
 def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
@@ -190,11 +210,7 @@ def _correct_rows(omega, a, rule, error):
         with np.errstate(all="ignore"):  # the rows where omega >= 0
             return np.where((omega >= 0.0)[:, None], 0.0,
                             -(omega / q)[:, None] * a)
-    kappa = np.array([sontag_kappa(w, s)
-                      for w, s in zip(omega.tolist(), q.tolist())])
-    if rule == HALF_SONTAG:
-        kappa *= 0.5
-    return kappa[:, None] * a
+    return _sontag_factor(omega, q, rule)[:, None] * a
 
 
 def _u0_at(spec, x, t):
@@ -582,14 +598,30 @@ class Weight:
         return cls(q, bool(q == math.inf))
 
 
+def rule_certificate(rule, beta, omega, a, alpha_h):
+    """(R, l) certifying u = u0 + beta * correct(omega, a, rule): a weight
+    R and a penalty l with
+
+        l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))
+
+    along that u, by completing the square. MIN_NORM: R = |a|^2 /
+    max{0, -omega} (inf where omega >= 0) and l = 2 beta alpha(h) +
+    beta min{(beta-2) omega, -2 omega}. SONTAG and HALF_SONTAG: R = 1/k
+    with correct's own factor k (inf where k = 0) and l = 2 beta
+    (alpha(h) - omega) - beta^2 k |a|^2."""
+    q = row_dot(a, a)
+    if rule == MIN_NORM:
+        return (Weight.ratio(q, _max0(-omega)),
+                2.0 * beta * alpha_h
+                + beta * _min((beta - 2.0) * omega, -2.0 * omega))
+    k = _sontag_factor(omega, q, rule)
+    return (Weight.ratio(1.0, k),
+            2.0 * beta * (alpha_h - omega) - beta * beta * k * q)
+
+
 def min_norm_certificate(beta, omega, a, alpha_h):
-    """(R, l) certifying u = u0 + beta * correct(omega, a): the weight
-    R = |a|^2 / max{0, -omega} (inf where omega >= 0) and the penalty
-    l = 2 beta alpha(h) + beta min{(beta-2) omega, -2 omega}, so that
-    l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))."""
-    return (Weight.ratio(row_dot(a, a), _max0(-omega)),
-            2.0 * beta * alpha_h
-            + beta * _min((beta - 2.0) * omega, -2.0 * omega))
+    """rule_certificate under MIN_NORM."""
+    return rule_certificate(MIN_NORM, beta, omega, a, alpha_h)
 
 
 def min_norm_weights(spec, x, u0v, beta_gain, lam):

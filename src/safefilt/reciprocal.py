@@ -56,7 +56,9 @@ def _b_data(spec, x):
     """(B, LfB, LgB) at state x, or stacked over the rows of an (N, n) x:
     there the first-order lie data of B (m1 = 0, so the same model
     calls), and where that fails or B leaves (0, inf), _b_data row by
-    row, which raises its own error at the first bad row."""
+    row, which raises its own error at the first bad row. At one state
+    B, its gradient and the model run with numpy's warnings silenced, as
+    in first_order_lie."""
     if type(x) is np.ndarray and x.ndim == 2:
         try:
             ld = first_order_lie_rows(
@@ -69,11 +71,12 @@ def _b_data(spec, x):
             return ld.h_val, ld.Lfh, ld.Lg2h
         return at_rows(partial(_b_data, spec), x)
     x = _as_state(x, spec.sys.n)
-    Bv = _h_value(spec.B(x))
-    if not (Bv > 0.0 and math.isfinite(Bv)):
-        raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
-    grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
-    LfB, LgB = _products(spec.sys, x, grad)[:2]
+    with np.errstate(all="ignore"):  # the model, as first_order_lie
+        Bv = _h_value(spec.B(x))
+        if not (Bv > 0.0 and math.isfinite(Bv)):
+            raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
+        grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
+        LfB, LgB = _products(spec.sys, x, grad)[:2]
     return Bv, LfB, LgB
 
 

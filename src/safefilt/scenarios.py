@@ -375,7 +375,10 @@ def ex5_spec(beta=2.0):
 def run_ex5_stoch(cfg):
     """Shrinking-noise plant under the scaled min-norm generator
     filter. The certified value is exact in the mean: the Monte Carlo
-    cost must land within 3 standard errors of 2*beta*h(x0)."""
+    cost must land within 3 standard errors of 2*beta*h(x0), so it
+    needs two paths for a standard error: fewer is a ConfigError."""
+    if cfg.paths < 2:
+        raise ConfigError("ex5-stoch needs paths >= 2, got %d" % cfg.paths)
     beta = 2.0
     x0 = -1.0
     target = 2.0 * beta * math.log1p(-x0)              # 4 ln 2
