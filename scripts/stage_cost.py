@@ -53,6 +53,11 @@ compare where raw ones do not.
                               first_order_lie calls at every stage
   ode.game.array.us_per_step  the same loop on the array twin of ex3's
                               plant
+  ode.game.model_reads_per_step
+                              h calls per RK4 step of ode.game's loop,
+                              counted by its barrier: the recorded h
+                              and each Lie data read (a count, not a
+                              time)
   ode.rows.us_per_row_step    sim._ode_rows, the lockstep RK4 stack, on
                               ex3's plant: LOOPS loops from x0 = -1.2
                               (dt = 1e-3, T = 1), loop i under u* plus
@@ -139,6 +144,7 @@ scaling narrows the spread but does not remove it.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -328,6 +334,15 @@ def ode_numbers(rounds):
         for _ in range(IO_CALLS):
             control(x0, 0.0)
 
+    calls = [0]
+
+    def h(x):
+        calls[0] += 1
+        return -x[0]
+    counted = dataclasses.replace(iospec, base=dataclasses.replace(
+        base, bf=sf.BarrierFunction(h, grad=lambda x: np.array([-1.0]))))
+    game(counted, "game.counted")()
+
     steps = cfg.n_steps
     g = 1e6 * best(general, rounds) / steps
     s = 1e6 * best(scalar, rounds) / steps
@@ -342,6 +357,7 @@ def ode_numbers(rounds):
             "ode.general_over_scalar": g / s,
             "ode.filter.us_per_step": f, "ode.game.us_per_step": w,
             "ode.game.array.us_per_step": wa,
+            "ode.game.model_reads_per_step": calls[0] / steps,
             "ode.io_general.us_per_call":
                 1e6 * best(io_general, rounds) / IO_CALLS}, same, \
         _same_record(out["game"], out["game.array"])

@@ -18,9 +18,9 @@ by one rule:
     SONTAG       kappa(omega, |a|^2) a, Sontag's universal formula
     HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
 
-and raises the caller's violation class where omega < 0 but
-|a| < GRAD_ZERO_TOL. Each rule has one certificate, rule_certificate:
-a weight R and a state penalty l with
+and raises the caller's violation class where omega is not >= 0 (a
+NaN margin included) but |a| < GRAD_ZERO_TOL. Each rule has one
+certificate, rule_certificate: a weight R and a state penalty l with
 
     l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))
 
@@ -106,10 +106,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (SafefiltError, _as_state, _single_state, call_rows,
-                      first_order_lie, first_order_lie_rows, lie_data,
-                      lie_data_rows, row_dot, row_norm, stack_rows,
-                      vec_norm)
+from .systems import (SafefiltError, _as_state, _guard, _single_state,
+                      call_rows, first_order_lie, first_order_lie_rows,
+                      lie_data, lie_data_rows, row_dot, row_norm,
+                      stack_rows, vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -140,11 +140,12 @@ def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
     """Correction v of the nominal for margin omega along direction a.
 
     rule is MIN_NORM, SONTAG or HALF_SONTAG (see the module docstring).
-    Raises `error` where omega < 0 and ||a|| < GRAD_ZERO_TOL: no
-    correction can restore the margin there. On stacks, (N,) margins
-    and (N, m) directions, one correction per row, equal bit for bit
-    to the row's own; where a row may raise, the rows are corrected in
-    turn, so the first that raises does, with its own error.
+    Raises `error` where omega < 0 (or is NaN) and ||a|| <
+    GRAD_ZERO_TOL: no correction can restore the margin there. On
+    stacks, (N,) margins and (N, m) directions, one correction per row,
+    equal bit for bit to the row's own; where a row may raise, the rows
+    are corrected in turn, so the first that raises does, with its own
+    error.
     """
     if type(omega) is np.ndarray:
         return _correct_rows(omega, a, rule, error)
@@ -158,7 +159,7 @@ def _factor(omega, a, rule, error):
     if rule == MIN_NORM and omega >= 0.0:
         return None
     q = row_dot(a, a)
-    if omega < 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:
+    if not omega >= 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:  # NaN too
         raise error("margin %g < 0 with no control authority (|a| = %g)"
                     % (omega, math.sqrt(q)))
     if rule == MIN_NORM:
@@ -207,7 +208,7 @@ def _correct_rows(omega, a, rule, error):
         return np.array([correct(w, v, rule, error)
                          for w, v in zip(omega.tolist(), a)])
     if rule == MIN_NORM:
-        with np.errstate(all="ignore"):  # the rows where omega >= 0
+        with _guard():  # the rows where omega >= 0
             return np.where((omega >= 0.0)[:, None], 0.0,
                             -(omega / q)[:, None] * a)
     return _sontag_factor(omega, q, rule)[:, None] * a

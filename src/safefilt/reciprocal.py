@@ -27,8 +27,8 @@ import numpy as np
 from .comparison import elementwise
 from .filters import (MIN_NORM, _check_gains, _filtered, _u0_at, _weighted,
                       margin, min_norm_certificate)
-from .systems import (BarrierFunction, SafefiltError, _as_state, _h_value,
-                      _products, at_rows, first_order_lie_rows)
+from .systems import (BarrierFunction, SafefiltError, _as_state, _guard,
+                      _h_value, _products, at_rows, first_order_lie_rows)
 
 
 class RcbfViolation(SafefiltError, RuntimeError):
@@ -71,7 +71,7 @@ def _b_data(spec, x):
             return ld.h_val, ld.Lfh, ld.Lg2h
         return at_rows(partial(_b_data, spec), x)
     x = _as_state(x, spec.sys.n)
-    with np.errstate(all="ignore"):  # the model, as first_order_lie
+    with _guard():  # the model, as first_order_lie
         Bv = _h_value(spec.B(x))
         if not (Bv > 0.0 and math.isfinite(Bv)):
             raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))

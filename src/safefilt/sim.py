@@ -4,7 +4,10 @@ Conventions that the certification layer relies on:
 
   * the closed-loop control is evaluated at every integrator stage,
     never sample-and-held; RK4 stage 1 is the recorded sample itself,
-    so control and d must be pure functions of (x, t);
+    so control and d must be pure functions of (x, t), and so must the
+    model for the length of a run: inside a loop, the Lie data at a
+    state is read once (systems' loop scope) and every later read there
+    in the same run shares it, read-only;
   * samples land on the uniform grid k*dt, state first, then the
     controls/disturbance/h at that same state;
   * running_cost is recorded as zeros here; cost evaluation is a
@@ -13,9 +16,12 @@ Conventions that the certification layer relies on:
     escape_threshold (or non-finite), or a ModelBlowup, OverflowError or
     FloatingPointError while recording a sample (stamped at its time) or
     inside a step (stamped at the step's end); any other exception is a
-    SimulationError carrying it as the cause. Loops run with numpy
-    overflow warnings suppressed so a diverging model turns into
-    non-finite samples, not a warning storm;
+    SimulationError carrying it as the cause. Each loop run holds one
+    np.errstate(all="ignore"), so numpy's overflow, invalid and divide
+    warnings are silenced inside it, the policies' own included: a
+    diverging model turns into non-finite samples, not a warning storm,
+    and a numpy division by zero is the inf or NaN it gives, which
+    escapes where it reaches the state;
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
     batched runs match path-by-path runs bit for bit; one Philox per
@@ -62,10 +68,10 @@ from typing import Optional
 import numpy as np
 
 from .systems import (ModelBlowup, SafefiltError, _as_state, _h_value,
-                      _single_state, call_rows, matvec)
+                      _loop_scope, _single_state, call_rows, matvec)
 
 _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
-CSV_BLOCK = 4096            # samples formatted per write
+CSV_BLOCK = 1024            # samples formatted per write
 SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
 SEED_MAX = 2 ** 64 - 1024
 
@@ -224,9 +230,11 @@ def _run(traj, cfg, x, sample, step):
     where a step raises (_stop's rule). Returns traj. In integrate_sde's
     lockstep, x is the stack of live rows and traj the list of their
     records; its sample and step keep these rules row by row, and its
-    step raises nothing."""
+    step raises nothing. The run holds the loop scope of systems
+    (_loop_scope): one np.errstate(all="ignore") for the whole run, and
+    first_order_lie's memo, which ends with it."""
     dt, n_steps = cfg.dt, cfg.n_steps
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _loop_scope():
         for k in range(n_steps + 1):
             t = k * dt
             s = sample(k, t, x)
@@ -610,8 +618,9 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
 def write_trajectory_csv(traj, path):
     """One row per sample, 17 significant digits, stable header.
 
-    Rows are formatted CSV_BLOCK samples at a time, so the table is
-    never held as Python floats all at once.
+    Rows are formatted CSV_BLOCK samples at a time, each block by one
+    % of the row format repeated once per row, so the table is never
+    held as Python floats all at once.
     """
     n = traj.states.shape[1]
     m2 = traj.controls.shape[1]
@@ -630,4 +639,4 @@ def write_trajectory_csv(traj, path):
         fh.write(",".join(cols) + "\n")
         for start in range(0, traj.times.size, CSV_BLOCK):
             block = np.hstack([p[start:start + CSV_BLOCK] for p in parts])
-            fh.write("".join([row % tuple(r) for r in block.tolist()]))
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

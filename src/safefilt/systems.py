@@ -31,9 +31,20 @@ converted, and the Lie derivatives, the Hessian symmetry and the
 finiteness checked, on the stacked arrays, which is what makes a cost
 pass one array pass per record. The integrator's per-stage calls keep
 the single-state forms, which are cheaper for one state. Each call runs
-under one np.errstate that silences numpy's warnings, the model calls
-and their finite differences included: non-finite model data is its
-ModelBlowup, not a RuntimeWarning first.
+with numpy's warnings silenced, the model calls and their finite
+differences included: non-finite model data is its ModelBlowup, not a
+RuntimeWarning first. Outside a loop each call enters its own
+np.errstate(all="ignore"). Inside a loop it enters none: sim._run holds
+the loop scope (_loop_scope) for its run, one np.errstate(all="ignore")
+around the whole run and a one-entry memo of first_order_lie, which
+returns its stored result where plant and barrier are the same objects
+and the checked state has the same bytes. The loops already require
+pure policies of (x, t), and the memo ends with its run, so a model
+edited between runs is read afresh. A result is stored only once its
+finiteness check has passed, so a model that raised is called again;
+its Lg1h and Lg2h are read-only arrays, shared by every caller that
+reads that state. reciprocal's B data and filters' stacked corrections
+take the same guard (_guard).
 
 This module holds the one row mapper of the package, which calls the
 user's model and policy callables on the rows of a stack. stack_rows
@@ -100,6 +111,8 @@ the same outputs, any one number (a float, a numpy scalar, or a 0-d,
 rows.
 """
 
+import contextlib
+import contextvars
 import math
 from typing import NamedTuple
 
@@ -550,6 +563,43 @@ _NO_LG1H = np.frombuffer(b"", dtype=float)
 _NO_G1HG1 = _NO_LG1H.reshape(0, 0)
 
 
+class _Memo:
+    """first_order_lie's one stored result inside a loop scope: the
+    plant and barrier it was read for, the checked state's bytes and the
+    FirstOrderLie."""
+    __slots__ = ("sys", "bf", "key", "lie")
+
+    def __init__(self):
+        self.sys = self.bf = self.key = self.lie = None
+
+
+# the loop scope: the _Memo of the sim._run now running, None outside
+# every loop
+_LOOP = contextvars.ContextVar("safefilt_loop", default=None)
+_NO_GUARD = contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def _loop_scope():
+    """The scope of one loop run: numpy's warnings silenced, and a fresh
+    first_order_lie memo that ends with the run."""
+    with np.errstate(all="ignore"):
+        token = _LOOP.set(_Memo())
+        try:
+            yield
+        finally:
+            _LOOP.reset(token)
+
+
+def _guard():
+    """np.errstate(all="ignore") outside a loop scope; inside one, which
+    holds that error state for its whole run, a context that does
+    nothing."""
+    if _LOOP.get() is None:
+        return np.errstate(all="ignore")
+    return _NO_GUARD
+
+
 def _check_finite(numbers, x):
     if not all(map(math.isfinite, numbers)):
         raise ModelBlowup("non-finite model data at x=%s" % x)
@@ -600,12 +650,31 @@ def _first_order(sys, bf, x):
 def first_order_lie(sys, bf, x):
     """h, Lfh, Lg1h and Lg2h at one state, each model output's shape
     and the four results' finiteness checked once (ModelBlowup if one
-    is not finite). The barrier Hessian is never called."""
-    # non-finite model data, a finite difference of it included, is the
-    # ModelBlowup of _check_finite, not a numpy warning first
-    with np.errstate(all="ignore"):
-        x, _, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
-        _check_finite(finite, x)
+    is not finite). The barrier Hessian is never called. Inside a loop
+    scope, the memo's result where plant, barrier and state bytes match
+    it; else the new result, stored with read-only Lg1h and Lg2h."""
+    memo = _LOOP.get()
+    if memo is None:
+        # non-finite model data, a finite difference of it included, is
+        # the ModelBlowup of _check_finite, not a numpy warning first
+        with np.errstate(all="ignore"):
+            return _first_order_lie(sys, bf, x)
+    x = _as_state(x, sys.n)
+    key = x.tobytes()
+    if memo.sys is sys and memo.bf is bf and memo.key == key:
+        return memo.lie
+    ld = _first_order_lie(sys, bf, x)
+    ld.Lg1h.setflags(write=False)
+    ld.Lg2h.setflags(write=False)
+    memo.sys, memo.bf, memo.key, memo.lie = sys, bf, key, ld
+    return ld
+
+
+def _first_order_lie(sys, bf, x):
+    """first_order_lie's data, read afresh under the caller's error
+    state."""
+    x, _, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
+    _check_finite(finite, x)
     return FirstOrderLie(h, Lfh, Lg1h, Lg2h)
 
 
@@ -613,7 +682,7 @@ def lie_data(sys, bf, x):
     """first_order_lie plus the Ito terms where m1 > 0: the Hessian is
     called after g1, a supplied one checked for symmetry, and then the
     finiteness of every result checked at once."""
-    with np.errstate(all="ignore"):  # as in first_order_lie
+    with _guard():  # as in first_order_lie
         x, g1, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
         if sys.m1 > 0:
             if sys._scalar:
@@ -663,7 +732,7 @@ def first_order_lie_rows(sys, bf, X):
     shape varies from row to row, gives the same data."""
     X = _state_stack(sys, X)
     rows = list(X)
-    with np.errstate(all="ignore"):  # as in first_order_lie
+    with _guard():  # as in first_order_lie
         try:
             _, terms, first = _first_order_rows(sys, bf, X, rows)
             if np.isfinite(np.concatenate(terms)).all():
@@ -681,7 +750,7 @@ def lie_data_rows(sys, bf, X):
     X = _state_stack(sys, X)
     rows = list(X)
     n, m1, N = sys.n, sys.m1, len(rows)
-    with np.errstate(all="ignore"):  # as in first_order_lie
+    with _guard():  # as in first_order_lie
         try:
             g1, terms, first = _first_order_rows(sys, bf, X, rows)
             if m1 > 0:

@@ -12,9 +12,10 @@ and within ULP_BOUND ulps of the integrated term magnitudes on the
 planar and projection plants (n = m2 = 2), where the evaluator's
 squared deviation sums its two products in another order. A record
 whose model, weight or class-K function fails at one sample fails in
-both with the same error. The intro kinds are closed forms with no
-single-state function and were array code before; test_cost_pass
-covers them.
+both with the same error. The intro kinds are instances of
+filters.rule_certificate (min-norm and Sontag) on margins read off the
+record, not of a per-sample function here; test_cost_pass and
+test_rule_certificate cover them.
 """
 
 import math
