@@ -85,6 +85,16 @@ compare where raw ones do not.
                               defaults (dt = 1e-3, T = 10), per sample
   sde.p1.us_per_step          integrate_sde with one path on a scalar
                               Ornstein-Uhlenbeck plant (T = 0.5)
+  mc.us_per_path_step         sde_path_functionals on ex5-stoch's
+                              closed forms (its filtered drift,
+                              diffusion 1 - x, running and terminal
+                              cost) from x0 = -1, MC_PATHS paths (two
+                              batches of the default width), dt = 1e-3,
+                              T = 2, per path and step
+  mc.noise_peak_mb            the tracemalloc peak of the same call at
+                              ex5-stoch's defaults (10**4 paths), above
+                              what was held before it, in MB (a size,
+                              not a time; measured once)
   probe.game.s                one optimality_probe of game-cert's shape:
                               the integrator plant dx = u dt, h = -x,
                               u0 = 1, alpha(h) = h, inverse_optimal_qp
@@ -92,7 +102,7 @@ compare where raw ones do not.
                               standard shapes at amplitudes -0.1 and
                               0.1, dt = 2e-3, T = 1, cost intro-min
 
-Five flags are checked, and any one false exits 1:
+Six flags are checked, and any one false exits 1:
 
   general_equals_scalar       the two ode records are equal bit for bit
   scalar_equals_array         the scalar_system plant and its array
@@ -138,6 +148,18 @@ Five flags are checked, and any one false exits 1:
                               (rho inverse) of each SPECIAL value, at
                               each SPECIAL state of a plant whose Lg1h
                               is -x
+  functionals_equal_paths     sde_path_functionals, which draws its
+                              noise in time chunks, gives the bits of
+                              the whole-path loop that draws each
+                              path's normals up front from a fresh
+                              Generator(Philox(key=[seed, i])): for
+                              1, 3 and 7 paths, batch widths 1, 2, 3
+                              and the default, 1, 2, 5 and 17 steps,
+                              seeds 0, -1, 2**63 and 977, chunks of
+                              K = 1, 2, N - 1, N and N + 1 steps
+                              (through sim._NOISE), with array and
+                              with scalar-returning diffusion and
+                              integrand
 
 Compare timings of two trees only from runs taken side by side; the
 scaling narrows the spread but does not remove it.
@@ -155,7 +177,9 @@ import statistics
 import struct
 import sys
 import time
+import tracemalloc
 import warnings
+from unittest import mock
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -181,6 +205,7 @@ from safefilt.filters import (GRAD_ZERO_TOL, HALF_SONTAG,  # noqa: E402
                                MIN_NORM, SONTAG, CbfViolation, Weight,
                                _filtered, _weighted, budget, correct,
                                game_weights)
+from safefilt import sim  # noqa: E402
 from safefilt.projection import projection_margin  # noqa: E402
 from safefilt.scenarios import (_ex3_pieces,  # noqa: E402
                                 disturbed_gain_system, integrator_system,
@@ -196,6 +221,7 @@ LIE_CALLS = 20000
 IO_CALLS = 5000
 ROWS = 2001                 # states per stacked Lie data call
 LOOPS = 8                   # loops of ode.rows
+MC_PATHS = 4000             # paths of mc.us_per_path_step
 
 
 def best(fn, rounds):
@@ -513,6 +539,42 @@ def sde_us(rounds):
     return 1e6 * best(run, rounds) / cfg.n_steps
 
 
+# ex5-stoch's closed forms (beta = 2): the drift of its filtered loop,
+# the certified running cost and the terminal cost
+EX5_BETA = 2.0
+
+
+def ex5_drift(x):
+    return EX5_BETA * (x - 1.0) * np.maximum(0.0, 0.5 - np.log1p(-x))
+
+
+def ex5_integrand(x):
+    a = np.maximum(0.0, 0.5 - np.log1p(-x))
+    return EX5_BETA - (2.0 * EX5_BETA + EX5_BETA * EX5_BETA) * a
+
+
+def ex5_functionals(cfg):
+    return sf.sde_path_functionals(ex5_drift, lambda x: 1.0 - x, -1.0, cfg,
+                                   ex5_integrand,
+                                   lambda x: 2.0 * EX5_BETA * np.log1p(-x))
+
+
+def mc_us(rounds):
+    cfg = sf.SimConfig(dt=1e-3, T=2.0, paths=MC_PATHS)
+    return (1e6 * best(lambda: ex5_functionals(cfg), rounds)
+            / (cfg.paths * cfg.n_steps))
+
+
+def mc_noise_peak_mb():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ex5_functionals(sf.SimConfig(dt=1e-3, T=2.0, paths=10000))
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def probe_spec():
     """probe.game's filter spec: the integrator plant dx = u dt, h = -x,
     u0 = 1, alpha(h) = h."""
@@ -708,6 +770,56 @@ def filtered_equals_array():
     return bool(ok)
 
 
+def whole_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
+                           batch_size):
+    """sde_path_functionals as a whole-path loop: each batch's (p, N)
+    normals drawn up front, path i's row from a fresh
+    Generator(Philox(key=[seed, i]))."""
+    n_steps, dt = cfg.n_steps, cfg.dt
+    sq = math.sqrt(dt)
+    totals = np.empty(cfg.paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, cfg.paths, batch_size):
+            p = min(batch_size, cfg.paths - done)
+            Z = np.empty((p, n_steps))
+            for i in range(p):
+                bits = np.random.Philox(key=[cfg.seed, done + i])
+                Z[i] = np.random.Generator(bits).standard_normal(n_steps)
+            x = np.full(p, float(x0))
+            running = np.zeros(p)
+            prev = integrand(x)
+            for k in range(n_steps):
+                x = x + dt * drift(x) + diffusion(x) * (sq * Z[:, k])
+                cur = integrand(x)
+                running += 0.5 * dt * (prev + cur)
+                prev = cur
+            totals[done:done + p] = running + terminal(x)
+    return totals
+
+
+def functionals_equal_paths():
+    """The chunked sde_path_functionals against whole_path_functionals,
+    bit for bit, over the grid in the module docstring."""
+    default = sf.sde_path_functionals.__defaults__[0]
+    drift = lambda x: -x + 0.5 * np.tanh(x)
+    pieces = ((drift, lambda x: 0.4 + 0.1 * x * x, lambda x: x * x,
+               lambda x: np.sin(x)),
+              (drift, lambda x: 0.4, lambda x: 1.5, lambda x: x))
+    ok = True
+    for paths, batch, n, seed, (f, s, q, phi) in itertools.product(
+            (1, 3, 7), (1, 2, 3, default), (1, 2, 5, 17),
+            (0, -1, 2**63, 977), pieces):
+        cfg = sf.SimConfig(dt=0.0625, T=n * 0.0625, seed=seed, paths=paths)
+        want = whole_path_functionals(f, s, 0.3, cfg, q, phi, batch)
+        P = min(batch, paths)
+        for K in (1, 2, n - 1, n, n + 1):
+            with mock.patch.object(sim, "_NOISE", 2 * P * K):
+                got = sf.sde_path_functionals(f, s, 0.3, cfg, q, phi,
+                                              batch_size=batch)
+            ok &= _same(got, want)
+    return bool(ok)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--rounds", type=int, default=5)
@@ -738,11 +850,14 @@ def main(argv=None):
     numbers["filters.wcd.us_per_call"] = wcd_us(args.rounds)
     numbers.update(intro_cost_us(args.rounds))
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
+    numbers["mc.us_per_path_step"] = mc_us(args.rounds)
+    numbers["mc.noise_peak_mb"] = mc_noise_peak_mb()
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()
     twins = game_same and lie_equal_array()
     rows = rows_equal_single()
     filtered = filtered_equals_array()
+    functionals = functionals_equal_paths()
     print(json.dumps({
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
@@ -757,9 +872,11 @@ def main(argv=None):
         "scalar_equals_array": twins,
         "rows_equal_single": rows,
         "filtered_equals_array": filtered,
+        "functionals_equal_paths": functionals,
         "metrics": {k: round(v, 3) if math.isfinite(v) else None
                     for k, v in numbers.items()}}, indent=1))
-    return 0 if same and equal and twins and rows and filtered else 1
+    return 0 if (same and equal and twins and rows and filtered
+                 and functionals) else 1
 
 
 if __name__ == "__main__":

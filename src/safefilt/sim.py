@@ -24,8 +24,12 @@ Conventions that the certification layer relies on:
     escapes where it reaches the state;
   * stochastic paths draw from counter-based streams keyed by
     (seed, path index), so any path can be reproduced in isolation and
-    batched runs match path-by-path runs bit for bit; one Philox per
-    call is re-keyed for each path (_normals). SimConfig takes seeds in
+    batched runs match path-by-path runs bit for bit. One stream pool
+    (_streams) holds a Philox per path stepped together, re-keyed for
+    each path from a fresh one's state: sde_path_functionals draws from
+    it a time chunk at a time, in bounded memory, and _normals, its
+    width-one case, draws a whole path for integrate_sde. A stream drawn
+    in chunks is the same stream. SimConfig takes seeds in
     [SEED_MIN, SEED_MAX). numpy rounds a key word of 2**63 or more
     through float64, so up there neighbouring seeds share a stream
     (about 2048 seeds per float64), and -2**63 shares 2**63's; from
@@ -74,6 +78,7 @@ _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 1024            # samples formatted per write
 SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
 SEED_MAX = 2 ** 64 - 1024
+_NOISE = 10 ** 6            # doubles of noise chunks sde_path_functionals holds
 
 
 class SimulationError(SafefiltError, RuntimeError):
@@ -248,19 +253,36 @@ def _run(traj, cfg, x, sample, step):
     return traj
 
 
+def _streams(seed, width):
+    """The stream pool: `width` standard-normal streams keyed [seed, i].
+    Returns (start, gens): start(i, p) points slot j < p at the
+    beginning of path i + j's stream, and gens[j] is slot j's
+    Generator. Each slot's Philox is re-keyed from the state of a fresh
+    one (key word 0 as Philox stored it, counter 0, empty buffer), so it
+    draws what a fresh Generator(Philox(key=[seed, i + j])) would,
+    without building one per path. Generator.standard_normal reads its
+    bit generator in order and keeps nothing back, so a stream drawn a
+    chunk at a time is the same stream."""
+    bits = [np.random.Philox(key=[seed, 0])]
+    fresh = bits[0].state
+    key = fresh["state"]["key"]
+    bits += [np.random.Philox(key=key) for _ in range(width - 1)]
+
+    def start(i, p):
+        for j in range(p):
+            key[1] = i + j
+            bits[j].state = fresh
+    return start, [np.random.Generator(b) for b in bits]
+
+
 def _normals(seed):
     """fill(i, out): path i's standard normals into out, from the stream
-    keyed [seed, i]. One Philox is re-keyed for each path (key word 0 as
-    Philox stored it, counter 0, empty buffer), so each path draws what a
-    fresh Generator(Philox(key=[seed, i])) would, without building one."""
-    bits = np.random.Philox(key=[seed, 0])
-    rng = np.random.Generator(bits)
-    fresh = bits.state
-    key = fresh["state"]["key"]
+    keyed [seed, i]: the width-one case of _streams, whose one slot is
+    re-keyed for each path."""
+    start, (rng,) = _streams(seed, 1)
 
     def fill(i, out):
-        key[1] = i
-        bits.state = fresh
+        start(i, 1)
         return rng.standard_normal(out=out)
     return fill
 
@@ -572,46 +594,63 @@ def integrate_ode_scalar(drift, x0, cfg, h_fn, u_fn, u0_fn, d_fn=None):
 
 
 def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
-                         batch_size=1000):
+                         batch_size=2000):
     """Per-path cost functionals of a scalar autonomous diffusion.
 
-    Streams Euler-Maruyama in batches: all functions take and return
-    vectorized state arrays. Returns the (paths,) array of
+    Euler-Maruyama on batch_size paths stepped together (the last batch
+    may be narrower): all functions take and return vectorized state
+    arrays. Returns the (paths,) array of
 
         trapezoid(integrand(x_k), dt) + terminal(x_N)
 
     drawn from the same per-path streams as integrate_sde, so path i
-    here is path i there. x0 is checked as in integrate_ode_scalar. The
-    loop runs with numpy overflow warnings suppressed, as _run does, so
-    a diverging path ends in SimulationError("path functional
+    here is path i there, whatever batch_size and the chunking below.
+    The noise is drawn in time chunks of K = min(N, _NOISE // (2 P))
+    steps, P the batch width: each path of a batch keeps its own slot of
+    the stream pool (_streams) and draws its next K normals into its row
+    of a (P, K) chunk, which one product turns into the time-major
+    (K, P) chunk of scaled increments the K steps read. The two chunks
+    hold at most _NOISE doubles (8 MB) whatever the horizon, or 2 P when
+    P is wider than half of that. x0 is checked as in
+    integrate_ode_scalar; batch_size < 1 is a ValueError before any
+    draw. The loop runs under np.errstate(all="ignore"), as _run does,
+    so a diverging path ends in SimulationError("path functional
     diverged"), not a warning first.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1, got %r" % (batch_size,))
     x0 = float(_as_state(x0, 1, "x0")[0])
     n_steps = cfg.n_steps
     dt = cfg.dt
     sq = math.sqrt(dt)
+    P = min(batch_size, cfg.paths)
+    K = max(1, min(n_steps, _NOISE // (2 * P)))
+    start, gens = _streams(cfg.seed, P)
+    drawn = np.empty(P * K)     # a (p, k) chunk: row j path j's normals
+    scaled = np.empty(K * P)    # its (k, p) increments: row k one step
     totals = np.empty(cfg.paths)
-    normals = _normals(cfg.seed)
-    noise = np.empty((min(batch_size, cfg.paths), n_steps))
-    done = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done < cfg.paths:
-            p = min(batch_size, cfg.paths - done)
-            Z = noise[:p]
-            for i in range(p):
-                normals(done + i, Z[i])
+    with np.errstate(all="ignore"):
+        for done in range(0, cfg.paths, P):
+            p = min(P, cfg.paths - done)
+            start(done, p)
             x = np.full(p, x0)
             running = np.zeros(p)
             prev = integrand(x)
-            for k in range(n_steps):
-                x = x + dt * drift(x) + diffusion(x) * (sq * Z[:, k])
-                cur = integrand(x)
-                running += 0.5 * dt * (prev + cur)
-                prev = cur
+            for first in range(0, n_steps, K):
+                k = min(K, n_steps - first)
+                Z = drawn[:p * k].reshape(p, k)
+                for rng, row in zip(gens, Z):
+                    rng.standard_normal(out=row)
+                W = scaled[:k * p].reshape(k, p)
+                np.multiply(sq, Z.T, out=W)
+                for dw in W:
+                    x = x + dt * drift(x) + diffusion(x) * dw
+                    cur = integrand(x)
+                    running += 0.5 * dt * (prev + cur)
+                    prev = cur
             if not np.all(np.isfinite(x)):
                 raise SimulationError("path functional diverged")
             totals[done:done + p] = running + terminal(x)
-            done += p
     return totals
 
 
