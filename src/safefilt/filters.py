@@ -11,27 +11,29 @@ dx = (f + g1 d + g2 u) dt with barrier h and safe set {h >= 0}, where
 budget(rho, r) = rho^{-1}(max{0, r}); (-LfB, -LgB) for reciprocal
 barriers; (0, grad h) for projection; the trace or Frobenius side terms
 in `stochastic`. omega >= 0 where u0 is already safe; a correction v
-moves the margin to omega + a.v, and `correct` turns (omega, a) into v
-by one rule:
+moves the margin to omega + a.v, and `correct` turns (omega, a) into
+v = k a by one rule, which is only its factor k(omega, q), q = |a|^2:
 
-    MIN_NORM     -(omega/|a|^2) a where omega < 0, else 0 (the QP)
-    SONTAG       kappa(omega, |a|^2) a, Sontag's universal formula
-    HALF_SONTAG  half of it: 0.5*(omega - sqrt(omega^2 + |a|^4)) + a.v = 0
+    MIN_NORM     k = max{0, -omega}/q (the QP)
+    SONTAG       k = kappa(omega, q), Sontag's universal formula
+    HALF_SONTAG  k = kappa/2: 0.5*(omega - sqrt(omega^2 + q^2)) + a.v = 0
 
-and raises the caller's violation class where omega is not >= 0 (a
-NaN margin included) but |a| < GRAD_ZERO_TOL. Each rule has one
-certificate, rule_certificate: a weight R and a state penalty l with
+with k = 0 where q = 0 and k = NaN at a NaN margin (where q > 0); v is
+exactly 0 where k = 0. correct raises the caller's violation class
+where omega is not >= 0 (a NaN margin included) but |a| <
+GRAD_ZERO_TOL. The three factors, at one margin and per row of a stack,
+are one private table (_K), and everything below reads only k. Every
+rule has the one certificate, rule_certificate: a weight R and a state
+penalty l with
 
     l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))
 
-along u = u0 + beta correct(omega, a, rule), by completing the square
-(the inverse optimality of Freeman and Kokotovic, which covers Sontag's
-formula too): R = |a|^2 / max{0, -omega} under MIN_NORM
-(min_norm_certificate), R = 1/k with correct's own factor k under
-SONTAG and HALF_SONTAG, whose per-row factor is one helper
-(_sontag_factor) for both. Every cost kind of `certify` with a margin
-of this form integrates it. Every filter that returns the full control
-takes one step, _filtered:
+along u = u0 + beta k a, by completing the square (the inverse
+optimality of Freeman and Kokotovic, which covers Sontag's formula
+too): R = 1/k and l = 2 beta (alpha(h) - omega) - beta^2 k q, for any
+factor k >= 0 (_certificate). Every cost kind of `certify` with a
+margin of this form integrates it. Every filter that returns the full
+control takes one step, _filtered:
 
     u = u0 + beta correct(omega, a)
 
@@ -136,47 +138,62 @@ def sontag_kappa(omega, q):
     return q / (omega + root)
 
 
-def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
-    """Correction v of the nominal for margin omega along direction a.
+def _min_norm_k(omega, q):
+    """MIN_NORM's factor: -(omega/q) where omega < 0 (or is NaN) and
+    q > 0, else 0."""
+    if type(omega) is np.ndarray:
+        with _guard():  # the rows where omega >= 0 or q = 0
+            return np.where((omega >= 0.0) | (q == 0.0), 0.0, -(omega / q))
+    return 0.0 if omega >= 0.0 or q == 0.0 else -(omega / q)
 
-    rule is MIN_NORM, SONTAG or HALF_SONTAG (see the module docstring).
-    Raises `error` where omega < 0 (or is NaN) and ||a|| <
-    GRAD_ZERO_TOL: no correction can restore the margin there. On
-    stacks, (N,) margins and (N, m) directions, one correction per row,
-    equal bit for bit to the row's own; where a row may raise, the rows
-    are corrected in turn, so the first that raises does, with its own
-    error.
+
+def _kappa(omega, q):
+    """sontag_kappa at one margin, or per row of stacked margins."""
+    if type(omega) is np.ndarray:
+        return np.array([sontag_kappa(w, s)
+                         for w, s in zip(omega.tolist(), q.tolist())])
+    return sontag_kappa(omega, q)
+
+
+# rule: its factor k(omega, q), q = |a|^2, at one margin or per row of a
+# stack; k = 0 where q = 0, and NaN at a NaN margin (where q > 0)
+_K = {MIN_NORM: _min_norm_k,
+      SONTAG: _kappa,
+      HALF_SONTAG: lambda omega, q: 0.5 * _kappa(omega, q)}
+
+
+def correct(omega, a, rule=MIN_NORM, error=CbfViolation):
+    """Correction v = k a of the nominal for margin omega along direction
+    a, with the rule's factor k (see the module docstring).
+
+    rule is MIN_NORM, SONTAG or HALF_SONTAG. Raises `error` where
+    omega < 0 (or is NaN) and ||a|| < GRAD_ZERO_TOL: no correction can
+    restore the margin there. On stacks, (N,) margins and (N, m)
+    directions, one correction per row, equal bit for bit to the row's
+    own; where a row may raise, the rows are corrected in turn, so the
+    first that raises does, with its own error.
     """
     if type(omega) is np.ndarray:
         return _correct_rows(omega, a, rule, error)
-    k = _factor(omega, a, rule, error)
-    return np.zeros(a.shape) if k is None else k * a
+    return _times(_factor(omega, row_dot(a, a), rule, error), a)
 
 
-def _factor(omega, a, rule, error):
-    """The number k of correct's v = k a at one state, None where the
-    min-norm rule leaves the nominal alone (v = 0); raises as correct."""
-    if rule == MIN_NORM and omega >= 0.0:
-        return None
-    q = row_dot(a, a)
+def _factor(omega, q, rule, error):
+    """The factor k of correct's v = k a at one state, q = |a|^2; raises
+    as correct."""
     if not omega >= 0.0 and math.sqrt(q) < GRAD_ZERO_TOL:  # NaN too
         raise error("margin %g < 0 with no control authority (|a| = %g)"
                     % (omega, math.sqrt(q)))
-    if rule == MIN_NORM:
-        return -(omega / q)
-    return _sontag_factor(omega, q, rule)
+    return _K[rule](omega, q)
 
 
-def _sontag_factor(omega, q, rule):
-    """correct's factor k under SONTAG, kappa(omega, q), or half of it
-    under HALF_SONTAG; at one margin, or per row of stacked margins
-    omega and squared norms q."""
-    if type(omega) is np.ndarray:
-        k = np.array([sontag_kappa(w, s)
-                      for w, s in zip(omega.tolist(), q.tolist())])
-    else:
-        k = sontag_kappa(omega, q)
-    return 0.5 * k if rule == HALF_SONTAG else k
+def _times(k, a):
+    """k a, at one state or per row of a stack; exactly zero where
+    k = 0, whatever a holds (a zero factor leaves the nominal alone)."""
+    if type(k) is np.ndarray:
+        with _guard():  # 0 * inf in the rows where k = 0
+            return np.where((k == 0.0)[:, None], 0.0, k[:, None] * a)
+    return np.zeros(a.shape) if k == 0.0 else k * a
 
 
 def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
@@ -192,12 +209,12 @@ def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
     if type(omega) is np.ndarray or a.size != 1:
         v = correct(omega, a, rule, error)
         return u0v + v if beta == 1.0 else u0v + beta * v
-    k = _factor(omega, a, rule, error)
-    v = 0.0 if k is None else float(k) * a.item()
-    u = u0v.item() + float(beta) * v
+    av = a.item()
+    k = _factor(omega, 0.0 + av * av, rule, error)  # row_dot at width one
+    u = u0v.item() + float(beta) * (0.0 if k == 0.0 else float(k) * av)
     if math.isfinite(u):
         return np.array((u,))
-    return u0v + beta * (np.zeros(a.shape) if k is None else k * a)
+    return u0v + beta * _times(k, a)
 
 
 def _correct_rows(omega, a, rule, error):
@@ -207,11 +224,7 @@ def _correct_rows(omega, a, rule, error):
     if weak.any() and (weak & ~(omega >= 0.0)).any():
         return np.array([correct(w, v, rule, error)
                          for w, v in zip(omega.tolist(), a)])
-    if rule == MIN_NORM:
-        with _guard():  # the rows where omega >= 0
-            return np.where((omega >= 0.0)[:, None], 0.0,
-                            -(omega / q)[:, None] * a)
-    return _sontag_factor(omega, q, rule)[:, None] * a
+    return _times(_K[rule](omega, q), a)
 
 
 def _u0_at(spec, x, t):
@@ -605,23 +618,28 @@ def rule_certificate(rule, beta, omega, a, alpha_h):
 
         l - R|u - u0|^2 = -2 beta (omega - alpha(h) + a.(u - u0))
 
-    along that u, by completing the square. MIN_NORM: R = |a|^2 /
-    max{0, -omega} (inf where omega >= 0) and l = 2 beta alpha(h) +
-    beta min{(beta-2) omega, -2 omega}. SONTAG and HALF_SONTAG: R = 1/k
-    with correct's own factor k (inf where k = 0) and l = 2 beta
-    (alpha(h) - omega) - beta^2 k |a|^2."""
+    along that u, by completing the square: _certificate at the rule's
+    factor k, R = 1/k (inf where k = 0) and l = 2 beta (alpha(h) -
+    omega) - beta^2 k |a|^2. On stacks each row is its one-state (R, l),
+    non-finite rows included."""
     q = row_dot(a, a)
-    if rule == MIN_NORM:
-        return (Weight.ratio(q, _max0(-omega)),
-                2.0 * beta * alpha_h
-                + beta * _min((beta - 2.0) * omega, -2.0 * omega))
-    k = _sontag_factor(omega, q, rule)
-    return (Weight.ratio(1.0, k),
-            2.0 * beta * (alpha_h - omega) - beta * beta * k * q)
+    return _certificate(beta, _K[rule](omega, q), q, omega, alpha_h)
+
+
+def _certificate(beta, k, q, omega, alpha_h):
+    """(R, l) of u = u0 + beta k a for any factor k >= 0, q = |a|^2:
+    R = 1/k and l = 2 beta (alpha(h) - omega) - beta^2 k q, under
+    _guard, so that a stack's row raises no more than its one-state
+    floats do."""
+    with _guard():
+        return (Weight.ratio(1.0, k),
+                2.0 * beta * (alpha_h - omega) - beta * beta * k * q)
 
 
 def min_norm_certificate(beta, omega, a, alpha_h):
-    """rule_certificate under MIN_NORM."""
+    """rule_certificate under MIN_NORM, k = max{0, -omega}/|a|^2:
+    R = |a|^2 / max{0, -omega} (inf where omega >= 0 or |a|^2 = 0) and
+    l = 2 beta (alpha(h) - omega) - beta^2 k |a|^2."""
     return rule_certificate(MIN_NORM, beta, omega, a, alpha_h)
 
 

@@ -39,10 +39,9 @@ from .comparison import (decay_tube, identity_k, linear_extended,
                          extended_k_from_name, k_from_name,
                          eps_power_extended, piecewise_extended, power_k,
                          power_pair)
-from .filters import (DssfCbfSpec, InverseOptimalSpec, _check_gains,
-                      half_sontag_filter, hji_residual,
-                      inverse_optimal_condition, inverse_optimal_qp,
-                      qp_filter, sontag_filter)
+from .filters import (HALF_SONTAG, MIN_NORM, SONTAG, DssfCbfSpec,
+                      InverseOptimalSpec, _check_gains, _dssf_at, _filtered,
+                      hji_residual, inverse_optimal_condition)
 from .projection import ProjectionSpec, classic_projection, qp_projection, \
     simulate_projection
 from .sim import (SimConfig, integrate_ode, integrate_ode_scalar,
@@ -850,19 +849,18 @@ def _run_custom(entries, overrides):
                        lambda x, t: np.array([u0_val]))
     cost = (None if cost_beta is None
             else CostSpec("qp-exact", spec=spec, beta_gain=cost_beta))
-    if filt_text == "qp":
-        control = lambda x, t: (spec.u0(x, t) + qp_filter(spec, x, t))
-    elif filt_text == "sontag":
-        control = lambda x, t: (spec.u0(x, t)
-                                + sontag_filter(spec, x, t, include_u0=True))
-    elif filt_text == "half-sontag":
-        control = lambda x, t: half_sontag_filter(spec, x, t)
+    rules = {"qp": MIN_NORM, "sontag": SONTAG, "half-sontag": HALF_SONTAG}
+    if filt_text in rules:  # the unit-gain filters
+        rule, beta = rules[filt_text], 1.0
     elif filt_text.startswith("io-qp:"):
-        beta = _gain(filt_text)
-        control = lambda x, t: inverse_optimal_qp(spec, beta, x, t)
+        rule, beta = MIN_NORM, _gain(filt_text)
     else:
         raise ConfigError("unknown filter %r (qp, sontag, half-sontag, "
                           "io-qp:<beta>)" % filt_text)
+
+    def control(x, t):
+        u0v, omega, a = _dssf_at(spec, x, t)
+        return _filtered(u0v, beta, omega, a, rule)
 
     d_fn = _parse_d(d_text, d_line)
     d_cb = None if d_fn is None else (lambda x, t: np.array([d_fn(x, t)]))

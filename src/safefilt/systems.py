@@ -119,7 +119,6 @@ from typing import NamedTuple
 import numpy as np
 
 FD_STEP = 1e-6              # relative central-difference step
-GRAD_CHECK_TOL = 1e-5
 HESS_SYM_TOL = 1e-10
 
 
