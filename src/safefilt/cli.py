@@ -5,12 +5,14 @@
                             [--out-dir DIR]
     safefilt run CONFIG [same flags]
 
-Exit status: 0 when every scenario check passed, 1 when a check
-failed, 2 for unusable input (unknown id, malformed config, a dt, T,
-path count or seed that SimConfig rejects), reported as "config
-error: ...". Reports are printed as "key = value" lines (report_text)
-and written to the output directory next to any trajectory CSVs, only
-once the run has returned: a refused or raising run writes nothing.
+Exit status: 0 when every check row of the run holds, 1 when one
+fails (an escaped loop's certificate is NaN, so its row fails), 2 for
+unusable input (unknown id, malformed config, a dt, T, path count or
+seed that SimConfig rejects, a T/dt that no record holds among them),
+reported as "config error: ...". Reports are printed as "key = value"
+lines (report_text) and written to the output directory next to any
+trajectory CSVs, only once the run has returned: a refused or raising
+run writes nothing.
 """
 
 import argparse

@@ -2,11 +2,16 @@
 
 Each runner assembles a filtered loop, simulates it, evaluates the
 matching cost/certificates, and returns a ScenarioResult: a flat report
-rendered as "key = value" lines by report_text, and the records to keep
-as CSVs. Runners touch no file: _write, behind run_builtin and
-run_config, is the one writer, so a run that raises writes nothing.
-Closed-form scalar policies are used for speed where they exist; the
-test suite pins them against the general filters.
+rendered as "key = value" lines by report_text, its checks, and the
+records to keep as CSVs. A check is a row (name, value, lo, hi), its
+bounds the named tolerances below; the verdict, stamped as "overall",
+is lo <= value <= hi on every row, so a NaN value fails. A certificate
+on an escaped record, which none is defined on, is NaN, and so is
+ex5's Monte Carlo value where a path functional diverges. Runners touch
+no file: _write, behind run_builtin and run_config, is the one writer,
+so a run that raises writes nothing. Closed-form scalar policies are
+used for speed where they exist; the test suite pins them against the
+general filters.
 
 Config files are flat "key = value" text, one setting per line, with
 either a single `scenario = <builtin-id>` line (plus dt/T/seed/paths
@@ -32,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import (DSSF_PASS_TOL, CostSpec, _sup_gains,
+from .certify import (DSSF_PASS_TOL, CostSpec, CostValue, _sup_gains,
                       certify_dssf_bound, cost_invariance_check,
                       evaluate_cost, mc_summary, trapezoid)
 from .comparison import (decay_tube, identity_k, linear_extended,
@@ -44,26 +49,53 @@ from .filters import (HALF_SONTAG, MIN_NORM, SONTAG, DssfCbfSpec,
                       hji_residual, inverse_optimal_condition)
 from .projection import ProjectionSpec, classic_projection, qp_projection, \
     simulate_projection
-from .sim import (SimConfig, integrate_ode, integrate_ode_scalar,
-                  integrate_sde, sde_path_functionals, write_trajectory_csv)
+from .sim import (SimConfig, SimulationError, integrate_ode,
+                  integrate_ode_scalar, integrate_sde, sde_path_functionals,
+                  write_trajectory_csv)
 from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
                          generator_margin, min_eigenvalue, nssf_hji_residual,
                          nssf_qp_filter, stoch_qp_filter,
                          worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import (BarrierFunction, SafefiltError, lie_data_rows,
-                      row_dot, row_norm, scalar_system, stacked, vec_norm)
+from .systems import (BarrierFunction, ModelBlowup, SafefiltError,
+                      lie_data_rows, row_dot, row_norm, scalar_system,
+                      stacked, vec_norm)
 
-VALUE_TOL = 1e-3
+VALUE_TOL = 1e-3         # certified costs, their invariance, attenuation
+INTRO_COST_TOL = 0.01    # intro-qp-optimal's cost against its value -1
+ESCAPE_WINDOW = (0.45, 0.55)  # blowup's detected escape around t = 0.5
+GRID_TOL = 1e-9          # identities and margins evaluated on a state grid
+MARGIN_TOL = 1e-8        # recorded margins of the smooth laws may dip this far
+SLIDING_TOL = 1e-6       # ... and of the classic projection's sliding law
+CLOSED_FORM_TOL = 1e-12  # a library law against its closed form
+MC_SES = 3.0             # Monte Carlo value within this many standard errors
 
 
 @dataclass
 class ScenarioResult:
-    report: dict
-    passed: bool
+    """A run's flat report, its checks and its records.
+
+    Each check is a row (name, value, lo, hi); the run passes when every
+    row holds lo <= value <= hi, so a NaN value fails its row. put
+    writes a report entry and records its row in one call; check records
+    a row whose value the report does not print.
+    """
+    report: dict = field(default_factory=dict)
     records: dict = field(default_factory=dict)    # CSV name -> Trajectory
     artifacts: list = field(default_factory=list)  # paths _write wrote
+    checks: list = field(default_factory=list)     # (name, value, lo, hi)
+
+    @property
+    def passed(self):
+        return all(lo <= v <= hi for _, v, lo, hi in self.checks)
+
+    def check(self, name, value, lo=-math.inf, hi=math.inf):
+        self.checks.append((name, value, lo, hi))
+
+    def put(self, key, value, lo=-math.inf, hi=math.inf):
+        self.report[key] = value
+        self.check(key, value, lo, hi)
 
 
 def _fmt(v):
@@ -123,12 +155,20 @@ def disturbed_gain_system():
                          lambda x: 1.0)
 
 
+def _below_one(x):
+    """x[0], where h = ln(1-x) is finite; past it a ModelBlowup, so a
+    loop that steps there escapes."""
+    if not x[0] < 1.0:
+        raise ModelBlowup("h = ln(1-x) is not finite at x = %r" % (x[0],))
+    return x[0]
+
+
 def log_gap_barrier():
-    """h = ln(1-x), safe set x <= 0."""
+    """h = ln(1-x), safe set x <= 0, defined for x < 1."""
     return BarrierFunction(
-        lambda x: math.log1p(-x[0]),
-        grad=lambda x: np.array([-1.0 / (1.0 - x[0])]),
-        hess=lambda x: np.array([[-1.0 / (1.0 - x[0]) ** 2]]))
+        lambda x: math.log1p(-_below_one(x)),
+        grad=lambda x: np.array([-1.0 / (1.0 - _below_one(x))]),
+        hess=lambda x: np.array([[-1.0 / (1.0 - _below_one(x)) ** 2]]))
 
 
 def neg_cube_barrier():
@@ -158,6 +198,23 @@ def _closed_loop(u_star, u0, x0, cfg, d=None, g1=lambda x: 1.0 + x * x):
                                 u0_fn=lambda x, t: u0(x), d_fn=d)
 
 
+def _cost(traj, cost):
+    """evaluate_cost; on an escaped record, which no cost is defined on,
+    a NaN total and invariance, whose rows fail, and the record's own
+    running cost."""
+    if traj.escape_time is None:
+        return evaluate_cost(traj, cost)
+    return CostValue(math.nan, False, traj.running_cost,
+                     np.full(traj.times.size, math.nan))
+
+
+def _dssf_min(traj, alpha, rho):
+    """certify_dssf_bound's least margin; NaN on an escaped record."""
+    if traj.escape_time is not None:
+        return math.nan
+    return certify_dssf_bound(traj, alpha, rho)[1]
+
+
 # ---------------------------------------------------------------------------
 # builtin scenarios
 # ---------------------------------------------------------------------------
@@ -172,15 +229,13 @@ def run_intro_qp_optimal(cfg):
 
     traj = _closed_loop(u_star, lambda x: 1.0, -1.0, cfg)
     cost = CostSpec("intro-min")
-    cv = evaluate_cost(traj, cost)
-    inv = cv.invariance
+    cv = _cost(traj, cost)
     traj.running_cost = cv.running
-    res = ScenarioResult({}, abs(cv.total - (-1.0)) <= 0.01,
-                         {"intro-qp-optimal.csv": traj})
+    res = ScenarioResult(records={"intro-qp-optimal.csv": traj})
     res.report["cost_total"] = cv.total
     res.report["cost_target"] = -1.0
-    res.report["cost_gap"] = abs(cv.total + 1.0)
-    res.report["invariance_max"] = inv
+    res.put("cost_gap", abs(cv.total + 1.0), hi=INTRO_COST_TOL)
+    res.report["invariance_max"] = cv.invariance
     res.report["h_min"] = float(np.min(traj.h_values))
     return res
 
@@ -195,14 +250,13 @@ def run_intro_sontag(cfg):
 
     traj = _closed_loop(u_star, lambda x: 1.0, x0, cfg)
     cost = CostSpec("intro-sontag")
-    cv = evaluate_cost(traj, cost)
-    inv = cv.invariance
+    cv = _cost(traj, cost)
     traj.running_cost = cv.running
-    res = ScenarioResult({}, abs(cv.total - x0) <= VALUE_TOL,
-                         {"intro-sontag.csv": traj})
+    res = ScenarioResult(records={"intro-sontag.csv": traj})
     res.report["cost_total"] = cv.total
     res.report["cost_target"] = x0
-    res.report["invariance_max"] = inv
+    res.check("cost_gap", abs(cv.total - x0), hi=VALUE_TOL)
+    res.report["invariance_max"] = cv.invariance
     res.report["h_min"] = float(np.min(traj.h_values))
     return res
 
@@ -218,10 +272,9 @@ def run_ex1_dssf(cfg):
         return 0.5 * math.sin(t)
 
     traj = _closed_loop(u_star, lambda x: 0.0, -1.0, cfg, d=d_fn)
-    margins, mn, ok = certify_dssf_bound(traj, linear_extended(1.0),
-                                         identity_k())
-    res = ScenarioResult({}, ok, {"ex1-dssf.csv": traj})
-    res.report["dssf_min_margin"] = mn
+    res = ScenarioResult(records={"ex1-dssf.csv": traj})
+    res.put("dssf_min_margin", _dssf_min(traj, linear_extended(1.0),
+                                         identity_k()), lo=-DSSF_PASS_TOL)
     res.report["h_min"] = float(np.min(traj.h_values))
     res.report["x_max"] = float(np.max(traj.states))
     res.report["sup_d"] = float(np.max(np.abs(traj.disturbances)))
@@ -236,10 +289,9 @@ def run_blowup(cfg):
         return x ** 3 + min(0.0, -x ** 3 - x)
 
     traj = _closed_loop(u_star, lambda x: x ** 3, -1.0, cfg)
-    ok = traj.escape_time is not None and 0.45 <= traj.escape_time <= 0.55
-    res = ScenarioResult({}, ok, {"blowup.csv": traj})
-    res.report["escape_time"] = (math.nan if traj.escape_time is None
-                                 else traj.escape_time)
+    res = ScenarioResult(records={"blowup.csv": traj})
+    res.put("escape_time", (math.nan if traj.escape_time is None
+                            else traj.escape_time), *ESCAPE_WINDOW)
     res.report["escape_expected"] = 0.5
     res.report["samples_kept"] = traj.times.size
     res.report["h_min"] = float(np.nanmin(traj.h_values))
@@ -289,29 +341,23 @@ def run_ex3_invopt(cfg, beta=2.0, lam=1.0):
     traj = _closed_loop(u_star, u0_s, x0, cfg,
                         d=lambda x, t: d_star(x))
     cost = CostSpec("disturbance-game", spec=iospec)
-    cv = evaluate_cost(traj, cost)
-    inv = cv.invariance
+    cv = _cost(traj, cost)
     traj.running_cost = cv.running
 
     value = 2.0 * beta * (-x0)
     lhs, rhs = _attenuation(traj, lam)
 
     X = np.linspace(-1.5, -0.6, 61)[:, None]
-    hji = float(np.max(np.abs(hji_residual(iospec, X, 0.0))))
-    cond = float(np.min(inverse_optimal_condition(iospec, X, 0.0)))
-
-    ok = (inv <= VALUE_TOL and abs(cv.total - value) <= VALUE_TOL
-          and lhs <= rhs + VALUE_TOL and hji <= 1e-9)
-    res = ScenarioResult({}, ok, {"ex3-invopt.csv": traj})
-    res.report["beta"] = beta
-    res.report["lam"] = lam
-    res.report["cost_total"] = cv.total
-    res.report["cost_value"] = value
-    res.report["invariance_max"] = inv
-    res.report["attenuation_lhs"] = lhs
+    res = ScenarioResult({"beta": beta, "lam": lam, "cost_total": cv.total,
+                          "cost_value": value}, {"ex3-invopt.csv": traj})
+    res.put("invariance_max", cv.invariance, hi=VALUE_TOL)
+    res.check("cost_gap", abs(cv.total - value), hi=VALUE_TOL)
+    res.put("attenuation_lhs", lhs, hi=rhs + VALUE_TOL)
     res.report["attenuation_rhs"] = rhs
-    res.report["hji_residual_max"] = hji
-    res.report["condition_min"] = cond
+    res.put("hji_residual_max", float(np.max(np.abs(
+        hji_residual(iospec, X, 0.0)))), hi=GRID_TOL)
+    res.report["condition_min"] = float(np.min(
+        inverse_optimal_condition(iospec, X, 0.0)))
     return res
 
 
@@ -338,25 +384,21 @@ def run_ex4_invopt_qp(cfg):
                        identity_k(), linear_extended(1.0),
                        lambda x, t: np.array([2.0]))
     exact = CostSpec("qp-exact", spec=spec, beta_gain=beta)
-    cv_e = evaluate_cost(traj, exact)
-    inv_e = cv_e.invariance
+    cv_e = _cost(traj, exact)
     weighted = CostSpec("qp-weighted", spec=spec, beta_gain=beta, lam=lam)
-    cv_w = evaluate_cost(traj, weighted)
-    inv_w = cv_w.invariance
+    cv_w = _cost(traj, weighted)
     traj.running_cost = cv_e.running
 
     value = 2.0 * beta * (-x0)
     lhs, rhs = _attenuation(traj, lam)
 
-    ok = (inv_e <= VALUE_TOL and abs(cv_e.total - value) <= VALUE_TOL
-          and lhs <= rhs + VALUE_TOL)
-    res = ScenarioResult({}, ok, {"ex4-invopt-qp.csv": traj})
-    res.report["exact_total"] = cv_e.total
-    res.report["exact_value"] = value
-    res.report["exact_invariance_max"] = inv_e
+    res = ScenarioResult({"exact_total": cv_e.total, "exact_value": value},
+                         {"ex4-invopt-qp.csv": traj})
+    res.put("exact_invariance_max", cv_e.invariance, hi=VALUE_TOL)
+    res.check("exact_gap", abs(cv_e.total - value), hi=VALUE_TOL)
     res.report["weighted_total"] = cv_w.total
-    res.report["weighted_invariance_drift"] = inv_w
-    res.report["attenuation_lhs"] = lhs
+    res.report["weighted_invariance_drift"] = cv_w.invariance
+    res.put("attenuation_lhs", lhs, hi=rhs + VALUE_TOL)
     res.report["attenuation_rhs"] = rhs
     return res
 
@@ -395,17 +437,16 @@ def run_ex5_stoch(cfg):
     def terminal(x):
         return 2.0 * beta * np.log1p(-x)
 
-    totals = sde_path_functionals(drift, diffusion, x0, cfg,
-                                  integrand, terminal)
-    mean, se = mc_summary(totals)
-    ok = abs(mean - target) <= 3.0 * se
+    try:
+        mean, se = mc_summary(sde_path_functionals(drift, diffusion, x0, cfg,
+                                                   integrand, terminal))
+    except SimulationError:     # a diverged path: the value check fails
+        mean = se = math.nan
 
-    res = ScenarioResult({}, ok)
-    res.report["mc_paths"] = cfg.paths
-    res.report["mc_mean"] = mean
-    res.report["mc_se"] = se
-    res.report["mc_target"] = target
-    res.report["mc_gap_in_se"] = abs(mean - target) / se
+    res = ScenarioResult({"mc_paths": cfg.paths, "mc_mean": mean,
+                          "mc_se": se, "mc_target": target,
+                          "mc_gap_in_se": abs(mean - target) / se})
+    res.check("mc_gap", abs(mean - target), hi=MC_SES * se)
 
     # a few full records through the generic integrator
     spec = ex5_spec(beta)
@@ -423,8 +464,7 @@ def run_ex5_stoch(cfg):
             omega, _ = generator_margin(spec, ld, traj.controls[:-1:50])
             gen_min = min(gen_min, np.min(omega))
         res.records["ex5-stoch-path%d.csv" % i] = traj
-    res.report["generator_margin_min"] = gen_min
-    res.passed = ok and gen_min >= -1e-8
+    res.put("generator_margin_min", gen_min, lo=-MARGIN_TOL)
     return res
 
 
@@ -455,10 +495,9 @@ def run_ex6_nssf(cfg):
                           stacked(lambda X, t: nssf_qp_filter(spec, X, t)),
                           spec.u0, np.array([x0]),
                           CovarianceSchedule.constant(np.eye(1)), cfg)
-    res = ScenarioResult({}, True)
-    finite = all(p.escape_time is None for p in paths)
-    res.report["paths"] = len(paths)
-    res.report["all_paths_finite"] = finite
+    res = ScenarioResult({"paths": len(paths)})
+    res.put("all_paths_finite", all(p.escape_time is None for p in paths),
+            lo=True)
     res.report["h_min_over_paths"] = float(
         min(np.min(p.h_values) for p in paths))
 
@@ -477,17 +516,15 @@ def run_ex6_nssf(cfg):
         display = [_ex6_display(x, 0.0, rho_inv) for x in grid]
         return float(np.max(np.abs(nssf_qp_filter(spec, X, 0.0)[:, 0]
                                    - display)))
-    gap_id = display_gap(spec, lambda y: y)
-    gap_sq = display_gap(ex6_spec(rho=power_k(2)), math.sqrt)
-    res.report["display_gap_linear_gain"] = gap_id
-    res.report["display_gap_sqrt_gain"] = gap_sq
-
-    hji = float(np.max(np.abs(nssf_hji_residual(ex6_spec(beta=2.0), X, 0.0))))
-    res.report["nssf_hji_residual_max"] = hji
+    res.put("display_gap_linear_gain", display_gap(spec, lambda y: y),
+            hi=GRID_TOL)
+    res.report["display_gap_sqrt_gain"] = display_gap(
+        ex6_spec(rho=power_k(2)), math.sqrt)
+    res.put("nssf_hji_residual_max", float(np.max(np.abs(
+        nssf_hji_residual(ex6_spec(beta=2.0), X, 0.0)))), hi=GRID_TOL)
 
     for i, traj in enumerate(paths[:3]):
         res.records["ex6-nssf-path%d.csv" % i] = traj
-    res.passed = finite and gap_id <= 1e-9 and hji <= 1e-9
     return res
 
 
@@ -500,14 +537,13 @@ def run_proj_ball(cfg):
     u0_law = lambda th, t: np.array([1.0, 0.3])
     theta0 = np.array([0.5, 0.0])
 
-    res = ScenarioResult({}, True)
-    h_mins = {}
+    res = ScenarioResult()
     trajs = {}
     for law in ("classic", "qp", "optimal"):
         traj = simulate_projection(spec, u0_law, theta0, cfg, law=law)
         trajs[law] = traj
-        h_mins[law] = float(np.min(traj.h_values))
-        res.report["h_min_%s" % law] = h_mins[law]
+        res.put("h_min_%s" % law, float(np.min(traj.h_values)),
+                lo=-(SLIDING_TOL if law == "classic" else MARGIN_TOL))
         res.records["proj-ball-%s.csv" % law] = traj
     res.report["final_radius_classic"] = vec_norm(
         trajs["classic"].states[-1])
@@ -521,7 +557,7 @@ def run_proj_ball(cfg):
             c = classic_projection(spec, th, u0v)
             q = qp_projection(spec, th, u0v)
             agree = max(agree, vec_norm(c - q))
-    res.report["boundary_agreement_gap"] = agree
+    res.put("boundary_agreement_gap", agree, hi=CLOSED_FORM_TOL)
 
     # steepening family: the continuous law approaches the classic one;
     # one stacked call per eps
@@ -534,16 +570,12 @@ def run_proj_ball(cfg):
         sup = float(np.max(row_norm(qp_projection(spec_e, thetas, big))))
         sups.append(sup)
         res.report["eps_family_sup_%g" % eps] = sup
-    decreasing = all(sups[i] > sups[i + 1] for i in range(len(sups) - 1))
-    res.report["eps_family_decreasing"] = decreasing
-
-    inv = cost_invariance_check(trajs["optimal"],
-                                CostSpec("projection-min", spec=spec))
-    res.report["optimal_invariance_max"] = inv
-
-    res.passed = (h_mins["qp"] >= -1e-8 and h_mins["optimal"] >= -1e-8
-                  and h_mins["classic"] >= -1e-6 and agree <= 1e-12
-                  and decreasing and inv <= VALUE_TOL)
+    res.put("eps_family_decreasing",
+            all(sups[i] > sups[i + 1] for i in range(len(sups) - 1)), lo=True)
+    opt = trajs["optimal"]
+    res.put("optimal_invariance_max", math.nan if opt.escape_time is not None
+            else cost_invariance_check(opt, CostSpec("projection-min",
+                                                     spec=spec)), hi=VALUE_TOL)
     return res
 
 
@@ -572,31 +604,28 @@ def run_sandwich_scalar(cfg):
     times = np.arange(cfg.n_steps + 1) * cfg.dt
     kl = decay_tube(spec.alpha, h0, times)
     kl0 = decay_tube(spec.alpha0, h0, times)
-    res = ScenarioResult({}, True)
-    ok = True
+    res = ScenarioResult()
     for tag, d_fn in (("free", None),
                       ("forced", lambda x, t: 0.3 * math.sin(t))):
         traj = _closed_loop(u_star, lambda x: -x + max(0.0, -x), x0, cfg,
                             d=d_fn, g1=lambda x: 1.0)
         k, h, d = traj.times.size, traj.h_values, traj.disturbances
-        lo = float(np.min(h - kl[:k] + _sup_gains(spec.rho, d)))
-        hi = float(np.min(kl0[:k] + _sup_gains(spec.rho0, d) - h))
-        res.report["lower_margin_%s" % tag] = lo
-        res.report["upper_margin_%s" % tag] = hi
-        ok = ok and lo >= -DSSF_PASS_TOL and hi >= -DSSF_PASS_TOL
+        res.put("lower_margin_%s" % tag, float(np.min(
+            h - kl[:k] + _sup_gains(spec.rho, d))), lo=-DSSF_PASS_TOL)
+        res.put("upper_margin_%s" % tag, float(np.min(
+            kl0[:k] + _sup_gains(spec.rho0, d) - h)), lo=-DSSF_PASS_TOL)
         res.records["sandwich-scalar-%s.csv" % tag] = traj
 
     grid = np.linspace(-2.0, 2.0, 81)
     X = grid[:, None]
-    dec = float(np.min(nominal_decay_margin(spec, X)))
-    sep = float(np.min(gain_separation_margin(spec, X)))
+    res.put("nominal_decay_margin_min",
+            float(np.min(nominal_decay_margin(spec, X))), lo=-GRID_TOL)
+    res.put("gain_separation_margin_min",
+            float(np.min(gain_separation_margin(spec, X))), lo=-GRID_TOL)
     # the closed form, per point, is the oracle
-    law_gap = float(np.max(np.abs(sandwich_filter(spec, X)[:, 0]
-                                  - [u_star(x) for x in grid])))
-    res.report["nominal_decay_margin_min"] = dec
-    res.report["gain_separation_margin_min"] = sep
-    res.report["filter_closed_form_gap"] = law_gap
-    res.passed = ok and dec >= -1e-9 and sep >= -1e-9 and law_gap <= 1e-12
+    res.put("filter_closed_form_gap", float(np.max(np.abs(
+        sandwich_filter(spec, X)[:, 0] - [u_star(x) for x in grid]))),
+        hi=CLOSED_FORM_TOL)
     return res
 
 
@@ -866,21 +895,14 @@ def _run_custom(entries, overrides):
     d_cb = None if d_fn is None else (lambda x, t: np.array([d_fn(x, t)]))
     traj = integrate_ode(sys, bf, control, spec.u0, np.array([x0]),
                          d_cb, cfg)
-    escaped = traj.escape_time is not None
-    _, mn, ok = ((None, math.nan, False) if escaped
-                 else certify_dssf_bound(traj, alpha, rho))
-
-    res = ScenarioResult({}, ok, {"trajectory.csv": traj})
-    res.report["system"] = sys_name
-    res.report["filter"] = filt_text
-    res.report["h_min"] = float(np.nanmin(traj.h_values))
-    res.report["dssf_min_margin"] = mn
-    if escaped:
+    res = ScenarioResult({"system": sys_name, "filter": filt_text,
+                          "h_min": float(np.nanmin(traj.h_values))},
+                         {"trajectory.csv": traj})
+    res.put("dssf_min_margin", _dssf_min(traj, alpha, rho), lo=-DSSF_PASS_TOL)
+    if traj.escape_time is not None:
         res.report["escape_time"] = traj.escape_time
-    if cost is not None and escaped:
-        res.report.update(cost_total=math.nan, cost_invariance_max=math.nan)
-    elif cost is not None:
-        cv = evaluate_cost(traj, cost)
+    if cost is not None:
+        cv = _cost(traj, cost)
         res.report["cost_total"] = cv.total
         res.report["cost_invariance_max"] = (math.nan if cv.infinite
                                              else cv.invariance)

@@ -79,6 +79,7 @@ CSV_BLOCK = 1024            # samples formatted per write
 SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
 SEED_MAX = 2 ** 64 - 1024
 _NOISE = 10 ** 6            # doubles of noise chunks sde_path_functionals holds
+_MAX_SAMPLES = int(np.iinfo(np.intp).max)   # the longest axis numpy indexes
 
 
 class SimulationError(SafefiltError, RuntimeError):
@@ -109,7 +110,11 @@ class SimConfig:
             raise ValueError("T must be finite")
         if self.T < self.dt:
             raise ValueError("T < dt leaves nothing to integrate")
-        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+        steps = self.T / self.dt    # a record holds n_steps + 1 samples
+        if not (math.isfinite(steps) and round(steps) < _MAX_SAMPLES):
+            raise ValueError("T / dt = %g steps, more than a record holds"
+                             % steps)
+        if abs(round(steps) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError("T = %g is not a whole number of steps dt = %g"
                              % (self.T, self.dt))
         if self.paths < 1:
