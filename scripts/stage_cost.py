@@ -266,16 +266,14 @@ def ode_rows_us(rounds):
     def stack(X, t, live):
         return (np.array([u_star(v) for v in X[:, 0].tolist()])
                 + offsets[live])[:, None]
-    controls = [lambda x, t, _i=i: stack(x[None], t, [_i])[0]
-                for i in range(LOOPS)]
     U0 = sf.stacked(lambda X, t: np.array([[u0(v)] for v in X[:, 0]]))
     D = sf.stacked(lambda X, t: LAM * (1.0 + X * X))
     cfg = sf.SimConfig(dt=1e-3, T=1.0)
     base = iospec.base
 
     def run():
-        _, failure = _ode_rows(base.sys, base.bf, controls, stack, U0,
-                               [-1.2], D, cfg)
+        _, failure = _ode_rows(base.sys, base.bf, stack, LOOPS, U0, [-1.2],
+                               D, cfg)
         if failure is not None:
             raise failure[1]
     return 1e6 * best(run, rounds) / (LOOPS * cfg.n_steps)

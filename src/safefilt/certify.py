@@ -59,8 +59,8 @@ from .projection import _projection_min_data
 from .reciprocal import _reciprocal_min_data
 from .sim import _ode_rows
 from .stochastic import nssf_weights, stoch_weights
-from .systems import (call_rows, first_order_lie_rows, row_dot, row_norm,
-                      vecmat)
+from .systems import (_as_state, call_rows, first_order_lie_rows, row_dot,
+                      row_norm, vecmat)
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -406,21 +406,17 @@ def optimality_probe(setup, cfg, perturbations=None,
     if perturbations is None:
         perturbations = standard_perturbations(cfg.T)
     u_star, m2 = setup.u_star, setup.sys.m2
-    names, controls, offsets = [], [u_star], []
+    names, offsets = [], []
     deltas = list(perturbations.values())
-    for shape, (name, delta) in enumerate(perturbations.items()):
+    for shape, name in enumerate(perturbations):
         for eps in amplitudes:
-            def control(x, t, _d=delta, _e=eps):
-                # integrate_ode checks the result's shape as a control
-                return np.asarray(u_star(x, t), dtype=float) + _e * _d(t)
             names.append("%s@%+g" % (name, eps))
-            controls.append(control)
             offsets.append((eps, shape))
 
     def stack(X, t, live):
-        # row j is controls[live[j]] at X[j]: u_star, plus eps*delta(t)
-        # on the perturbed rows (live row 0 is the certified loop's),
-        # each shape's delta(t) taken once, in the order of its rows
+        # row j is loop live[j]'s control at X[j]: u_star, plus
+        # eps*delta(t) on the perturbed rows (loop 0 is the certified
+        # one), each shape's delta(t) taken once, in the order of its rows
         U = call_rows(u_star, X, t, m2, "control")
         base = int(live[0] == 0)
         if base == len(live):
@@ -433,11 +429,14 @@ def optimality_probe(setup, cfg, perturbations=None,
             off.append(eps * at_t[shape])
         off = np.array(off, dtype=float)
         V = U[base:] + (off[:, None] if off.ndim == 1 else off)
-        if V.shape != (len(live) - base, m2):  # each row's own check raises
+        if V.shape != (len(live) - base, m2):
+            # a row alone raises its loop's check of u_star + eps*delta(t)
+            for u, o in zip(U[base:], off):
+                _as_state(u + o, m2, "control")
             raise ValueError("perturbed control stack shape %s" % (V.shape,))
         return np.concatenate((U[:base], V)) if base else V
 
-    trajs, failure = _ode_rows(setup.sys, setup.bf, controls, stack,
+    trajs, failure = _ode_rows(setup.sys, setup.bf, stack, 1 + len(offsets),
                                setup.u0, setup.x0, setup.d_star, cfg)
 
     def cost(i):

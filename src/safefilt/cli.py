@@ -12,7 +12,8 @@ seed that SimConfig rejects, a T/dt that no record holds among them),
 reported as "config error: ...". Reports are printed as "key = value"
 lines (report_text) and written to the output directory next to any
 trajectory CSVs, only once the run has returned: a refused or raising
-run writes nothing.
+run writes nothing. The output directory is --out-dir, or without it
+the working directory, so every run that returns writes its files.
 """
 
 import argparse

@@ -35,18 +35,21 @@ Conventions that the certification layer relies on:
     (about 2048 seeds per float64), and -2**63 shares 2**63's; from
     SEED_MAX on the rounding reaches 2**64, which Philox cannot store.
 
-_run is the one loop that keeps these rules. integrate_ode, the scalar
-fast path (with its own float record) and projection's classic law are
-(sample, step) pairs on it. _lockstep is the one lockstep routine on
-it, for ODE and SDE alike: x is the (P, n) stack of live rows, one
-record block holds the P records, and a sample or step that is
-uneventful on every row is one stacked pass; where a row escapes or
-anything raises (or one row is left), that sample goes through _record,
-or that step through _stop's rule, one row at a time, so each row keeps
-the record, tombstone and error it would have alone. Its two steps are
-Euler-Maruyama (integrate_sde's paths) and RK4 (_ode_rows: P loops of
-integrate_ode from one x0, each under its own control, which
-certify.optimality_probe runs). comparison.kl_solve_grid steps its
+_run is the one loop that keeps these rules, and _sample is the one
+rule for a sample. integrate_ode, the scalar fast path (with its own
+float record) and projection's classic law are (sample, step) pairs on
+it. _lockstep is the one lockstep routine on it, for ODE and SDE alike:
+x is the (P, n) stack of live rows, one record block holds the P
+records, and each caller writes its loop once, stacked, as policies (u0,
+d and control on a stack) and advance (a step of the stack). A sample
+or step that is uneventful on every row is one stacked pass; where a row
+escapes or anything raises, and for the last live row (a single path
+too), each row runs alone: the same calls on its one-row stack,
+recorded by _sample's rule and stopped by _stop's, so each row keeps the
+record, tombstone and error it would have alone. Its two steps are
+Euler-Maruyama (integrate_sde's paths) and RK4 (_ode_rows: loops of
+integrate_ode from one x0, loop i under row i of one control stack,
+which certify.optimality_probe runs). comparison.kl_solve_grid steps its
 decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
 
 This module runs loops; systems calls the user's callables on rows.
@@ -54,12 +57,11 @@ The plant's rate at a stage, at one state or on the lockstep's stack,
 is ControlAffineSystem._field; on a scalar_system plant it reads f, g1
 and g2 as floats, with the bits of the array route. Only integrate_sde
 forms its own Euler-Maruyama increment, whose g1 term is not scaled by
-dt: per path through the plant's private readers at the checked row,
-and on the stack through _stacks_of. Each integrator takes its
-policies (control, u0, d) once as single-state ones
-(systems._single_state), so a policy marked systems.stacked is called
-on the one-row stack of a state and its wrong width is the same
-"stack shape" error as on a stack; call_rows calls them on stacks. A
+dt, on the stack through _stacks_of. integrate_ode takes its policies
+(control, u0, d) once as single-state ones (systems._single_state), so
+a policy marked systems.stacked is called on the one-row stack of a
+state and its wrong width is the same "stack shape" error as on a
+stack; the lockstep calls them on stacks through call_rows. A
 sample reads h through the barrier's own callable at the checked
 state, never through the public BarrierFunction.value.
 """
@@ -192,20 +194,20 @@ def _escape(traj, k, t, h):
     _truncate(traj, k + 1)
 
 
-def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
-    """Write sample k at (x, t) and return its (u, d), d None when the
-    caller records no disturbance here. Returns None when the loop has
-    escaped at x or recording it blew up: sample k is then the record's
-    tombstone."""
+def _sample(traj, k, t, x, bf, thr, read, *args):
+    """The one sample rule: write sample k at (x, t), its (u0, d, u)
+    from read(x, t, *args) (d None where the caller records no
+    disturbance here) and h at x, and return its (u, d). Returns None
+    when the loop has escaped at x or reading it blew up: sample k is
+    then the record's tombstone. Any other error is a SimulationError
+    at (t, x)."""
     traj.times[k] = t
     traj.states[k] = x
     if not (np.abs(x).max() <= thr):
         return _escape(traj, k, t, _h_value(bf._h(x))
                        if np.isfinite(x).all() else np.nan)
     try:
-        nominal = _as_state(u0(x, t), sys.m2, "u0")
-        dv = None if d is None else _as_state(d(x, t), sys.m1, "d")
-        uv = _as_state(control(x, t), sys.m2, "control")
+        nominal, dv, uv = read(x, t, *args)
         h = _h_value(bf._h(x))
     except _ESCAPE_ERRORS:
         return _escape(traj, k, t, np.nan)
@@ -217,6 +219,20 @@ def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
     traj.controls[k] = uv
     traj.h_values[k] = h
     return uv, dv
+
+
+def _policies_at(x, t, sys, control, u0, d):
+    """u0, d (None where d is) and control at one state, checked."""
+    return (_as_state(u0(x, t), sys.m2, "u0"),
+            None if d is None else _as_state(d(x, t), sys.m1, "d"),
+            _as_state(control(x, t), sys.m2, "control"))
+
+
+def _record(traj, k, t, x, sys, bf, control, u0, d, thr):
+    """Sample k of a single-state loop by _sample's rule: u0, d (None:
+    none recorded here) and control called at x, each checked."""
+    return _sample(traj, k, t, x, bf, thr, _policies_at, sys, control, u0,
+                   d)
 
 
 def _failure(t, x):
@@ -237,10 +253,10 @@ def _run(traj, cfg, x, sample, step):
     """The one loop: on the grid t = k*dt, sample(k, t, x) records sample
     k at x and returns s, None at a tombstone; step(k, t, x, s) is the
     state at t + dt. Stops after the last sample, at a tombstone, or
-    where a step raises (_stop's rule). Returns traj. In integrate_sde's
-    lockstep, x is the stack of live rows and traj the list of their
-    records; its sample and step keep these rules row by row, and its
-    step raises nothing. The run holds the loop scope of systems
+    where a step raises (_stop's rule). Returns traj. In _lockstep, x is
+    the stack of live rows and traj the list of their records; its
+    sample and step keep these rules row by row, and its step raises
+    nothing. The run holds the loop scope of systems
     (_loop_scope): one np.errstate(all="ignore") for the whole run, and
     first_order_lie's memo, which ends with it."""
     dt, n_steps = cfg.dt, cfg.n_steps
@@ -292,31 +308,6 @@ def _normals(seed):
     return fill
 
 
-def _rk4_loop(sys, d, dt):
-    """integrate_ode's pieces: (d, step), d as a single-state policy
-    (systems._single_state), zero where None or the plant has no
-    disturbance channel (m1 = 0); step(control) is the RK4 step
-    (k, t, x, s) of the loop under the single-state control, with the
-    plant's outputs checked, whose stage 1 reuses the sample's (u, d) in
-    s."""
-    m1, m2 = sys.m1, sys.m2
-    if d is None or m1 == 0:
-        zero_d = np.zeros(m1)
-        d = lambda xs, ts: zero_d
-    d = _single_state(d, m1, "d")
-
-    # at x0's checked copy or a stage state built from it, an (n,)
-    # float array already; it checks the model's outputs
-    field = sys._field
-
-    def step(control):
-        def rate(xs, ts):
-            dv = _as_state(d(xs, ts), m1, "d")
-            return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
-        return lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s))
-    return d, step
-
-
 def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     """Classical RK4 on dx = f + g1 d + g2 u with u = control(x, t).
 
@@ -329,16 +320,29 @@ def integrate_ode(sys, bf, control, u0, x0, d, cfg):
     an (n,) state (a scalar passes for n = 1); anything else is a
     ValueError before any callback runs.
     """
+    m1, m2 = sys.m1, sys.m2
     x = _as_state(x0, sys.n, "x0").copy()
-    traj = _alloc(cfg.n_steps + 1, sys.n, sys.m2, sys.m1)
-    d, step = _rk4_loop(sys, d, cfg.dt)
-    control = _single_state(control, sys.m2, "control")
-    u0 = _single_state(u0, sys.m2, "u0")
-    thr = cfg.escape_threshold
+    traj = _alloc(cfg.n_steps + 1, sys.n, m2, m1)
+    if d is None or m1 == 0:
+        zero_d = np.zeros(m1)
+        d = lambda xs, ts: zero_d
+    d = _single_state(d, m1, "d")
+    control = _single_state(control, m2, "control")
+    u0 = _single_state(u0, m2, "u0")
+    thr, dt = cfg.escape_threshold, cfg.dt
+    # at x0's checked copy or a stage state built from it, an (n,)
+    # float array already; it checks the model's outputs
+    field = sys._field
+
+    def rate(xs, ts):
+        dv = _as_state(d(xs, ts), m1, "d")
+        return field(xs, _as_state(control(xs, ts), m2, "control"), dv)
+
+    # stage 1 reuses the sample's (u, d) in s
     return _run(traj, cfg, x,
                 lambda k, t, x: _record(traj, k, t, x, sys, bf, control, u0,
                                         d, thr),
-                step(control))
+                lambda k, t, x, s: _rk4(rate, x, t, dt, field(x, *s)))
 
 
 def _block(cfg, n, m2, m1, paths):
@@ -357,21 +361,30 @@ def _rows_of(live, paths):
     return live if live.size < paths else slice(None)
 
 
-def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
+def _one_row(x, t, policies, live):
+    """policies on the one-row stack of x, the state of live row live[0]:
+    that row's (u0, d, u), d None where policies gives none."""
+    U0, D, U = policies(x[None], t, live)
+    return U0[0], None if D is None else D[0], U[0]
+
+
+def _lockstep(rec, trajs, cfg, X, bf, policies, advance):
     """The one lockstep routine: the rows of X, row i the state of
     record trajs[i], run on _run as one stack of live rows, and each
     keeps the record, tombstone and failure it would have alone.
 
-    Where every live row is inside the escape threshold, a sample is
-    one stacked pass: policies(X, t, live) gives the live rows' u0, d
-    and control stacks (d None where the record keeps its own
-    disturbance column), and h is read row by row. Where that raises,
-    where a row escapes, or where one row is left, the sample goes
-    through record(i, k, t, x) row by row (_record on row i's record,
-    its (u, d) or None at a tombstone). A step is one stacked
-    advance(k, t, X, U, D, live); where that raises (or one row is
-    left), step(i, k, t, x, u, d) takes each row alone, with _stop's
-    rule. live holds the row index of each live row.
+    policies(X, t, live) gives the live rows' u0, d and control stacks
+    at a sample (d None where the record keeps its own disturbance
+    column), and advance(k, t, X, U, D, live) their states at t + dt;
+    live holds the row index of each row of the stack. Where every
+    live row is inside the escape threshold, a sample is one stacked
+    pass, with h read row by row, and a step is one stacked advance.
+    A row runs alone where a row is past the threshold or a stacked
+    call raised (then every row of that sample or step does), and
+    where it is the last live row: it makes the same policies and
+    advance calls on its one-row stack, records by _sample's rule and
+    stops by _stop's. So only this routine decides how a row runs
+    alone, and its callers write their loop once, stacked.
 
     Returns (i, error) for the lowest row i that failed, or None: the
     error its own loop raises. The rows above it stop where it fails;
@@ -405,7 +418,8 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
         keep, S = [], []
         for j, i in enumerate(live):
             try:
-                s = record(i, k, t, X[j])
+                s = _sample(trajs[i], k, t, X[j], bf, thr, _one_row,
+                            policies, live[j:j + 1])
             except Exception as exc:  # the rows above i no longer run
                 failure = i, exc
                 break
@@ -432,13 +446,14 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
                 pass
         out, kept = [], []
         for j, i in enumerate(live):
-            x = X[j]
+            one = slice(j, j + 1)
             try:
-                out.append(step(i, k, t, x, U[j], None if D is None else D[j]))
+                out.append(advance(k, t, X[one], U[one],
+                                   None if D is None else D[one], live[one]))
                 kept.append(j)
             except Exception as exc:
                 try:
-                    _stop(trajs[i], k, t, dt, x, exc)
+                    _stop(trajs[i], k, t, dt, X[j], exc)
                 except SimulationError as err:
                     failure = i, err
                     break
@@ -450,27 +465,23 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, record, advance, step):
     return failure
 
 
-def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
-    """integrate_ode of one loop per entry of controls, all from x0 with
-    u0 and d, in lockstep on _lockstep: loop i runs under controls[i].
+def _ode_rows(sys, bf, stack, rows, u0, x0, d, cfg):
+    """integrate_ode of `rows` loops, all from x0 with u0 and d, in
+    lockstep on _lockstep: loop i runs under the control that row i of
+    stack gives.
 
-    stack(X, t, live) is the live rows' (N, m2) stack of controls, row j
-    equal bit for bit to controls[live[j]] at X[j] and checked as
-    integrate_ode checks it; where it raises, that sample or step runs
-    row by row. u0 and d are called as call_rows calls them, once on the
-    stack where they are marked systems.stacked, else row by row; the
-    plant is called row by row (ControlAffineSystem._field on the
-    stack). The row-by-row route calls each loop's own callables as
-    integrate_ode does. Returns (records, failure) with _lockstep's failure.
+    stack(X, t, live) is the live rows' (N, m2) stack of controls, row
+    j loop live[j]'s control at X[j], checked as integrate_ode checks a
+    control; a loop running alone calls it on its one-row stack. u0 and
+    d are called as call_rows calls them, once on the stack where they
+    are marked systems.stacked, else row by row; the plant is called
+    row by row (ControlAffineSystem._field on the stack). Returns
+    (records, failure) with _lockstep's failure.
     """
     n, m1, m2 = sys.n, sys.m1, sys.m2
     x0 = _as_state(x0, n, "x0")
-    dt, thr, P = cfg.dt, cfg.escape_threshold, len(controls)
-    rec, trajs = _block(cfg, n, m2, m1, P)
-    row_d, step = _rk4_loop(sys, d, dt)
-    row_u0 = _single_state(u0, m2, "u0")
-    controls = [_single_state(c, m2, "control") for c in controls]
-    steps = [step(c) for c in controls]
+    dt = cfg.dt
+    rec, trajs = _block(cfg, n, m2, m1, rows)
     zero_d = d is None or m1 == 0
     field = sys._field
 
@@ -489,11 +500,8 @@ def _ode_rows(sys, bf, controls, stack, u0, x0, d, cfg):
             return field(Xs, stack(Xs, ts, live), Ds)
         return _rk4(rate, X, t, dt, field(X, U, D))
 
-    failure = _lockstep(
-        rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
-        lambda i, k, t, x: _record(trajs[i], k, t, x, sys, bf, controls[i],
-                                   row_u0, row_d, thr),
-        advance, lambda i, k, t, x, u, dv: steps[i](k, t, x, (u, dv)))
+    failure = _lockstep(rec, trajs, cfg, np.tile(x0, (rows, 1)), bf,
+                        policies, advance)
     return trajs, failure
 
 
@@ -505,23 +513,21 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     (P, N, m1) buffer; the recorded disturbance column is the Wiener
     rate dw/dt of that step. x0 is checked as in integrate_ode.
 
-    The paths run in lockstep on _lockstep, as one stack of live rows,
-    and each keeps the record, escape and failure it would have alone:
-    a row escapes alone, and where rows fail, the lowest path's error
-    is raised once the paths below it are done. A control or u0 marked
-    systems.stacked is called once per step on the live rows; any other
-    is called row by row, with integrate_ode's checks. The plant is
-    called row by row. Where a row escapes or anything raises, that
-    sample is recorded, or that step taken, again one row at a time
-    (through _record, and the plant's readers at the row), so each
-    event lands on its own row. A stacked policy called at one row is
-    called on its one-row stack and checked as a stack. A single live row always goes that
-    way: a stack of one saves no call. One path (P = 1) runs on _run
-    alone, its state an (n,) row, with the same sample and step.
+    The paths, one path included, run in lockstep on _lockstep, as one
+    stack of live rows, and each keeps the record, escape and failure
+    it would have alone: a row escapes alone, and where rows fail, the
+    lowest path's error is raised once the paths below it are done. A
+    control or u0 marked systems.stacked is called once per step on
+    the live rows, a single live row included, as a one-row stack
+    checked as a stack; any other is called row by row, with
+    integrate_ode's checks. The plant is called row by row (_stacks_of).
+    Where a row escapes or anything raises, that sample or step is
+    taken again one row at a time, on one-row stacks, so each event
+    lands on its own row.
     """
     n, m1, m2 = sys.n, sys.m1, sys.m2
     x0 = _as_state(x0, n, "x0")
-    dt, thr, P = cfg.dt, cfg.escape_threshold, cfg.paths
+    dt, P = cfg.dt, cfg.paths
     normals = _normals(cfg.seed)
     DW = np.empty((P, cfg.n_steps, m1))     # path i's increments at [i]
     for i in range(P):
@@ -531,23 +537,6 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
     # a step's rate column, for every step up front: a tombstone or a
     # truncation overwrites or drops the samples no step left
     np.divide(DW, dt, out=rec.disturbances[:, :-1])
-    row_u0 = _single_state(u0, m2, "u0")
-    row_control = _single_state(control, m2, "control")
-
-    def record(i, k, t, x):
-        return _record(trajs[i], k, t, x, sys, bf, row_control, row_u0,
-                       None, thr)
-
-    def step(i, k, t, x, u, _):
-        # path i's row x, a checked (n,) state
-        return (x + dt * (sys._f_of(x) + matvec(sys._g2_of(x), u))
-                + matvec(sys._g1_of(x), matvec(cov.at(t), DW[i, k])))
-
-    if P == 1:      # one path: its own loop, with no stack to keep
-        return [_run(trajs[0], cfg, x0.copy(),
-                     lambda k, t, x: _record(trajs[0], k, t, x, sys, bf,
-                                             row_control, row_u0, None, thr),
-                     lambda k, t, x, s: step(0, k, t, x, *s))]
 
     def policies(X, t, live):
         return (call_rows(u0, X, t, m2, "u0"), None,
@@ -559,7 +548,7 @@ def integrate_sde(sys, bf, control, u0, x0, cov, cfg):
                 + matvec(G1, matvec(cov.at(t), DW[_rows_of(live, P), k])))
 
     failure = _lockstep(rec, trajs, cfg, np.tile(x0, (P, 1)), bf, policies,
-                        record, advance, step)
+                        advance)
     if failure is not None:
         raise failure[1]
     return trajs

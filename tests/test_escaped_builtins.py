@@ -5,7 +5,8 @@ certificate's value is NaN, so its row fails, the report prints with
 overall = FAIL and the command exits 1, as the custom form does. ex5's
 Monte Carlo mean and standard error are NaN where a path functional
 diverges, and its barrier h = ln(1-x) is a ModelBlowup past x < 1, so
-its records escape there. SimConfig refuses a T/dt that is not finite
+its records escape there. The summary keys that are only reported skip
+a tombstone's NaN entries. SimConfig refuses a T/dt that is not finite
 or whose n_steps + 1 samples no numpy axis can index: a config error,
 exit 2, nothing written.
 """
@@ -16,7 +17,8 @@ import numpy as np
 import pytest
 
 from safefilt.cli import main
-from safefilt.scenarios import ConfigError, builtin_config, log_gap_barrier
+from safefilt.scenarios import (ConfigError, builtin_config, log_gap_barrier,
+                                run_ex1_dssf)
 from safefilt.sim import SimConfig
 from safefilt.systems import ModelBlowup
 
@@ -60,6 +62,22 @@ def test_ex5_escaped_records_end_in_a_tombstone(tmp_path, capsys):
     # path 2 steps past x = 1 at t = 0.25: u, u0, d and h are NaN there
     assert last[2][0] == "0.25" and float(last[2][1]) > 1.0
     assert all(v == "nan" for v in last[2][2:6])
+
+
+def test_ex1_summary_keys_read_the_kept_samples(tmp_path, capsys):
+    # the tombstone's d is NaN; sup_d is max |d| over the kept samples,
+    # and h_min and x_max skip the tombstone's NaN entries too
+    res = run_ex1_dssf(builtin_config("ex1-dssf", {"dt": 5.0, "T": 20.0}))
+    traj = res.records["ex1-dssf.csv"]
+    assert traj.escape_time == 10.0
+    d, h, x = traj.disturbances[:, 0], traj.h_values, traj.states[:, 0]
+    assert math.isnan(d[-1]) and not np.isnan(d[:-1]).any()
+    assert res.report["sup_d"] == float(np.max(np.abs(d[:-1])))
+    assert res.report["h_min"] == float(np.min(h[~np.isnan(h)]))
+    assert res.report["x_max"] == float(np.max(x[~np.isnan(x)]))
+    rc, out, _ = _run(tmp_path, capsys, ["run-builtin", "ex1-dssf",
+                                         "--dt", "5", "--T", "20"])
+    assert rc == 1 and _report(out)["sup_d"] == "0.479462137332"
 
 
 def test_log_gap_barrier_refuses_x_past_its_domain():

@@ -3,13 +3,16 @@
 integrate_sde steps all its paths as one stack of live rows. Row i
 must be, bit for bit, the path that the per-path loop below produces
 alone (the loop integrate_sde ran before, kept here as the oracle), for
-stacked and plain callables, through escapes and failures. The stacked
-`correct` and the stochastic filters must equal their calls at each
-row and raise the same class where a row raises.
+stacked and plain callables, through escapes and failures. A row that
+runs alone (one path, or the last live row) calls the policies and the
+plant as often as its per-path loop, a stacked policy on its one-row
+stack. The stacked `correct` and the stochastic filters must equal
+their calls at each row and raise the same class where a row raises.
 """
 
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +218,70 @@ def test_plain_policies_are_called_row_by_row():
     cfg = SimConfig(dt=0.05, T=1.0, seed=3, paths=5)
     integrate_sde(sys, bf, counted, u0, [0.5], cov, cfg)
     assert calls == [(1,)] * (5 * (cfg.n_steps + 1))
+
+
+# ---------------------------------------------------------------------------
+# a row alone: one path, and the last live row
+# ---------------------------------------------------------------------------
+
+def counted_ou(calls):
+    """ou's plant, barrier and noise, with plain policies u = -x/2 and
+    u0 = 0; each call of f, g1, g2, control and u0 counted in calls."""
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    sys = ControlAffineSystem(1, 1, 1, count("f", lambda x: np.zeros(1)),
+                              count("g1", lambda x: np.array([[1.0]])),
+                              count("g2", lambda x: np.array([[1.0]])))
+    return (sys, ou()[1], CovarianceSchedule.constant([[0.8]]),
+            count("control", lambda x, t: -0.5 * x),
+            count("u0", lambda x, t: 0.0 * x))
+
+
+@pytest.mark.parametrize("paths, seed", [(1, 0), (1, 2), (4, 0), (4, 2)])
+def test_a_row_alone_calls_what_its_own_loop_calls(paths, seed):
+    # at threshold 0.6, seed 0's four paths escape at t = 0.98, 0.44,
+    # 0.2 and 0.1 (path 0 alone from 0.44 on, and it escapes alone);
+    # seed 2's at 0.24, 0.84 and 0.16, and path 3 runs on alone
+    cfg = SimConfig(dt=0.02, T=1.0, seed=seed, paths=paths,
+                    escape_threshold=0.6)
+    got, want = Counter(), Counter()
+    sys, bf, cov, ctl, u0 = counted_ou(got)
+    records = integrate_sde(sys, bf, ctl, u0, [0.2], cov, cfg)
+    sys, bf, cov, ctl, u0 = counted_ou(want)
+    oracle = per_path(sys, bf, ctl, u0, [0.2], cov, cfg)
+    assert_same_records(records, oracle)
+    assert got == want and set(got) == {"f", "g1", "g2", "control", "u0"}
+    assert any(p.escape_time is not None for p in oracle)
+
+
+@pytest.mark.parametrize("paths", [1, 4])
+def test_a_stacked_policy_gets_one_row_stacks_on_a_row_alone(paths):
+    # seed 2: path 0 escapes at sample 12 (t = 0.24); of four paths, the
+    # last but one escapes at sample 42 (t = 0.84), and from there the
+    # survivor samples alone to sample 50
+    cfg = SimConfig(dt=0.02, T=1.0, seed=2, paths=paths,
+                    escape_threshold=0.6)
+    sys, bf, cov, ctl, _, u0, u0_s = ou()
+    shapes = []
+
+    def ctl_s(X, t):
+        shapes.append(X.shape)
+        return -0.5 * X
+    records = integrate_sde(sys, bf, stacked(ctl_s), u0_s, [0.2], cov, cfg)
+    assert_same_records(records, per_path(sys, bf, lambda x, t: -0.5 * x,
+                                          u0, [0.2], cov, cfg))
+    if paths == 1:      # it escapes at sample 12, its tombstone
+        assert records[0].escape_time == 0.24
+        assert shapes == [(1, 1)] * 12
+        return
+    k = max(p.n_samples for p in records[:3]) - 1
+    tail = cfg.n_steps - k + 1
+    assert k == 42 and records[3].escape_time is None
+    assert shapes[-tail:] == [(1, 1)] * tail
+    assert shapes[-tail - 1] == (2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ per-loop probe below gives (the probe as it ran before, one
 integrate_ode loop after another, kept here as the oracle), or the same
 exception with the same text: through escapes, failures of the
 certified or of a perturbed loop, and with plain or stacked policies.
+A row that runs alone (one loop, or the certified loop after the others
+escape) calls the policies and the plant as often as its own loop, a
+stacked u_star on its one-row stack.
 """
 
 import math
@@ -275,13 +278,18 @@ def test_probe_rows_are_the_per_loop_records(name, u, shapes, amplitudes,
     run = safefilt.certify._ode_rows
 
     def spy(*args):
-        seen.append((args[2], run(*args)))
-        return seen[-1][1]
+        seen.append(run(*args))
+        return seen[-1]
     with mock.patch.object(safefilt.certify, "_ode_rows", spy):
         outcome(optimality_probe, setup, cfg,
                 perturbations={s: SHAPES[s] for s in shapes},
                 amplitudes=tuple(amplitudes))
-    (controls, (trajs, failure)), = seen
+    (trajs, failure), = seen
+    # the loops' own controls, as per_loop_probe builds them
+    controls = [setup.u_star] + [
+        (lambda x, t, _d=SHAPES[s], _e=eps:
+         np.asarray(setup.u_star(x, t), dtype=float) + _e * _d(t))
+        for s in shapes for eps in amplitudes]
     want = per_loop_records(setup, controls, cfg)
     last = len(trajs) if failure is None else failure[0]
     for i in range(last):
@@ -349,3 +357,111 @@ def test_stacked_u_star_is_called_once_per_stage_on_the_live_rows():
     P = 1 + len(out["margins"])
     assert shapes == [(P, 1)] * (4 * cfg.n_steps + 1)
     assert out == per_loop_probe(intro(-0.8), cfg)
+
+
+# ---------------------------------------------------------------------------
+# a row alone: one loop, and the certified loop after the others escape
+# ---------------------------------------------------------------------------
+
+ALONE_SHAPES = {s: SHAPES[s] for s in ("const", "ramp", "fast-sine")}
+ALONE_AMPLITUDES = (-0.2, 0.3)
+
+
+def counted_unstable(calls, u_star):
+    """dx = x + 0 d + u from 0 with u0 = 1 and d_star = 0, u_star as
+    given: the certified loop rests at 0, a perturbed one runs off. Each
+    call of f, g1, g2, u0 and d_star is counted in calls."""
+    def count(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+    sys = scalar_system(count("f", lambda x: x), count("g1", lambda x: 0.0),
+                        count("g2", lambda x: 1.0))
+    return ProbeSetup(sys, neg_state_barrier(), u_star,
+                      count("u0", lambda x, t: 1.0),
+                      count("d", lambda x, t: np.array([0.0])), [0.0],
+                      CostSpec("intro-min"), +1)
+
+
+def probe_rows(setup, cfg, perturbations, calls):
+    """optimality_probe's lockstep rows and the calls made up to their
+    end."""
+    seen = []
+    run = safefilt.certify._ode_rows
+
+    def spy(*args):
+        seen.append((run(*args), Counter(calls)))
+        return seen[-1][0]
+    with mock.patch.object(safefilt.certify, "_ode_rows", spy):
+        outcome(optimality_probe, setup, cfg, perturbations=perturbations,
+                amplitudes=ALONE_AMPLITUDES)
+    ((trajs, failure), counted), = seen
+    assert failure is None
+    return trajs, counted
+
+
+@pytest.mark.parametrize("perturbations", [{}, ALONE_SHAPES])
+def test_a_row_alone_calls_what_its_own_loop_calls(perturbations):
+    # threshold 0.25: with no perturbation the certified loop is the one
+    # row; else the six perturbed rows escape between t = 0.62 and 1.56,
+    # and the certified loop runs on alone to T = 2
+    cfg = SimConfig(dt=0.02, T=2.0, escape_threshold=0.25)
+    calls, want = Counter(), Counter()
+
+    def u_star(log):
+        def u(x, t):
+            log["control"] += 1
+            return np.array([0.0])
+        return u
+    trajs, got = probe_rows(counted_unstable(calls, u_star(calls)), cfg,
+                            perturbations, calls)
+    setup = counted_unstable(want, u_star(want))
+    controls = [setup.u_star] + [
+        (lambda x, t, _d=delta, _e=eps:
+         np.asarray(setup.u_star(x, t), dtype=float) + _e * _d(t))
+        for delta in perturbations.values() for eps in ALONE_AMPLITUDES]
+    want_trajs = per_loop_records(setup, controls, cfg)
+    assert len(trajs) == len(want_trajs) == 1 + 2 * len(perturbations)
+    for i, (g, w) in enumerate(zip(trajs, want_trajs)):
+        assert g.escape_time == w.escape_time, i
+        for field in FIELDS:
+            a, b = getattr(g, field), getattr(w, field)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
+                i, field)
+    assert got == want
+    assert set(got) == {"f", "g1", "g2", "control", "u0", "d"}
+    assert trajs[0].escape_time is None
+    assert all(w.escape_time is not None for w in want_trajs[1:])
+
+
+@pytest.mark.parametrize("perturbations", [{}, ALONE_SHAPES])
+def test_a_stacked_u_star_gets_one_row_stacks_on_a_row_alone(perturbations):
+    cfg = SimConfig(dt=0.02, T=2.0, escape_threshold=0.25)
+    shapes = []
+
+    def u_star(X, t):
+        shapes.append(X.shape)
+        return np.zeros((len(X), 1))
+    trajs, _ = probe_rows(counted_unstable(Counter(), stacked(u_star)), cfg,
+                          perturbations, Counter())
+    # each sample and the three later stages of each step: from the
+    # last perturbed row's tombstone (sample 78, t = 1.56) the
+    # certified row alone
+    k = 0 if not perturbations else max(r.n_samples for r in trajs[1:]) - 1
+    tail = 4 * (cfg.n_steps - k) + 1
+    assert shapes[-tail:] == [(1, 1)] * tail
+    if perturbations:
+        assert k == 78 and shapes[-tail - 1] == (2, 1)
+    else:
+        assert len(shapes) == tail
+
+
+def test_a_wide_perturbation_raises_its_own_loops_error():
+    # delta(t) of width two: every perturbed loop fails its control
+    # check at t = 0, and the lowest one's error is raised, as alone
+    got = assert_probe_is_per_loop(intro(-0.5), SimConfig(dt=0.02, T=0.2),
+                                   perturbations={"wide":
+                                                  lambda t: np.ones(2)})
+    assert got[0].__name__ == "SimulationError" and "t=0," in got[1]
+    assert got[3] == "control shape (2,), expected (1,)"

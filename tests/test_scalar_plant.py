@@ -203,7 +203,7 @@ def _rows(p, x0, cfg, gains):
 
     def stack(X, t, live):
         return np.array([controls[i](x, t) for i, x in zip(live, X)])
-    trajs, failure = _ode_rows(p, neg_state_barrier(), controls, stack,
+    trajs, failure = _ode_rows(p, neg_state_barrier(), stack, len(controls),
                                lambda x, t: np.array([0.0]), x0,
                                lambda x, t: np.array([0.1 * t]), cfg)
     return tuple(trajs) + (None if failure is None
