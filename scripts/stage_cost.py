@@ -811,7 +811,7 @@ def functionals_equal_paths():
         want = whole_path_functionals(f, s, 0.3, cfg, q, phi, batch)
         P = min(batch, paths)
         for K in (1, 2, n - 1, n, n + 1):
-            with mock.patch.object(sim, "_NOISE", 2 * P * K):
+            with mock.patch.object(sim, "_NOISE", P * K):
                 got = sf.sde_path_functionals(f, s, 0.3, cfg, q, phi,
                                               batch_size=batch)
             ok &= _same(got, want)

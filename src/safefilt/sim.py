@@ -27,9 +27,10 @@ Conventions that the certification layer relies on:
     batched runs match path-by-path runs bit for bit. One stream pool
     (_streams) holds a Philox per path stepped together, re-keyed for
     each path from a fresh one's state: sde_path_functionals draws from
-    it a time chunk at a time, in bounded memory, and _normals, its
-    width-one case, draws a whole path for integrate_sde. A stream drawn
-    in chunks is the same stream. SimConfig takes seeds in
+    it a time chunk at a time into one (P, K) chunk of at most _NOISE
+    doubles and steps its columns in place, and _normals, its width-one
+    case, draws a whole path for integrate_sde. A stream drawn in chunks
+    is the same stream. SimConfig takes seeds in
     [SEED_MIN, SEED_MAX). numpy rounds a key word of 2**63 or more
     through float64, so up there neighbouring seeds share a stream
     (about 2048 seeds per float64), and -2**63 shares 2**63's; from
@@ -80,7 +81,7 @@ _ESCAPE_ERRORS = (ModelBlowup, OverflowError, FloatingPointError)
 CSV_BLOCK = 1024            # samples formatted per write
 SEED_MIN = -2 ** 63         # seeds SimConfig accepts: [SEED_MIN, SEED_MAX)
 SEED_MAX = 2 ** 64 - 1024
-_NOISE = 10 ** 6            # doubles of noise chunks sde_path_functionals holds
+_NOISE = 5 * 10 ** 5        # doubles in sde_path_functionals' noise chunk
 _MAX_SAMPLES = int(np.iinfo(np.intp).max)   # the longest axis numpy indexes
 
 
@@ -599,13 +600,13 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
 
     drawn from the same per-path streams as integrate_sde, so path i
     here is path i there, whatever batch_size and the chunking below.
-    The noise is drawn in time chunks of K = min(N, _NOISE // (2 P))
+    The noise is drawn in time chunks of K = min(N, _NOISE // P)
     steps, P the batch width: each path of a batch keeps its own slot of
     the stream pool (_streams) and draws its next K normals into its row
-    of a (P, K) chunk, which one product turns into the time-major
-    (K, P) chunk of scaled increments the K steps read. The two chunks
-    hold at most _NOISE doubles (8 MB) whatever the horizon, or 2 P when
-    P is wider than half of that. x0 is checked as in
+    of a (P, K) chunk, whose K columns the K steps read in place, step
+    k's increment the product sqrt(dt) * column k. The one chunk holds
+    at most _NOISE doubles (4 MB) whatever the horizon, or P when
+    P is wider than that. x0 is checked as in
     integrate_ode_scalar; batch_size < 1 is a ValueError before any
     draw. The loop runs under np.errstate(all="ignore"), as _run does,
     so a diverging path ends in SimulationError("path functional
@@ -618,10 +619,9 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
     dt = cfg.dt
     sq = math.sqrt(dt)
     P = min(batch_size, cfg.paths)
-    K = max(1, min(n_steps, _NOISE // (2 * P)))
+    K = max(1, min(n_steps, _NOISE // P))
     start, gens = _streams(cfg.seed, P)
     drawn = np.empty(P * K)     # a (p, k) chunk: row j path j's normals
-    scaled = np.empty(K * P)    # its (k, p) increments: row k one step
     totals = np.empty(cfg.paths)
     with np.errstate(all="ignore"):
         for done in range(0, cfg.paths, P):
@@ -635,10 +635,8 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
                 Z = drawn[:p * k].reshape(p, k)
                 for rng, row in zip(gens, Z):
                     rng.standard_normal(out=row)
-                W = scaled[:k * p].reshape(k, p)
-                np.multiply(sq, Z.T, out=W)
-                for dw in W:
-                    x = x + dt * drift(x) + diffusion(x) * dw
+                for z in Z.T:
+                    x = x + dt * drift(x) + diffusion(x) * (sq * z)
                     cur = integrand(x)
                     running += 0.5 * dt * (prev + cur)
                     prev = cur

@@ -74,12 +74,15 @@ keeps a NaN's payload), for a fraction of the cost of a 1x1 matmul
 call, and every example of the paper runs on a scalar plant. One
 difference is not in the value: a float product that overflows is inf
 with no warning, where matmul warns outside an np.errstate (x**2 would
-raise OverflowError, so the rule writes x*x). Every wider product calls
-np.matmul, since a sum of two or more float products can round
-differently from matmul's, and ndarray.dot gives -0.0 where matmul
-gives +0.0 at width one. Every stack calls np.matmul as well: it is one
-call per pass, not per row, so its values and warnings stay matmul's.
-The helpers choose from the operands' sizes alone.
+raise OverflowError, so the rule writes x*x). Every wider product is
+numpy's, since a sum of two or more float products can round
+differently from matmul's: vecmat and matvec call np.matmul, and
+row_dot and vec_norm call ndarray.dot, which gives matmul's bytes from
+width two on at about half the call cost of @ (at width one it gives
+-0.0 where matmul gives +0.0, which the float rule above settles).
+Every stack calls np.matmul as well: it is one call per pass, not per
+row, so its values and warnings stay matmul's. The helpers choose from
+the operands' sizes alone.
 
 A plant built by scalar_system is scalar: its f, g1 and g2 take the
 state as a Python float and return a number, and every model read takes
@@ -172,7 +175,7 @@ def row_dot(a, b):
     if a.ndim == 1:
         if a.size == 1:
             return 0.0 + a.item() * b.item()
-        return float(a @ b)
+        return float(a.dot(b))
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 

@@ -1,10 +1,11 @@
 """sde_path_functionals streams its noise in time chunks.
 
 Each path of a batch keeps its own slot of sim._streams and draws its
-next K normals a chunk at a time, K = min(N, _NOISE // (2 P)). The
+next K normals a chunk at a time, K = min(N, _NOISE // P). The
 totals must be the bits of the whole-path loop that drew every path's
 normals up front (kept below as the oracle), for any batch width and
-any K, and the memory held must not grow with the horizon. Also pinned:
+any K, and the memory held must not grow with the horizon nor hold more
+than the one chunk, whose columns the steps read in place. Also pinned:
 batch_size < 1 is refused before any draw, and a numpy division by zero
 in the loop ends in the loop's own SimulationError, also when warnings
 are errors.
@@ -93,7 +94,7 @@ def test_chunked_totals_are_the_whole_path_bits(paths, batch, n_steps, seed,
          "N+1": n_steps + 1}[chunk]
     pieces = _pieces(scalar)
     kw = {} if batch is None else {"batch_size": batch}
-    with mock.patch.object(sim, "_NOISE", 2 * P * K):
+    with mock.patch.object(sim, "_NOISE", P * K):
         got = sde_path_functionals(pieces[0], pieces[1], x0, cfg,
                                    *pieces[2:], **kw)
     want = whole_path_functionals(pieces[0], pieces[1], x0, cfg,
@@ -153,6 +154,12 @@ def test_noise_memory_does_not_grow_with_the_horizon():
     short = ex5_peak_mb(SimConfig(dt=1e-3, T=2.0, paths=2000))
     long = ex5_peak_mb(SimConfig(dt=1e-3, T=8.0, paths=2000))
     assert abs(long - short) <= 1.0
+
+
+def test_one_chunk_is_stepped_in_place():
+    # one batch of the default width in one chunk (K = N = 250): its
+    # 4 MB of normals are the noise held, with no scaled copy beside it
+    assert ex5_peak_mb(SimConfig(dt=1e-3, T=0.25, paths=2000)) <= 7.0
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
