@@ -54,16 +54,16 @@ class TubeRefinementError(SafefiltError, RuntimeError):
     """The RK4 decay tube did not converge under step halving."""
 
 
-def numeric_inverse(fn, y, hi0=1.0):
+def numeric_inverse(fn, y):
     """Invert a continuous strictly increasing fn on [0, inf), fn(0)=0.
 
-    Initial bracket by doubling from hi0, then brentq.
+    Initial bracket by doubling from 1.0, then brentq.
     """
     if y < 0.0:
         raise DomainError("cannot invert at %g < 0" % y)
     if y == 0.0:
         return 0.0
-    hi = hi0
+    hi = 1.0
     for _ in range(MAX_BRACKET_DOUBLINGS):
         if fn(hi) >= y:
             break

@@ -46,10 +46,11 @@ of width one (m2 = 1) the step is float arithmetic in the array
 expression's order, u0 + beta (k a) with correct's factor k, and gives
 its bits; where the result is not finite it is the array expression's
 own result, so a NaN keeps the array's sign and payload and numpy's
-warnings stay the array's. The same width-one rule computes _weighted's
-R^{-1} a for a 1x1 weight and the worst-case disturbances'
-s Lg1h / ||Lg1h|| (_along). Stacks and wider controls take the array
-expression.
+warnings stay the array's. This is the module's only width-one float
+route: every filter's step takes it, so that is where the width-one
+calls are. Stacks and wider controls take the array expression, and so
+do _weighted's R^{-1} a for a 1x1 weight and the worst-case
+disturbances' s Lg1h / ||Lg1h||, at every width.
 
   * qp_filter          min-norm correction
   * sontag_filter      universal-formula correction term
@@ -204,11 +205,10 @@ def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
     array expression; a result that is not finite comes from the array
     expression itself, so its NaN sign and payload and numpy's warnings
     are the array's. On stacks and wider controls, the array
-    expression, without the product at unit gain (1.0 v is v, bit for
-    bit)."""
+    expression u0 + beta v itself, at unit gain too (1.0 v is v, bit
+    for bit)."""
     if type(omega) is np.ndarray or a.size != 1:
-        v = correct(omega, a, rule, error)
-        return u0v + v if beta == 1.0 else u0v + beta * v
+        return u0v + beta * correct(omega, a, rule, error)
     av = a.item()
     k = _factor(omega, 0.0 + av * av, rule, error)  # row_dot at width one
     u = u0v.item() + float(beta) * (0.0 if k == 0.0 else float(k) * av)
@@ -294,7 +294,8 @@ def _weighted(weight, x, u0v, a):
     """(R, R^{-1} a, a.R^{-1} a) for the SPD weight R = weight(x, u0v),
     the identity when weight is None; on stacks, one weight per row
     (for None a read-only (N, m, m) view of the one identity), all
-    checked by one Cholesky, and a 1x1 weight by its sign alone."""
+    checked by one Cholesky, and a 1x1 weight by its sign alone (R^{-1} a
+    is then a / R)."""
     m = a.shape[-1]
     if weight is None:
         eye = np.eye(m)
@@ -305,12 +306,8 @@ def _weighted(weight, x, u0v, a):
     else:
         R = stack_rows(weight, (m, m), x, u0v)
     if m == 1:
-        if not (R.item() > 0.0 if a.ndim == 1 else (R > 0.0).all()):
+        if not (R > 0.0).all():
             raise np.linalg.LinAlgError("Matrix is not positive definite")
-        if a.ndim == 1:  # float arithmetic, as _filtered's
-            ra = a.item() / R.item()
-            if math.isfinite(ra):
-                return R, np.array((ra,)), 0.0 + a.item() * ra
         ra = a / R[..., 0]
     else:
         np.linalg.cholesky(R)  # raises unless symmetric positive definite
@@ -513,7 +510,7 @@ def worst_case_disturbance(iospec, x):
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(iospec.base.sys.m1)
     v = iospec.gamma.gamma_prime_inv(2.0 * nrm)
-    return _along(-iospec.lam * v, ld.Lg1h, nrm)
+    return -iospec.lam * v * ld.Lg1h / nrm
 
 
 def qp_worst_case_disturbance(spec, lam, x):
@@ -523,18 +520,7 @@ def qp_worst_case_disturbance(spec, lam, x):
     nrm = vec_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
-    return _along(-lam * budget(spec.rho, -ld.h_val), ld.Lg1h, nrm)
-
-
-def _along(s, g, nrm):
-    """s g / nrm, a worst-case disturbance of size |s| against the
-    (m1,) direction g of norm nrm; at width one float arithmetic, as
-    _filtered's."""
-    if g.size == 1:
-        d = float(s) * g.item() / nrm
-        if math.isfinite(d):
-            return np.array((d,))
-    return s * g / nrm
+    return -lam * budget(spec.rho, -ld.h_val) * ld.Lg1h / nrm
 
 
 def game_weights(iospec, x, u0v):

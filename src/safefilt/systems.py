@@ -65,24 +65,25 @@ loops.
 One contraction rule serves every vector product of the package:
 row_dot (vector.vector, to a float), vecmat (vector @ matrix), matvec
 (matrix @ vector), each also on (N, ...) stacks, and vec_norm and
-row_norm. At one state of width one, where both operands hold a single
-number x and y, the product is the float 0.0 + x*y and the norm
-sqrt(x*x), and an empty vector's norm is 0.0. That is exactly what
-np.matmul gives there (its sum starts from +0.0, so a -0.0 product
-comes out +0.0, and the operands multiply in matmul's order, which
-keeps a NaN's payload), for a fraction of the cost of a 1x1 matmul
-call, and every example of the paper runs on a scalar plant. One
-difference is not in the value: a float product that overflows is inf
-with no warning, where matmul warns outside an np.errstate (x**2 would
-raise OverflowError, so the rule writes x*x). Every wider product is
-numpy's, since a sum of two or more float products can round
-differently from matmul's: vecmat and matvec call np.matmul, and
-row_dot and vec_norm call ndarray.dot, which gives matmul's bytes from
-width two on at about half the call cost of @ (at width one it gives
--0.0 where matmul gives +0.0, which the float rule above settles).
-Every stack calls np.matmul as well: it is one call per pass, not per
-row, so its values and warnings stay matmul's. The helpers choose from
-the operands' sizes alone.
+row_norm. vecmat and matvec are np.matmul at every width, single or
+stacked, so their values and warnings are matmul's. row_dot and
+vec_norm return floats and are called at every margin, correction and
+norm, so they keep a float rule at width one: where both operands
+hold a single number x and y, the product is the float 0.0 + x*y and
+the norm sqrt(x*x), and an empty vector's norm is 0.0. That is the
+value np.matmul gives there (its sum starts from +0.0, so a -0.0
+product comes out +0.0), for a fraction of the cost of a 1x1 matmul
+call. Two differences are not in the value: a float product that
+overflows is inf with no warning, where matmul warns outside an
+np.errstate (x**2 would raise OverflowError, so the rule writes x*x);
+and a product of two NaNs is a NaN whose sign and payload are the float
+multiply's, which need not be matmul's: with some BLAS builds matmul's
+own NaN there differs from one process to another. Wider vectors go
+through ndarray.dot, which gives matmul's bytes from width two on at
+about half the call cost of @ (at width one it gives -0.0 where matmul
+gives +0.0, which the float rule settles), and stacks through
+np.matmul, one call per pass, not per row. The helpers choose from the
+operands' sizes alone.
 
 A plant built by scalar_system is scalar: its f, g1 and g2 take the
 state as a Python float and return a number, and every model read takes
@@ -191,8 +192,6 @@ def vecmat(a, B):
     contraction rule; for an (N, k) stack a and an (N, k, m) stack B,
     a_i @ B_i at each row, as an (N, m) stack."""
     if a.ndim == 1:
-        if B.size == 1:
-            return np.array((0.0 + a.item() * B.item(),))
         return a @ B
     return np.matmul(a[:, None, :], B)[:, 0, :]
 
@@ -203,8 +202,6 @@ def matvec(A, v):
     an (N, p) stack, where A is one (p, k) matrix or an (N, p, k) stack
     of them."""
     if v.ndim == 1:
-        if A.size == 1:
-            return np.array((0.0 + A.item() * v.item(),))
         return A @ v
     return np.matmul(A, v[:, :, None])[:, :, 0]
 

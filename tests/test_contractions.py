@@ -1,8 +1,9 @@
 """The contraction rule of safefilt.systems: row_dot, vecmat, matvec,
 vec_norm and row_norm give the bytes of @ / np.matmul (of sqrt(v.v)
-for the norms) on single vectors and on stacks, widths 0-3, and a
-width-one product computes in floats, so its overflow is inf with no
-warning. Also call_rows's width-one route for Python-float outputs."""
+for the norms) on single vectors and on stacks, widths 0-3, and
+row_dot and vec_norm compute a width-one vector in floats, so its
+overflow is inf with no warning. Also call_rows's width-one route for
+Python-float outputs."""
 
 import math
 import struct
@@ -100,13 +101,11 @@ def test_width_one_special_pairs_keep_matmul_bits(x, y):
 
 
 def test_width_one_overflow_is_inf_and_raises_nothing():
-    a, B = np.array([1e200]), np.array([[-1e200]])
+    a = np.array([1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
             assert row_dot(a, a) == math.inf
-            assert vecmat(a, B)[0] == -math.inf
-            assert matvec(B, a)[0] == -math.inf
             assert vec_norm(a) == math.inf
             assert vec_norm(np.array([[1.7976931348623157e308]])) == math.inf
             assert math.isnan(row_dot(np.array([math.inf]), np.array([0.0])))
