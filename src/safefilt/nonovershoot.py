@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .comparison import elementwise
-from .filters import MIN_NORM, _filtered, _lie, budget, dssf_margin, margin
+from .filters import (MIN_NORM, _filtered, _lie, _lie1, budget, dssf_margin,
+                      margin)
 from .stochastic import generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
@@ -36,21 +37,23 @@ class SandwichSpec:
     alpha: object
 
 
-def _parts(spec, x):
-    """(lie_data, u0) at a state, or their stacks at each row of an
-    (N, n) stack of states, u0 called and checked row by row."""
-    ld = _lie(spec.sys, spec.bf, x)
+def _parts(spec, x, lie=_lie):
+    """(Lie data, u0) at a state, or their stacks at each row of an
+    (N, n) stack of states, u0 called and checked row by row. lie reads
+    the Lie data: filters._lie, with the Ito terms, for the Ito entries,
+    and filters._lie1, the first-order data, for the deterministic
+    sandwich, which reads no Hessian."""
+    ld, m2 = lie(spec.sys, spec.bf, x), spec.sys.m2
     if ld.Lg2h.ndim == 2:  # a stack
-        return ld, call_rows(lambda row, t: spec.u0(row), x, None,
-                             spec.sys.m2, "u0")
-    return ld, _as_state(spec.u0(x), spec.sys.m2, "u0")
+        return ld, call_rows(lambda row, t: spec.u0(row), x, None, m2, "u0")
+    return ld, _as_state(spec.u0(x), m2, "u0")
 
 
 def omega0(spec, x):
     """Upper-side margin of the nominal, side ||Lg1h|| budget(rho0, h);
     <= 0 means the nominal already drives h down at rate alpha0 whenever
     h sits above its rho0-ball."""
-    ld, u0v = _parts(spec, x)
+    ld, u0v = _parts(spec, x, _lie1)
     side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
     return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
                   side)[0]
@@ -58,12 +61,12 @@ def omega0(spec, x):
 
 def omega_no(spec, x):
     """Floor-side margin; negative where the filter must act."""
-    return dssf_margin(spec, *_parts(spec, x))[0]
+    return dssf_margin(spec, *_parts(spec, x, _lie1))[0]
 
 
 def sandwich_filter(spec, x):
     """Full control guarding only the floor (unit corrective gain)."""
-    ld, u0v = _parts(spec, x)
+    ld, u0v = _parts(spec, x, _lie1)
     return _filtered(u0v, 1.0, *dssf_margin(spec, ld, u0v), MIN_NORM,
                      RuntimeError)
 
@@ -77,7 +80,7 @@ def gain_separation_margin(spec, x):
     """alpha(h) - alpha0(h)
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
-    ld = _parts(spec, x)[0]
+    ld = _parts(spec, x, _lie1)[0]
     return _separation(spec, ld.h_val, row_norm(ld.Lg1h))
 
 

@@ -43,14 +43,14 @@ it. _lockstep is the one lockstep routine on it, for ODE and SDE alike:
 x is the (P, n) stack of live rows, one record block holds the P
 records, and each caller writes its loop once, stacked, as policies (u0,
 d and control on a stack) and advance (a step of the stack). A sample
-or step that is uneventful on every row is one stacked pass; where a row
-escapes or anything raises, and for the last live row (a single path
-too), each row runs alone: the same calls on its one-row stack,
-recorded by _sample's rule and stopped by _stop's, so each row keeps the
-record, tombstone and error it would have alone. Its two steps are
-Euler-Maruyama (integrate_sde's paths) and RK4 (_ode_rows: loops of
-integrate_ode from one x0, loop i under row i of one control stack,
-which certify.optimality_probe runs). comparison.kl_solve_grid steps its
+or step that is uneventful on every row is one stacked pass, a one-row
+stack included; where a row escapes or anything raises, each row runs
+alone: the same calls on its one-row stack, recorded by _sample's rule
+and stopped by _stop's, so each row keeps the record, tombstone and
+error it would have alone. Its two steps are Euler-Maruyama
+(integrate_sde's paths) and RK4 (_ode_rows: loops of integrate_ode from
+one x0, loop i under row i of one control stack, which
+certify.optimality_probe runs). comparison.kl_solve_grid steps its
 decay ODE with _rk4 too, so _rk4 is the package's one RK4 step.
 
 This module runs loops; systems calls the user's callables on rows.
@@ -379,12 +379,12 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, advance):
     column), and advance(k, t, X, U, D, live) their states at t + dt;
     live holds the row index of each row of the stack. Where every
     live row is inside the escape threshold, a sample is one stacked
-    pass, with h read row by row, and a step is one stacked advance.
-    A row runs alone where a row is past the threshold or a stacked
-    call raised (then every row of that sample or step does), and
-    where it is the last live row: it makes the same policies and
-    advance calls on its one-row stack, records by _sample's rule and
-    stops by _stop's. So only this routine decides how a row runs
+    pass, with h read row by row, and a step is one stacked advance,
+    whatever the number of live rows. A row runs alone in two cases
+    only: a row is past the threshold, or a stacked call raised; then
+    every row of that sample or step does. It makes the same policies
+    and advance calls on its one-row stack, records by _sample's rule
+    and stops by _stop's. So only this routine decides how a row runs
     alone, and its callers write their loop once, stacked.
 
     Returns (i, error) for the lowest row i that failed, or None: the
@@ -400,7 +400,7 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, advance):
         nonlocal live, failure
         if not live.size:       # every row has stopped
             return None
-        if len(X) > 1 and np.abs(X).max() <= thr:
+        if np.abs(X).max() <= thr:
             try:
                 U0, D, U = policies(X, t, live)
                 H = [_h_value(bf._h(x)) for x in X]
@@ -440,11 +440,10 @@ def _lockstep(rec, trajs, cfg, X, bf, policies, advance):
         nonlocal live, failure
         keep, U, D = s
         X = X[keep]
-        if len(X) > 1:
-            try:
-                return advance(k, t, X, U, D, live)
-            except Exception:
-                pass
+        try:
+            return advance(k, t, X, U, D, live)
+        except Exception:
+            pass
         out, kept = [], []
         for j, i in enumerate(live):
             one = slice(j, j + 1)

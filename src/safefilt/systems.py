@@ -10,16 +10,16 @@ The Lie data of a barrier comes in two orders, and each consumer
 computes only the order it reads:
 
   first_order_lie   h, Lfh, Lg1h and Lg2h (a FirstOrderLie). The
-                    deterministic filters, the disturbance game and its
-                    weights, the worst-case disturbances and the
-                    min-norm and qp-exact certificates read only these,
-                    so the barrier Hessian is never called for them.
+                    deterministic filters (nonovershoot's sandwich too),
+                    the disturbance game and its weights, the
+                    worst-case disturbances and the min-norm and
+                    qp-exact certificates read only these, so the
+                    barrier Hessian is never called for them.
   lie_data          the same core plus the Ito terms of a disturbance
                     channel (m1 > 0): 0.5*Tr{g1' H g1}, ||g1' H g1||_F
                     and g1' H g1 (a LieData). The stochastic filters and
                     games read them, and so do nonovershoot's Ito
-                    sandwich and ex5's generator margin; nonovershoot
-                    calls it for its deterministic sandwich as well.
+                    sandwich and ex5's generator margin.
 
 One call checks each thing once: the state's shape, each model output's
 shape as it is converted, a supplied Hessian's symmetry (lie_data
@@ -76,9 +76,10 @@ product comes out +0.0), for a fraction of the cost of a 1x1 matmul
 call. Two differences are not in the value: a float product that
 overflows is inf with no warning, where matmul warns outside an
 np.errstate (x**2 would raise OverflowError, so the rule writes x*x);
-and a product of two NaNs is a NaN whose sign and payload are the float
-multiply's, which need not be matmul's: with some BLAS builds matmul's
-own NaN there differs from one process to another. Wider vectors go
+and a product of two NaNs is a NaN whose sign and payload are not
+fixed, so need not be matmul's: CPython's float multiply can give one
+operand's NaN before its adaptive interpreter specialises the multiply
+and the other's after. Wider vectors go
 through ndarray.dot, which gives matmul's bytes from width two on at
 about half the call cost of @ (at width one it gives -0.0 where matmul
 gives +0.0, which the float rule settles), and stacks through
@@ -475,21 +476,12 @@ def central_difference(fn, x):
 
 
 class BarrierFunction:
-    """h with optional analytic gradient/Hessian; safe set is {h >= 0}.
+    """h with optional analytic gradient/Hessian; safe set is {h >= 0}."""
 
-    inf_h < 0 < sup_h bound the attainable values of h. They are
-    validated here, but nothing downstream reads them.
-    """
-
-    def __init__(self, h, grad=None, hess=None,
-                 inf_h=-np.inf, sup_h=np.inf):
-        if not (inf_h < 0.0 < sup_h):
-            raise ValueError("need inf_h < 0 < sup_h")
+    def __init__(self, h, grad=None, hess=None):
         self._h = h
         self._grad = grad
         self._hess = hess
-        self.inf_h = inf_h
-        self.sup_h = sup_h
 
     def value(self, x):
         return _h_value(self._h(np.asarray(x, dtype=float)))

@@ -15,12 +15,14 @@ u_star's value to integrate_ode's control check unconverted.
 The first-order core, first_order_lie(_rows), is lie_data's first four
 fields, bit for bit, and raises ModelBlowup for a NaN or inf in any
 output it reads. Every first-order consumer in filters and certify,
-and the disturbance-game, qp-exact and qp-weighted cost passes, give
-the same bits as when they read the full LieData. A barrier Hessian
-that raises, is NaN, is asymmetric or has the wrong shape changes none
-of them, while lie_data, lie_data_rows and the Ito filters still raise
-for it. Finite differences of non-finite model data raise ModelBlowup
-under warnings-as-errors, and every named error is a SafefiltError.
+nonovershoot's deterministic sandwich, and the disturbance-game,
+qp-exact and qp-weighted cost passes, give the same bits as when they
+read the full LieData. A barrier Hessian that raises, is NaN, is
+asymmetric or has the wrong shape changes none of them, while
+lie_data, lie_data_rows and the Ito filters (the Ito sandwich among
+them) still raise for it. Finite differences of non-finite model data
+raise ModelBlowup under warnings-as-errors, and every named error is a
+SafefiltError.
 """
 
 import contextlib
@@ -51,7 +53,9 @@ from safefilt.filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec,
                               qp_filter_affine_form, qp_weights,
                               qp_worst_case_disturbance, sontag_filter,
                               state_penalty_l, worst_case_disturbance)
-from safefilt.nonovershoot import SandwichSpec, sandwich_filter
+from safefilt.nonovershoot import (SandwichSpec, gain_separation_margin,
+                                   nominal_decay_margin, omega0, omega_no,
+                                   sandwich_filter, stoch_sandwich_filter)
 from safefilt.projection import ProjectionError
 from safefilt.reciprocal import RcbfViolation
 from safefilt.scenarios import (ConfigError, integrator_system,
@@ -356,6 +360,9 @@ def first_order_consumers(sys, bf, X, seed):
                       controls=U0 + rng.normal(size=U0.shape), nominal=U0,
                       disturbances=D, h_values=rng.normal(size=len(X)),
                       running_cost=np.zeros(len(X)))
+    sandwich = SandwichSpec(sys, bf, lambda x: K @ x + k, linear_k(lam),
+                            identity_k(), linear_extended(0.5),
+                            linear_extended(beta))
     t = 0.3
     out = {
         "game_weights": lambda: game_weights(iospec, X, U0),
@@ -369,6 +376,7 @@ def first_order_consumers(sys, bf, X, seed):
         "cost.qp-weighted": lambda: evaluate_cost(
             traj, CostSpec("qp-weighted", spec=base)),
     }
+    out.update({fn.__name__: partial(fn, sandwich, X) for fn in SANDWICH})
     for i, (x, d) in enumerate(zip(X, D)):
         out.update({"%s@%d" % (fn.__name__, i): partial(fn, base, x, t)
                     for fn in (omega_dssf, qp_filter, qp_filter_affine_form,
@@ -387,7 +395,14 @@ def first_order_consumers(sys, bf, X, seed):
         out["game_weights@%d" % i] = partial(game_weights, iospec, x, U0[i])
         out["min_norm_weights@%d" % i] = partial(min_norm_weights, base, x,
                                                  U0[i], beta, lam)
+        out.update({"%s@%d" % (fn.__name__, i): partial(fn, sandwich, x)
+                    for fn in SANDWICH})
     return out
+
+
+# nonovershoot's deterministic sandwich, which reads first-order data
+SANDWICH = (omega0, omega_no, sandwich_filter, nominal_decay_margin,
+            gain_separation_margin)
 
 
 def consumer_bits(thunks):
@@ -495,7 +510,7 @@ def test_hessian_faults_reach_only_the_ito_consumers(dims, seed, grad, xs,
     error, text = FAULTS[fault]
     calls = [lambda: lie_data(sys, bad, X[0]),
              lambda: lie_data_rows(sys, bad, X),
-             lambda: sandwich_filter(sandwich, X[0])]
+             lambda: stoch_sandwich_filter(sandwich, X[0])]
     for filt, spec in ((stoch_qp_filter, stoch), (nssf_qp_filter, nssf)):
         calls += [partial(filt, spec, X[0], 0.0), partial(filt, spec, X, 0.0)]
     for call in calls:

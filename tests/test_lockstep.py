@@ -3,23 +3,27 @@
 integrate_sde steps all its paths as one stack of live rows. Row i
 must be, bit for bit, the path that the per-path loop below produces
 alone (the loop integrate_sde ran before, kept here as the oracle), for
-stacked and plain callables, through escapes and failures. A row that
-runs alone (one path, or the last live row) calls the policies and the
-plant as often as its per-path loop, a stacked policy on its one-row
-stack. The stacked `correct` and the stochastic filters must equal
-their calls at each row and raise the same class where a row raises.
+stacked and plain callables, through escapes and failures. A one-row
+stack (one path, or the last live row) is stepped stacked, as any stack
+is, and calls the policies and the plant as often as its per-path loop,
+a stacked policy on its one-row stack; it samples by the row-alone rule
+only at its tombstone. The stacked `correct` and the stochastic filters
+must equal their calls at each row and raise the same class where a
+row raises.
 """
 
 import math
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import safefilt
+import safefilt.sim as sim
 from safefilt.filters import (CbfViolation, HALF_SONTAG, MIN_NORM, SONTAG,
                               correct)
 from safefilt.scenarios import (_ex6_display, builtin_config, ex5_spec,
@@ -221,7 +225,7 @@ def test_plain_policies_are_called_row_by_row():
 
 
 # ---------------------------------------------------------------------------
-# a row alone: one path, and the last live row
+# a one-row stack: one path, and the last live row
 # ---------------------------------------------------------------------------
 
 def counted_ou(calls):
@@ -282,6 +286,21 @@ def test_a_stacked_policy_gets_one_row_stacks_on_a_row_alone(paths):
     assert k == 42 and records[3].escape_time is None
     assert shapes[-tail:] == [(1, 1)] * tail
     assert shapes[-tail - 1] == (2, 1)
+
+
+@pytest.mark.parametrize("thr, tombstone", [(1e6, None), (0.6, 12)])
+def test_one_path_samples_alone_only_at_its_tombstone(thr, tombstone):
+    # seed 2's one path: at threshold 0.6 it escapes at sample 12
+    # (t = 0.24); every other sample is the one-row stack's stacked pass
+    cfg = SimConfig(dt=0.02, T=1.0, seed=2, paths=1, escape_threshold=thr)
+    sys, bf, cov, ctl, _, u0, _ = ou()
+    with mock.patch.object(sim, "_sample", wraps=sim._sample) as spy:
+        records = integrate_sde(sys, bf, ctl, u0, [0.2], cov, cfg)
+    assert_same_records(records, per_path(sys, bf, ctl, u0, [0.2], cov, cfg))
+    assert [c.args[1] for c in spy.call_args_list] == (
+        [] if tombstone is None else [tombstone])
+    assert records[0].n_samples == (cfg.n_steps if tombstone is None
+                                    else tombstone) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ per-loop probe below gives (the probe as it ran before, one
 integrate_ode loop after another, kept here as the oracle), or the same
 exception with the same text: through escapes, failures of the
 certified or of a perturbed loop, and with plain or stacked policies.
-A row that runs alone (one loop, or the certified loop after the others
-escape) calls the policies and the plant as often as its own loop, a
-stacked u_star on its one-row stack.
+A one-row stack (one loop, or the certified loop after the others
+escape) is stepped stacked, as any stack is, and calls the policies and
+the plant as often as its own loop, a stacked u_star on its one-row
+stack.
 """
 
 import math
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safefilt.certify
+import safefilt.sim
 from safefilt.certify import (PROBE_TOL, CostSpec, ProbeSetup,
                               evaluate_cost, optimality_probe,
                               standard_perturbations)
@@ -360,7 +362,7 @@ def test_stacked_u_star_is_called_once_per_stage_on_the_live_rows():
 
 
 # ---------------------------------------------------------------------------
-# a row alone: one loop, and the certified loop after the others escape
+# a one-row stack: one loop, and the certified loop after the others escape
 # ---------------------------------------------------------------------------
 
 ALONE_SHAPES = {s: SHAPES[s] for s in ("const", "ramp", "fast-sine")}
@@ -455,6 +457,40 @@ def test_a_stacked_u_star_gets_one_row_stacks_on_a_row_alone(perturbations):
         assert k == 78 and shapes[-tail - 1] == (2, 1)
     else:
         assert len(shapes) == tail
+
+
+@pytest.mark.parametrize("perturbations", [{}, ALONE_SHAPES])
+def test_the_certified_row_alone_samples_stacked(perturbations):
+    # the rows sample one at a time only at the perturbed rows'
+    # tombstones, each live row there; from the last one (sample 78) on
+    # the certified row is a one-row stack, sampled stacked to T = 2
+    cfg = SimConfig(dt=0.02, T=2.0, escape_threshold=0.25)
+
+    def u_star(x, t):
+        return np.array([0.0])
+    setup = counted_unstable(Counter(), u_star)
+    with mock.patch.object(safefilt.sim, "_sample",
+                           wraps=safefilt.sim._sample) as spy:
+        trajs, _ = probe_rows(setup, cfg, perturbations, Counter())
+    controls = [u_star] + [
+        (lambda x, t, _d=delta, _e=eps:
+         np.asarray(u_star(x, t), dtype=float) + _e * _d(t))
+        for delta in perturbations.values() for eps in ALONE_AMPLITUDES]
+    want = per_loop_records(setup, controls, cfg)
+    for i, (g, w) in enumerate(zip(trajs, want)):
+        assert g.escape_time == w.escape_time, i
+        for field in FIELDS:
+            a, b = getattr(g, field), getattr(w, field)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
+                i, field)
+    tombstones = sorted({r.n_samples - 1 for r in trajs[1:]})
+    ks = [c.args[1] for c in spy.call_args_list]
+    assert sorted(set(ks)) == tombstones
+    assert all(ks.count(k) == sum(r.n_samples > k for r in trajs)
+               for k in tombstones)
+    assert trajs[0].n_samples == cfg.n_steps + 1
+    if perturbations:
+        assert tombstones[-1] == 78
 
 
 def test_a_wide_perturbation_raises_its_own_loops_error():

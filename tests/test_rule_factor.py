@@ -21,9 +21,11 @@ At random states of four scenario specs, a factor k = max{0, -omega}/q
 within 64 ulps of the term scale (the sum of the magnitudes the
 rounding acts on), plus what underflow drops: R times the least normal
 number where |u - u0|^2 underflows, and beta^2 k q where 1/k overflows
-and an infinite R pairs with a zero deviation. The factor ensures
-safety, omega + beta k q >= 0 for beta >= 1, within 4 ulps of
-|omega| + beta k q.
+and an infinite R pairs with a zero deviation; and 8 u, u =
+math.ulp(0.0), for the roundings of subnormal terms, which ex1 meets
+near x = 0 (a test of its own draws such states, two of them pinned).
+The factor ensures safety, omega + beta k q >= 0 for beta >= 1, within
+4 ulps of |omega| + beta k q.
 """
 
 import itertools
@@ -32,7 +34,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import safefilt as sf
 from safefilt.certify import PAIR_TOL
@@ -151,16 +153,22 @@ SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", SPECS)
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(),
-       beta=st.sampled_from([1.0, 2.0, 2.5]) | st.floats(1.0, 5.0),
-       c=st.sampled_from([0.0]) | st.floats(0.0, 10.0))
-def test_every_safety_ensuring_factor_is_certified(name, data, beta, c):
-    state, spec_data = SPECS[name]
-    x = data.draw(state, label="x")
-    u0v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=x.size,
-                                      max_size=x.size), label="u0"))
+# Below the normal range a product rounds to a multiple of u =
+# math.ulp(0.0), off by up to u/2 whatever its size, so no multiple of
+# the term scale covers it; sums of subnormals are exact. omega,
+# alpha(h) and k are subnormal together only on ex1 near x = 0 (a = -1,
+# q = 1); every other spec's margin stays normal there, and its scale
+# term dwarfs u. The checked sum then meets five roundings: 2 beta
+# (alpha(h) - omega) and the factor -2 beta of want, once each; beta^2
+# k, in l and again in lost (the same bits), each time times q; its
+# product with q; and beta k in the deviation, times a twice and 2 beta.
+# So the residual exceeds lost by at most (3 + 2 q + 2 beta q) u/2, or
+# 7.5 u at q = 1, beta <= 5.
+SUBNORMAL = 8.0 * math.ulp(0.0)
+
+
+def assert_factor_is_certified(spec_data, x, u0v, beta, c):
+    """The identity and the safety of k = max{0, -omega}/q + c at x."""
     omega, a, alpha_h = spec_data(x, u0v)
     q = row_dot(a, a)
     assume(q > 0.0)  # a flat barrier has no direction to move along
@@ -177,7 +185,7 @@ def test_every_safety_ensuring_factor_is_certified(name, data, beta, c):
     want = -2.0 * beta * (omega - alpha_h + row_dot(a, dev))
     scale = (abs(l) + ctrl + 2.0 * beta * (abs(omega) + abs(alpha_h))
              + 2.0 * abs(row_dot(a, dev)) * beta + beta * beta * k * q)
-    assert abs(l - ctrl - want) <= 64.0 * EPS * scale + lost
+    assert abs(l - ctrl - want) <= 64.0 * EPS * scale + lost + SUBNORMAL
     assert omega + beta * k * q >= -4.0 * EPS * (abs(omega) + beta * k * q)
 
     # the stacked certificate of the factor is its row, bit for bit
@@ -185,3 +193,34 @@ def test_every_safety_ensuring_factor_is_certified(name, data, beta, c):
                           np.array([omega]), np.array([alpha_h]))
     assert bits((R.value, R.infinite, l)) == bits(
         (Rs.value[0], bool(Rs.infinite[0]), ls[0]))
+
+
+@pytest.mark.parametrize("name", SPECS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       beta=st.sampled_from([1.0, 2.0, 2.5]) | st.floats(1.0, 5.0),
+       c=st.sampled_from([0.0]) | st.floats(0.0, 10.0))
+def test_every_safety_ensuring_factor_is_certified(name, data, beta, c):
+    state, spec_data = SPECS[name]
+    x = data.draw(state, label="x")
+    u0v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=x.size,
+                                      max_size=x.size), label="u0"))
+    assert_factor_is_certified(spec_data, x, u0v, beta, c)
+
+
+def ulps(lo, hi):
+    """Whole multiples of math.ulp(0.0) from lo to hi: subnormals."""
+    return st.integers(lo, hi).map(lambda i: i * math.ulp(0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=ulps(-64, 512), u0=st.sampled_from([0.0]) | ulps(-64, 64),
+       beta=st.sampled_from([1.0, 2.5, 5.0]) | st.floats(1.0, 5.0),
+       c=st.sampled_from([0.0]) | ulps(0, 64))
+# without SUBNORMAL the first fails the check (residual 13 u against
+# lost 12 u) and the second meets it with no slack (25 u against 25 u)
+@example(x=5e-324, u0=0.0, beta=2.5, c=0.0)
+@example(x=1e-323, u0=0.0, beta=2.5, c=0.0)
+def test_ex1_factors_are_certified_at_subnormal_states(x, u0, beta, c):
+    assert_factor_is_certified(ex1_data, np.array([x]), np.array([u0]),
+                               beta, c)

@@ -62,11 +62,6 @@ def test_supplied_asymmetric_hessian_rejected():
         bf.hessian(np.zeros(2))
 
 
-def test_barrier_needs_zero_crossing_range():
-    with pytest.raises(ValueError):
-        BarrierFunction(lambda x: -x[0], inf_h=1.0, sup_h=2.0)
-
-
 def test_no_disturbance_channel_shapes():
     sys = scalar_system(lambda x: 0.0, None, lambda x: 1.0)
     assert sys.m1 == 0
