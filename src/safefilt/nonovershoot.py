@@ -80,7 +80,7 @@ def gain_separation_margin(spec, x):
     """alpha(h) - alpha0(h)
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
-    ld = _parts(spec, x, _lie1)[0]
+    ld = _lie1(spec.sys, spec.bf, x)
     return _separation(spec, ld.h_val, row_norm(ld.Lg1h))
 
 
@@ -133,5 +133,5 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
 
 
 def stoch_gain_separation_margin(spec, x):
-    ld = _parts(spec, x)[0]
+    ld = _lie(spec.sys, spec.bf, x)
     return _separation(spec, ld.h_val, 0.5 * ld.frob_term)

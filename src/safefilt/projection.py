@@ -139,14 +139,12 @@ def simulate_projection(spec, u0_law, theta0, cfg, law="qp"):
                                 lambda th: eye)
     if law == "classic":
         return _simulate_classic(spec, u0_law, plant, theta0, cfg)
-    if law == "qp":
-        def control(th, t):
-            u0v = _checked(u0_law(th, t))
-            return _filtered(u0v, 1.0, *projection_margin(spec, th, u0v),
-                             MIN_NORM, ProjectionError)
-    else:
-        def control(th, t):
-            return inverse_optimal_update(spec, th, u0_law(th, t))
+    beta = 1.0 if law == "qp" else spec.beta_gain
+
+    def control(th, t):
+        u0v = _checked(u0_law(th, t))
+        return _filtered(u0v, beta, *projection_margin(spec, th, u0v),
+                         MIN_NORM, ProjectionError)
     return integrate_ode(plant, spec.bf, control, u0_law, theta0, None, cfg)
 
 

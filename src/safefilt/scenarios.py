@@ -28,10 +28,18 @@ overrides) or a small custom single-state family:
     d      = none | const:<v> | sin:<amp>[:<freq>] (default none)
     dt, T, seed, cost = none | qp-exact:<beta>
 
-No code is ever evaluated from configs; unknown keys or malformed
-values are reported with their line number.
+No code is ever evaluated from configs. Each value is read once, by
+_take and one reader (a number, a whole number, a class-K name, or a
+tag[:a[:b]] form from the table of the tags its key accepts), and every
+refusal of a value, or of an unknown key, is a ConfigError
+"line N: ...", N the line the value is on; several bad values are
+refused at the first in read order. Two refusals name no line: a
+missing key, which has none, and SimConfig's checks of the merged dt,
+T, seed and paths (dt <= 0, a partial last step, ...), which keep their
+own text because command-line overrides feed the same values.
 """
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -187,13 +195,15 @@ def unit_ball_barrier():
         hess=lambda th: -2.0 * np.eye(th.size))
 
 
-def _closed_loop(u_star, u0, x0, cfg, d=None, g1=lambda x: 1.0 + x * x):
+def _closed_loop(u_star, u0, x0, cfg, d=None, plant=None):
     """The closed-form scalar loop dx = u_star(x) + g1(x) d(x, t) with
-    h = -x, through the scalar fast path; u0(x) is recorded as the
-    nominal and d, when given, as the disturbance."""
+    h = -x, through the scalar fast path, g1 the scalar plant's own
+    disturbance gain; u0(x) is recorded as the nominal and d, when
+    given, as the disturbance."""
     if d is None:
         drift = lambda x, t: u_star(x)
     else:
+        g1 = plant._g1
         drift = lambda x, t: u_star(x) + g1(x) * d(x, t)
     return integrate_ode_scalar(drift, x0, cfg, h_fn=lambda x: -x,
                                 u_fn=lambda x, t: u_star(x),
@@ -273,7 +283,8 @@ def run_ex1_dssf(cfg):
     def d_fn(x, t):
         return 0.5 * math.sin(t)
 
-    traj = _closed_loop(u_star, lambda x: 0.0, -1.0, cfg, d=d_fn)
+    traj = _closed_loop(u_star, lambda x: 0.0, -1.0, cfg, d=d_fn,
+                        plant=disturbed_gain_system())
     res = ScenarioResult(records={"ex1-dssf.csv": traj})
     res.put("dssf_min_margin", _dssf_min(traj, linear_extended(1.0),
                                          identity_k()), lo=-DSSF_PASS_TOL)
@@ -340,8 +351,8 @@ def run_ex3_invopt(cfg, beta=2.0, lam=1.0):
     u0_s, u_star, d_star, iospec = _ex3_pieces(beta, lam)
     x0 = -1.2
 
-    traj = _closed_loop(u_star, u0_s, x0, cfg,
-                        d=lambda x, t: d_star(x))
+    traj = _closed_loop(u_star, u0_s, x0, cfg, d=lambda x, t: d_star(x),
+                        plant=disturbed_gain_system())
     cost = CostSpec("disturbance-game", spec=iospec)
     cv = _cost(traj, cost)
     traj.running_cost = cv.running
@@ -379,12 +390,11 @@ def run_ex4_invopt_qp(cfg):
     def d_star(x):
         return lam * max(0.0, x)
 
-    traj = _closed_loop(u_star, lambda x: 2.0, x0, cfg,
-                        d=lambda x, t: d_star(x))
-
     spec = DssfCbfSpec(disturbed_gain_system(), neg_state_barrier(),
                        identity_k(), linear_extended(1.0),
                        lambda x, t: np.array([2.0]))
+    traj = _closed_loop(u_star, lambda x: 2.0, x0, cfg,
+                        d=lambda x, t: d_star(x), plant=spec.sys)
     exact = CostSpec("qp-exact", spec=spec, beta_gain=beta)
     cv_e = _cost(traj, exact)
     weighted = CostSpec("qp-weighted", spec=spec, beta_gain=beta, lam=lam)
@@ -505,8 +515,9 @@ def run_ex6_nssf(cfg):
 
     M = worst_case_covariance(spec, np.array([-1.0]))
     res.report["worst_covariance_at_-1"] = float(M[0, 0])
-    res.report["worst_covariance_min_eig"] = min_eigenvalue(M)
-    res.report["worst_covariance_psd"] = bool(min_eigenvalue(M) >= 0.0)
+    eig = min_eigenvalue(M)
+    res.report["worst_covariance_min_eig"] = eig
+    res.report["worst_covariance_psd"] = bool(eig >= 0.0)
 
     # displayed vs general update: identical for the linear gain,
     # materially different once the gain is nonlinear; one stacked call
@@ -610,7 +621,7 @@ def run_sandwich_scalar(cfg):
     for tag, d_fn in (("free", None),
                       ("forced", lambda x, t: 0.3 * math.sin(t))):
         traj = _closed_loop(u_star, lambda x: -x + max(0.0, -x), x0, cfg,
-                            d=d_fn, g1=lambda x: 1.0)
+                            d=d_fn, plant=spec.sys)
         k, h, d = traj.times.size, traj.h_values, traj.disturbances
         res.put("lower_margin_%s" % tag, float(np.min(
             h - kl[:k] + _sup_gains(spec.rho, d))), lo=-DSSF_PASS_TOL)
@@ -706,11 +717,17 @@ def _sim_config(base, overrides):
         raise ConfigError(str(exc)) from None
 
 
-def builtin_config(name, overrides=None):
+def _builtin(key, name):
+    """name, a built-in id; else a ConfigError listing the known ones."""
     if name not in BUILTINS:
         raise ConfigError("unknown scenario %r (known: %s)"
                           % (name, ", ".join(sorted(BUILTINS))))
-    return _sim_config(BUILTINS[name].defaults, overrides)
+    return name
+
+
+def builtin_config(name, overrides=None):
+    return _sim_config(BUILTINS[_builtin("scenario", name)].defaults,
+                       overrides)
 
 
 def run_builtin(name, overrides=None, out_dir=None):
@@ -746,165 +763,154 @@ def parse_config(path):
     return entries
 
 
-def _take_float(entries, key, default=None):
-    if key not in entries:
-        if default is None:
-            raise ConfigError("missing required key %r" % key)
-        return default
-    val, line = entries.pop(key)
+def _take(entries, key, read, default=None):
+    """Pop key and return read(key, text) of its text, or of default's
+    where the key is absent. A ValueError of read is a ConfigError
+    naming the key's line; an absent key with no default has no line."""
+    text, line = entries.pop(key, (default, 0))
+    if text is None:
+        raise ConfigError("missing required key %r" % key)
     try:
-        return float(val)
+        return read(key, text)
+    except ValueError as exc:
+        raise ConfigError("line %d: %s" % (line, exc)) from None
+
+
+def _number(key, text):
+    try:
+        return float(text)
     except ValueError:
-        raise ConfigError("line %d: %s must be a number, got %r"
-                          % (line, key, val))
+        raise ValueError("%s must be a number, got %r"
+                         % (key, text)) from None
 
 
-def _take_int(entries, key):
+def _whole(key, text):
     """A whole number: an integer literal (exact beyond 2**53), or a
     finite, integral float literal such as 1e3; 1.5, nan and inf are
-    refused. None when the key is absent."""
-    if key not in entries:
-        return None
-    val, line = entries[key]
-    num = _take_float(entries, key)
+    refused."""
+    num = _number(key, text)
     try:
-        return int(val)
+        return int(text)
     except ValueError:
         if num.is_integer():
             return int(num)
-    raise ConfigError("line %d: %s must be a whole number, got %r"
-                      % (line, key, val))
+    raise ValueError("%s must be a whole number, got %r" % (key, text))
 
 
-def _take_str(entries, key, default=None):
-    if key not in entries:
-        if default is None:
-            raise ConfigError("missing required key %r" % key)
-        return default
-    return entries.pop(key)[0]
+def _class_k(from_name):
+    """A reader of a class-K name, by comparison's from_name."""
+    return lambda key, text: from_name(text)
 
 
-def _parse_d(text, line):
-    parts = text.split(":")
-    tag = parts[0]
-    try:
-        args = [float(p) for p in parts[1:]]
-    except ValueError:
-        raise ConfigError("line %d: bad disturbance %r" % (line, text))
-    if tag == "none" and not args:
-        return None
-    if tag == "const" and len(args) == 1:
-        return lambda x, t: args[0]
-    if tag == "sin" and len(args) in (1, 2):
-        amp = args[0]
-        freq = args[1] if len(args) == 2 else 1.0
-        return lambda x, t: amp * math.sin(freq * t)
-    raise ConfigError("line %d: unknown disturbance %r" % (line, text))
+def _tagged(table):
+    """A reader of tag[:a[:b]] values: table maps each tag the key
+    accepts to a function of the tag's numbers, whose parameters give
+    their count and the form a refusal lists. The one number these
+    functions refuse is a gain, through the filters' gain gate."""
+    forms = ", ".join(tag + "".join(
+        (":<%s>" if p.default is p.empty else "[:<%s>]") % p.name
+        for p in inspect.signature(fn).parameters.values())
+        for tag, fn in table.items())
+
+    def read(key, text):
+        tag, *args = text.split(":")
+        try:
+            inspect.signature(table[tag]).bind(*args)
+        except (KeyError, TypeError):
+            raise ValueError("unknown %s %r (%s)" % (key, text, forms)) \
+                from None
+        try:
+            nums = [float(a) for a in args]
+        except ValueError:
+            raise ValueError("bad numeric argument in %r" % text) \
+                from None
+        try:
+            return table[tag](*nums)
+        except ValueError as exc:
+            raise ValueError("bad gain in %r: %s" % (text, exc)) from None
+    return read
+
+
+def _gain(beta):
+    _check_gains(beta)
+    return beta
+
+
+def _const(v):
+    return lambda x, t: np.array([v])
+
+
+_SYSTEMS = _tagged({"integrator": integrator_system,
+                    "disturbed-gain": disturbed_gain_system})
+_U0 = _tagged({"const": _const})
+_FILTERS = _tagged({"qp": lambda: (MIN_NORM, 1.0),
+                    "sontag": lambda: (SONTAG, 1.0),
+                    "half-sontag": lambda: (HALF_SONTAG, 1.0),
+                    "io-qp": lambda beta: (MIN_NORM, _gain(beta))})
+_DISTURBANCES = _tagged({
+    "none": lambda: None, "const": _const,
+    "sin": lambda amp, freq=1.0: lambda x, t: np.array(
+        [amp * math.sin(freq * t)])})
+_COSTS = _tagged({"none": lambda: None, "qp-exact": _gain})
+
+
+def _knobs(entries, keys):
+    """The values of the keys among keys that entries sets; seed and
+    paths are whole numbers."""
+    return {key: _take(entries, key,
+                       _whole if key in ("seed", "paths") else _number)
+            for key in keys if key in entries}
+
+
+def _no_more(entries, form=""):
+    """A ConfigError at the first key that no reader took."""
+    if entries:
+        key, (_, line) = next(iter(entries.items()))
+        raise ConfigError("line %d: unknown key %r%s" % (line, key, form))
 
 
 def run_config(path, overrides=None, out_dir=None):
     entries = parse_config(path)
     if "scenario" in entries:
-        name, line = entries.pop("scenario")
-        if name not in BUILTINS:
-            raise ConfigError("line %d: unknown scenario %r (known: %s)"
-                              % (line, name, ", ".join(sorted(BUILTINS))))
-        values = {key: _take_int(entries, key) if key in ("seed", "paths")
-                  else _take_float(entries, key)
-                  for key in _KNOBS if key in entries}
-        if entries:
-            key, (_, line) = next(iter(entries.items()))
-            raise ConfigError("line %d: unknown key %r for a scenario "
-                              "config" % (line, key))
+        name = _take(entries, "scenario", _builtin)
+        values = _knobs(entries, _KNOBS)
+        _no_more(entries, " for a scenario config")
         return run_builtin(name, _merged(values, overrides), out_dir)
     return _write(_run_custom(entries, overrides), out_dir, "custom")
 
 
-def _gain(text):
-    """The beta of a '<name>:<beta>' value, through the filters' gain gate
-    (beta >= 2)."""
-    try:
-        beta = float(text.split(":", 1)[1])
-    except ValueError:
-        raise ConfigError("bad gain in %r" % text)
-    try:
-        _check_gains(beta)
-    except ValueError as exc:
-        raise ConfigError("bad gain in %r: %s" % (text, exc))
-    return beta
-
-
 def _run_custom(entries, overrides):
-    sys_name = _take_str(entries, "system")
-    if sys_name == "integrator":
-        sys = integrator_system()
-    elif sys_name == "disturbed-gain":
-        sys = disturbed_gain_system()
-    else:
-        raise ConfigError("unknown system %r (integrator, disturbed-gain)"
-                          % sys_name)
-    x0 = _take_float(entries, "x0")
-    u0_text = _take_str(entries, "u0")
-    if not u0_text.startswith("const:"):
-        raise ConfigError("u0 must be const:<v>, got %r" % u0_text)
-    try:
-        u0_val = float(u0_text.split(":", 1)[1])
-    except ValueError:
-        raise ConfigError("bad u0 value in %r" % u0_text)
-    try:
-        alpha = extended_k_from_name(_take_str(entries, "alpha"))
-        rho = k_from_name(_take_str(entries, "rho", "linear:1"))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    filt_text = _take_str(entries, "filter")
-    d_line = entries["d"][1] if "d" in entries else 0
-    d_text = _take_str(entries, "d", "none")
-    dt = _take_float(entries, "dt", 1e-3)
-    T = _take_float(entries, "T", 10.0)
-    seed = _take_int(entries, "seed")
-    cost_text = _take_str(entries, "cost", "none")
-    if entries:
-        key, (_, line) = next(iter(entries.items()))
-        raise ConfigError("line %d: unknown key %r" % (line, key))
-    cost_beta = None
-    if cost_text != "none":
-        if not cost_text.startswith("qp-exact:"):
-            raise ConfigError("unknown cost %r (none, qp-exact:<beta>)"
-                              % cost_text)
-        cost_beta = _gain(cost_text)
+    texts = {key: text for key, (text, _) in entries.items()}
+    sys = _take(entries, "system", _SYSTEMS)
+    x0 = _take(entries, "x0", _number)
+    u0 = _take(entries, "u0", _U0)
+    alpha = _take(entries, "alpha", _class_k(extended_k_from_name))
+    rho = _take(entries, "rho", _class_k(k_from_name), "linear:1")
+    rule, beta = _take(entries, "filter", _FILTERS)
+    d = _take(entries, "d", _DISTURBANCES, "none")
+    knobs = _knobs(entries, ("dt", "T", "seed"))
+    cost_beta = _take(entries, "cost", _COSTS, "none")
+    _no_more(entries)
 
-    cfg = _sim_config({"dt": dt, "T": T, "seed": seed}, overrides)
+    cfg = _sim_config({"dt": 1e-3, "T": 10.0, **knobs}, overrides)
 
     bf = neg_state_barrier()
-    spec = DssfCbfSpec(sys, bf, rho, alpha,
-                       lambda x, t: np.array([u0_val]))
-    cost = (None if cost_beta is None
-            else CostSpec("qp-exact", spec=spec, beta_gain=cost_beta))
-    rules = {"qp": MIN_NORM, "sontag": SONTAG, "half-sontag": HALF_SONTAG}
-    if filt_text in rules:  # the unit-gain filters
-        rule, beta = rules[filt_text], 1.0
-    elif filt_text.startswith("io-qp:"):
-        rule, beta = MIN_NORM, _gain(filt_text)
-    else:
-        raise ConfigError("unknown filter %r (qp, sontag, half-sontag, "
-                          "io-qp:<beta>)" % filt_text)
+    spec = DssfCbfSpec(sys, bf, rho, alpha, u0)
 
     def control(x, t):
         u0v, omega, a = _dssf_at(spec, x, t)
         return _filtered(u0v, beta, omega, a, rule)
 
-    d_fn = _parse_d(d_text, d_line)
-    d_cb = None if d_fn is None else (lambda x, t: np.array([d_fn(x, t)]))
-    traj = integrate_ode(sys, bf, control, spec.u0, np.array([x0]),
-                         d_cb, cfg)
-    res = ScenarioResult({"system": sys_name, "filter": filt_text,
+    traj = integrate_ode(sys, bf, control, spec.u0, np.array([x0]), d, cfg)
+    res = ScenarioResult({"system": texts["system"],
+                          "filter": texts["filter"],
                           "h_min": float(np.nanmin(traj.h_values))},
                          {"trajectory.csv": traj})
     res.put("dssf_min_margin", _dssf_min(traj, alpha, rho), lo=-DSSF_PASS_TOL)
     if traj.escape_time is not None:
         res.report["escape_time"] = traj.escape_time
-    if cost is not None:
-        cv = _cost(traj, cost)
+    if cost_beta is not None:
+        cv = _cost(traj, CostSpec("qp-exact", spec=spec, beta_gain=cost_beta))
         res.report["cost_total"] = cv.total
         res.report["cost_invariance_max"] = (math.nan if cv.infinite
                                              else cv.invariance)

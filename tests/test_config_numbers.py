@@ -56,16 +56,18 @@ def test_library_filters_refuse_an_infinite_gain():
     CostSpec("qp-exact", spec=spec, beta_gain=np.finfo(float).max)
 
 
-@pytest.mark.parametrize("template, value", [(IO_QP, "io-qp:inf"),
-                                             (QP_EXACT, "qp-exact:inf")],
+@pytest.mark.parametrize("template, value, line",
+                         [(IO_QP, "io-qp:inf", 5),
+                          (QP_EXACT, "qp-exact:inf", 6)],
                          ids=["io-qp", "qp-exact"])
 def test_config_with_an_infinite_gain_is_a_config_error(tmp_path, capsys,
-                                                        template, value):
+                                                        template, value,
+                                                        line):
     rc, files = _run(tmp_path, template % "inf")
     assert rc == 2 and files == []
     assert capsys.readouterr().err == (
-        "config error: bad gain in %r: beta_gain inf is not finite\n"
-        % value)
+        "config error: line %d: bad gain in %r: beta_gain inf is not "
+        "finite\n" % (line, value))
 
 
 SCENARIO = "scenario = ex5-stoch\nT = 0.01\npaths = 2\n"

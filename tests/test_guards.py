@@ -32,7 +32,7 @@ def test_io_qp_gain_below_two_is_a_config_error(tmp_path, capsys, gain):
     out_dir.mkdir()
     assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert capsys.readouterr().err == (
-        "config error: bad gain in 'io-qp:%s': beta_gain %s < 2\n"
+        "config error: line 5: bad gain in 'io-qp:%s': beta_gain %s < 2\n"
         % (gain, gain))
     assert list(out_dir.iterdir()) == []
 

@@ -1,5 +1,6 @@
 """Two-sided floor tracking: never lose safety, never overshoot."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,3 +141,27 @@ def test_u0_of_the_wrong_shape_is_a_shape_error():
         with pytest.raises(ValueError, match=r"u0 shape \(1, 1\), "
                                              r"expected \(1,\)"):
             fn(bad, x)
+
+
+def test_gain_separation_margins_never_call_u0():
+    # both read h and the disturbance gain alone: the working spec's
+    # bits under a u0 that raises, and under one that counts, 0 calls
+    spec = sandwich_testbed()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return spec.u0(x)
+
+    def failing(x):
+        raise RuntimeError("u0 failed")
+
+    X = np.linspace(-2.0, 2.0, 9)[:, None]
+    for fn in (gain_separation_margin, stoch_gain_separation_margin):
+        for u0 in (counted, failing):
+            other = dataclasses.replace(spec, u0=u0)
+            for x in (X[2], X):
+                got, want = np.asarray(fn(other, x)), np.asarray(fn(spec, x))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert calls == []
