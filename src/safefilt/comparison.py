@@ -29,6 +29,7 @@ Closed-form functions and pairs, which every built-in uses, never load
 it.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -317,7 +318,8 @@ def _rk4_tube(alpha, r, times):
 
 
 # ---------------------------------------------------------------------------
-# named constructors, also used by the scenario config parser
+# named constructors, and _tagged: the one reader of tag[:a[:b]] names,
+# here and in the scenario config parser
 # ---------------------------------------------------------------------------
 
 def identity_k():
@@ -431,46 +433,57 @@ def power_pair(p, scale=1.0):
         name="power:%g:%g" % (p, scale))
 
 
-def _parse_tag(text):
-    parts = str(text).strip().split(":")
-    tag = parts[0].strip().lower()
-    try:
-        args = [float(a) for a in parts[1:]]
-    except ValueError as exc:
-        raise ValueError("bad numeric argument in %r" % text) from exc
-    return tag, args
+def _tagged(table):
+    """The one reader of tag[:a[:b]] values, for the class-K names here
+    and for every tagged key of a config. table maps each tag the key
+    accepts to a function of the tag's numbers, whose parameters give
+    their count and the forms a refusal lists. The tag is exact (no case
+    folding, no stripping) and is checked with the number of arguments
+    first, then the numbers; read(key, text) refuses, as a ValueError,
+    an unknown tag or arity ("unknown <key> '<text>' (<forms>)"), a
+    number that does not parse ("bad numeric argument in '<text>'") and
+    a number the function refuses ("bad gain in '<text>': <reason>")."""
+    def read(key, text):
+        tag, *args = text.split(":")
+        try:
+            inspect.signature(table[tag]).bind(*args)
+        except (KeyError, TypeError):
+            forms = ", ".join(name + "".join(
+                (":<%s>" if p.default is p.empty else "[:<%s>]") % p.name
+                for p in inspect.signature(fn).parameters.values())
+                for name, fn in table.items())
+            raise ValueError("unknown %s %r (%s)" % (key, text, forms)) \
+                from None
+        try:
+            nums = [float(a) for a in args]
+        except ValueError:
+            raise ValueError("bad numeric argument in %r" % text) \
+                from None
+        try:
+            return table[tag](*nums)
+        except ValueError as exc:
+            raise ValueError("bad gain in %r: %s" % (text, exc)) from None
+    return read
+
+
+_CLASS_K = _tagged({"linear": linear_k, "power": power_k, "eps": eps_power_k})
+_EXTENDED_K = _tagged({"linear": linear_extended, "power": power_extended,
+                       "eps": eps_power_extended,
+                       "piecewise": piecewise_extended})
+_TRANSFORM_PAIR = _tagged({"power": power_pair})
 
 
 def k_from_name(text):
     """Class-K function from a tag: linear:C | power:P[:SCALE] | eps:E."""
-    tag, args = _parse_tag(text)
-    if tag == "linear" and len(args) == 1:
-        return linear_k(args[0])
-    if tag == "power" and len(args) in (1, 2):
-        return power_k(*args)
-    if tag == "eps" and len(args) == 1:
-        return eps_power_k(args[0])
-    raise ValueError("unknown class-K constructor %r" % text)
+    return _CLASS_K("class-K", text)
 
 
 def extended_k_from_name(text):
     """Extended class-K from a tag: linear:C | power:P[:SCALE] | eps:E |
     piecewise:A:B. Power laws continue odd-symmetrically."""
-    tag, args = _parse_tag(text)
-    if tag == "linear" and len(args) == 1:
-        return linear_extended(args[0])
-    if tag == "power" and len(args) in (1, 2):
-        return power_extended(*args)
-    if tag == "eps" and len(args) == 1:
-        return eps_power_extended(args[0])
-    if tag == "piecewise" and len(args) == 2:
-        return piecewise_extended(*args)
-    raise ValueError("unknown extended class-K constructor %r" % text)
+    return _EXTENDED_K("extended class-K", text)
 
 
 def lf_pair_from_name(text):
     """Transform pair from a tag: power:P[:SCALE] with P > 1."""
-    tag, args = _parse_tag(text)
-    if tag == "power" and len(args) in (1, 2):
-        return power_pair(*args)
-    raise ValueError("unknown transform-pair constructor %r" % text)
+    return _TRANSFORM_PAIR("transform pair", text)

@@ -29,17 +29,17 @@ overrides) or a small custom single-state family:
     dt, T, seed, cost = none | qp-exact:<beta>
 
 No code is ever evaluated from configs. Each value is read once, by
-_take and one reader (a number, a whole number, a class-K name, or a
-tag[:a[:b]] form from the table of the tags its key accepts), and every
-refusal of a value, or of an unknown key, is a ConfigError
-"line N: ...", N the line the value is on; several bad values are
-refused at the first in read order. Two refusals name no line: a
-missing key, which has none, and SimConfig's checks of the merged dt,
-T, seed and paths (dt <= 0, a partial last step, ...), which keep their
-own text because command-line overrides feed the same values.
+_take and one reader (a finite number, a whole number, or a
+tag[:a[:b]] form that comparison._tagged reads from the table of the
+tags its key accepts, alpha and rho included), and every refusal of a
+value, or of an unknown key, is a ConfigError "line N: ...", N the
+line the value is on; several bad values are refused at the first in
+read order. Two refusals name no line: a missing key, which has none,
+and SimConfig's checks of the merged dt, T, seed and paths (dt <= 0, a
+partial last step, ...), which keep their own text because
+command-line overrides feed the same values.
 """
 
-import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -50,10 +50,9 @@ import numpy as np
 from .certify import (DSSF_PASS_TOL, CostSpec, CostValue, _sup_gains,
                       certify_dssf_bound, cost_invariance_check,
                       evaluate_cost, mc_summary, trapezoid)
-from .comparison import (decay_tube, identity_k, linear_extended,
-                         extended_k_from_name, k_from_name,
-                         eps_power_extended, piecewise_extended, power_k,
-                         power_pair)
+from .comparison import (_CLASS_K, _EXTENDED_K, _tagged, decay_tube,
+                         eps_power_extended, identity_k, linear_extended,
+                         piecewise_extended, power_k, power_pair)
 from .filters import (HALF_SONTAG, MIN_NORM, SONTAG, DssfCbfSpec,
                       InverseOptimalSpec, _check_gains, _dssf_at, _filtered,
                       hji_residual, inverse_optimal_condition)
@@ -776,59 +775,32 @@ def _take(entries, key, read, default=None):
         raise ConfigError("line %d: %s" % (line, exc)) from None
 
 
-def _number(key, text):
+def _float(text):
+    """float(text), or NaN where text is no number."""
     try:
         return float(text)
     except ValueError:
-        raise ValueError("%s must be a number, got %r"
-                         % (key, text)) from None
+        return math.nan
+
+
+def _number(key, text):
+    num = _float(text)
+    if not math.isfinite(num):
+        raise ValueError("%s must be a finite number, got %r" % (key, text))
+    return num
 
 
 def _whole(key, text):
     """A whole number: an integer literal (exact beyond 2**53), or a
-    finite, integral float literal such as 1e3; 1.5, nan and inf are
-    refused."""
-    num = _number(key, text)
+    finite, integral float literal such as 1e3; 1.5, nan, inf and a
+    word are refused alike."""
     try:
         return int(text)
     except ValueError:
-        if num.is_integer():
-            return int(num)
+        num = _float(text)
+    if num.is_integer():
+        return int(num)
     raise ValueError("%s must be a whole number, got %r" % (key, text))
-
-
-def _class_k(from_name):
-    """A reader of a class-K name, by comparison's from_name."""
-    return lambda key, text: from_name(text)
-
-
-def _tagged(table):
-    """A reader of tag[:a[:b]] values: table maps each tag the key
-    accepts to a function of the tag's numbers, whose parameters give
-    their count and the form a refusal lists. The one number these
-    functions refuse is a gain, through the filters' gain gate."""
-    forms = ", ".join(tag + "".join(
-        (":<%s>" if p.default is p.empty else "[:<%s>]") % p.name
-        for p in inspect.signature(fn).parameters.values())
-        for tag, fn in table.items())
-
-    def read(key, text):
-        tag, *args = text.split(":")
-        try:
-            inspect.signature(table[tag]).bind(*args)
-        except (KeyError, TypeError):
-            raise ValueError("unknown %s %r (%s)" % (key, text, forms)) \
-                from None
-        try:
-            nums = [float(a) for a in args]
-        except ValueError:
-            raise ValueError("bad numeric argument in %r" % text) \
-                from None
-        try:
-            return table[tag](*nums)
-        except ValueError as exc:
-            raise ValueError("bad gain in %r: %s" % (text, exc)) from None
-    return read
 
 
 def _gain(beta):
@@ -884,8 +856,8 @@ def _run_custom(entries, overrides):
     sys = _take(entries, "system", _SYSTEMS)
     x0 = _take(entries, "x0", _number)
     u0 = _take(entries, "u0", _U0)
-    alpha = _take(entries, "alpha", _class_k(extended_k_from_name))
-    rho = _take(entries, "rho", _class_k(k_from_name), "linear:1")
+    alpha = _take(entries, "alpha", _EXTENDED_K)
+    rho = _take(entries, "rho", _CLASS_K, "linear:1")
     rule, beta = _take(entries, "filter", _FILTERS)
     d = _take(entries, "d", _DISTURBANCES, "none")
     knobs = _knobs(entries, ("dt", "T", "seed"))

@@ -107,8 +107,9 @@ class SimConfig:
             object.__setattr__(self, name, int(v))
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if not math.isfinite(self.escape_threshold):
-            raise ValueError("escape_threshold must be finite")
+        if not 0.0 < self.escape_threshold < math.inf:  # a NaN fails too
+            raise ValueError("escape_threshold must be positive and finite, "
+                             "got %r" % self.escape_threshold)
         if not math.isfinite(self.T):
             raise ValueError("T must be finite")
         if self.T < self.dt:

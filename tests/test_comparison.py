@@ -307,5 +307,6 @@ def test_lf_pair_from_name():
     assert pair.gamma(3.0) == 9.0
     with pytest.raises(ValueError):
         lf_pair_from_name("power:1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unknown class-K 'nosuch:1' "
+                       r"\(linear:<c>, power:<p>\[:<scale>\], eps:<eps>\)"):
         k_from_name("nosuch:1")

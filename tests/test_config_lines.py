@@ -23,12 +23,17 @@ SCENARIO = {"scenario": "blowup", "dt": "2e-3", "T": "1", "seed": "0",
 CASES = [
     ("custom", "system", "bogus"),
     ("custom", "x0", "-0.5x"),
+    ("custom", "x0", "nan"),
+    ("custom", "x0", "inf"),
     ("custom", "u0", "linear:1"),
     ("custom", "u0", "const:one"),
     ("custom", "alpha", "warp:1"),
     ("custom", "alpha", "linear:-1"),
+    ("custom", "alpha", "LINEAR:2"),
+    ("custom", "alpha", "linear :2"),
     ("custom", "rho", "piecewise:1:3"),
     ("custom", "rho", "linear:x"),
+    ("custom", "rho", "Power:2"),
     ("custom", "filter", "lqr"),
     ("custom", "filter", "io-qp:1.5"),
     ("custom", "filter", "io-qp:nan"),
@@ -66,6 +71,25 @@ def test_malformed_value_is_refused_on_its_line(tmp_path, capsys, form,
     assert out == "" and list(out_dir.iterdir()) == []
     assert err.startswith("config error: line %d: " % line)
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("key, value, forms", [
+    ("alpha", "warp:x", "linear:<c>, power:<p>[:<scale>], eps:<eps>, "
+                        "piecewise:<a>:<b>"),
+    ("d", "square:x", "none, const:<v>, sin:<amp>[:<freq>]"),
+], ids=["alpha", "d"])
+def test_an_unknown_tag_is_refused_with_its_forms(tmp_path, capsys, key,
+                                                  value, forms):
+    # alpha's tags are read by the same rule as d's: the tag before its
+    # numbers, and a refusal that lists the forms the key accepts
+    entries = dict(CUSTOM, **{key: value})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    line = list(entries).index(key) + 1
+    assert capsys.readouterr().err == (
+        "config error: line %d: unknown %s %r (%s)\n"
+        % (line, key, value, forms))
 
 
 @pytest.mark.parametrize("form", ["custom", "scenario"])

@@ -334,7 +334,7 @@ def test_record_failure_is_wrapped_with_cause(kind):
     assert "t=0.3" in str(err.value)
 
 
-@pytest.mark.parametrize("thr", [math.inf, math.nan])
+@pytest.mark.parametrize("thr", [math.inf, math.nan, 0.0, -1.0])
 def test_escape_threshold_must_be_finite(thr):
     with pytest.raises(ValueError, match="escape_threshold"):
         SimConfig(dt=0.1, T=1.0, escape_threshold=thr)
