@@ -19,7 +19,8 @@ from .comparison import (DomainError, ExtendedKFunction, KFunction,
 from .systems import (BarrierFunction, ControlAffineSystem, LieData,
                       ModelBlowup, SafefiltError, check_gradient, lie_data,
                       lie_data_rows, scalar_system, stacked)
-from .filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec, Weight,
+from .filters import (CBF, DSSF, HALF_SONTAG, MIN_NORM, SONTAG, CbfViolation,
+                      DssfCbfSpec, Filter, InverseOptimalSpec, Weight,
                       half_sontag_filter, hji_residual,
                       inverse_optimal_condition, inverse_optimal_general,
                       inverse_optimal_qp, omega_dssf, pi_gap, qp_filter,
@@ -27,12 +28,12 @@ from .filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec, Weight,
                       qp_worst_case_disturbance, scp_diagnostic,
                       sontag_filter, sontag_kappa, state_penalty_l,
                       worst_case_disturbance)
-from .reciprocal import (RcbfSpec, RcbfViolation, omega_tilde,
+from .reciprocal import (RECIPROCAL, RcbfSpec, RcbfViolation, omega_tilde,
                          rcbf_condition, rcbf_inverse_optimal,
                          rcbf_penalty_bound_gap, rcbf_penalty_l,
                          rcbf_qp_filter, rcbf_weights)
-from .stochastic import (CovarianceSchedule, NssfSpec, ScbfViolation,
-                         StochSpec, generator_h, hjb_residual,
+from .stochastic import (GENERATOR, NSSF, CovarianceSchedule, NssfSpec,
+                         ScbfViolation, StochSpec, generator_h, hjb_residual,
                          min_eigenvalue, nsbf_premise, nssf_condition,
                          nssf_hji_residual, nssf_inverse_optimal,
                          nssf_qp_filter, nssf_sontag_filter,
@@ -40,9 +41,10 @@ from .stochastic import (CovarianceSchedule, NssfSpec, ScbfViolation,
                          stoch_inverse_optimal, stoch_io_condition,
                          stoch_qp_filter, stoch_sontag_filter,
                          stoch_state_penalty_l, worst_case_covariance)
-from .projection import (ProjectionError, ProjectionSpec, classic_projection,
-                         inverse_optimal_update, projection_penalty_l,
-                         qp_projection, simulate_projection)
+from .projection import (PROJECTION, ProjectionError, ProjectionSpec,
+                         classic_projection, inverse_optimal_update,
+                         projection_penalty_l, qp_projection,
+                         simulate_projection)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, omega0, omega_no,
                            sandwich_filter, stoch_gain_separation_margin,

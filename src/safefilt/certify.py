@@ -28,18 +28,23 @@ running integral is that infinity from the first interval that touches
 such a sample on.
 
 Cost kinds ("selector" strings accepted from configs). The five with
-a factor c share one evaluator, _min_norm: integrand c (l - R|u - u0|^2)
-with (R, l) of filters.rule_certificate under the kind's correction
-rule, and terminal -2 beta direction h. The intro kinds are its
-normalised instances on the introduction plant dx = u dt, h = -x, their
-data read off the record: c = -1/(2 beta) and h/(2 beta) in the
-terminal, so the value is x0.
+a factor c share one evaluator, _min_norm, which takes a margin family
+of `filters` (Family) and the kind's rule and gain: the certificate of
+that filter value, Filter(family, spec, rule, beta).certificate, over
+the family data (omega, a, alpha(h), h, c) stacked over the record,
+gives the integrand c (l - R|u - u0|^2), with (R, l) of
+filters.rule_certificate, and the terminal -2 beta direction h.
+qp-exact reads the CBF family, reciprocal-min RECIPROCAL and
+projection-min PROJECTION. The intro kinds are its normalised instances
+on the introduction plant dx = u dt, h = -x, a family of their own
+whose data is read off the record: c = -1/(2 beta) and h/(2 beta) in
+the terminal, so the value is x0.
 
     intro-min                     min-norm rule, beta = 2, c = -1/4
     intro-sontag                  Sontag rule, beta = 1, c = -1/2
     disturbance-game              general weights, terminal 2*beta*h
     qp-weighted                   min-norm displayed weights (drifts)
-    qp-exact                      disturbance-free certificate, c = 1
+    qp-exact                      CBF family (no disturbance), c = 1
     reciprocal-min                h = 1/B, c = -h^2 (minimized mirror)
     stochastic-value              Ito value, E J = 2*beta*h(x0)
     noise-game                    covariance-adversarial variant
@@ -53,14 +58,13 @@ from typing import Optional
 import numpy as np
 
 from .comparison import decay_tube, elementwise
-from .filters import (MIN_NORM, SONTAG, _check_gains, game_weights, margin,
-                      min_norm_weights, rule_certificate)
-from .projection import _projection_min_data
-from .reciprocal import _reciprocal_min_data
+from .filters import (CBF, MIN_NORM, SONTAG, CbfViolation, Family, Filter,
+                      _check_gains, game_weights, margin, min_norm_weights)
+from .projection import PROJECTION
+from .reciprocal import RECIPROCAL
 from .sim import _ode_rows
 from .stochastic import nssf_weights, stoch_weights
-from .systems import (_as_state, call_rows, first_order_lie_rows, row_dot,
-                      row_norm, vecmat)
+from .systems import _as_state, call_rows, row_dot, row_norm, vecmat
 
 DSSF_PASS_TOL = 1e-4        # disturbance-to-state margin may dip this far
 PROBE_TOL = 1e-6            # optimality probes must not beat J_opt by more
@@ -191,24 +195,15 @@ def _qp_weighted_terms(traj, cost):
             2.0 * beta * traj.h_values)
 
 
-def _qp_exact_data(spec, x, u0v):
-    """qp-exact's certificate data (omega, Lg2h, alpha(h), h, c = 1),
-    stacked over the rows of x and u0v."""
-    ld = first_order_lie_rows(spec.sys, spec.bf, x)
-    alpha_h = elementwise(spec.alpha, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
-
-
-def _min_norm(data, rule=MIN_NORM, beta=None):
-    """The evaluator of a cost kind certified by filters.rule_certificate
-    under rule, whose data(spec, x, u0v) is (omega, a, alpha(h), h, c)
-    stacked over the samples: integrand c (l - R|u - u0|^2), terminal
-    -2 beta direction h; beta is the kind's own fixed gain, or the
-    CostSpec's where None."""
+def _min_norm(family, rule=MIN_NORM, beta=None):
+    """The evaluator of a cost kind certified by the filter (family, spec,
+    rule, beta): Filter.certificate over the family data stacked over the
+    samples, integrand c (l - R|u - u0|^2), terminal -2 beta direction h;
+    beta is the kind's own fixed gain, or the CostSpec's where None."""
     def terms(traj, cost):
         gain = cost.beta_gain if beta is None else beta
-        omega, a, alpha_h, h, c = data(cost.spec, traj.states, traj.nominal)
-        R, l = rule_certificate(rule, gain, omega, a, alpha_h)
+        R, l, h, c = Filter(family, cost.spec, rule, gain).certificate(
+            traj.states, traj.nominal)
         ctrl, inf = _paired(R, _dev_sq(traj))
         maximized = np.asarray(c > 0.0)
         return (c * l - c * ctrl,  # c l: the kind's own penalty, exactly
@@ -220,17 +215,16 @@ def _min_norm(data, rule=MIN_NORM, beta=None):
 def _intro(rule, beta):
     """An intro kind: the rule instance of _min_norm at the fixed gain
     beta on the introduction plant dx = u dt with h = -x (Lfh = 0,
-    Lg2h = -1, alpha(h) = h), its data read off the record's states and
-    nominal values. c = -1/(2 beta) and the terminal's h/(2 beta)
-    normalise the value to x0; both scales are powers of two, so they
-    are exact (above the subnormals)."""
+    Lg2h = -1, alpha(h) = h), its family data read off the record's
+    states and nominal values. c = -1/(2 beta) and the terminal's
+    h/(2 beta) normalise the value to x0; both scales are powers of two,
+    so they are exact (above the subnormals)."""
     s = 0.5 / beta
 
-    def data(spec, x, u0v):
-        h = -x[:, 0]
-        return (margin(-0.0, np.full(u0v.shape, -1.0), u0v, h)
-                + (h, s * h, -s))
-    return _min_norm(data, rule, beta)
+    def formula(spec, h, u0v):
+        return margin(-0.0, np.full(u0v.shape, -1.0), u0v, h) + (h, s * h, -s)
+    return _min_norm(Family(lambda spec, x: -x[:, 0], formula, CbfViolation),
+                     rule, beta)
 
 
 def _ito_value_terms(traj, cost):
@@ -262,11 +256,11 @@ _KINDS = {
     "intro-sontag": (+1, _intro(SONTAG, 1.0), None, None),
     "disturbance-game": (-1, _disturbance_game_terms, "spec", "spec"),
     "qp-weighted": (-1, _qp_weighted_terms, 2.0, 2.0),
-    "qp-exact": (-1, _min_norm(_qp_exact_data), 2.0, None),
-    "reciprocal-min": (+1, _min_norm(_reciprocal_min_data), "spec", None),
+    "qp-exact": (-1, _min_norm(CBF), 2.0, None),
+    "reciprocal-min": (+1, _min_norm(RECIPROCAL), "spec", None),
     "stochastic-value": (-1, _ito_value_terms, "spec", None),
     "noise-game": (-1, _ito_value_terms, "spec", "spec"),
-    "projection-min": (+1, _min_norm(_projection_min_data), "spec", None),
+    "projection-min": (+1, _min_norm(PROJECTION), "spec", None),
 }
 COST_KINDS = tuple(_KINDS)
 COST_DIRECTION = {kind: row[0] for kind, row in _KINDS.items()}

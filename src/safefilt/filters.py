@@ -1,18 +1,36 @@
 """Deterministic safety filters and their optimality certificates.
 
-Every filter in the package is one margin, one direction and one rule.
-The margin is one formula, `margin`:
+Every library filter is one margin, one direction and one rule. The
+margin is one formula, `margin`:
 
     omega = drift + a.u0 [+ side] + alpha(h)
 
-and each filter supplies only its drift, direction a and side term:
-(Lfh, Lg2h, -||Lg1h|| budget(rho, -h)) here (dssf_margin), for the plant
-dx = (f + g1 d + g2 u) dt with barrier h and safe set {h >= 0}, where
-budget(rho, r) = rho^{-1}(max{0, r}); (-LfB, -LgB) for reciprocal
-barriers; (0, grad h) for projection; the trace or Frobenius side terms
-in `stochastic`. omega >= 0 where u0 is already safe; a correction v
-moves the margin to omega + a.v, and `correct` turns (omega, a) into
-v = k a by one rule, which is only its factor k(omega, q), q = |a|^2:
+and a margin family (Family) writes its data once, for the plant
+dx = (f + g1 d + g2 u) dt with barrier h and safe set {h >= 0}:
+read(spec, x) reads the state data (the Lie data), formula(spec, ld,
+u0v) gives the family data
+
+    (omega, a, alpha(h), h, c)
+
+from it at the nominal values u0v, and data(spec, x, u0v) is the two in
+turn, at one state or per row of a stack. c is the factor of the
+family's certificate cost. Its filters raise its one violation class.
+
+    family      drift, a      side                           c     module
+    CBF         Lfh, Lg2h     none                           1     here
+    DSSF        Lfh, Lg2h     -||Lg1h|| budget(rho, -h)      1     here
+    GENERATOR   Lfh, Lg2h     the trace term                 1     stochastic
+    NSSF        Lfh, Lg2h     -0.5 ||g1'Hg1||_F budget(...)  1     stochastic
+    RECIPROCAL  -LfB, -LgB    none, in h = 1/B               -h^2  reciprocal
+    PROJECTION  0, grad h     none                           -1    projection
+
+with budget(rho, r) = rho^{-1}(max{0, r}); no other code adds a side
+term to a floor margin. dssf_margin, cbf_margin, generator_margin,
+nssf_margin, reciprocal_margin and projection_margin are the first two
+fields, and the omega_* readers the first at u0(x, t). omega >= 0
+where u0 is already safe; a correction v moves the margin to
+omega + a.v, and `correct` turns (omega, a) into v = k a by one rule,
+which is only its factor k(omega, q), q = |a|^2:
 
     MIN_NORM     k = max{0, -omega}/q (the QP)
     SONTAG       k = kappa(omega, q), Sontag's universal formula
@@ -31,31 +49,50 @@ penalty l with
 along u = u0 + beta k a, by completing the square (the inverse
 optimality of Freeman and Kokotovic, which covers Sontag's formula
 too): R = 1/k and l = 2 beta (alpha(h) - omega) - beta^2 k q, for any
-factor k >= 0 (_certificate). Every cost kind of `certify` with a
-margin of this form integrates it. Every filter that returns the full
-control takes one step, _filtered:
+factor k >= 0 (_certificate).
 
-    u = u0 + beta correct(omega, a)
+A library filter is one value, Filter(family, spec, rule, gain), gain
+>= 1. Called at (x, t), on one state or an (N, n) stack, it takes the
+one step _filtered of every filter that returns the full control,
 
-with beta = 1 for the plain filters (half-Sontag, the NSSF Sontag
-law, the sandwich filters, the projection's sliding and qp laws) and
-the spec's beta_gain for the scaled min-norm laws (inverse_optimal_qp,
-rcbf_qp_filter, stoch_qp_filter, nssf_qp_filter, the projection's
-inverse_optimal_update; inverse-optimal where beta >= 2). At one state
-of width one (m2 = 1) the step is float arithmetic in the array
-expression's order, u0 + beta (k a) with correct's factor k, and gives
-its bits; where the result is not finite it is the array expression's
-own result, so a NaN keeps the array's sign and payload and numpy's
-warnings stay the array's. This is the module's only width-one float
-route: every filter's step takes it, so that is where the width-one
-calls are. Stacks and wider controls take the array expression, and so
-do _weighted's R^{-1} a for a 1x1 weight and the worst-case
-disturbances' s Lg1h / ||Lg1h||, at every width.
+    u = u0 + gain correct(omega, a, rule)
 
-  * qp_filter          min-norm correction
-  * sontag_filter      universal-formula correction term
-  * half_sontag_filter nominal plus half the universal correction
-  * inverse_optimal_*  scaled corrections that minimize a meaningful cost
+on the family data at u0 = spec.u0(x, t) (the state data read first),
+and its certificate(x, u0v) is rule_certificate over the same data,
+with h and c: the cost kinds of `certify` with a margin of this form
+integrate it. The 13 public laws of this form are each one line over
+the family step, _apply, or over the family data, and build no value
+per call; four return the correction k a alone, at gain 1:
+
+    law                     family      rule         gain            returns
+    qp_filter               DSSF        min-norm     1               correction
+    sontag_filter           DSSF        Sontag       1               correction
+    half_sontag_filter      DSSF        half-Sontag  1               control
+    inverse_optimal_qp      DSSF        min-norm     beta_gain       control
+    stoch_qp_filter         GENERATOR   min-norm     spec.beta_gain  control
+    stoch_sontag_filter     GENERATOR   Sontag       1               correction
+    nssf_qp_filter          NSSF        min-norm     spec.beta_gain  control
+    nssf_sontag_filter      NSSF        Sontag       1               control
+    rcbf_qp_filter          RECIPROCAL  min-norm     spec.beta_gain  control
+    qp_projection           PROJECTION  min-norm     1               correction
+    inverse_optimal_update  PROJECTION  min-norm     spec.beta_gain  control
+    sandwich_filter         DSSF        min-norm     1               control
+    stoch_sandwich_filter   NSSF        min-norm     1               control
+
+(stoch_sandwich_filter's exact_trace takes GENERATOR). The projection
+laws take the nominal value itself and the sandwich laws read u0 of the
+state alone, so they take the step on that nominal; a Filter over a
+spec whose u0 takes (x, t) gives the same control. Beta >= 2 makes a
+min-norm law inverse-optimal. At one state of width one (m2 = 1) the
+step is float arithmetic in the array expression's order, u0 + beta
+(k a) with correct's factor k, and gives its bits; where the result is
+not finite it is the array expression's own result, so a NaN keeps the
+array's sign and payload and numpy's warnings stay the array's. This
+is the module's only width-one float route: every filter's step takes
+it, so that is where the width-one calls are. Stacks and wider controls
+take the array expression, and so do _weighted's R^{-1} a for a 1x1
+weight and the worst-case disturbances' s Lg1h / ||Lg1h||, at every
+width.
 
 The inverse-optimal layer is one value equation for three games. Each
 takes the value V = 2 beta h and the weighted direction R2^{-1} Lg2h',
@@ -73,15 +110,17 @@ S = Lg2h R2^{-1} Lg2h', and supplies (drift, adv, ctrl):
 beta >= 2 certifies optimality; allow_safety_only admits beta >= 1.
 The control laws (u0 + beta R2^{-1} Lg2h' here, the Ito laws in
 `stochastic`) read only the weights (_game_weights: the gain gate, the
-Lie data and R2^{-1} Lg2h', S); the value equation (_value_game) is
-built on them for the penalties, residuals and premises.
+Lie data that a family reads and R2^{-1} Lg2h', S); the value equation
+(_value_game) is built on them for the penalties, residuals and
+premises.
 
 Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
-it takes first-order Lie data (systems.first_order_lie, through _lie1),
-and the barrier Hessian is never called here. The Ito terms are for
-`stochastic`: its games pass _lie, the full lie_data, to the one value
-equation, _value_game, which evaluates whichever Lie data its game
-hands it.
+it takes first-order Lie data (systems.first_order_lie, through _lie1:
+the read of the CBF and DSSF families, which the disturbance game
+reads too), and the barrier Hessian is never called here. The Ito terms
+are for `stochastic`: its games read the full lie_data through the
+GENERATOR and NSSF families, and the one value equation, _value_game,
+evaluates whichever Lie data its game's family reads.
 
 One convention holds for every margin, filter, premise, weight and
 penalty of the package: each takes one (n,) state or an (N, n) stack of
@@ -315,6 +354,61 @@ def _weighted(weight, x, u0v, a):
     return R, ra, row_dot(a, ra)
 
 
+class Family(namedtuple("Family", "read formula error")):
+    """A margin family: read(spec, x) reads its state data (the Lie data)
+    at a state or at each row of a stack, formula(spec, ld, u0v) gives
+    the family data (omega, a, alpha(h), h, c) from that data at nominal
+    values u0v, and error is the violation class its filters raise."""
+
+    def data(self, spec, x, u0v):
+        """(omega, a, alpha(h), h, c) at states x and nominal values u0v."""
+        return self.formula(spec, self.read(spec, x), u0v)
+
+
+def _at(family, spec, x, t):
+    """(state data, u0) at (x, t), or their stacks: the family's state
+    data read first, then u0 = spec.u0(x, t)."""
+    return family.read(spec, x), _u0_at(spec, x, t)
+
+
+def _apply(family, spec, rule, gain, x, t, nominal=_u0_at):
+    """u0 + gain correct(omega, a, rule, family.error) on the family's
+    margin at (x, t): the family step, which every library filter that
+    returns the full control takes. The state data is read first, then
+    u0 = nominal(spec, x, t), spec.u0(x, t) unless the caller reads its
+    nominal otherwise."""
+    ld = family.read(spec, x)
+    u0v = nominal(spec, x, t)
+    omega, a = family.formula(spec, ld, u0v)[:2]
+    return _filtered(u0v, gain, omega, a, rule, family.error)
+
+
+@dataclass(frozen=True)
+class Filter:
+    """A library safety filter as one value (family, spec, rule, gain);
+    gain >= 1. Called at (x, t), one (n,) state or an (N, n) stack, it
+    returns the full control u0 + gain correct(omega, a, rule) on the
+    family's margin at u0 = spec.u0(x, t), one row per state, and raises
+    the family's violation class. certificate gives its certificate over
+    the same family data."""
+    family: Family
+    spec: object
+    rule: str = MIN_NORM
+    gain: float = 1.0
+
+    def __post_init__(self):
+        _check_gains(self.gain, safety_only=True)
+
+    def __call__(self, x, t):
+        return _apply(self.family, self.spec, self.rule, self.gain, x, t)
+
+    def certificate(self, x, u0v):
+        """(R, l, h, c): rule_certificate's weight R and penalty l at
+        states x and nominal values u0v, with the family data's h and c."""
+        omega, a, alpha, h, c = self.family.data(self.spec, x, u0v)
+        return rule_certificate(self.rule, self.gain, omega, a, alpha) + (h, c)
+
+
 @dataclass(frozen=True)
 class DssfCbfSpec:
     """Disturbance-robust barrier problem: system, barrier, gains, nominal.
@@ -330,30 +424,47 @@ class DssfCbfSpec:
     u0: Callable
 
 
+def _reads(lie):
+    """The read(spec, x) of a family on the Lie data lie(sys, bf, x) of
+    spec's plant and barrier: _lie1, or _lie with the Ito terms."""
+    return lambda spec, x: lie(spec.sys, spec.bf, x)
+
+
+def _on_lie(spec, ld, u0v, side=-0.0, alpha=None):
+    """(omega, Lg2h, alpha(h), h, 1): the margin on Lie data ld with the
+    side term side, the formula of the four Lie families; alone, the
+    CBF family's, omega = Lfh + Lg2h.u0 + alpha(h). alpha defaults to
+    spec.alpha (the sandwich's upper edges pass alpha0)."""
+    alpha_h = elementwise(spec.alpha if alpha is None else alpha, ld.h_val)
+    omega, a = margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side)
+    return omega, a, alpha_h, ld.h_val, 1.0
+
+
+def _dssf(spec, ld, u0v, rinv=None):
+    """The DSSF family's data: side -||Lg1h|| rinv, rinv = budget(rho,
+    -h) unless the caller has it."""
+    rinv = budget(spec.rho, -ld.h_val) if rinv is None else rinv
+    return _on_lie(spec, ld, u0v, -(row_norm(ld.Lg1h) * rinv))
+
+
+CBF = Family(_reads(_lie1), _on_lie, CbfViolation)
+DSSF = Family(_reads(_lie1), _dssf, CbfViolation)
+
+
 def dssf_margin(spec, ld, u0v):
-    """(omega, Lg2h) with the robust margin, side -||Lg1h|| budget(rho,
-    -h); any spec with rho and alpha, so also the deterministic sandwich
-    floor."""
-    robust = row_norm(ld.Lg1h) * budget(spec.rho, -ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
-                  -robust)
+    """(omega, Lg2h) of the DSSF family at Lie data ld; any spec with rho
+    and alpha, so also the deterministic sandwich floor."""
+    return _dssf(spec, ld, u0v)[:2]
 
 
 def cbf_margin(spec, ld, u0v):
-    """(omega, Lg2h) with the disturbance-free margin
-    omega = Lfh + Lg2h.u0 + alpha(h)."""
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val))
-
-
-def _dssf_at(spec, x, t):
-    ld = _lie1(spec.sys, spec.bf, x)
-    u0v = _u0_at(spec, x, t)
-    return (u0v,) + dssf_margin(spec, ld, u0v)
+    """(omega, Lg2h) of the CBF family at Lie data ld."""
+    return _on_lie(spec, ld, u0v)[:2]
 
 
 def omega_dssf(spec, x, t):
     """The robust safety margin omega(x, u0(x,t))."""
-    return _dssf_at(spec, x, t)[1]
+    return dssf_margin(spec, *_at(DSSF, spec, x, t))[0]
 
 
 def qp_filter(spec, x, t):
@@ -362,8 +473,7 @@ def qp_filter(spec, x, t):
     Zero when the margin is already nonnegative, otherwise the unique
     minimizer of |ubar|^2 subject to omega + Lg2h.ubar >= 0.
     """
-    _, omega, a = _dssf_at(spec, x, t)
-    return correct(omega, a)
+    return correct(*dssf_margin(spec, *_at(DSSF, spec, x, t)))
 
 
 def qp_filter_affine_form(spec, x, t):
@@ -374,7 +484,8 @@ def qp_filter_affine_form(spec, x, t):
     direction, so for m2 = 1 the nominal is overridden entirely. At one
     state only.
     """
-    u0v, omega, a = _dssf_at(spec, x, t)
+    ld, u0v = _at(DSSF, spec, x, t)
+    omega, a = dssf_margin(spec, ld, u0v)
     correct(omega, a)  # the authority guard
     m2 = spec.sys.m2
     if omega >= 0.0:
@@ -384,17 +495,10 @@ def qp_filter_affine_form(spec, x, t):
     return chi0, -((omega - row_dot(a, u0v)) / q) * a, True
 
 
-def sontag_filter(spec, x, t, include_u0=True):
-    """Universal-formula correction term kappa(omega, q) * Lg2h.
-
-    include_u0 picks whether omega is evaluated with the nominal drift
-    (filter acts as a correction on top of u0) or without it (filter is
-    the whole control). Either way only the correction is returned.
-    """
-    u0v, omega, a = _dssf_at(spec, x, t)
-    if not include_u0:
-        omega = omega - row_dot(a, u0v)
-    return correct(omega, a, SONTAG)
+def sontag_filter(spec, x, t):
+    """Universal-formula correction term kappa(omega, q) * Lg2h; the
+    correction only, not u0 + correction."""
+    return correct(*dssf_margin(spec, *_at(DSSF, spec, x, t)), SONTAG)
 
 
 def half_sontag_filter(spec, x, t):
@@ -403,8 +507,7 @@ def half_sontag_filter(spec, x, t):
     Solves the conservative pointwise constraint
     0.5*(omega - sqrt(omega^2 + q^2)) + Lg2h.v = 0 with minimum norm.
     """
-    u0v, omega, a = _dssf_at(spec, x, t)
-    return _filtered(u0v, 1.0, omega, a, HALF_SONTAG)
+    return _apply(DSSF, spec, HALF_SONTAG, 1.0, x, t)
 
 
 def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
@@ -414,8 +517,7 @@ def inverse_optimal_qp(spec, beta_gain, x, t, allow_safety_only=False):
     escape hatch allows beta_gain >= 1, which still certifies safety.
     """
     _check_gains(beta_gain, allow_safety_only)
-    u0v, omega, a = _dssf_at(spec, x, t)
-    return _filtered(u0v, beta_gain, omega, a)
+    return _apply(DSSF, spec, MIN_NORM, beta_gain, x, t)
 
 
 @dataclass(frozen=True)
@@ -445,22 +547,22 @@ _Game = namedtuple("_Game", _Weights._fields + ("drift", "adv", "ctrl", "l",
                                                 "residual"))
 
 
-def _game_weights(spec, lie, sys, bf, x, u0v):
+def _game_weights(spec, family, base, x, u0v):
     """The weights of a game at state x and nominal value u0v: the gain
-    gate on spec (beta_gain, allow_safety_only), the Lie data lie(sys,
-    bf, x) (_lie1 or _lie) and (R, R^{-1} Lg2h', S) of _weighted with
-    spec.R2."""
+    gate on spec (beta_gain, allow_safety_only), the Lie data that the
+    family reads on base's plant and barrier (family.read(base, x)) and
+    (R, R^{-1} Lg2h', S) of _weighted with spec.R2."""
     _check_gains(spec.beta_gain, spec.allow_safety_only)
-    ld = lie(sys, bf, x)
+    ld = family.read(base, x)
     return _Weights(ld, *_weighted(spec.R2, x, u0v, ld.Lg2h))
 
 
-def _value_game(spec, lie, sys, bf, lam, x, u0v, supply):
+def _value_game(spec, family, base, lam, x, u0v, supply):
     """The game at state x and nominal value u0v: _game_weights, then
     the value equation of the module docstring; supply(ld, Lfh +
     Lg2h.u0, S) returns the game's (drift, adv, ctrl)."""
     beta = spec.beta_gain
-    w = _game_weights(spec, lie, sys, bf, x, u0v)
+    w = _game_weights(spec, family, base, x, u0v)
     drift, adv, ctrl = supply(w.ld, w.ld.Lfh + row_dot(w.ld.Lg2h, u0v), w.S)
     l = (-2.0 * beta * (drift - adv + ctrl)
          - beta * (2.0 - lam) * adv
@@ -477,9 +579,8 @@ def _premise(game, alpha):
 
 def _io_game(iospec, x, u0v):
     """The disturbance game: (drift, ell_gamma(2||Lg1h||), S)."""
-    base = iospec.base
-    return _value_game(iospec, _lie1, base.sys, base.bf, iospec.lam, x,
-                       u0v, lambda ld, drift, S: (drift, elementwise(
+    return _value_game(iospec, DSSF, iospec.base, iospec.lam, x, u0v,
+                       lambda ld, drift, S: (drift, elementwise(
                            iospec.gamma.ell, 2.0 * row_norm(ld.Lg1h)), S))
 
 
@@ -488,7 +589,7 @@ def inverse_optimal_general(iospec, x, t):
     base = iospec.base
     u0v = _u0_at(base, x, t)
     return u0v + iospec.beta_gain * _game_weights(
-        iospec, _lie1, base.sys, base.bf, x, u0v).ra
+        iospec, DSSF, base, x, u0v).ra
 
 
 def inverse_optimal_condition(iospec, x, t):
@@ -632,14 +733,12 @@ def min_norm_certificate(beta, omega, a, alpha_h):
 def min_norm_weights(spec, x, u0v, beta_gain, lam):
     """qp_weights at state x and nominal value u0v, or at each row of
     their stacks."""
-    ld = _lie1(spec.sys, spec.bf, x)
+    ld = DSSF.read(spec, x)
     rinv = budget(spec.rho, -ld.h_val)
-    nrm = row_norm(ld.Lg1h)
-    alpha_h = elementwise(spec.alpha, ld.h_val)
-    omega, a = margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, -(nrm * rinv))
+    omega, a, alpha_h = _dssf(spec, ld, u0v, rinv)[:3]
     l = (2.0 * beta_gain * alpha_h
          + beta_gain * _min(beta_gain * omega, -2.0 * omega)
-         - beta_gain * (2.0 - lam) * nrm * rinv)
+         - beta_gain * (2.0 - lam) * row_norm(ld.Lg1h) * rinv)
     return (Weight.ratio(1.0, rinv),
             min_norm_certificate(beta_gain, omega, a, alpha_h)[0], l)
 
@@ -662,13 +761,10 @@ def scp_diagnostic(spec, points, t=0.0):
     means the barrier loses control authority somewhere it matters.
     Each point is filtered alone, so each raise is counted.
     """
-    max_corr = 0.0
-    violations = 0
+    max_corr, violations = 0.0, 0
     for x in points:
         try:
-            ubar = qp_filter(spec, x, t)
+            max_corr = max(max_corr, vec_norm(qp_filter(spec, x, t)))
         except CbfViolation:
             violations += 1
-            continue
-        max_corr = max(max_corr, vec_norm(ubar))
     return {"max_correction": max_corr, "violations": violations}

@@ -7,9 +7,14 @@ as fast as alpha0, never faster than alpha, both sides degraded by the
 disturbance through rho0/rho. With the correction active the lower
 edge is attained exactly, which the tests lean on.
 
-Policies here are time-invariant: u0 takes the state only. Every margin
-is filters.margin; the upper ones take alpha0 and rho0. Each filter
-returns u0 plus the unit-gain min-norm correction of one floor margin.
+Policies here are time-invariant: u0 takes the state only. The floor
+margins are the families of `filters`: DSSF for the deterministic
+sandwich and NSSF, or GENERATOR with the exact trace, for the Ito one.
+Each filter is the family step at unit gain under the min-norm rule on
+the nominal u0(x), and raises the family's violation class
+(CbfViolation, or ScbfViolation for the Ito floors). The upper margins
+are the same margin on the Lie data with alpha0 and a rho0 side term,
+and belong to no family: no filter corrects them.
 Every margin and filter keeps the one convention of `filters`: one
 state or an (N, n) stack of them, and on a stack one entry per row,
 equal bit for bit to the calls at each row (u0 is still called row by
@@ -19,10 +24,12 @@ row).
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .comparison import elementwise
-from .filters import (MIN_NORM, _filtered, _lie, _lie1, budget, dssf_margin,
-                      margin)
-from .stochastic import generator_margin, nssf_margin
+from .filters import (DSSF, MIN_NORM, _apply, _lie, _lie1, _on_lie, budget,
+                      dssf_margin)
+from .stochastic import GENERATOR, NSSF, generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
 
@@ -37,16 +44,23 @@ class SandwichSpec:
     alpha: object
 
 
+def _u0(spec, x, t=None):
+    """u0(x) at a state, or at each row of an (N, n) stack of them,
+    called and checked row by row: the time-invariant nominal, read as
+    filters._u0_at reads u0(x, t)."""
+    m2 = spec.sys.m2
+    if type(x) is np.ndarray and x.ndim == 2:
+        return call_rows(lambda row, t: spec.u0(row), x, None, m2, "u0")
+    return _as_state(spec.u0(x), m2, "u0")
+
+
 def _parts(spec, x, lie=_lie):
     """(Lie data, u0) at a state, or their stacks at each row of an
-    (N, n) stack of states, u0 called and checked row by row. lie reads
-    the Lie data: filters._lie, with the Ito terms, for the Ito entries,
-    and filters._lie1, the first-order data, for the deterministic
-    sandwich, which reads no Hessian."""
-    ld, m2 = lie(spec.sys, spec.bf, x), spec.sys.m2
-    if ld.Lg2h.ndim == 2:  # a stack
-        return ld, call_rows(lambda row, t: spec.u0(row), x, None, m2, "u0")
-    return ld, _as_state(spec.u0(x), m2, "u0")
+    (N, n) stack of states, the Lie data read first. lie reads it:
+    filters._lie, with the Ito terms, for the Ito entries, and
+    filters._lie1, the first-order data, for the deterministic sandwich,
+    which reads no Hessian."""
+    return lie(spec.sys, spec.bf, x), _u0(spec, x)
 
 
 def omega0(spec, x):
@@ -55,8 +69,7 @@ def omega0(spec, x):
     h sits above its rho0-ball."""
     ld, u0v = _parts(spec, x, _lie1)
     side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
-                  side)[0]
+    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
 
 
 def omega_no(spec, x):
@@ -66,9 +79,7 @@ def omega_no(spec, x):
 
 def sandwich_filter(spec, x):
     """Full control guarding only the floor (unit corrective gain)."""
-    ld, u0v = _parts(spec, x, _lie1)
-    return _filtered(u0v, 1.0, *dssf_margin(spec, ld, u0v), MIN_NORM,
-                     RuntimeError)
+    return _apply(DSSF, spec, MIN_NORM, 1.0, x, None, _u0)
 
 
 def nominal_decay_margin(spec, x):
@@ -99,8 +110,7 @@ def stoch_omega0(spec, x):
     """Upper margin with side 0.5 ||g1' H g1||_F budget(rho0, h)."""
     ld, u0v = _parts(spec, x)
     side = 0.5 * ld.frob_term * budget(spec.rho0, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
-                  side)[0]
+    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
 
 
 def stoch_omega(spec, x):
@@ -111,8 +121,7 @@ def stoch_omega(spec, x):
 def omega0_exact(spec, x):
     """Upper margin with the true identity-covariance trace term."""
     ld, u0v = _parts(spec, x)
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
-                  ld.trace_term)[0]
+    return _on_lie(spec, ld, u0v, ld.trace_term, spec.alpha0)[0]
 
 
 def omega_exact(spec, x):
@@ -127,9 +136,8 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
     exactly, and under omega0_exact <= 0 it stays below -alpha0(h)
     everywhere the output is still above the floor (h >= 0).
     """
-    ld, u0v = _parts(spec, x)
-    floor = generator_margin if exact_trace else nssf_margin
-    return _filtered(u0v, 1.0, *floor(spec, ld, u0v), MIN_NORM, RuntimeError)
+    return _apply(GENERATOR if exact_trace else NSSF, spec, MIN_NORM, 1.0,
+                  x, None, _u0)
 
 
 def stoch_gain_separation_margin(spec, x):

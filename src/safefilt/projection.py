@@ -9,8 +9,14 @@ Three laws for the update direction, given a nominal u0:
   * inverse_optimal_update: nominal plus beta times the qp fix,
     minimizing a meaningful cost (beta >= 2).
 
-The continuous laws, projection_margin and projection_penalty_l keep
-the one convention of `filters`: one estimate and nominal, or (N, p)
+The continuous laws read the PROJECTION family of `filters` (Family):
+its data (omega, grad h, alpha(h), h, -1) at an estimate and a nominal
+value, written once (_projection_min_data), of which projection_margin
+is the first two fields; its violation class is ProjectionError.
+qp_projection is its min-norm correction and inverse_optimal_update the
+family step at spec.beta_gain, both on the nominal value they are given
+in place of u0(x, t). They, projection_margin and projection_penalty_l
+keep the one convention of `filters`: one estimate and nominal, or (N, p)
 stacks of them, and on stacks one entry per row, equal bit for bit to
 the calls at each row. classic_projection, an event law, takes one
 estimate only.
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, _check_gains, _filtered, correct, margin,
-                      min_norm_certificate)
+from .filters import (MIN_NORM, Family, _check_gains, _filtered, correct,
+                      margin, min_norm_certificate)
 from .sim import _alloc, _record, _rk4, _run, integrate_ode
 from .systems import (_F64, ControlAffineSystem, SafefiltError, _as_state,
                       _h_value, at_rows, row_dot)
@@ -79,6 +85,11 @@ def _projection_min_data(spec, theta_hat, u0_val):
     alpha_h = elementwise(spec.alpha, h)
     # drift -0.0 adds exactly nothing: omega = grad h.u0 + alpha(h)
     return margin(-0.0, g, u0v, alpha_h) + (alpha_h, h, -1.0)
+
+
+# the projection family reads the estimate in its formula, once the
+# estimate is checked against the nominal value
+PROJECTION = Family(lambda spec, x: x, _projection_min_data, ProjectionError)
 
 
 def projection_margin(spec, theta_hat, u0_val):

@@ -8,13 +8,16 @@ Safety keeps dB/dt <= alpha_bar(1/B); the margin
 
 is positive where the nominal pushes toward the boundary, and the
 filters cancel exactly that excess. Everything dualizes to the h-form
-with omega = -h^2 * omega_tilde, which the tests exploit.
-reciprocal_margin hands filters.correct the sign-flipped pair
-(-omega_tilde, -LgB), so the min-norm rule and its certificate apply
-unchanged; the reciprocal cost is the h-form one times -h^2. Every
-entry keeps the one convention of `filters`: one state or an (N, n)
-stack of them, and on a stack one entry per row, equal bit for bit to
-the calls at each row.
+with omega = -h^2 * omega_tilde, which the tests exploit. The
+RECIPROCAL family of `filters` (Family) reads (B, LfB, LgB) (_b_data)
+and writes its data once: the sign-flipped pair (-omega_tilde, -LgB),
+alpha_bar(h), h = 1/B and the cost factor c = -h^2, so the min-norm
+rule and its certificate apply unchanged and the reciprocal cost is the
+h-form one times -h^2; reciprocal_margin is its first two fields and
+rcbf_qp_filter is Filter(RECIPROCAL, spec, MIN_NORM, spec.beta_gain),
+raising RcbfViolation. Every entry keeps the one convention of
+`filters`: one state or an (N, n) stack of them, and on a stack one
+entry per row, equal bit for bit to the calls at each row.
 """
 
 import math
@@ -25,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, _check_gains, _filtered, _u0_at, _weighted,
-                      margin, min_norm_certificate)
+from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _u0_at,
+                      _weighted, margin, min_norm_certificate)
 from .systems import (BarrierFunction, SafefiltError, _as_state, _guard,
                       _h_value, _products, at_rows, first_order_lie_rows)
 
@@ -80,57 +83,57 @@ def _b_data(spec, x):
     return Bv, LfB, LgB
 
 
-def reciprocal_margin(spec, bdata, u0v):
-    """(omega, a) = (-omega_tilde, -LgB) from bdata = (B, LfB, LgB), so
-    that omega_tilde + LgB.v <= 0 reads omega + a.v >= 0: the margin
-    with drift -LfB and alpha_bar(1/B)."""
+def _reciprocal(spec, bdata, u0v):
+    """The reciprocal family's data (omega, a, alpha_bar(h), h, -h^2) from
+    bdata = (B, LfB, LgB), in h = 1/B coordinates: (omega, a) =
+    (-omega_tilde, -LgB), so that omega_tilde + LgB.v <= 0 reads omega +
+    a.v >= 0, the margin with drift -LfB and alpha_bar(1/B)."""
     Bv, LfB, LgB = bdata
-    return margin(-LfB, -LgB, u0v, elementwise(spec.alpha_bar, 1.0 / Bv))
+    h = 1.0 / Bv
+    alpha_h = elementwise(spec.alpha_bar, h)
+    # -h^2 in floats, row by row on a stack: an overflow is -inf there
+    # as at one state, with no warning
+    c = -h * h if type(h) is float else elementwise(lambda v: -v * v, h)
+    return margin(-LfB, -LgB, u0v, alpha_h) + (alpha_h, h, c)
 
 
-def _margin_at(spec, x, t):
-    bdata = _b_data(spec, x)
-    u0v = _u0_at(spec, x, t)
-    return bdata, u0v, reciprocal_margin(spec, bdata, u0v)
+RECIPROCAL = Family(_b_data, _reciprocal, RcbfViolation)
+# reciprocal-min's certificate data, stacked over the rows of x and u0v
+_reciprocal_min_data = RECIPROCAL.data
+
+
+def reciprocal_margin(spec, bdata, u0v):
+    """(omega, a) = (-omega_tilde, -LgB) of the reciprocal family."""
+    return _reciprocal(spec, bdata, u0v)[:2]
 
 
 def omega_tilde(spec, x, t):
-    return -_margin_at(spec, x, t)[2][0]
+    return -reciprocal_margin(spec, *_at(RECIPROCAL, spec, x, t))[0]
 
 
 def rcbf_qp_filter(spec, x, t):
     """Full control: nominal minus beta times the min-norm excess."""
-    _, u0v, (omega, a) = _margin_at(spec, x, t)
-    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, RcbfViolation)
+    return _apply(RECIPROCAL, spec, MIN_NORM, spec.beta_gain, x, t)
 
 
 def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
-    LgB = _b_data(spec, x)[2]
-    u0v = _u0_at(spec, x, t)
-    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, LgB)[1]
+    bdata, u0v = _at(RECIPROCAL, spec, x, t)
+    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, bdata[2])[1]
 
 
 def rcbf_condition(spec, x, t):
     """Margin alpha_bar(1/B) - L_{f+g u0}B + Sbar; >= 0 certifies the
     scaled correction keeps B finite."""
-    (_, _, LgB), u0v, (omega, _) = _margin_at(spec, x, t)
-    return omega + _weighted(spec.Rbar, x, u0v, LgB)[2]
-
-
-def _reciprocal_min_data(spec, x, u0v):
-    """reciprocal-min's certificate data (omega, a, alpha_bar(h), h, -h^2)
-    in h = 1/B coordinates; stacked over the rows of stacked x, u0v."""
-    Bv, LfB, LgB = _b_data(spec, x)
-    h = 1.0 / Bv
-    alpha_h = elementwise(spec.alpha_bar, h)
-    return margin(-LfB, -LgB, u0v, alpha_h) + (alpha_h, h, -h * h)
+    bdata, u0v = _at(RECIPROCAL, spec, x, t)
+    return (reciprocal_margin(spec, bdata, u0v)[0]
+            + _weighted(spec.Rbar, x, u0v, bdata[2])[2])
 
 
 def reciprocal_weights(spec, x, u0v):
     """(Rbar, lbar = -h^2 l, h) of filters.min_norm_certificate at state
     x and nominal value u0v."""
-    omega, a, alpha_h, h, c = _reciprocal_min_data(spec, x, u0v)
+    omega, a, alpha_h, h, c = RECIPROCAL.data(spec, x, u0v)
     R, l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)
     return R, c * l, h
 

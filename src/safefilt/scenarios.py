@@ -21,11 +21,11 @@ overrides) or a small custom single-state family:
 
     system = integrator | disturbed-gain
     x0     = <float>
-    u0     = const:<v>
+    u0     = const:<v>                              (v finite)
     alpha  = linear:C | power:P[:S] | eps:E | piecewise:A:B
     rho    = linear:C | power:P[:S] | eps:E        (default linear:1)
     filter = qp | sontag | half-sontag | io-qp:<beta>
-    d      = none | const:<v> | sin:<amp>[:<freq>] (default none)
+    d      = none | const:<v> | sin:<amp>[:<freq>] (default none; finite)
     dt, T, seed, cost = none | qp-exact:<beta>
 
 No code is ever evaluated from configs. Each value is read once, by
@@ -53,23 +53,21 @@ from .certify import (DSSF_PASS_TOL, CostSpec, CostValue, _sup_gains,
 from .comparison import (_CLASS_K, _EXTENDED_K, _tagged, decay_tube,
                          eps_power_extended, identity_k, linear_extended,
                          piecewise_extended, power_k, power_pair)
-from .filters import (HALF_SONTAG, MIN_NORM, SONTAG, DssfCbfSpec,
-                      InverseOptimalSpec, _check_gains, _dssf_at, _filtered,
-                      hji_residual, inverse_optimal_condition)
+from .filters import (DSSF, HALF_SONTAG, MIN_NORM, SONTAG, DssfCbfSpec,
+                      Filter, InverseOptimalSpec, _check_gains, hji_residual,
+                      inverse_optimal_condition)
 from .projection import ProjectionSpec, classic_projection, qp_projection, \
     simulate_projection
 from .sim import (SimConfig, SimulationError, integrate_ode,
                   integrate_ode_scalar, integrate_sde, sde_path_functionals,
                   write_trajectory_csv)
-from .stochastic import (CovarianceSchedule, NssfSpec, StochSpec,
-                         generator_margin, min_eigenvalue, nssf_hji_residual,
-                         nssf_qp_filter, stoch_qp_filter,
-                         worst_case_covariance)
+from .stochastic import (GENERATOR, NSSF, CovarianceSchedule, NssfSpec,
+                         StochSpec, min_eigenvalue, nssf_hji_residual,
+                         nssf_qp_filter, worst_case_covariance)
 from .nonovershoot import (SandwichSpec, gain_separation_margin,
                            nominal_decay_margin, sandwich_filter)
-from .systems import (BarrierFunction, ModelBlowup, SafefiltError,
-                      lie_data_rows, row_dot, row_norm, scalar_system,
-                      stacked, vec_norm)
+from .systems import (BarrierFunction, ModelBlowup, SafefiltError, row_dot,
+                      row_norm, scalar_system, stacked, vec_norm)
 
 VALUE_TOL = 1e-3         # certified costs, their invariance, attenuation
 INTRO_COST_TOL = 0.01    # intro-qp-optimal's cost against its value -1
@@ -464,15 +462,14 @@ def run_ex5_stoch(cfg):
     few = SimConfig(dt=cfg.dt, T=cfg.T, seed=cfg.seed,
                     paths=min(3, cfg.paths))
     paths = integrate_sde(spec.sys, spec.bf,
-                          stacked(lambda X, t: stoch_qp_filter(spec, X, t)),
+                          stacked(Filter(GENERATOR, spec, MIN_NORM, beta)),
                           spec.u0, np.array([x0]),
                           CovarianceSchedule.constant(np.eye(1)), few)
     gen_min = math.inf
     for i, traj in enumerate(paths):
         X = traj.states[:-1:50]
         if len(X):  # empty when the path stopped at its first sample
-            ld = lie_data_rows(spec.sys, spec.bf, X)
-            omega, _ = generator_margin(spec, ld, traj.controls[:-1:50])
+            omega = GENERATOR.data(spec, X, traj.controls[:-1:50])[0]
             gen_min = min(gen_min, np.min(omega))
         res.records["ex5-stoch-path%d.csv" % i] = traj
     res.put("generator_margin_min", gen_min, lo=-MARGIN_TOL)
@@ -501,10 +498,10 @@ def run_ex6_nssf(cfg):
     worst-case covariance of the relaxed game is indefinite here and is
     reported as such, never silently projected."""
     spec = ex6_spec()
+    flt = Filter(NSSF, spec, MIN_NORM, spec.beta_gain)
     x0 = -0.5
-    paths = integrate_sde(spec.sys, spec.bf,
-                          stacked(lambda X, t: nssf_qp_filter(spec, X, t)),
-                          spec.u0, np.array([x0]),
+    paths = integrate_sde(spec.sys, spec.bf, stacked(flt), spec.u0,
+                          np.array([x0]),
                           CovarianceSchedule.constant(np.eye(1)), cfg)
     res = ScenarioResult({"paths": len(paths)})
     res.put("all_paths_finite", all(p.escape_time is None for p in paths),
@@ -809,7 +806,13 @@ def _gain(beta):
 
 
 def _const(v):
+    v = _number("const", v)
     return lambda x, t: np.array([v])
+
+
+def _sin(amp, freq=1.0):
+    amp, freq = _number("amp", amp), _number("freq", freq)
+    return lambda x, t: np.array([amp * math.sin(freq * t)])
 
 
 _SYSTEMS = _tagged({"integrator": integrator_system,
@@ -819,10 +822,8 @@ _FILTERS = _tagged({"qp": lambda: (MIN_NORM, 1.0),
                     "sontag": lambda: (SONTAG, 1.0),
                     "half-sontag": lambda: (HALF_SONTAG, 1.0),
                     "io-qp": lambda beta: (MIN_NORM, _gain(beta))})
-_DISTURBANCES = _tagged({
-    "none": lambda: None, "const": _const,
-    "sin": lambda amp, freq=1.0: lambda x, t: np.array(
-        [amp * math.sin(freq * t)])})
+_DISTURBANCES = _tagged({"none": lambda: None, "const": _const,
+                         "sin": _sin})
 _COSTS = _tagged({"none": lambda: None, "qp-exact": _gain})
 
 
@@ -868,12 +869,8 @@ def _run_custom(entries, overrides):
 
     bf = neg_state_barrier()
     spec = DssfCbfSpec(sys, bf, rho, alpha, u0)
-
-    def control(x, t):
-        u0v, omega, a = _dssf_at(spec, x, t)
-        return _filtered(u0v, beta, omega, a, rule)
-
-    traj = integrate_ode(sys, bf, control, spec.u0, np.array([x0]), d, cfg)
+    traj = integrate_ode(sys, bf, Filter(DSSF, spec, rule, beta), spec.u0,
+                         np.array([x0]), d, cfg)
     res = ScenarioResult({"system": texts["system"],
                           "filter": texts["filter"],
                           "h_min": float(np.nanmin(traj.h_values))},

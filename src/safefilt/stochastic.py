@@ -15,10 +15,16 @@ Two problem classes share the machinery:
         omega = Lfh + Lg2h.u0 - 0.5 ||g1' H g1||_F rho^{-1}(max{0,-h})
                 + alpha(h).
 
-generator_margin and nssf_margin are filters.margin with those side
-terms, on one state or on stacks. Each filter pairs one with a rule of
-filters.correct; its docstring says whether it returns the full
-control or the correction alone. The inverse-optimal layer is the one
+The two margins are two families of `filters` (Family): GENERATOR,
+the margin with the trace term for its side, and NSSF, with the
+Frobenius side above, each read on the full Lie data (the Ito terms
+included) and raising ScbfViolation. Each writes (omega, Lg2h,
+alpha(h), h, 1) once; generator_margin and nssf_margin are its first
+two fields. The filters are one line each over the family step, by
+the table of `filters`: stoch_qp_filter and nssf_qp_filter are
+Filter(family, spec, MIN_NORM, spec.beta_gain), nssf_sontag_filter
+Filter(NSSF, spec, SONTAG) and stoch_sontag_filter its GENERATOR
+twin's correction alone. The inverse-optimal layer is the one
 value equation of `filters`: the covariance game supplies
 (drift, ell_gamma1(frob), ell_gamma2(sqrt S)) and the Ito value is
 that game with no adversary, (drift + trace, 0, ell_gamma2(sqrt S)).
@@ -37,9 +43,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
-from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, _check_gains,
-                      _filtered, _game_weights, _lie, _max0, _premise,
-                      _u0_at, _value_game, budget, correct, margin)
+from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, Family, _apply, _at,
+                      _check_gains, _game_weights, _lie, _max0, _on_lie,
+                      _premise, _reads, _u0_at, _value_game, budget, correct)
 from .systems import SafefiltError, _as_state, lie_data, row_dot, vec_norm
 
 
@@ -62,39 +68,36 @@ class StochSpec:
         _check_gains(self.beta_gain, safety_only=True)
 
 
-def _at(spec, x, t):
-    return _lie(spec.sys, spec.bf, x), _u0_at(spec, x, t)
+def _generator(spec, ld, u0v):
+    """The generator family's data: omega = L h(u0) + alpha(h), Sigma =
+    I, the margin with side the trace term."""
+    return _on_lie(spec, ld, u0v, ld.trace_term)
+
+
+GENERATOR = Family(_reads(_lie), _generator, ScbfViolation)
 
 
 def generator_margin(spec, ld, u0v):
-    """(omega, Lg2h) with omega = L h(u0) + alpha(h), Sigma = I: the
-    margin with side the trace term; also the exact-trace floor of the
-    stochastic sandwich filter."""
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
-                  ld.trace_term)
+    """(omega, Lg2h) of the generator family at Lie data ld; also the
+    exact-trace floor of the stochastic sandwich filter."""
+    return _generator(spec, ld, u0v)[:2]
 
 
 def omega_sbfc(spec, x, t):
     """Generator margin at the nominal: Lfh + Lg2h.u0 + trace + alpha(h)."""
-    return generator_margin(spec, *_at(spec, x, t))[0]
+    return generator_margin(spec, *_at(GENERATOR, spec, x, t))[0]
 
 
 def stoch_qp_filter(spec, x, t):
     """Full control u0 + beta * min-norm fix of the generator margin."""
-    ld, u0v = _at(spec, x, t)
-    omega, a = generator_margin(spec, ld, u0v)
-    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, ScbfViolation)
+    return _apply(GENERATOR, spec, MIN_NORM, spec.beta_gain, x, t)
 
 
-def stoch_sontag_filter(spec, x, t, include_u0=True):
+def stoch_sontag_filter(spec, x, t):
     """Damping-style correction kappa * Lg2h on the generator margin;
-    the correction only, not u0 + correction. include_u0 as in
-    filters.sontag_filter."""
-    ld, u0v = _at(spec, x, t)
-    omega, a = generator_margin(spec, ld, u0v)
-    if not include_u0:
-        omega = omega - row_dot(a, u0v)
-    return correct(omega, a, SONTAG, ScbfViolation)
+    the correction only, not u0 + correction."""
+    return correct(*generator_margin(spec, *_at(GENERATOR, spec, x, t)),
+                   SONTAG, ScbfViolation)
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +122,34 @@ class NssfSpec:
         _check_gains(self.beta_gain, safety_only=True, lam=self.lam)
 
 
+def _nssf(spec, ld, u0v):
+    """The NSSF family's data: the worst-covariance margin of the module
+    docstring, side -0.5 ||g1' H g1||_F budget(rho, -h)."""
+    return _on_lie(spec, ld, u0v,
+                   -0.5 * ld.frob_term * budget(spec.rho, -ld.h_val))
+
+
+NSSF = Family(_reads(_lie), _nssf, ScbfViolation)
+
+
 def nssf_margin(spec, ld, u0v):
-    """(omega, Lg2h) with the worst-covariance margin of the module
-    docstring: the margin with side -0.5 ||g1' H g1||_F budget(rho, -h)."""
-    side = -0.5 * ld.frob_term * budget(spec.rho, -ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha, ld.h_val),
-                  side)
+    """(omega, Lg2h) of the NSSF family at Lie data ld."""
+    return _nssf(spec, ld, u0v)[:2]
 
 
 def omega_nssf(spec, x, t):
     """Margin with the covariance at its Frobenius-budget worst."""
-    return nssf_margin(spec, *_at(spec, x, t))[0]
+    return nssf_margin(spec, *_at(NSSF, spec, x, t))[0]
 
 
 def nssf_qp_filter(spec, x, t):
     """Full control u0 + beta * min-norm fix of the NSSF margin."""
-    ld, u0v = _at(spec, x, t)
-    omega, a = nssf_margin(spec, ld, u0v)
-    return _filtered(u0v, spec.beta_gain, omega, a, MIN_NORM, ScbfViolation)
+    return _apply(NSSF, spec, MIN_NORM, spec.beta_gain, x, t)
 
 
 def nssf_sontag_filter(spec, x, t):
     """Full control u0 + universal correction of the NSSF margin."""
-    ld, u0v = _at(spec, x, t)
-    omega, a = nssf_margin(spec, ld, u0v)
-    return _filtered(u0v, 1.0, omega, a, SONTAG, ScbfViolation)
+    return _apply(NSSF, spec, SONTAG, 1.0, x, t)
 
 
 def worst_case_covariance(spec, x):
@@ -191,7 +197,7 @@ def _game(spec, x, u0v, adversary=False):
             return drift, elementwise(spec.gamma1.ell, ld.frob_term), ell2
         return drift + ld.trace_term, 0.0, ell2
     # lam weighs only the adversary term, which the Ito value lacks
-    return _value_game(spec, _lie, spec.sys, spec.bf,
+    return _value_game(spec, NSSF if adversary else GENERATOR, spec,
                        spec.lam if adversary else 2.0, x, u0v, supply)
 
 
@@ -200,7 +206,7 @@ def _inverse_optimal(spec, x, t, adversary):
     u0 itself at each row where s ~ 0."""
     u0v = _u0_at(spec, x, t)
     _need_gammas(spec, adversary)
-    w = _game_weights(spec, _lie, spec.sys, spec.bf, x, u0v)
+    w = _game_weights(spec, NSSF if adversary else GENERATOR, spec, x, u0v)
     s = elementwise(math.sqrt, _max0(w.S))
     gain = elementwise(lambda r: spec.gamma2.gamma_prime_inv(r) / r
                        if r >= GRAD_ZERO_TOL else 0.0, s)

@@ -99,3 +99,27 @@ def test_the_base_configs_run(tmp_path, capsys, form):
     cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("key, value, number", [
+    ("u0", "const:nan", "const"), ("u0", "const:inf", "const"),
+    ("d", "const:-inf", "const"), ("d", "sin:nan", "amp"),
+    ("d", "sin:0.5:inf", "freq"),
+], ids=["u0-const-nan", "u0-const-inf", "d-const-minus-inf", "d-sin-nan",
+        "d-sin-freq-inf"])
+def test_a_non_finite_nominal_or_disturbance_is_refused(tmp_path, capsys,
+                                                        key, value, number):
+    # as x0 = nan is: a loop that starts from a NaN nominal or
+    # disturbance escapes at its first step, so the value is refused on
+    # its line before any loop runs
+    entries = dict(CUSTOM, **{key: value})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out_dir)]) == 2
+    line = list(entries).index(key) + 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err == ("config error: line %d: bad gain in %r: %s must be a "
+                   "finite number, got %s\n"
+                   % (line, value, number, value.rsplit(":", 1)[1]))

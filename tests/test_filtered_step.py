@@ -24,16 +24,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import safefilt as sf
-from safefilt import projection
-from safefilt.filters import (HALF_SONTAG, MIN_NORM, SONTAG, _dssf_at,
-                              _filtered, correct, dssf_margin)
+from safefilt import filters, projection
+from safefilt.filters import (DSSF, HALF_SONTAG, MIN_NORM, SONTAG,
+                              CbfViolation, _filtered, correct, dssf_margin)
 from safefilt.nonovershoot import _parts as _sandwich_parts
 from safefilt.projection import ProjectionError, ProjectionSpec
-from safefilt.reciprocal import RcbfViolation, _margin_at
+from safefilt.reciprocal import RECIPROCAL, RcbfViolation, reciprocal_margin
 from safefilt.scenarios import (disturbed_gain_system, ex5_spec, ex6_spec,
                                 integrator_system, neg_state_barrier,
                                 sandwich_testbed, unit_ball_barrier)
-from safefilt.stochastic import (ScbfViolation, _at, generator_margin,
+from safefilt.stochastic import (GENERATOR, ScbfViolation, generator_margin,
                                  nssf_margin)
 
 # signed zeros and infinities, NaNs of both signs and two payloads,
@@ -67,6 +67,23 @@ def quiet(fn):
 def row_quiet(fn):
     """quiet(fn) of the first row of fn()'s one-row stack."""
     return quiet(lambda: fn()[0])
+
+
+# the data the oracles read: u0 and the margin at (x, t), each family's
+# state data read first, through the family reader filters._at
+def _dssf_at(spec, x, t):
+    ld, u0v = filters._at(DSSF, spec, x, t)
+    return (u0v,) + dssf_margin(spec, ld, u0v)
+
+
+def _margin_at(spec, x, t):
+    bdata, u0v = filters._at(RECIPROCAL, spec, x, t)
+    return bdata, u0v, reciprocal_margin(spec, bdata, u0v)
+
+
+def _at(spec, x, t):
+    """The Lie data, Ito terms included, and u0 at (x, t)."""
+    return filters._at(GENERATOR, spec, x, t)
 
 
 def const_u0(c):
@@ -137,8 +154,8 @@ def sandwich(exact_trace=None):
             ld, u0v = _sandwich_parts(spec, x)
             floor = (dssf_margin if exact_trace is None else
                      generator_margin if exact_trace else nssf_margin)
-            return u0v + correct(*floor(spec, ld, u0v), MIN_NORM,
-                                 RuntimeError)
+            error = CbfViolation if exact_trace is None else ScbfViolation
+            return u0v + correct(*floor(spec, ld, u0v), MIN_NORM, error)
         if exact_trace is None:
             return lambda x: sf.sandwich_filter(spec, x), inline
         return (lambda x: sf.stoch_sandwich_filter(spec, x, exact_trace),

@@ -74,11 +74,11 @@ def test_qp_raises_on_flat_control_direction():
 
 def test_sontag_frozen_points():
     spec = intro_spec(u0=0.0)
-    v = sontag_filter(spec, np.zeros(1), 0.0, include_u0=True)
+    v = sontag_filter(spec, np.zeros(1), 0.0)
     assert v[0] == pytest.approx(-1.0, abs=1e-12)
 
     spec1 = intro_spec(u0=1.0)
-    v1 = sontag_filter(spec1, np.array([-2.0]), 0.0, include_u0=True)
+    v1 = sontag_filter(spec1, np.array([-2.0]), 0.0)
     assert v1[0] == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
     u_half = half_sontag_filter(spec1, np.array([-2.0]), 0.0)
     assert u_half[0] == pytest.approx((3.0 - math.sqrt(2.0)) / 2.0,
@@ -178,7 +178,7 @@ def test_correction_dominance_where_active():
             continue
         seen += 1
         v_qp = np.linalg.norm(qp_filter(spec, x, 0.0))
-        v_s = np.linalg.norm(sontag_filter(spec, x, 0.0, include_u0=True))
+        v_s = np.linalg.norm(sontag_filter(spec, x, 0.0))
         assert v_qp <= 0.5 * v_s + 1e-12
     assert seen > 20
 

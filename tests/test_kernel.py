@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from safefilt.comparison import identity_k, linear_extended
 from safefilt.filters import (GRAD_ZERO_TOL, HALF_SONTAG, MIN_NORM, SONTAG,
-                              correct, sontag_kappa)
+                              CbfViolation, correct, sontag_kappa)
 from safefilt.nonovershoot import (SandwichSpec, sandwich_filter,
                                    stoch_sandwich_filter)
 from safefilt.projection import (ProjectionError, ProjectionSpec,
@@ -187,9 +187,12 @@ def test_guard_sandwich_filters(filt):
     spec = SandwichSpec(_blind_system(m1=1), neg_state_barrier(), _zero_u0,
                         identity_k(), identity_k(), linear_extended(1.0),
                         linear_extended(2.0))
-    with pytest.raises(RuntimeError) as err:
+    # the floor family's violation class: CbfViolation for the
+    # deterministic floor, ScbfViolation for the Ito floors
+    want = CbfViolation if filt is sandwich_filter else ScbfViolation
+    with pytest.raises(want) as err:
         filt(spec, np.zeros(1))
-    assert err.type is RuntimeError
+    assert err.type is want
 
 
 def test_guard_qp_projection():

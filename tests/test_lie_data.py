@@ -37,17 +37,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safefilt
-import safefilt.certify
 import safefilt.filters
-from safefilt.certify import (CostSpec, CostValue, ProbeSetup, _qp_exact_data,
-                              evaluate_cost, optimality_probe)
+from safefilt.certify import (CostSpec, CostValue, ProbeSetup, evaluate_cost,
+                              optimality_probe)
 from safefilt.comparison import (BracketError, DomainError, ExtendedKFunction,
                                  TubeRefinementError, identity_k,
                                  kl_solve_grid, linear_extended, linear_k,
                                  power_pair)
-from safefilt.filters import (CbfViolation, DssfCbfSpec, InverseOptimalSpec,
-                              Weight, game_weights, half_sontag_filter,
-                              hji_residual, inverse_optimal_condition,
+from safefilt.filters import (CBF, CbfViolation, DssfCbfSpec,
+                              InverseOptimalSpec, Weight, game_weights,
+                              half_sontag_filter, hji_residual,
+                              inverse_optimal_condition,
                               inverse_optimal_general, inverse_optimal_qp,
                               min_norm_weights, omega_dssf, pi_gap, qp_filter,
                               qp_filter_affine_form, qp_weights,
@@ -308,13 +308,12 @@ class HessianFault(Exception):
 
 @contextlib.contextmanager
 def full_lie_data():
-    """The first-order entry points of filters and certify replaced by
-    lie_data and lie_data_rows: each consumer then reads its four fields
-    off the full LieData, the Hessian called and checked."""
+    """The first-order entry points of filters replaced by lie_data and
+    lie_data_rows: each consumer, certify's cost passes through the
+    filter families included, then reads its four fields off the full
+    LieData, the Hessian called and checked."""
     with mock.patch.object(safefilt.filters, "first_order_lie", lie_data), \
             mock.patch.object(safefilt.filters, "first_order_lie_rows",
-                              lie_data_rows), \
-            mock.patch.object(safefilt.certify, "first_order_lie_rows",
                               lie_data_rows):
         yield
 
@@ -368,7 +367,7 @@ def first_order_consumers(sys, bf, X, seed):
         "game_weights": lambda: game_weights(iospec, X, U0),
         "min_norm_weights": lambda: min_norm_weights(base, X, U0, beta,
                                                      lam),
-        "qp_exact_data": lambda: _qp_exact_data(base, X, U0),
+        "qp_exact_data": lambda: CBF.data(base, X, U0),
         "cost.disturbance-game": lambda: evaluate_cost(
             traj, CostSpec("disturbance-game", spec=iospec)),
         "cost.qp-exact": lambda: evaluate_cost(

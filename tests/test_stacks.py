@@ -125,7 +125,6 @@ ENTRIES = [
     ("ex3", lambda s, x, u: omega_dssf(s.base, x, T)),
     ("ex3", lambda s, x, u: qp_filter(s.base, x, T)),
     ("ex3", lambda s, x, u: sontag_filter(s.base, x, T)),
-    ("ex3", lambda s, x, u: sontag_filter(s.base, x, T, include_u0=False)),
     ("ex3", lambda s, x, u: half_sontag_filter(s.base, x, T)),
     ("ex3", lambda s, x, u: inverse_optimal_qp(s.base, 2.0, x, T)),
     ("ex3", lambda s, x, u: qp_weights(s.base, x, T, 2.0, 1.0)),
@@ -138,7 +137,6 @@ ENTRIES = [
     ("ex5", lambda s, x, u: omega_sbfc(s, x, T)),
     ("ex5", lambda s, x, u: stoch_qp_filter(s, x, T)),
     ("ex5", lambda s, x, u: stoch_sontag_filter(s, x, T)),
-    ("ex5", lambda s, x, u: stoch_sontag_filter(s, x, T, include_u0=False)),
     ("ex5", lambda s, x, u: stoch_inverse_optimal(s, x, T)),
     ("ex5", lambda s, x, u: stoch_io_condition(s, x, T)),
     ("ex5", lambda s, x, u: stoch_state_penalty_l(s, x, T)),

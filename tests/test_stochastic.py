@@ -56,7 +56,7 @@ def test_qp_filter_matches_closed_form():
 
 def test_damping_filter_frozen_point():
     spec = ex5_spec(beta=1.0)
-    v = stoch_sontag_filter(spec, np.zeros(1), 0.0, include_u0=True)
+    v = stoch_sontag_filter(spec, np.zeros(1), 0.0)
     assert v[0] == pytest.approx(-(0.5 + math.sqrt(5.0) / 2.0), abs=1e-12)
 
 
