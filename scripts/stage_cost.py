@@ -69,6 +69,11 @@ compare where raw ones do not.
   filters.io_qp.us_per_call   inverse_optimal_qp (beta = 2) at one
                               state (x = -1.1) on probe.game's plant:
                               the probe's u*
+  filters.io_qp.loop.us_per_call
+                              the same law inside a loop scope at
+                              IO_CALLS distinct states in [-1.5, -0.5],
+                              so that every call reads the Lie data
+                              afresh: the probe's traffic
   filters.rcbf_qp.us_per_call rcbf_qp_filter (beta = 2) at one state
                               (x = -0.5) of the integrator plant, B =
                               -1/x, u0 = 1: the correction is active
@@ -112,7 +117,13 @@ Six flags are checked, and any one false exits 1:
                               on ex3's plant at a fixed set of states
                               (signed zeros, subnormals, 1e+-200), or
                               the same error and text where the model
-                              data is not finite
+                              data is not finite; and every library
+                              law's one-state call (the u0 + beta k a
+                              laws, the game laws, the worst-case
+                              disturbances, the reciprocal laws, and
+                              first_order_lie and lie_data inside a
+                              loop scope) at each SPECIAL state and
+                              nominal, numpy's warnings raised as errors
   rows_equal_single           each consumer that takes a stack
                               (first_order_lie_rows, lie_data_rows,
                               call_rows with a plain and with a stacked
@@ -208,8 +219,9 @@ from safefilt.scenarios import (_ex3_pieces,  # noqa: E402
                                 disturbed_gain_system, integrator_system,
                                 neg_state_barrier, unit_ball_barrier)
 from safefilt.sim import _ode_rows  # noqa: E402
-from safefilt.systems import (_as_state, _single_state,  # noqa: E402
-                              call_rows, first_order_lie,
+import safefilt.scenarios  # noqa: E402,F401
+from safefilt.systems import (_as_state, _loop_scope,  # noqa: E402
+                              _single_state, call_rows, first_order_lie,
                               first_order_lie_rows, lie_data_rows, matvec,
                               row_dot, row_norm, vec_norm, vecmat)
 
@@ -428,6 +440,83 @@ def lie_equal_array():
     return bool(ok)
 
 
+def law_specs(array, c):
+    """The specs of laws_equal_array on the scalar plants (ex3's, the
+    integrator and ex5's), or (array) on their array twins, with the
+    constant nominal c."""
+    model = {"ex3": EX3_MODEL, "int": (lambda x: 0.0, None, lambda x: 1.0),
+             "ex5": (lambda x: 0.0, lambda x: 1.0 - x, lambda x: 1.0)}
+    plant = {k: (array_twin if array else sf.scalar_system)(*m)
+             for k, m in model.items()}
+    u0 = lambda x, t: np.array([c])
+    base = sf.DssfCbfSpec(plant["ex3"], neg_state_barrier(), sf.identity_k(),
+                          sf.linear_extended(1.0), u0)
+    r2 = lambda x, u0v: np.array([[1.0 / (1.0 + abs(float(x[0])))]])
+    bf5 = sf.scenarios.log_gap_barrier()
+    return {"base": base,
+            "io": sf.InverseOptimalSpec(base, 2.5, LAM, sf.power_pair(2),
+                                        R2=r2),
+            "recip": sf.RcbfSpec(plant["int"], lambda x: -1.0 / x[0],
+                                 sf.identity_k(), u0, Rbar=r2,
+                                 gradB=lambda x: np.array([1.0 / x[0] ** 2])),
+            "stoch": sf.StochSpec(plant["ex5"], bf5, sf.linear_extended(1.0),
+                                  u0, beta_gain=2.0,
+                                  gamma2=sf.power_pair(2, 0.25)),
+            "nssf": sf.NssfSpec(plant["ex5"], bf5, sf.linear_extended(1.0),
+                                sf.identity_k(), u0, beta_gain=2.0,
+                                gamma1=sf.power_pair(2),
+                                gamma2=sf.power_pair(2, 0.25)),
+            "sandwich": sf.SandwichSpec(plant["ex3"], neg_state_barrier(),
+                                        lambda x: np.array([c - x[0]]),
+                                        sf.identity_k(), sf.identity_k(),
+                                        sf.linear_extended(1.0),
+                                        sf.linear_extended(2.0))}
+
+
+def _in_loop(lie, spec, x):
+    """lie's fields at x on spec's plant and barrier, in a loop scope."""
+    with _loop_scope():
+        return tuple(lie(spec.sys, spec.bf, x))
+
+
+LAWS = (
+    lambda S, x: sf.qp_filter(S["base"], x, 0.0),
+    lambda S, x: sf.sontag_filter(S["base"], x, 0.0),
+    lambda S, x: sf.half_sontag_filter(S["base"], x, 0.0),
+    lambda S, x: sf.inverse_optimal_qp(S["base"], 2.5, x, 0.0),
+    lambda S, x: sf.qp_weights(S["base"], x, 0.0),
+    lambda S, x: sf.inverse_optimal_general(S["io"], x, 0.0),
+    lambda S, x: sf.hji_residual(S["io"], x, 0.0),
+    lambda S, x: sf.worst_case_disturbance(S["io"], x),
+    lambda S, x: sf.qp_worst_case_disturbance(S["base"], LAM, x),
+    lambda S, x: sf.rcbf_qp_filter(S["recip"], x, 0.0),
+    lambda S, x: sf.rcbf_inverse_optimal(S["recip"], x, 0.0),
+    lambda S, x: sf.rcbf_penalty_bound_gap(S["recip"], x, 0.0),
+    lambda S, x: sf.stoch_qp_filter(S["stoch"], x, 0.0),
+    lambda S, x: sf.stoch_inverse_optimal(S["stoch"], x, 0.0),
+    lambda S, x: sf.nssf_qp_filter(S["nssf"], x, 0.0),
+    lambda S, x: sf.nssf_sontag_filter(S["nssf"], x, 0.0),
+    lambda S, x: sf.nssf_inverse_optimal(S["nssf"], x, 0.0),
+    lambda S, x: sf.sandwich_filter(S["sandwich"], x),
+    lambda S, x: sf.stoch_sandwich_filter(S["sandwich"], x, True),
+    lambda S, x: _in_loop(first_order_lie, S["base"], x),
+    lambda S, x: _in_loop(sf.lie_data, S["stoch"], x))
+
+
+def laws_equal_array():
+    """Each law of LAWS at one state on the scalar plants against the
+    same call on their array twins, at every pair of SPECIAL state and
+    nominal value: the same bytes, or the same error and text."""
+    ok = True
+    for v, c in itertools.product(SPECIAL, SPECIAL):
+        x = np.array([v])
+        scalar, twin = law_specs(False, c), law_specs(True, c)
+        for law in LAWS:
+            ok &= (_outcome(lambda: law(scalar, x))
+                   == _outcome(lambda: law(twin, x)))
+    return bool(ok)
+
+
 def _fields(out):
     """A consumer's output (one array or a tuple of them) as a tuple of
     fields, a Weight as its value and its infinite flag."""
@@ -585,6 +674,17 @@ def io_qp_us(rounds):
     def calls():
         for _ in range(IO_CALLS):
             sf.inverse_optimal_qp(spec, 2.0, x, 0.0)
+    return 1e6 * best(calls, rounds) / IO_CALLS
+
+
+def io_qp_loop_us(rounds):
+    spec = probe_spec()
+    states = [np.array([v]) for v in np.linspace(-1.5, -0.5, IO_CALLS)]
+
+    def calls():
+        with _loop_scope():
+            for x in states:
+                sf.inverse_optimal_qp(spec, 2.0, x, 0.0)
     return 1e6 * best(calls, rounds) / IO_CALLS
 
 
@@ -794,6 +894,7 @@ def main(argv=None):
     numbers.update(ode)
     numbers["ode.rows.us_per_row_step"] = ode_rows_us(args.rounds)
     numbers["filters.io_qp.us_per_call"] = io_qp_us(args.rounds)
+    numbers["filters.io_qp.loop.us_per_call"] = io_qp_loop_us(args.rounds)
     numbers["filters.rcbf_qp.us_per_call"] = rcbf_qp_us(args.rounds)
     numbers["filters.wcd.us_per_call"] = wcd_us(args.rounds)
     numbers.update(intro_cost_us(args.rounds))
@@ -802,7 +903,7 @@ def main(argv=None):
     numbers["mc.noise_peak_mb"] = mc_noise_peak_mb()
     numbers["probe.game.s"] = probe_s(args.rounds)
     equal = contractions_equal_matmul()
-    twins = game_same and lie_equal_array()
+    twins = game_same and lie_equal_array() and laws_equal_array()
     rows = rows_equal_single()
     filtered = filtered_equals_array()
     functionals = functionals_equal_paths()

@@ -83,16 +83,24 @@ per call; four return the correction k a alone, at gain 1:
 laws take the nominal value itself and the sandwich laws read u0 of the
 state alone, so they take the step on that nominal; a Filter over a
 spec whose u0 takes (x, t) gives the same control. Beta >= 2 makes a
-min-norm law inverse-optimal. At one state of width one (m2 = 1) the
-step is float arithmetic in the array expression's order, u0 + beta
-(k a) with correct's factor k, and gives its bits; where the result is
-not finite it is the array expression's own result, so a NaN keeps the
-array's sign and payload and numpy's warnings stay the array's. This
-is the module's only width-one float route: every filter's step takes
-it, so that is where the width-one calls are. Stacks and wider controls
-take the array expression, and so do _weighted's R^{-1} a for a 1x1
-weight and the worst-case disturbances' s Lg1h / ||Lg1h||, at every
-width.
+min-norm law inverse-optimal.
+
+At one state of a scalar_system plant the whole family step is float
+arithmetic: the state read (systems._first_order_at, or the Ito read
+systems._lie_data_at) gives h, Lfh, Lg1h and Lg2h (and the Ito terms)
+as floats, the loop memo holds those floats, and the formula and the
+step read them as they are. The helpers the formulas call take a
+width-one number wherever they take a (1,) vector and give the (1,)
+vector's bits: row_dot, row_norm, budget, margin, _filtered, _weighted
+at m = 1, and correct, whose correction is the (1,) vector. Where a
+law returns an array (_filtered's u0 + beta (k a), the game laws'
+u0 + beta R^{-1} a by _plus, the worst-case disturbances' s Lg1h /
+||Lg1h|| by _along) the float result is the array expression's bits;
+where it is not finite it is the array expression's own result, so a
+NaN keeps the array's sign and payload and numpy's warnings stay the
+array's. _filtered does the same at one state of width one whatever
+the plant. Array plants, stacks and wider controls take the array
+expression.
 
 The inverse-optimal layer is one value equation for three games. Each
 takes the value V = 2 beta h and the weighted direction R2^{-1} Lg2h',
@@ -115,19 +123,20 @@ Lie data that a family reads and R2^{-1} Lg2h', S); the value equation
 premises.
 
 Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
-it takes first-order Lie data (systems.first_order_lie, through _lie1:
-the read of the CBF and DSSF families, which the disturbance game
-reads too), and the barrier Hessian is never called here. The Ito terms
-are for `stochastic`: its games read the full lie_data through the
-GENERATOR and NSSF families, and the one value equation, _value_game,
-evaluates whichever Lie data its game's family reads.
+it takes first-order Lie data (systems._first_order_at at a state,
+through _first_order_read, the read of the CBF and DSSF families, which
+the disturbance game and the worst-case disturbances read too), and the
+barrier Hessian is never called here. The Ito terms are for
+`stochastic`: its games read the full Lie data through the GENERATOR
+and NSSF families, and the one value equation, _value_game, evaluates
+whichever Lie data its game's family reads.
 
 One convention holds for every margin, filter, premise, weight and
 penalty of the package: each takes one (n,) state or an (N, n) stack of
 them (and nominal values as (m2,) or (N, m2)), and on a stack returns
 one entry per row, equal bit for bit to the single-state value. The
-choice is made only by the helpers: _lie1 and _lie (the Lie data of a
-state or of a stack), _u0_at (u0 at a state through
+choice is made only by the helpers: the family reads and _lie1 (the
+Lie data of a state or of a stack), _u0_at (u0 at a state through
 systems._single_state, so a stacked u0 is checked as a stack there too,
 or at a stack through systems.call_rows), systems.row_dot and row_norm,
 and comparison.elementwise for every class-K function. So each formula is
@@ -148,10 +157,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (SafefiltError, _as_state, _guard, _single_state,
-                      call_rows, first_order_lie, first_order_lie_rows,
-                      lie_data, lie_data_rows, row_dot, row_norm,
-                      stack_rows, vec_norm)
+from .systems import (SafefiltError, _as_state, _first_order_at, _guard,
+                      _single_state, call_rows, first_order_lie,
+                      first_order_lie_rows, row_dot, row_norm, stack_rows,
+                      vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
 
@@ -233,27 +242,43 @@ def _times(k, a):
     if type(k) is np.ndarray:
         with _guard():  # 0 * inf in the rows where k = 0
             return np.where((k == 0.0)[:, None], 0.0, k[:, None] * a)
+    if type(a) is float:  # a width-one number: the (1,) vector's product
+        a = np.array((a,))
     return np.zeros(a.shape) if k == 0.0 else k * a
 
 
 def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
     """The filtered control u0 + beta correct(omega, a, rule, error),
     the one step of every filter that returns the full control. At one
-    state of width one (a number omega, a (1,) direction) it is float
-    arithmetic in the same order, u0 + beta (k a), the bits of the
-    array expression; a result that is not finite comes from the array
-    expression itself, so its NaN sign and payload and numpy's warnings
-    are the array's. On stacks and wider controls, the array
+    state of width one (a number omega, a (1,) direction or a number)
+    it is float arithmetic in the same order, u0 + beta (k a), the bits
+    of the array expression; a result that is not finite comes from the
+    array expression itself, so its NaN sign and payload and numpy's
+    warnings are the array's. On stacks and wider controls, the array
     expression u0 + beta v itself, at unit gain too (1.0 v is v, bit
     for bit)."""
-    if type(omega) is np.ndarray or a.size != 1:
-        return u0v + beta * correct(omega, a, rule, error)
-    av = a.item()
-    k = _factor(omega, 0.0 + av * av, rule, error)  # row_dot at width one
-    u = u0v.item() + float(beta) * (0.0 if k == 0.0 else float(k) * av)
+    if type(a) is not float:
+        if type(omega) is np.ndarray or a.size != 1:
+            return u0v + beta * correct(omega, a, rule, error)
+        a = a.item()
+    k = _factor(omega, 0.0 + a * a, rule, error)  # row_dot at width one
+    u = u0v.item() + float(beta) * (0.0 if k == 0.0 else float(k) * a)
     if math.isfinite(u):
         return np.array((u,))
     return u0v + beta * _times(k, a)
+
+
+def _plus(u0v, c, v):
+    """u0v + c v, the step of the weighted game laws; at one state of
+    width one, where v is a number, float arithmetic in that order, the
+    bits of the array expression, and where that is not finite the
+    array expression itself, as in _filtered."""
+    if type(v) is float:
+        u = u0v.item() + float(c) * v
+        if math.isfinite(u):
+            return np.array((u,))
+        v = np.array((v,))
+    return u0v + c * v
 
 
 def _correct_rows(omega, a, rule, error):
@@ -275,19 +300,12 @@ def _u0_at(spec, x, t):
 
 
 def _lie1(sys, bf, x):
-    """first_order_lie at a state, first_order_lie_rows at an (N, n)
+    """The first-order Lie data at a state (systems._first_order_at:
+    floats on a scalar plant), or first_order_lie_rows at an (N, n)
     stack of them."""
     if type(x) is np.ndarray and x.ndim == 2:
         return first_order_lie_rows(sys, bf, x)
-    return first_order_lie(sys, bf, x)
-
-
-def _lie(sys, bf, x):
-    """lie_data at a state, lie_data_rows at an (N, n) stack of them:
-    _lie1 plus the Ito terms, for the filters that read them."""
-    if type(x) is np.ndarray and x.ndim == 2:
-        return lie_data_rows(sys, bf, x)
-    return lie_data(sys, bf, x)
+    return _first_order_at(sys, bf, x)
 
 
 def _max0(v):
@@ -334,19 +352,26 @@ def _weighted(weight, x, u0v, a):
     the identity when weight is None; on stacks, one weight per row
     (for None a read-only (N, m, m) view of the one identity), all
     checked by one Cholesky, and a 1x1 weight by its sign alone (R^{-1} a
-    is then a / R)."""
-    m = a.shape[-1]
+    is then a / R). At a width-one number a, R^{-1} a is the float a / R
+    where that is finite, else the (1,) vector's quotient."""
+    one = type(a) is float
+    m = 1 if one else a.shape[-1]
     if weight is None:
         eye = np.eye(m)
-        return (eye if a.ndim == 1 else np.broadcast_to(eye, a.shape + (m,)),
-                a, row_dot(a, a))
-    if a.ndim == 1:
+        return (eye if one or a.ndim == 1
+                else np.broadcast_to(eye, a.shape + (m,)), a, row_dot(a, a))
+    if one or a.ndim == 1:
         R = np.asarray(weight(x, u0v), dtype=float).reshape(m, m)
     else:
         R = stack_rows(weight, (m, m), x, u0v)
     if m == 1:
-        if not (R > 0.0).all():
+        if not (R.item() > 0.0 if R.size == 1 else (R > 0.0).all()):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
+        if one:
+            ra = a / R.item()
+            if math.isfinite(ra):
+                return R, ra, 0.0 + a * ra
+            a = np.array((a,))
         ra = a / R[..., 0]
     else:
         np.linalg.cholesky(R)  # raises unless symmetric positive definite
@@ -424,31 +449,33 @@ class DssfCbfSpec:
     u0: Callable
 
 
-def _reads(lie):
-    """The read(spec, x) of a family on the Lie data lie(sys, bf, x) of
-    spec's plant and barrier: _lie1, or _lie with the Ito terms."""
-    return lambda spec, x: lie(spec.sys, spec.bf, x)
+def _first_order_read(spec, x):
+    """The read of the CBF and DSSF families: _lie1 on spec's plant and
+    barrier."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return first_order_lie_rows(spec.sys, spec.bf, x)
+    return _first_order_at(spec.sys, spec.bf, x)
 
 
-def _on_lie(spec, ld, u0v, side=-0.0, alpha=None):
-    """(omega, Lg2h, alpha(h), h, 1): the margin on Lie data ld with the
-    side term side, the formula of the four Lie families; alone, the
-    CBF family's, omega = Lfh + Lg2h.u0 + alpha(h). alpha defaults to
-    spec.alpha (the sandwich's upper edges pass alpha0)."""
-    alpha_h = elementwise(spec.alpha if alpha is None else alpha, ld.h_val)
-    omega, a = margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side)
-    return omega, a, alpha_h, ld.h_val, 1.0
+def _cbf(spec, ld, u0v):
+    """The CBF family's data (omega, Lg2h, alpha(h), h, 1), omega =
+    Lfh + Lg2h.u0 + alpha(h)."""
+    alpha_h = elementwise(spec.alpha, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
 
 
 def _dssf(spec, ld, u0v, rinv=None):
-    """The DSSF family's data: side -||Lg1h|| rinv, rinv = budget(rho,
-    -h) unless the caller has it."""
-    rinv = budget(spec.rho, -ld.h_val) if rinv is None else rinv
-    return _on_lie(spec, ld, u0v, -(row_norm(ld.Lg1h) * rinv))
+    """The DSSF family's data: the CBF margin with side -||Lg1h|| rinv,
+    rinv = budget(rho, -h) unless the caller has it."""
+    h = ld.h_val
+    side = -(row_norm(ld.Lg1h) * (budget(spec.rho, -h) if rinv is None
+                                  else rinv))
+    alpha_h = elementwise(spec.alpha, h)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side) + (alpha_h, h, 1.0)
 
 
-CBF = Family(_reads(_lie1), _on_lie, CbfViolation)
-DSSF = Family(_reads(_lie1), _dssf, CbfViolation)
+CBF = Family(_first_order_read, _cbf, CbfViolation)
+DSSF = Family(_first_order_read, _dssf, CbfViolation)
 
 
 def dssf_margin(spec, ld, u0v):
@@ -459,7 +486,7 @@ def dssf_margin(spec, ld, u0v):
 
 def cbf_margin(spec, ld, u0v):
     """(omega, Lg2h) of the CBF family at Lie data ld."""
-    return _on_lie(spec, ld, u0v)[:2]
+    return _cbf(spec, ld, u0v)[:2]
 
 
 def omega_dssf(spec, x, t):
@@ -492,7 +519,7 @@ def qp_filter_affine_form(spec, x, t):
         return np.eye(m2), np.zeros(m2), False
     q = row_dot(a, a)
     chi0 = np.eye(m2) - np.outer(a, a) / q
-    return chi0, -((omega - row_dot(a, u0v)) / q) * a, True
+    return chi0, -((omega - row_dot(a, u0v)) / q) * np.atleast_1d(a), True
 
 
 def sontag_filter(spec, x, t):
@@ -588,8 +615,8 @@ def inverse_optimal_general(iospec, x, t):
     """u = u0 + beta * R2^{-1} Lg2h'."""
     base = iospec.base
     u0v = _u0_at(base, x, t)
-    return u0v + iospec.beta_gain * _game_weights(
-        iospec, DSSF, base, x, u0v).ra
+    return _plus(u0v, iospec.beta_gain,
+                 _game_weights(iospec, DSSF, base, x, u0v).ra)
 
 
 def inverse_optimal_condition(iospec, x, t):
@@ -603,25 +630,38 @@ def inverse_optimal_condition(iospec, x, t):
                     iospec.base.alpha)
 
 
+def _along(s, g, nrm):
+    """s g / nrm, the worst-case disturbances' s Lg1h / ||Lg1h||; at a
+    width-one number g, float arithmetic, the bits of the array
+    expression, and where that is not finite the array expression
+    itself, as in _filtered."""
+    if type(g) is float:
+        d = float(s) * g / nrm
+        if math.isfinite(d):
+            return np.array((d,))
+        g = np.array((g,))
+    return s * g / nrm
+
+
 def worst_case_disturbance(iospec, x):
     """Maximizing disturbance of the softened game, feedback in x only;
     at one state."""
-    ld = first_order_lie(iospec.base.sys, iospec.base.bf, x)
-    nrm = vec_norm(ld.Lg1h)
+    ld = _first_order_at(iospec.base.sys, iospec.base.bf, x)
+    nrm = row_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(iospec.base.sys.m1)
-    v = iospec.gamma.gamma_prime_inv(2.0 * nrm)
-    return -iospec.lam * v * ld.Lg1h / nrm
+    return _along(-iospec.lam * iospec.gamma.gamma_prime_inv(2.0 * nrm),
+                  ld.Lg1h, nrm)
 
 
 def qp_worst_case_disturbance(spec, lam, x):
     """Worst disturbance for the min-norm weights (rho-shaped penalty);
     at one state."""
-    ld = first_order_lie(spec.sys, spec.bf, x)
-    nrm = vec_norm(ld.Lg1h)
+    ld = _first_order_at(spec.sys, spec.bf, x)
+    nrm = row_norm(ld.Lg1h)
     if nrm < GRAD_ZERO_TOL:
         return np.zeros(spec.sys.m1)
-    return -lam * budget(spec.rho, -ld.h_val) * ld.Lg1h / nrm
+    return _along(-lam * budget(spec.rho, -ld.h_val), ld.Lg1h, nrm)
 
 
 def game_weights(iospec, x, u0v):

@@ -27,9 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (DSSF, MIN_NORM, _apply, _lie, _lie1, _on_lie, budget,
-                      dssf_margin)
-from .stochastic import GENERATOR, NSSF, generator_margin, nssf_margin
+from .filters import DSSF, MIN_NORM, _apply, _lie1, budget, dssf_margin, margin
+from .stochastic import GENERATOR, NSSF, _lie, generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
 
@@ -57,10 +56,16 @@ def _u0(spec, x, t=None):
 def _parts(spec, x, lie=_lie):
     """(Lie data, u0) at a state, or their stacks at each row of an
     (N, n) stack of states, the Lie data read first. lie reads it:
-    filters._lie, with the Ito terms, for the Ito entries, and
+    stochastic._lie, with the Ito terms, for the Ito entries, and
     filters._lie1, the first-order data, for the deterministic sandwich,
     which reads no Hessian."""
     return lie(spec.sys, spec.bf, x), _u0(spec, x)
+
+
+def _upper(spec, ld, u0v, side):
+    """An upper-side margin: the Lie margin with alpha0 and side."""
+    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
+                  side)[0]
 
 
 def omega0(spec, x):
@@ -69,7 +74,7 @@ def omega0(spec, x):
     h sits above its rho0-ball."""
     ld, u0v = _parts(spec, x, _lie1)
     side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
-    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
+    return _upper(spec, ld, u0v, side)
 
 
 def omega_no(spec, x):
@@ -110,7 +115,7 @@ def stoch_omega0(spec, x):
     """Upper margin with side 0.5 ||g1' H g1||_F budget(rho0, h)."""
     ld, u0v = _parts(spec, x)
     side = 0.5 * ld.frob_term * budget(spec.rho0, ld.h_val)
-    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
+    return _upper(spec, ld, u0v, side)
 
 
 def stoch_omega(spec, x):
@@ -121,7 +126,7 @@ def stoch_omega(spec, x):
 def omega0_exact(spec, x):
     """Upper margin with the true identity-covariance trace term."""
     ld, u0v = _parts(spec, x)
-    return _on_lie(spec, ld, u0v, ld.trace_term, spec.alpha0)[0]
+    return _upper(spec, ld, u0v, ld.trace_term)
 
 
 def omega_exact(spec, x):

@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _u0_at,
-                      _weighted, margin, min_norm_certificate)
+from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _plus,
+                      _u0_at, _weighted, margin, min_norm_certificate)
 from .systems import (BarrierFunction, SafefiltError, _as_state, _guard,
                       _h_value, _products, at_rows, first_order_lie_rows)
 
@@ -61,7 +61,7 @@ def _b_data(spec, x):
     calls), and where that fails or B leaves (0, inf), _b_data row by
     row, which raises its own error at the first bad row. At one state
     B, its gradient and the model run with numpy's warnings silenced, as
-    in first_order_lie."""
+    in first_order_lie, and on a scalar plant LgB is a float."""
     if type(x) is np.ndarray and x.ndim == 2:
         try:
             ld = first_order_lie_rows(
@@ -72,7 +72,8 @@ def _b_data(spec, x):
             ld = None
         if ld is not None and (ld.h_val > 0.0).all():
             return ld.h_val, ld.Lfh, ld.Lg2h
-        return at_rows(partial(_b_data, spec), x)
+        Bv, LfB, LgB = at_rows(partial(_b_data, spec), x)
+        return Bv, LfB, LgB.reshape(len(x), spec.sys.m2)
     x = _as_state(x, spec.sys.n)
     with _guard():  # the model, as first_order_lie
         Bv = _h_value(spec.B(x))
@@ -119,7 +120,8 @@ def rcbf_qp_filter(spec, x, t):
 def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
     bdata, u0v = _at(RECIPROCAL, spec, x, t)
-    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, bdata[2])[1]
+    return _plus(u0v, -spec.beta_gain,
+                 _weighted(spec.Rbar, x, u0v, bdata[2])[1])
 
 
 def rcbf_condition(spec, x, t):
@@ -152,6 +154,8 @@ def rcbf_penalty_l(spec, x, t):
 
 
 def rcbf_penalty_bound_gap(spec, x, t):
-    """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative."""
-    _, lbar, h = reciprocal_weights(spec, x, _u0_at(spec, x, t))
-    return lbar + 2.0 * spec.beta_gain * h * h * elementwise(spec.alpha_bar, h)
+    """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative.
+    The floor reads alpha_bar(1/B) off the family data."""
+    omega, a, alpha_h, h, c = RECIPROCAL.data(spec, x, _u0_at(spec, x, t))
+    l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)[1]
+    return c * l + 2.0 * spec.beta_gain * h * h * alpha_h

@@ -44,9 +44,10 @@ import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, Family, _apply, _at,
-                      _check_gains, _game_weights, _lie, _max0, _on_lie,
-                      _premise, _reads, _u0_at, _value_game, budget, correct)
-from .systems import SafefiltError, _as_state, lie_data, row_dot, vec_norm
+                      _check_gains, _game_weights, _max0, _premise, _u0_at,
+                      _value_game, budget, correct, margin)
+from .systems import (SafefiltError, _as_state, _lie_data_at, lie_data,
+                      lie_data_rows, row_dot, vec_norm)
 
 
 class ScbfViolation(SafefiltError, RuntimeError):
@@ -68,13 +69,33 @@ class StochSpec:
         _check_gains(self.beta_gain, safety_only=True)
 
 
+def _lie(sys, bf, x):
+    """The full Lie data, the Ito terms included, at a state
+    (systems._lie_data_at: floats on a scalar plant), or lie_data_rows
+    at an (N, n) stack of them."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return lie_data_rows(sys, bf, x)
+    return _lie_data_at(sys, bf, x)
+
+
+def _ito_read(spec, x):
+    """The read of the GENERATOR and NSSF families: _lie on spec's
+    plant and barrier."""
+    if type(x) is np.ndarray and x.ndim == 2:
+        return lie_data_rows(spec.sys, spec.bf, x)
+    return _lie_data_at(spec.sys, spec.bf, x)
+
+
 def _generator(spec, ld, u0v):
-    """The generator family's data: omega = L h(u0) + alpha(h), Sigma =
-    I, the margin with side the trace term."""
-    return _on_lie(spec, ld, u0v, ld.trace_term)
+    """The generator family's data (omega, Lg2h, alpha(h), h, 1): omega
+    = L h(u0) + alpha(h), Sigma = I, the margin with side the trace
+    term."""
+    alpha_h = elementwise(spec.alpha, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, ld.trace_term) + (
+        alpha_h, ld.h_val, 1.0)
 
 
-GENERATOR = Family(_reads(_lie), _generator, ScbfViolation)
+GENERATOR = Family(_ito_read, _generator, ScbfViolation)
 
 
 def generator_margin(spec, ld, u0v):
@@ -122,14 +143,23 @@ class NssfSpec:
         _check_gains(self.beta_gain, safety_only=True, lam=self.lam)
 
 
+def _nssf_side(spec, ld):
+    """(side, budget): the NSSF family's side term -0.5 ||g1' H g1||_F
+    budget(rho, -h), the floor of the trace term, and that budget."""
+    allowed = budget(spec.rho, -ld.h_val)
+    return -0.5 * ld.frob_term * allowed, allowed
+
+
 def _nssf(spec, ld, u0v):
-    """The NSSF family's data: the worst-covariance margin of the module
-    docstring, side -0.5 ||g1' H g1||_F budget(rho, -h)."""
-    return _on_lie(spec, ld, u0v,
-                   -0.5 * ld.frob_term * budget(spec.rho, -ld.h_val))
+    """The NSSF family's data (omega, Lg2h, alpha(h), h, 1): the
+    worst-covariance margin of the module docstring, side _nssf_side."""
+    side = _nssf_side(spec, ld)[0]
+    alpha_h = elementwise(spec.alpha, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side) + (alpha_h, ld.h_val,
+                                                          1.0)
 
 
-NSSF = Family(_reads(_lie), _nssf, ScbfViolation)
+NSSF = Family(_ito_read, _nssf, ScbfViolation)
 
 
 def nssf_margin(spec, ld, u0v):
@@ -320,7 +350,6 @@ def nsbf_premise(spec, x, Sigma):
     ld = lie_data(spec.sys, spec.bf, x)
     S = np.asarray(Sigma, dtype=float).reshape(spec.sys.m1, spec.sys.m1)
     actual = 0.5 * float(np.trace(S.T @ ld.g1_hess_g1 @ S))
-    allowed = budget(spec.rho, -ld.h_val)
-    floor = -0.5 * ld.frob_term * allowed
+    floor, allowed = _nssf_side(spec, ld)
     used = vec_norm(S @ S.T)
     return actual - floor, allowed - used

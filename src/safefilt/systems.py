@@ -42,9 +42,10 @@ and the checked state has the same bytes. The loops already require
 pure policies of (x, t), and the memo ends with its run, so a model
 edited between runs is read afresh. A result is stored only once its
 finiteness check has passed, so a model that raised is called again;
-its Lg1h and Lg2h are read-only arrays, shared by every caller that
-reads that state. reciprocal's B data and filters' stacked corrections
-take the same guard (_guard).
+an array plant's Lg1h and Lg2h there are read-only arrays, shared by
+every caller that reads that state, and first_order_lie marks its
+arrays read-only inside a loop on every plant. reciprocal's B data and
+filters' stacked corrections take the same guard (_guard).
 
 This module holds the one row mapper of the package, which calls the
 user's model and policy callables on the rows of a stack. stack_rows
@@ -94,7 +95,13 @@ stacks (ControlAffineSystem._stacks_of), and the RK4 field
 (ControlAffineSystem._field). Each read calls the model in the order f,
 g2, g1 and applies the contraction rule in float arithmetic, so it
 gives the bits, errors and calls of the same plant built from array
-callables; only this module knows the format. Barriers stay array-based.
+callables. At one state the Lie data stays in floats from there on:
+_first_order_at and _lie_data_at, the reads of every filter, give its
+fields as floats (Lg1h 0.0 where m1 = 0, whose norm is the empty
+vector's), the loop memo stores them, and the filters' helpers take
+them as the (1,) vectors they stand for; first_order_lie and lie_data
+widen them to their public arrays (_widened) for their own callers
+only. Barriers stay array-based.
 
 SafefiltError is the base of every error the package raises by name;
 each keeps its builtin base as well.
@@ -173,7 +180,10 @@ def vec_norm(v):
 def row_dot(a, b):
     """a.b as a float for vectors, by the contraction rule; for (N, m)
     stacks, one dot per row, equal bit for bit to the dot of each pair
-    of rows."""
+    of rows. a may be a width-one number (a float) where it may be a
+    (1,) vector, and b with it: the (1,) vectors' dot."""
+    if type(a) is float:
+        return 0.0 + a * (b if type(b) is float else b.item())
     if a.ndim == 1:
         if a.size == 1:
             return 0.0 + a.item() * b.item()
@@ -182,7 +192,10 @@ def row_dot(a, b):
 
 
 def row_norm(v):
-    """vec_norm of a vector, or of each row of an (N, m) stack."""
+    """vec_norm of a vector, or of each row of an (N, m) stack; of a
+    width-one number (a float), the (1,) vector's norm."""
+    if type(v) is float:
+        return math.sqrt(v * v)
     if v.ndim == 1:
         return vec_norm(v)
     return np.sqrt(row_dot(v, v))
@@ -525,9 +538,12 @@ class FirstOrderLie(NamedTuple):
     """h and its Lie derivatives at one state: what the deterministic
     filters, the disturbance game and its weights read. From a stack of
     N states every field gains a leading axis of length N (floats
-    become (N,) arrays). Its fields are the first four of LieData,
-    which adds the Ito terms; it has no trace_term, frob_term or
-    g1_hess_g1, so reading one of them from it is an AttributeError."""
+    become (N,) arrays); inside the package a scalar plant's one-state
+    data holds Lg1h and Lg2h as floats (_first_order_at), and
+    first_order_lie gives them as arrays. Its fields are the first four
+    of LieData, which adds the Ito terms; it has no trace_term,
+    frob_term or g1_hess_g1, so reading one of them from it is an
+    AttributeError."""
     h_val: float
     Lfh: float
     Lg1h: np.ndarray       # (m1,)
@@ -597,53 +613,47 @@ def _check_finite(numbers, x):
 
 
 def _products(sys, x, grad):
-    """(Lfh, Lg2h, Lg1h, g1, numbers) at a checked state x from the
-    barrier gradient grad there: the model called in the order f, g2, g1
-    (g1 only where m1 > 0; else Lg1h is the shared empty one and g1
-    None), each product by the contraction rule. g1 is the (n, m1) gain,
-    or on a scalar plant its float: there every product is float
-    arithmetic, the same bits, and numbers is the list of the product
-    floats held, for the finiteness check; on other plants it is None."""
+    """(Lfh, Lg2h, Lg1h, g1) at a checked state x from the barrier
+    gradient grad there: the model called in the order f, g2, g1 (g1
+    only where m1 > 0), each product by the contraction rule. On a
+    scalar plant all four are floats, by float arithmetic with the same
+    bits (Lg1h 0.0, whose norm is the empty vector's, and g1 None where
+    m1 = 0); on other plants Lg1h and Lg2h are arrays and g1 the (n, m1)
+    gain, or the shared empty Lg1h and None where m1 = 0."""
     if sys._scalar:
         f, g2, g1 = sys._floats_at(x.item())
         gr = grad.item()
-        Lfh, lg2 = 0.0 + gr * f, 0.0 + gr * g2
-        if g1 is None:
-            return Lfh, np.array((lg2,)), _NO_LG1H, None, [Lfh, lg2]
-        lg1 = 0.0 + gr * g1
-        return (Lfh, np.array((lg2,)), np.array((lg1,)), g1,
-                [Lfh, lg2, lg1])
+        return (0.0 + gr * f, 0.0 + gr * g2,
+                0.0 if g1 is None else 0.0 + gr * g1, g1)
     f, g2 = sys._f_of(x), sys._g2_of(x)
-    Lfh = row_dot(grad, f)
-    Lg2h = vecmat(grad, g2)
+    Lfh, Lg2h = row_dot(grad, f), vecmat(grad, g2)
     if sys.m1 == 0:
-        return Lfh, Lg2h, _NO_LG1H, None, None
+        return Lfh, Lg2h, _NO_LG1H, None
     g1 = sys._g1_of(x)
-    return Lfh, Lg2h, vecmat(grad, g1), g1, None
+    return Lfh, Lg2h, vecmat(grad, g1), g1
 
 
 def _first_order(sys, bf, x):
     """(x checked, g1, the numbers to check, then FirstOrderLie's four
-    fields unchecked) at one state, under the caller's np.errstate. The model
-    is called in the order h, gradient, f, g2, g1, so where two calls
-    raise, the first in that order does. g1 is _products' g1."""
+    fields unchecked) at one state, under the caller's np.errstate. The
+    model is called in the order h, gradient, f, g2, g1, so where two
+    calls raise, the first in that order does. The fields and g1 are
+    _products'."""
     x = _as_state(x, sys.n)
     h = _h_value(bf._h(x))
-    grad = bf._gradient_of(x)
-    Lfh, Lg2h, Lg1h, g1, numbers = _products(sys, x, grad)
-    if numbers is None:
-        finite = [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()]
-    else:
-        finite = [h, *numbers]
-    return x, g1, finite, h, Lfh, Lg1h, Lg2h
+    Lfh, Lg2h, Lg1h, g1 = _products(sys, x, bf._gradient_of(x))
+    if sys._scalar:
+        return x, g1, [h, Lfh, Lg2h, Lg1h], h, Lfh, Lg1h, Lg2h
+    return (x, g1, [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()], h, Lfh, Lg1h,
+            Lg2h)
 
 
-def first_order_lie(sys, bf, x):
-    """h, Lfh, Lg1h and Lg2h at one state, each model output's shape
-    and the four results' finiteness checked once (ModelBlowup if one
-    is not finite). The barrier Hessian is never called. Inside a loop
-    scope, the memo's result where plant, barrier and state bytes match
-    it; else the new result, stored with read-only Lg1h and Lg2h."""
+def _first_order_at(sys, bf, x):
+    """first_order_lie's data at one state, the read of every filter:
+    on a scalar plant its four fields are floats (_products), on other
+    plants arrays. Inside a loop scope, the memo's data where plant,
+    barrier and state bytes match it; else the new data, stored (an
+    array plant's Lg1h and Lg2h read-only)."""
     memo = _LOOP.get()
     if memo is None:
         # non-finite model data, a finite difference of it included, is
@@ -655,37 +665,76 @@ def first_order_lie(sys, bf, x):
     if memo.sys is sys and memo.bf is bf and memo.key == key:
         return memo.lie
     ld = _first_order_lie(sys, bf, x)
-    ld.Lg1h.setflags(write=False)
-    ld.Lg2h.setflags(write=False)
+    if not sys._scalar:
+        ld.Lg1h.setflags(write=False)
+        ld.Lg2h.setflags(write=False)
     memo.sys, memo.bf, memo.key, memo.lie = sys, bf, key, ld
     return ld
 
 
 def _first_order_lie(sys, bf, x):
-    """first_order_lie's data, read afresh under the caller's error
+    """_first_order_at's data, read afresh under the caller's error
     state."""
     x, _, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
     _check_finite(finite, x)
     return FirstOrderLie(h, Lfh, Lg1h, Lg2h)
 
 
+def _widened(sys, ld):
+    """A scalar plant's float Lie data, FirstOrderLie or LieData, as its
+    public arrays: Lg1h and Lg2h (1,) vectors and g1_hess_g1 a (1, 1)
+    matrix, or the shared empty ones where m1 = 0."""
+    m1 = sys.m1
+    fields = [ld.h_val, ld.Lfh, np.array((ld.Lg1h,)) if m1 else _NO_LG1H,
+              np.array((ld.Lg2h,))]
+    if type(ld) is LieData:
+        fields += [ld.trace_term, ld.frob_term,
+                   np.array(((ld.g1_hess_g1,),)) if m1 else _NO_G1HG1]
+    return type(ld)(*fields)
+
+
+def first_order_lie(sys, bf, x):
+    """h, Lfh, Lg1h and Lg2h at one state, each model output's shape
+    and the four results' finiteness checked once (ModelBlowup if one
+    is not finite). The barrier Hessian is never called. Inside a loop
+    scope the data is the memo's where plant, barrier and state bytes
+    match it (_first_order_at), and its Lg1h and Lg2h are read-only."""
+    ld = _first_order_at(sys, bf, x)
+    if sys._scalar:
+        ld = _widened(sys, ld)
+        if _LOOP.get() is not None:
+            ld.Lg1h.setflags(write=False)
+            ld.Lg2h.setflags(write=False)
+    return ld
+
+
+def _lie_data_at(sys, bf, x):
+    """lie_data's data at one state: on a scalar plant its seven fields
+    are floats (_products; g1_hess_g1 the number g1 H g1, 0.0 where
+    m1 = 0), on other plants arrays."""
+    with _guard():  # as in first_order_lie
+        x, g1, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
+        if sys.m1 == 0:
+            G, trace, frob = 0.0 if sys._scalar else _NO_G1HG1, 0.0, 0.0
+        elif sys._scalar:
+            # g1' H g1 of the symmetrized 1x1 Hessian, each product by
+            # the contraction rule, as the (1, 1) matmuls give it
+            H = bf._raw_hessian(x).item()
+            G = 0.0 + (0.0 + g1 * (0.5 * (H + H))) * g1
+            trace, frob = 0.5 * G, math.sqrt(G * G)
+        else:
+            G = g1.T @ bf._symmetrized(bf._raw_hessian(x)) @ g1
+            trace, frob = 0.5 * float(G.trace()), vec_norm(G)
+        _check_finite(finite + [trace, frob], x)
+    return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
+
+
 def lie_data(sys, bf, x):
     """first_order_lie plus the Ito terms where m1 > 0: the Hessian is
     called after g1, a supplied one checked for symmetry, and then the
     finiteness of every result checked at once."""
-    with _guard():  # as in first_order_lie
-        x, g1, finite, h, Lfh, Lg1h, Lg2h = _first_order(sys, bf, x)
-        if sys.m1 > 0:
-            if sys._scalar:
-                g1 = np.array(((g1,),))
-            G = g1.T @ bf._symmetrized(bf._raw_hessian(x)) @ g1
-            trace = 0.5 * float(G.trace())
-            frob = vec_norm(G)
-            finite += [trace, frob]
-        else:
-            G, trace, frob = _NO_G1HG1, 0.0, 0.0
-        _check_finite(finite, x)
-    return LieData(h, Lfh, Lg1h, Lg2h, trace, frob, G)
+    ld = _lie_data_at(sys, bf, x)
+    return _widened(sys, ld) if sys._scalar else ld
 
 
 def _state_stack(sys, X):

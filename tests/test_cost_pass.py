@@ -16,6 +16,7 @@ import pytest
 
 import safefilt.certify
 import safefilt.filters
+import safefilt.stochastic
 from safefilt.certify import CostSpec, cost_invariance_check, evaluate_cost
 from safefilt.comparison import identity_k, linear_extended
 from safefilt.filters import DssfCbfSpec, inverse_optimal_qp
@@ -28,9 +29,9 @@ from safefilt.scenarios import (_ex3_pieces, disturbed_gain_system,
 from safefilt.sim import SimConfig, Trajectory, integrate_ode, integrate_sde
 from safefilt.stochastic import (CovarianceSchedule, nssf_qp_filter,
                                  stoch_qp_filter)
-from safefilt.systems import (first_order_lie, first_order_lie_rows,
-                              lie_data, lie_data_rows, scalar_system,
-                              vec_norm)
+from safefilt.systems import (_first_order_at, _lie_data_at,
+                              first_order_lie, first_order_lie_rows,
+                              lie_data_rows, scalar_system, vec_norm)
 
 CFG = SimConfig(dt=1e-2, T=1.0)
 
@@ -200,11 +201,14 @@ def test_running_cost_is_infinite_from_the_first_flagged_interval():
     assert np.all(cv.running[3:] == math.inf)
 
 
-# every entry point the filters reach the Lie data through; certify's
-# cost passes reach it through the filter families
-LIE_ENTRIES = ((safefilt.filters, lie_data), (safefilt.filters, lie_data_rows),
+# every entry point the filters reach the Lie data through, at one
+# state and on stacks (the Ito reads are stochastic's); certify's cost
+# passes reach it through the filter families
+LIE_ENTRIES = ((safefilt.filters, _first_order_at),
                (safefilt.filters, first_order_lie),
-               (safefilt.filters, first_order_lie_rows))
+               (safefilt.filters, first_order_lie_rows),
+               (safefilt.stochastic, _lie_data_at),
+               (safefilt.stochastic, lie_data_rows))
 
 
 def count_lie_data(monkeypatch):
