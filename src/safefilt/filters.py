@@ -13,7 +13,10 @@ u0v) gives the family data
     (omega, a, alpha(h), h, c)
 
 from it at the nominal values u0v, and data(spec, x, u0v) is the two in
-turn, at one state or per row of a stack. c is the factor of the
+turn, at one state or per row of a stack. The package's own calls read
+through the family's state(spec, x), which at one state of a
+scalar_system plant gives the width-one fields as floats; read widens
+them to the (1,) vectors they stand for. c is the factor of the
 family's certificate cost. Its filters raise its one violation class.
 
     family      drift, a      side                           c     module
@@ -86,10 +89,10 @@ spec whose u0 takes (x, t) gives the same control. Beta >= 2 makes a
 min-norm law inverse-optimal.
 
 At one state of a scalar_system plant the whole family step is float
-arithmetic: the state read (systems._first_order_at, or the Ito read
-systems._lie_data_at) gives h, Lfh, Lg1h and Lg2h (and the Ito terms)
-as floats, the loop memo holds those floats, and the formula and the
-step read them as they are. The helpers the formulas call take a
+arithmetic: the family's state read (systems._first_order_at, or the
+Ito read systems._lie_data_at) gives h, Lfh, Lg1h and Lg2h (and the Ito
+terms) as floats, the loop memo holds those floats, and the formula and
+the step read them as they are. The helpers the formulas call take a
 width-one number wherever they take a (1,) vector and give the (1,)
 vector's bits: row_dot, row_norm, budget, margin, _filtered, _weighted
 at m = 1, and correct, whose correction is the (1,) vector. Where a
@@ -124,8 +127,9 @@ premises.
 
 Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
 it takes first-order Lie data (systems._first_order_at at a state,
-through _first_order_read, the read of the CBF and DSSF families, which
-the disturbance game and the worst-case disturbances read too), and the
+through _first_order_read, the state read of the CBF and DSSF families,
+which the disturbance game and the worst-case disturbances read too;
+_lie1 is that read on a plant and barrier), and the
 barrier Hessian is never called here. The Ito terms are for
 `stochastic`: its games read the full Lie data through the GENERATOR
 and NSSF families, and the one value equation, _value_game, evaluates
@@ -135,8 +139,8 @@ One convention holds for every margin, filter, premise, weight and
 penalty of the package: each takes one (n,) state or an (N, n) stack of
 them (and nominal values as (m2,) or (N, m2)), and on a stack returns
 one entry per row, equal bit for bit to the single-state value. The
-choice is made only by the helpers: the family reads and _lie1 (the
-Lie data of a state or of a stack), _u0_at (u0 at a state through
+choice is made only by the helpers: the family reads (the Lie data of
+a state or of a stack), _u0_at (u0 at a state through
 systems._single_state, so a stacked u0 is checked as a stack there too,
 or at a stack through systems.call_rows), systems.row_dot and row_norm,
 and comparison.elementwise for every class-K function. So each formula is
@@ -157,12 +161,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import LegendreFenchelPair, elementwise, legendre_fenchel
-from .systems import (SafefiltError, _as_state, _first_order_at, _guard,
-                      _single_state, call_rows, first_order_lie,
-                      first_order_lie_rows, row_dot, row_norm, stack_rows,
-                      vec_norm)
+from .systems import (FirstOrderLie, LieData, SafefiltError, _as_state,
+                      _first_order_at, _guard, _single_state, _widened,
+                      call_rows, first_order_lie, first_order_lie_rows,
+                      row_dot, row_norm, stack_rows, vec_norm)
 
 GRAD_ZERO_TOL = 1e-12       # |a| below this means no control authority
+_LIE = (FirstOrderLie, LieData)
 
 MIN_NORM = "min-norm"
 SONTAG = "sontag"
@@ -262,22 +267,26 @@ def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
             return u0v + beta * correct(omega, a, rule, error)
         a = a.item()
     k = _factor(omega, 0.0 + a * a, rule, error)  # row_dot at width one
-    u = u0v.item() + float(beta) * (0.0 if k == 0.0 else float(k) * a)
-    if math.isfinite(u):
-        return np.array((u,))
-    return u0v + beta * _times(k, a)
+    return _vector(u0v.item() + float(beta) * (0.0 if k == 0.0
+                                               else float(k) * a),
+                   lambda: u0v + beta * _times(k, a))
+
+
+def _vector(u, array):
+    """The (1,) vector (u,) of a float result u where it is finite, the
+    bits of the array expression; else that expression's own result,
+    array(), so that a NaN keeps the array's sign and payload and
+    numpy's warnings stay the array's."""
+    return np.array((u,)) if math.isfinite(u) else array()
 
 
 def _plus(u0v, c, v):
     """u0v + c v, the step of the weighted game laws; at one state of
-    width one, where v is a number, float arithmetic in that order, the
-    bits of the array expression, and where that is not finite the
-    array expression itself, as in _filtered."""
+    width one, where v is a number, float arithmetic in that order
+    (_vector)."""
     if type(v) is float:
-        u = u0v.item() + float(c) * v
-        if math.isfinite(u):
-            return np.array((u,))
-        v = np.array((v,))
+        return _vector(u0v.item() + float(c) * v,
+                       lambda: u0v + c * np.array((v,)))
     return u0v + c * v
 
 
@@ -297,15 +306,6 @@ def _u0_at(spec, x, t):
     if type(x) is np.ndarray and x.ndim == 2:
         return call_rows(spec.u0, x, t, m2, "u0")
     return _as_state(_single_state(spec.u0, m2, "u0")(x, t), m2, "u0")
-
-
-def _lie1(sys, bf, x):
-    """The first-order Lie data at a state (systems._first_order_at:
-    floats on a scalar plant), or first_order_lie_rows at an (N, n)
-    stack of them."""
-    if type(x) is np.ndarray and x.ndim == 2:
-        return first_order_lie_rows(sys, bf, x)
-    return _first_order_at(sys, bf, x)
 
 
 def _max0(v):
@@ -379,21 +379,30 @@ def _weighted(weight, x, u0v, a):
     return R, ra, row_dot(a, ra)
 
 
-class Family(namedtuple("Family", "read formula error")):
-    """A margin family: read(spec, x) reads its state data (the Lie data)
-    at a state or at each row of a stack, formula(spec, ld, u0v) gives
-    the family data (omega, a, alpha(h), h, c) from that data at nominal
-    values u0v, and error is the violation class its filters raise."""
+class Family(namedtuple("Family", "state formula error")):
+    """A margin family: state(spec, x) reads its state data (the Lie
+    data) at a state or at each row of a stack, a scalar plant's
+    width-one fields as floats at one state, formula(spec, ld, u0v)
+    gives the family data (omega, a, alpha(h), h, c) from that data at
+    nominal values u0v, and error is the violation class its filters
+    raise."""
+
+    def read(self, spec, x):
+        """The state data at states x, width-one fields as the (1,)
+        vectors they stand for (systems._widened)."""
+        ld = self.state(spec, x)
+        return _widened(spec.sys, ld) if type(ld) in _LIE else ld
 
     def data(self, spec, x, u0v):
-        """(omega, a, alpha(h), h, c) at states x and nominal values u0v."""
+        """(omega, a, alpha(h), h, c) at states x and nominal values u0v,
+        on read's state data."""
         return self.formula(spec, self.read(spec, x), u0v)
 
 
 def _at(family, spec, x, t):
     """(state data, u0) at (x, t), or their stacks: the family's state
     data read first, then u0 = spec.u0(x, t)."""
-    return family.read(spec, x), _u0_at(spec, x, t)
+    return family.state(spec, x), _u0_at(spec, x, t)
 
 
 def _apply(family, spec, rule, gain, x, t, nominal=_u0_at):
@@ -402,7 +411,7 @@ def _apply(family, spec, rule, gain, x, t, nominal=_u0_at):
     returns the full control takes. The state data is read first, then
     u0 = nominal(spec, x, t), spec.u0(x, t) unless the caller reads its
     nominal otherwise."""
-    ld = family.read(spec, x)
+    ld = family.state(spec, x)
     u0v = nominal(spec, x, t)
     omega, a = family.formula(spec, ld, u0v)[:2]
     return _filtered(u0v, gain, omega, a, rule, family.error)
@@ -450,31 +459,41 @@ class DssfCbfSpec:
 
 
 def _first_order_read(spec, x):
-    """The read of the CBF and DSSF families: _lie1 on spec's plant and
-    barrier."""
+    """The state read of the CBF and DSSF families: the first-order Lie
+    data of spec's plant and barrier at a state (systems._first_order_at:
+    floats on a scalar plant), or first_order_lie_rows at an (N, n)
+    stack of them."""
     if type(x) is np.ndarray and x.ndim == 2:
         return first_order_lie_rows(spec.sys, spec.bf, x)
     return _first_order_at(spec.sys, spec.bf, x)
 
 
-def _cbf(spec, ld, u0v):
-    """The CBF family's data (omega, Lg2h, alpha(h), h, 1), omega =
-    Lfh + Lg2h.u0 + alpha(h)."""
-    alpha_h = elementwise(spec.alpha, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h) + (alpha_h, ld.h_val, 1.0)
+_Plant = namedtuple("_Plant", "sys bf")
+
+
+def _lie1(sys, bf, x):
+    """_first_order_read on plant sys and barrier bf."""
+    return _first_order_read(_Plant(sys, bf), x)
+
+
+def _on_lie(spec, ld, u0v, side=-0.0, alpha=None):
+    """(omega, Lg2h, alpha(h), h, 1): the margin on Lie data ld with the
+    side term side, the formula of the four Lie families; alone, the
+    CBF family's, omega = Lfh + Lg2h.u0 + alpha(h). alpha defaults to
+    spec.alpha (the sandwich's upper edges pass alpha0)."""
+    alpha_h = elementwise(spec.alpha if alpha is None else alpha, ld.h_val)
+    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side) + (alpha_h, ld.h_val,
+                                                          1.0)
 
 
 def _dssf(spec, ld, u0v, rinv=None):
-    """The DSSF family's data: the CBF margin with side -||Lg1h|| rinv,
-    rinv = budget(rho, -h) unless the caller has it."""
-    h = ld.h_val
-    side = -(row_norm(ld.Lg1h) * (budget(spec.rho, -h) if rinv is None
-                                  else rinv))
-    alpha_h = elementwise(spec.alpha, h)
-    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side) + (alpha_h, h, 1.0)
+    """The DSSF family's data: side -||Lg1h|| rinv, rinv = budget(rho,
+    -h) unless the caller has it."""
+    rinv = budget(spec.rho, -ld.h_val) if rinv is None else rinv
+    return _on_lie(spec, ld, u0v, -(row_norm(ld.Lg1h) * rinv))
 
 
-CBF = Family(_first_order_read, _cbf, CbfViolation)
+CBF = Family(_first_order_read, _on_lie, CbfViolation)
 DSSF = Family(_first_order_read, _dssf, CbfViolation)
 
 
@@ -486,7 +505,7 @@ def dssf_margin(spec, ld, u0v):
 
 def cbf_margin(spec, ld, u0v):
     """(omega, Lg2h) of the CBF family at Lie data ld."""
-    return _cbf(spec, ld, u0v)[:2]
+    return _on_lie(spec, ld, u0v)[:2]
 
 
 def omega_dssf(spec, x, t):
@@ -577,10 +596,10 @@ _Game = namedtuple("_Game", _Weights._fields + ("drift", "adv", "ctrl", "l",
 def _game_weights(spec, family, base, x, u0v):
     """The weights of a game at state x and nominal value u0v: the gain
     gate on spec (beta_gain, allow_safety_only), the Lie data that the
-    family reads on base's plant and barrier (family.read(base, x)) and
+    family reads on base's plant and barrier (family.state(base, x)) and
     (R, R^{-1} Lg2h', S) of _weighted with spec.R2."""
     _check_gains(spec.beta_gain, spec.allow_safety_only)
-    ld = family.read(base, x)
+    ld = family.state(base, x)
     return _Weights(ld, *_weighted(spec.R2, x, u0v, ld.Lg2h))
 
 
@@ -632,14 +651,9 @@ def inverse_optimal_condition(iospec, x, t):
 
 def _along(s, g, nrm):
     """s g / nrm, the worst-case disturbances' s Lg1h / ||Lg1h||; at a
-    width-one number g, float arithmetic, the bits of the array
-    expression, and where that is not finite the array expression
-    itself, as in _filtered."""
+    width-one number g, float arithmetic (_vector)."""
     if type(g) is float:
-        d = float(s) * g / nrm
-        if math.isfinite(d):
-            return np.array((d,))
-        g = np.array((g,))
+        return _vector(float(s) * g / nrm, lambda: s * np.array((g,)) / nrm)
     return s * g / nrm
 
 
@@ -773,7 +787,7 @@ def min_norm_certificate(beta, omega, a, alpha_h):
 def min_norm_weights(spec, x, u0v, beta_gain, lam):
     """qp_weights at state x and nominal value u0v, or at each row of
     their stacks."""
-    ld = DSSF.read(spec, x)
+    ld = DSSF.state(spec, x)
     rinv = budget(spec.rho, -ld.h_val)
     omega, a, alpha_h = _dssf(spec, ld, u0v, rinv)[:3]
     l = (2.0 * beta_gain * alpha_h

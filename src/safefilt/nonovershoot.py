@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .comparison import elementwise
-from .filters import DSSF, MIN_NORM, _apply, _lie1, budget, dssf_margin, margin
-from .stochastic import GENERATOR, NSSF, _lie, generator_margin, nssf_margin
+from .filters import DSSF, MIN_NORM, _apply, _on_lie, budget, dssf_margin
+from .stochastic import GENERATOR, NSSF, generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
 
@@ -53,33 +53,27 @@ def _u0(spec, x, t=None):
     return _as_state(spec.u0(x), m2, "u0")
 
 
-def _parts(spec, x, lie=_lie):
+def _parts(spec, x, family=NSSF):
     """(Lie data, u0) at a state, or their stacks at each row of an
-    (N, n) stack of states, the Lie data read first. lie reads it:
-    stochastic._lie, with the Ito terms, for the Ito entries, and
-    filters._lie1, the first-order data, for the deterministic sandwich,
+    (N, n) stack of states, the Lie data read first by family's state
+    read: NSSF's (GENERATOR's), with the Ito terms, for the Ito entries,
+    and DSSF's, the first-order data, for the deterministic sandwich,
     which reads no Hessian."""
-    return lie(spec.sys, spec.bf, x), _u0(spec, x)
-
-
-def _upper(spec, ld, u0v, side):
-    """An upper-side margin: the Lie margin with alpha0 and side."""
-    return margin(ld.Lfh, ld.Lg2h, u0v, elementwise(spec.alpha0, ld.h_val),
-                  side)[0]
+    return family.state(spec, x), _u0(spec, x)
 
 
 def omega0(spec, x):
     """Upper-side margin of the nominal, side ||Lg1h|| budget(rho0, h);
     <= 0 means the nominal already drives h down at rate alpha0 whenever
     h sits above its rho0-ball."""
-    ld, u0v = _parts(spec, x, _lie1)
+    ld, u0v = _parts(spec, x, DSSF)
     side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
-    return _upper(spec, ld, u0v, side)
+    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
 
 
 def omega_no(spec, x):
     """Floor-side margin; negative where the filter must act."""
-    return dssf_margin(spec, *_parts(spec, x, _lie1))[0]
+    return dssf_margin(spec, *_parts(spec, x, DSSF))[0]
 
 
 def sandwich_filter(spec, x):
@@ -96,7 +90,7 @@ def gain_separation_margin(spec, x):
     """alpha(h) - alpha0(h)
        - ||Lg1h|| (rho^{-1}(max{0,-h}) + rho0^{-1}(max{0,h}));
     sample-check >= 0 so the two tube edges cannot cross."""
-    ld = _lie1(spec.sys, spec.bf, x)
+    ld = DSSF.state(spec, x)
     return _separation(spec, ld.h_val, row_norm(ld.Lg1h))
 
 
@@ -115,7 +109,7 @@ def stoch_omega0(spec, x):
     """Upper margin with side 0.5 ||g1' H g1||_F budget(rho0, h)."""
     ld, u0v = _parts(spec, x)
     side = 0.5 * ld.frob_term * budget(spec.rho0, ld.h_val)
-    return _upper(spec, ld, u0v, side)
+    return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
 
 
 def stoch_omega(spec, x):
@@ -126,7 +120,7 @@ def stoch_omega(spec, x):
 def omega0_exact(spec, x):
     """Upper margin with the true identity-covariance trace term."""
     ld, u0v = _parts(spec, x)
-    return _upper(spec, ld, u0v, ld.trace_term)
+    return _on_lie(spec, ld, u0v, ld.trace_term, spec.alpha0)[0]
 
 
 def omega_exact(spec, x):
@@ -146,5 +140,5 @@ def stoch_sandwich_filter(spec, x, exact_trace=False):
 
 
 def stoch_gain_separation_margin(spec, x):
-    ld = _lie(spec.sys, spec.bf, x)
+    ld = NSSF.state(spec, x)
     return _separation(spec, ld.h_val, 0.5 * ld.frob_term)

@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .comparison import elementwise
-from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _plus,
-                      _u0_at, _weighted, margin, min_norm_certificate)
+from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _u0_at,
+                      _weighted, margin, min_norm_certificate)
 from .systems import (BarrierFunction, SafefiltError, _as_state, _guard,
                       _h_value, _products, at_rows, first_order_lie_rows)
 
@@ -61,7 +61,7 @@ def _b_data(spec, x):
     calls), and where that fails or B leaves (0, inf), _b_data row by
     row, which raises its own error at the first bad row. At one state
     B, its gradient and the model run with numpy's warnings silenced, as
-    in first_order_lie, and on a scalar plant LgB is a float."""
+    in first_order_lie, and LgB is an (m2,) vector on every plant."""
     if type(x) is np.ndarray and x.ndim == 2:
         try:
             ld = first_order_lie_rows(
@@ -72,8 +72,7 @@ def _b_data(spec, x):
             ld = None
         if ld is not None and (ld.h_val > 0.0).all():
             return ld.h_val, ld.Lfh, ld.Lg2h
-        Bv, LfB, LgB = at_rows(partial(_b_data, spec), x)
-        return Bv, LfB, LgB.reshape(len(x), spec.sys.m2)
+        return at_rows(partial(_b_data, spec), x)
     x = _as_state(x, spec.sys.n)
     with _guard():  # the model, as first_order_lie
         Bv = _h_value(spec.B(x))
@@ -81,7 +80,7 @@ def _b_data(spec, x):
             raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
         grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
         LfB, LgB = _products(spec.sys, x, grad)[:2]
-    return Bv, LfB, LgB
+    return Bv, LfB, np.array((LgB,)) if type(LgB) is float else LgB
 
 
 def _reciprocal(spec, bdata, u0v):
@@ -120,8 +119,7 @@ def rcbf_qp_filter(spec, x, t):
 def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
     bdata, u0v = _at(RECIPROCAL, spec, x, t)
-    return _plus(u0v, -spec.beta_gain,
-                 _weighted(spec.Rbar, x, u0v, bdata[2])[1])
+    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, bdata[2])[1]
 
 
 def rcbf_condition(spec, x, t):
@@ -132,12 +130,19 @@ def rcbf_condition(spec, x, t):
             + _weighted(spec.Rbar, x, u0v, bdata[2])[2])
 
 
+def _weights(spec, x, u0v):
+    """(Rbar, lbar = -h^2 l, h, alpha_bar(h)): filters.min_norm_certificate
+    at state x and nominal value u0v, with the family data's
+    alpha_bar(h)."""
+    omega, a, alpha_h, h, c = RECIPROCAL.data(spec, x, u0v)
+    R, l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)
+    return R, c * l, h, alpha_h
+
+
 def reciprocal_weights(spec, x, u0v):
     """(Rbar, lbar = -h^2 l, h) of filters.min_norm_certificate at state
     x and nominal value u0v."""
-    omega, a, alpha_h, h, c = RECIPROCAL.data(spec, x, u0v)
-    R, l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)
-    return R, c * l, h
+    return _weights(spec, x, u0v)[:3]
 
 
 def rcbf_weights(spec, x, t):
@@ -156,6 +161,5 @@ def rcbf_penalty_l(spec, x, t):
 def rcbf_penalty_bound_gap(spec, x, t):
     """lbar minus its floor -(2 beta/B^2) alpha_bar(1/B); nonnegative.
     The floor reads alpha_bar(1/B) off the family data."""
-    omega, a, alpha_h, h, c = RECIPROCAL.data(spec, x, _u0_at(spec, x, t))
-    l = min_norm_certificate(spec.beta_gain, omega, a, alpha_h)[1]
-    return c * l + 2.0 * spec.beta_gain * h * h * alpha_h
+    _, lbar, h, alpha_h = _weights(spec, x, _u0_at(spec, x, t))
+    return lbar + 2.0 * spec.beta_gain * h * h * alpha_h

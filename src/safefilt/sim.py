@@ -607,14 +607,11 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
     steps, P the batch width: each path of a batch keeps its own slot of
     the stream pool (_streams) and draws its next K normals into its row
     of a (P, K) chunk, scaled once by sqrt(dt) in place, whose K columns
-    the K steps read in place as the increments. Each step writes its
-    Euler-Maruyama sum and trapezoid term into two preallocated P-wide
-    buffers, each operation with the operands and order of x + dt f(x)
-    + s(x) (sqrt(dt) z) and 0.5 dt (prev + cur), so the totals keep
-    their bits. The one chunk holds at most _NOISE doubles (4 MB)
-    whatever the horizon, or P when P is wider than that. x0 is checked
-    as in integrate_ode_scalar; batch_size < 1 is a ValueError before
-    any draw. The loop runs under np.errstate(all="ignore"), as _run does,
+    the K steps read in place, step k's increment the product sqrt(dt) *
+    column k. The one chunk holds at most _NOISE doubles (4 MB) whatever
+    the horizon, or P when P is wider than that. x0 is checked as in
+    integrate_ode_scalar; batch_size < 1 is a ValueError before any
+    draw. The loop runs under np.errstate(all="ignore"), as _run does,
     so a diverging path ends in SimulationError("path functional
     diverged"), not a warning first.
     """
@@ -628,7 +625,6 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
     K = max(1, min(n_steps, _NOISE // P))
     start, gens = _streams(cfg.seed, P)
     drawn = np.empty(P * K)     # a (p, k) chunk: row j path j's normals
-    step, term = np.empty(P), np.empty(P)   # x's next sum, the trapezoid
     totals = np.empty(cfg.paths)
     with np.errstate(all="ignore"):
         for done in range(0, cfg.paths, P):
@@ -637,7 +633,6 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
             x = np.full(p, x0)
             running = np.zeros(p)
             prev = integrand(x)
-            nxt, trap = step[:p], term[:p]
             for first in range(0, n_steps, K):
                 k = min(K, n_steps - first)
                 Z = drawn[:p * k].reshape(p, k)
@@ -645,15 +640,9 @@ def sde_path_functionals(drift, diffusion, x0, cfg, integrand, terminal,
                     rng.standard_normal(out=row)
                 Z *= sq
                 for z in Z.T:
-                    # x + dt f(x) + s(x) z, then 0.5 dt (prev + cur)
-                    np.multiply(dt, drift(x), out=nxt)
-                    np.add(x, nxt, out=nxt)
-                    np.add(nxt, np.multiply(diffusion(x), z), out=nxt)
-                    x = nxt.copy()
+                    x = x + dt * drift(x) + diffusion(x) * z
                     cur = integrand(x)
-                    np.add(prev, cur, out=trap)
-                    np.multiply(0.5 * dt, trap, out=trap)
-                    running += trap
+                    running += 0.5 * dt * (prev + cur)
                     prev = cur
             if not np.all(np.isfinite(x)):
                 raise SimulationError("path functional diverged")

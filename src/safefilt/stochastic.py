@@ -44,8 +44,8 @@ import numpy as np
 
 from .comparison import elementwise, legendre_fenchel
 from .filters import (GRAD_ZERO_TOL, MIN_NORM, SONTAG, Family, _apply, _at,
-                      _check_gains, _game_weights, _max0, _premise, _u0_at,
-                      _value_game, budget, correct, margin)
+                      _check_gains, _game_weights, _max0, _on_lie, _Plant,
+                      _premise, _u0_at, _value_game, budget, correct)
 from .systems import (SafefiltError, _as_state, _lie_data_at, lie_data,
                       lie_data_rows, row_dot, vec_norm)
 
@@ -69,30 +69,25 @@ class StochSpec:
         _check_gains(self.beta_gain, safety_only=True)
 
 
-def _lie(sys, bf, x):
-    """The full Lie data, the Ito terms included, at a state
-    (systems._lie_data_at: floats on a scalar plant), or lie_data_rows
-    at an (N, n) stack of them."""
-    if type(x) is np.ndarray and x.ndim == 2:
-        return lie_data_rows(sys, bf, x)
-    return _lie_data_at(sys, bf, x)
-
-
 def _ito_read(spec, x):
-    """The read of the GENERATOR and NSSF families: _lie on spec's
-    plant and barrier."""
+    """The state read of the GENERATOR and NSSF families: the full Lie
+    data, the Ito terms included, of spec's plant and barrier at a
+    state (systems._lie_data_at: floats on a scalar plant), or
+    lie_data_rows at an (N, n) stack of them."""
     if type(x) is np.ndarray and x.ndim == 2:
         return lie_data_rows(spec.sys, spec.bf, x)
     return _lie_data_at(spec.sys, spec.bf, x)
 
 
+def _lie(sys, bf, x):
+    """_ito_read on plant sys and barrier bf."""
+    return _ito_read(_Plant(sys, bf), x)
+
+
 def _generator(spec, ld, u0v):
-    """The generator family's data (omega, Lg2h, alpha(h), h, 1): omega
-    = L h(u0) + alpha(h), Sigma = I, the margin with side the trace
-    term."""
-    alpha_h = elementwise(spec.alpha, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, ld.trace_term) + (
-        alpha_h, ld.h_val, 1.0)
+    """The generator family's data: omega = L h(u0) + alpha(h), Sigma =
+    I, the margin with side the trace term."""
+    return _on_lie(spec, ld, u0v, ld.trace_term)
 
 
 GENERATOR = Family(_ito_read, _generator, ScbfViolation)
@@ -151,12 +146,9 @@ def _nssf_side(spec, ld):
 
 
 def _nssf(spec, ld, u0v):
-    """The NSSF family's data (omega, Lg2h, alpha(h), h, 1): the
-    worst-covariance margin of the module docstring, side _nssf_side."""
-    side = _nssf_side(spec, ld)[0]
-    alpha_h = elementwise(spec.alpha, ld.h_val)
-    return margin(ld.Lfh, ld.Lg2h, u0v, alpha_h, side) + (alpha_h, ld.h_val,
-                                                          1.0)
+    """The NSSF family's data: the worst-covariance margin of the module
+    docstring, side _nssf_side."""
+    return _on_lie(spec, ld, u0v, _nssf_side(spec, ld)[0])
 
 
 NSSF = Family(_ito_read, _nssf, ScbfViolation)

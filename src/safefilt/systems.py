@@ -99,9 +99,9 @@ callables. At one state the Lie data stays in floats from there on:
 _first_order_at and _lie_data_at, the reads of every filter, give its
 fields as floats (Lg1h 0.0 where m1 = 0, whose norm is the empty
 vector's), the loop memo stores them, and the filters' helpers take
-them as the (1,) vectors they stand for; first_order_lie and lie_data
-widen them to their public arrays (_widened) for their own callers
-only. Barriers stay array-based.
+them as the (1,) vectors they stand for; first_order_lie, lie_data and
+a margin family's public read and data (filters.Family) widen them to
+their public arrays (_widened). Barriers stay array-based.
 
 SafefiltError is the base of every error the package raises by name;
 each keeps its builtin base as well.
@@ -540,7 +540,7 @@ class FirstOrderLie(NamedTuple):
     N states every field gains a leading axis of length N (floats
     become (N,) arrays); inside the package a scalar plant's one-state
     data holds Lg1h and Lg2h as floats (_first_order_at), and
-    first_order_lie gives them as arrays. Its fields are the first four
+    first_order_lie and a family's read give them as arrays. Its fields are the first four
     of LieData, which adds the Ito terms; it has no trace_term,
     frob_term or g1_hess_g1, so reading one of them from it is an
     AttributeError."""
@@ -642,10 +642,8 @@ def _first_order(sys, bf, x):
     x = _as_state(x, sys.n)
     h = _h_value(bf._h(x))
     Lfh, Lg2h, Lg1h, g1 = _products(sys, x, bf._gradient_of(x))
-    if sys._scalar:
-        return x, g1, [h, Lfh, Lg2h, Lg1h], h, Lfh, Lg1h, Lg2h
-    return (x, g1, [h, Lfh, *Lg2h.tolist(), *Lg1h.tolist()], h, Lfh, Lg1h,
-            Lg2h)
+    lg = [Lg2h, Lg1h] if sys._scalar else [*Lg2h.tolist(), *Lg1h.tolist()]
+    return x, g1, [h, Lfh, *lg], h, Lfh, Lg1h, Lg2h
 
 
 def _first_order_at(sys, bf, x):
@@ -681,9 +679,12 @@ def _first_order_lie(sys, bf, x):
 
 
 def _widened(sys, ld):
-    """A scalar plant's float Lie data, FirstOrderLie or LieData, as its
-    public arrays: Lg1h and Lg2h (1,) vectors and g1_hess_g1 a (1, 1)
-    matrix, or the shared empty ones where m1 = 0."""
+    """Lie data ld, FirstOrderLie or LieData, as its public arrays: a
+    scalar plant's one-state floats widened, Lg1h and Lg2h to (1,)
+    vectors and g1_hess_g1 to a (1, 1) matrix, or the shared empty ones
+    where m1 = 0; array data as it is."""
+    if type(ld.Lg2h) is not float:
+        return ld
     m1 = sys.m1
     fields = [ld.h_val, ld.Lfh, np.array((ld.Lg1h,)) if m1 else _NO_LG1H,
               np.array((ld.Lg2h,))]
@@ -699,12 +700,10 @@ def first_order_lie(sys, bf, x):
     is not finite). The barrier Hessian is never called. Inside a loop
     scope the data is the memo's where plant, barrier and state bytes
     match it (_first_order_at), and its Lg1h and Lg2h are read-only."""
-    ld = _first_order_at(sys, bf, x)
-    if sys._scalar:
-        ld = _widened(sys, ld)
-        if _LOOP.get() is not None:
-            ld.Lg1h.setflags(write=False)
-            ld.Lg2h.setflags(write=False)
+    ld = _widened(sys, _first_order_at(sys, bf, x))
+    if sys._scalar and _LOOP.get() is not None:
+        ld.Lg1h.setflags(write=False)
+        ld.Lg2h.setflags(write=False)
     return ld
 
 
@@ -733,8 +732,7 @@ def lie_data(sys, bf, x):
     """first_order_lie plus the Ito terms where m1 > 0: the Hessian is
     called after g1, a supplied one checked for symmetry, and then the
     finiteness of every result checked at once."""
-    ld = _lie_data_at(sys, bf, x)
-    return _widened(sys, ld) if sys._scalar else ld
+    return _widened(sys, _lie_data_at(sys, bf, x))
 
 
 def _state_stack(sys, X):

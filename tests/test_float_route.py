@@ -9,7 +9,8 @@ whose data are (1,) vectors: the same control, disturbance, margin or
 weight, or the same error class and text (ModelBlowup, the violation
 classes, domain errors), numpy's warnings raised as errors so that a
 warning counts as its text. The same holds for first_order_lie and
-lie_data inside a loop scope. Also here: rcbf_penalty_bound_gap reads
+lie_data inside a loop scope, and for the families' public read and
+data, whose width-one fields are (1,) vectors on both plants. Also here: rcbf_penalty_bound_gap reads
 alpha_bar once per call, and nsbf_premise's floor is the NSSF family's
 side term.
 """
@@ -91,6 +92,17 @@ def in_loop(lie, key):
     return call
 
 
+def family(fam, key, data=True):
+    """fam's public state data (read) or family data (data, at the
+    spec's nominal value) at one state."""
+    def call(S, x):
+        spec = S[key]
+        if data:
+            return tuple(fam.data(spec, x, spec.u0(x, 0.0)))
+        return tuple(fam.read(spec, x))
+    return call
+
+
 LAWS = {
     "qp_filter": lambda S, x: sf.qp_filter(S["dssf"], x, 0.0),
     "sontag_filter": lambda S, x: sf.sontag_filter(S["dssf"], x, 0.0),
@@ -133,6 +145,14 @@ LAWS = {
     "sandwich_filter": lambda S, x: sf.sandwich_filter(S["sandwich"], x),
     "stoch_sandwich_filter": lambda S, x: sf.stoch_sandwich_filter(
         S["sandwich"], x, True),
+    "DSSF.read": family(sf.DSSF, "dssf", data=False),
+    "DSSF.data": family(sf.DSSF, "dssf"),
+    "CBF.data": family(sf.CBF, "dssf"),
+    "GENERATOR.read": family(sf.GENERATOR, "stoch", data=False),
+    "GENERATOR.data": family(sf.GENERATOR, "stoch"),
+    "NSSF.data": family(sf.NSSF, "nssf"),
+    "RECIPROCAL.read": family(sf.RECIPROCAL, "recip", data=False),
+    "RECIPROCAL.data": family(sf.RECIPROCAL, "recip"),
     "first_order_lie.loop": in_loop(first_order_lie, "dssf"),
     "lie_data.loop": in_loop(lie_data, "stoch"),
 }

@@ -65,9 +65,9 @@ from safefilt.stochastic import (NssfSpec, ScbfViolation, StochSpec,
                                  nssf_qp_filter, stoch_qp_filter)
 from safefilt.systems import (FD_STEP, BarrierFunction, ControlAffineSystem,
                               FirstOrderLie, LieData, ModelBlowup,
-                              SafefiltError, _as_state, first_order_lie,
-                              first_order_lie_rows, lie_data, lie_data_rows,
-                              vec_norm)
+                              SafefiltError, _as_state, _lie_data_at,
+                              first_order_lie, first_order_lie_rows,
+                              lie_data, lie_data_rows, vec_norm)
 
 OUTPUTS = ("h", "grad", "hess", "f", "g1", "g2")
 
@@ -309,10 +309,14 @@ class HessianFault(Exception):
 @contextlib.contextmanager
 def full_lie_data():
     """The first-order entry points of filters replaced by lie_data and
-    lie_data_rows: each consumer, certify's cost passes through the
-    filter families included, then reads its four fields off the full
-    LieData, the Hessian called and checked."""
+    lie_data_rows, and the one-state read of the families and the
+    worst-case disturbances (_first_order_at, floats on a scalar plant)
+    by lie_data's (_lie_data_at): each consumer, certify's cost passes
+    through the filter families included, then reads its four fields
+    off the full LieData, the Hessian called and checked."""
     with mock.patch.object(safefilt.filters, "first_order_lie", lie_data), \
+            mock.patch.object(safefilt.filters, "_first_order_at",
+                              _lie_data_at), \
             mock.patch.object(safefilt.filters, "first_order_lie_rows",
                               lie_data_rows):
         yield

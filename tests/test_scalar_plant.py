@@ -151,9 +151,7 @@ def test_reciprocal_b_data_equals_array_twin(coeffs, out, xs):
                             identity_k(), lambda x, t: np.array([0.0]),
                             gradB=lambda x: np.array(
                                 [1.0 - math.tanh(x[0]) ** 2]))
-            # at one state a scalar plant's LgB is the number of the
-            # twin's (1,) vector: the fields are compared as vectors
-            return tuple(map(np.atleast_1d, _b_data(spec, x)))
+            return _b_data(spec, x)
         return b_data
     for v in xs:
         same_on_both(model, run(np.array([v])))
