@@ -7,8 +7,9 @@ so running it from two checkouts compares them. Every number is the
 best of R rounds (default 5), timed with perf_counter in this process
 and reported at reference machine speed, as bench/run.py reports its
 times: each round's raw time is scaled by REFERENCE_KERNEL_S over the
-mean of the reference kernel's times taken just before and after it
-(the kernel and its constant are imported from bench/run.py). The
+mean of the reference kernel's times taken just before and after it,
+each the median of three runs (the kernel and its constant are
+imported from bench/run.py). The
 kernel's median time over five runs at the end is printed as kernel_s,
 beside reference_kernel_s, the time it takes on the reference machine.
 A shared host's single-thread speed swings by tens of percent for
@@ -96,16 +97,18 @@ compare where raw ones do not.
                               cost) from x0 = -1, MC_PATHS paths (two
                               batches of the default width), dt = 1e-3,
                               T = 2, per path and step
-  mc.noise_peak_mb            the tracemalloc peak of the same call at
-                              ex5-stoch's defaults (10**4 paths), above
-                              what was held before it, in MB (a size,
-                              not a time; measured once)
   probe.game.s                one optimality_probe of game-cert's shape:
                               the integrator plant dx = u dt, h = -x,
                               u0 = 1, alpha(h) = h, inverse_optimal_qp
                               (beta = 2) as u*, x0 = -1.1, the four
                               standard shapes at amplitudes -0.1 and
-                              0.1, dt = 2e-3, T = 1, cost intro-min
+                              0.1, dt = 2e-3, T = 1, cost intro-min;
+                              timed before mc.noise_peak_mb, so no
+                              tracemalloc call has run in the process
+  mc.noise_peak_mb            the tracemalloc peak of mc.us_per_path_step's
+                              call at ex5-stoch's defaults (10**4
+                              paths), above what was held before it, in
+                              MB (a size, not a time; measured once)
 
 Six flags are checked, and any one false exits 1:
 
@@ -151,8 +154,9 @@ Six flags are checked, and any one false exits 1:
                               gives the array expression's bytes, or
                               the same error class and text (numpy's
                               warnings raised as errors, so a warning
-                              counts as its text): _filtered against
-                              u0 + beta correct(omega, a), for each
+                              counts as its text): _filtered at a
+                              number a against u0 + beta correct(omega,
+                              (a,)), the (1,) vector's step, for each
                               rule and beta in (1, 2, 2.5), at every
                               triple of SPECIAL values (u0, omega, a),
                               and at beta = 1 against u0 +
@@ -233,17 +237,24 @@ LOOPS = 8                   # loops of ode.rows
 MC_PATHS = 4000             # paths of mc.us_per_path_step
 
 
+def kernel():
+    """The reference kernel's median time over three runs: a single run
+    swings several-fold where the host preempts it, and would scale the
+    call it brackets by as much."""
+    return statistics.median(BENCH.kernel_seconds() for _ in range(3))
+
+
 def best(fn, rounds):
     """The fastest of `rounds` calls of fn, in seconds at reference
     speed: each call's time scaled by REFERENCE_KERNEL_S over the mean
-    of the kernel times taken just before and after it."""
+    of the kernel times (kernel) taken just before and after it."""
     times = []
-    before = BENCH.kernel_seconds()
+    before = kernel()
     for _ in range(rounds):
         t0 = time.perf_counter()
         fn()
         seconds = time.perf_counter() - t0
-        after = BENCH.kernel_seconds()
+        after = kernel()
         times.append(seconds * BENCH.REFERENCE_KERNEL_S
                      / (0.5 * (before + after)))
         before = after
@@ -492,6 +503,9 @@ LAWS = (
     lambda S, x: sf.rcbf_qp_filter(S["recip"], x, 0.0),
     lambda S, x: sf.rcbf_inverse_optimal(S["recip"], x, 0.0),
     lambda S, x: sf.rcbf_penalty_bound_gap(S["recip"], x, 0.0),
+    lambda S, x: sf.rcbf_condition(S["recip"], x, 0.0),
+    lambda S, x: sf.omega_tilde(S["recip"], x, 0.0),
+    lambda S, x: sf.rcbf_weights(S["recip"], x, 0.0),
     lambda S, x: sf.stoch_qp_filter(S["stoch"], x, 0.0),
     lambda S, x: sf.stoch_inverse_optimal(S["stoch"], x, 0.0),
     lambda S, x: sf.nssf_qp_filter(S["nssf"], x, 0.0),
@@ -808,7 +822,7 @@ def filtered_equals_array():
                                         (1.0, 2.0, 2.5)):
         for u, w, a in itertools.product(SPECIAL, repeat=3):
             u0v, av = np.array([u]), np.array([a])
-            got = _outcome(lambda: _filtered(u0v, beta, w, av, rule,
+            got = _outcome(lambda: _filtered(u0v, beta, w, a, rule,
                                              CbfViolation))
             ok &= got == _outcome(lambda: u0v + beta * correct(
                 w, av, rule, CbfViolation))
@@ -900,8 +914,8 @@ def main(argv=None):
     numbers.update(intro_cost_us(args.rounds))
     numbers["sde.p1.us_per_step"] = sde_us(args.rounds)
     numbers["mc.us_per_path_step"] = mc_us(args.rounds)
-    numbers["mc.noise_peak_mb"] = mc_noise_peak_mb()
     numbers["probe.game.s"] = probe_s(args.rounds)
+    numbers["mc.noise_peak_mb"] = mc_noise_peak_mb()
     equal = contractions_equal_matmul()
     twins = game_same and lie_equal_array() and laws_equal_array()
     rows = rows_equal_single()

@@ -28,7 +28,10 @@ family's certificate cost. Its filters raise its one violation class.
     PROJECTION  0, grad h     none                           -1    projection
 
 with budget(rho, r) = rho^{-1}(max{0, r}); no other code adds a side
-term to a floor margin. dssf_margin, cbf_margin, generator_margin,
+term to a floor margin. Every family but PROJECTION reads a plant's Lie
+data: RECIPROCAL the first-order Lie data (B, LfB, Lg1h, LgB) of its
+spec's barrier B, read as CBF and DSSF read theirs, and PROJECTION the
+estimate itself. dssf_margin, cbf_margin, generator_margin,
 nssf_margin, reciprocal_margin and projection_margin are the first two
 fields, and the omega_* readers the first at u0(x, t). omega >= 0
 where u0 is already safe; a correction v moves the margin to
@@ -101,9 +104,10 @@ u0 + beta R^{-1} a by _plus, the worst-case disturbances' s Lg1h /
 ||Lg1h|| by _along) the float result is the array expression's bits;
 where it is not finite it is the array expression's own result, so a
 NaN keeps the array's sign and payload and numpy's warnings stay the
-array's. _filtered does the same at one state of width one whatever
-the plant. Array plants, stacks and wider controls take the array
-expression.
+array's. Array plants, stacks and wider controls take the array
+expression. RECIPROCAL's step is this float arithmetic too: its state
+read is _first_order_read on the spec's barrier B, and the reciprocal
+inverse-optimal law steps by _plus.
 
 The inverse-optimal layer is one value equation for three games. Each
 takes the value V = 2 beta h and the weighted direction R2^{-1} Lg2h',
@@ -128,9 +132,9 @@ premises.
 Everything this module computes reads only h, Lfh, Lg1h and Lg2h, so
 it takes first-order Lie data (systems._first_order_at at a state,
 through _first_order_read, the state read of the CBF and DSSF families,
-which the disturbance game and the worst-case disturbances read too;
-_lie1 is that read on a plant and barrier), and the
-barrier Hessian is never called here. The Ito terms are for
+and of RECIPROCAL on its barrier B, which the disturbance game and the
+worst-case disturbances read too; _lie1 is that read on a plant and
+barrier), and the barrier Hessian is never called here. The Ito terms are for
 `stochastic`: its games read the full Lie data through the GENERATOR
 and NSSF families, and the one value equation, _value_game, evaluates
 whichever Lie data its game's family reads.
@@ -254,18 +258,16 @@ def _times(k, a):
 
 def _filtered(u0v, beta, omega, a, rule=MIN_NORM, error=CbfViolation):
     """The filtered control u0 + beta correct(omega, a, rule, error),
-    the one step of every filter that returns the full control. At one
-    state of width one (a number omega, a (1,) direction or a number)
-    it is float arithmetic in the same order, u0 + beta (k a), the bits
-    of the array expression; a result that is not finite comes from the
-    array expression itself, so its NaN sign and payload and numpy's
-    warnings are the array's. On stacks and wider controls, the array
+    the one step of every filter that returns the full control. Where
+    the direction a is a width-one number (a scalar plant's one-state
+    read) it is float arithmetic in the same order, u0 + beta (k a),
+    the bits of the array expression; a result that is not finite comes
+    from the array expression itself, so its NaN sign and payload and
+    numpy's warnings are the array's. Where a is an array, the array
     expression u0 + beta v itself, at unit gain too (1.0 v is v, bit
     for bit)."""
     if type(a) is not float:
-        if type(omega) is np.ndarray or a.size != 1:
-            return u0v + beta * correct(omega, a, rule, error)
-        a = a.item()
+        return u0v + beta * correct(omega, a, rule, error)
     k = _factor(omega, 0.0 + a * a, rule, error)  # row_dot at width one
     return _vector(u0v.item() + float(beta) * (0.0 if k == 0.0
                                                else float(k) * a),
@@ -399,20 +401,18 @@ class Family(namedtuple("Family", "state formula error")):
         return self.formula(spec, self.read(spec, x), u0v)
 
 
-def _at(family, spec, x, t):
+def _at(family, spec, x, t, nominal=_u0_at):
     """(state data, u0) at (x, t), or their stacks: the family's state
-    data read first, then u0 = spec.u0(x, t)."""
-    return family.state(spec, x), _u0_at(spec, x, t)
+    data read first, then u0 = nominal(spec, x, t), spec.u0(x, t) unless
+    the caller reads its nominal otherwise."""
+    return family.state(spec, x), nominal(spec, x, t)
 
 
 def _apply(family, spec, rule, gain, x, t, nominal=_u0_at):
     """u0 + gain correct(omega, a, rule, family.error) on the family's
-    margin at (x, t): the family step, which every library filter that
-    returns the full control takes. The state data is read first, then
-    u0 = nominal(spec, x, t), spec.u0(x, t) unless the caller reads its
-    nominal otherwise."""
-    ld = family.state(spec, x)
-    u0v = nominal(spec, x, t)
+    margin at (x, t), its data read by _at: the family step, which every
+    library filter that returns the full control takes."""
+    ld, u0v = _at(family, spec, x, t, nominal)
     omega, a = family.formula(spec, ld, u0v)[:2]
     return _filtered(u0v, gain, omega, a, rule, family.error)
 

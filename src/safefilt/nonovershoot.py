@@ -22,12 +22,14 @@ row).
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .comparison import elementwise
-from .filters import DSSF, MIN_NORM, _apply, _on_lie, budget, dssf_margin
+from .filters import (DSSF, MIN_NORM, _apply, _at, _on_lie, budget,
+                      dssf_margin)
 from .stochastic import GENERATOR, NSSF, generator_margin, nssf_margin
 from .systems import _as_state, call_rows, row_norm
 
@@ -53,27 +55,27 @@ def _u0(spec, x, t=None):
     return _as_state(spec.u0(x), m2, "u0")
 
 
-def _parts(spec, x, family=NSSF):
-    """(Lie data, u0) at a state, or their stacks at each row of an
-    (N, n) stack of states, the Lie data read first by family's state
-    read: NSSF's (GENERATOR's), with the Ito terms, for the Ito entries,
-    and DSSF's, the first-order data, for the deterministic sandwich,
-    which reads no Hessian."""
-    return family.state(spec, x), _u0(spec, x)
+# (Lie data, u0) at a state, or their stacks at each row of an (N, n)
+# stack of states, by filters._at: the Lie data read first, by NSSF's
+# (GENERATOR's) state read, with the Ito terms, for the Ito entries, and
+# by DSSF's, the first-order data, for the deterministic sandwich, which
+# reads no Hessian
+_parts = partial(_at, NSSF, t=None, nominal=_u0)
+_first_order_parts = partial(_at, DSSF, t=None, nominal=_u0)
 
 
 def omega0(spec, x):
     """Upper-side margin of the nominal, side ||Lg1h|| budget(rho0, h);
     <= 0 means the nominal already drives h down at rate alpha0 whenever
     h sits above its rho0-ball."""
-    ld, u0v = _parts(spec, x, DSSF)
+    ld, u0v = _first_order_parts(spec, x)
     side = row_norm(ld.Lg1h) * budget(spec.rho0, ld.h_val)
     return _on_lie(spec, ld, u0v, side, spec.alpha0)[0]
 
 
 def omega_no(spec, x):
     """Floor-side margin; negative where the filter must act."""
-    return dssf_margin(spec, *_parts(spec, x, DSSF))[0]
+    return dssf_margin(spec, *_first_order_parts(spec, x))[0]
 
 
 def sandwich_filter(spec, x):

@@ -19,7 +19,9 @@ in place of u0(x, t). They, projection_margin and projection_penalty_l
 keep the one convention of `filters`: one estimate and nominal, or (N, p)
 stacks of them, and on stacks one entry per row, equal bit for bit to
 the calls at each row. classic_projection, an event law, takes one
-estimate only.
+estimate only. Every barrier read here is checked: where h or grad h
+is not finite, at one estimate or at the first such row of a stack, the
+laws raise ModelBlowup("non-finite model data at x=...").
 
 simulate_projection integrates d theta_hat/dt = u: the continuous laws
 are integrate_ode on that integrator plant (f = 0, g2 = I) with u0 as
@@ -37,7 +39,7 @@ from .filters import (MIN_NORM, Family, _check_gains, _filtered, correct,
                       margin, min_norm_certificate)
 from .sim import _alloc, _record, _rk4, _run, integrate_ode
 from .systems import (_F64, ControlAffineSystem, SafefiltError, _as_state,
-                      _h_value, at_rows, row_dot)
+                      _check_finite, _h_value, at_rows, row_dot)
 
 PROJ_BOUNDARY_TOL = 1e-12
 
@@ -79,12 +81,18 @@ def _projection_min_data(spec, theta_hat, u0_val):
     """projection-min's certificate data (omega, grad h, alpha(h), h, -1),
     stacked over the rows of (N, p) estimates and nominal values."""
     theta, u0v = _parts(theta_hat, u0_val)
-    bf = spec.bf
-    g, h = at_rows(lambda th: (bf._gradient_of(th), _h_value(bf._h(th))),
-                   theta)
+    g, h = at_rows(lambda th: _barrier_at(spec.bf, th), theta)
     alpha_h = elementwise(spec.alpha, h)
     # drift -0.0 adds exactly nothing: omega = grad h.u0 + alpha(h)
     return margin(-0.0, g, u0v, alpha_h) + (alpha_h, h, -1.0)
+
+
+def _barrier_at(bf, theta):
+    """(grad h, h) at one checked estimate, the gradient read first;
+    ModelBlowup where one of them is not finite."""
+    g, h = bf._gradient_of(theta), _h_value(bf._h(theta))
+    _check_finite([h, *g.tolist()], theta)
+    return g, h
 
 
 # the projection family reads the estimate in its formula, once the
@@ -103,6 +111,7 @@ def classic_projection(spec, theta_hat, u0_val):
     estimate only: the boundary test is an event, not a formula."""
     theta, u0v = _parts(theta_hat, u0_val)
     h = _h_value(spec.bf._h(theta))
+    _check_finite([h], theta)
     act = spec.alpha(h)
     if act > PROJ_BOUNDARY_TOL:
         return np.zeros(u0v.shape)
@@ -110,6 +119,7 @@ def classic_projection(spec, theta_hat, u0_val):
         raise ProjectionError("estimate outside the constraint set, h=%g" % h)
     # on the boundary the margin is the normal component grad h . u0
     g = spec.bf._gradient_of(theta)
+    _check_finite(g.tolist(), theta)
     return correct(row_dot(g, u0v), g, MIN_NORM, ProjectionError)
 
 

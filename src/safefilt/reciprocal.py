@@ -8,30 +8,39 @@ Safety keeps dB/dt <= alpha_bar(1/B); the margin
 
 is positive where the nominal pushes toward the boundary, and the
 filters cancel exactly that excess. Everything dualizes to the h-form
-with omega = -h^2 * omega_tilde, which the tests exploit. The
-RECIPROCAL family of `filters` (Family) reads (B, LfB, LgB) (_b_data)
-and writes its data once: the sign-flipped pair (-omega_tilde, -LgB),
-alpha_bar(h), h = 1/B and the cost factor c = -h^2, so the min-norm
-rule and its certificate apply unchanged and the reciprocal cost is the
-h-form one times -h^2; reciprocal_margin is its first two fields and
-rcbf_qp_filter is Filter(RECIPROCAL, spec, MIN_NORM, spec.beta_gain),
-raising RcbfViolation. Every entry keeps the one convention of
-`filters`: one state or an (N, n) stack of them, and on a stack one
-entry per row, equal bit for bit to the calls at each row.
+with omega = -h^2 * omega_tilde, which the tests exploit.
+
+An RcbfSpec builds its barrier once, as spec.bf: its h is B, read
+through a boundary-contact check that raises RcbfViolation("boundary
+contact: B = ... at x = ...") where B is not in (0, inf), before the
+gradient is called, and its gradient is gradB, or the central
+difference of B itself. The RECIPROCAL family of `filters` (Family)
+reads the first-order Lie data of that barrier by the state read of CBF
+and DSSF (filters._first_order_read), so (B, LfB, Lg1h, LgB) shares the
+loop memo, the float route at one state of a scalar plant and the
+finiteness check: a non-finite LfB or LgB is ModelBlowup.
+RECIPROCAL.read (also _b_data) gives that FirstOrderLie with its public
+arrays. The family writes its data once: the sign-flipped pair
+(-omega_tilde, -LgB), alpha_bar(h), h = 1/B and the cost factor
+c = -h^2, so the min-norm rule and its certificate apply unchanged and
+the reciprocal cost is the h-form one times -h^2; reciprocal_margin is
+its first two fields and rcbf_qp_filter is Filter(RECIPROCAL, spec,
+MIN_NORM, spec.beta_gain), raising RcbfViolation. Every entry keeps the
+one convention of `filters`: one state or an (N, n) stack of them, and
+on a stack one entry per row, equal bit for bit to the calls at each
+row; a stack raises what its lowest bad row raises alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-import numpy as np
-
 from .comparison import elementwise
-from .filters import (MIN_NORM, Family, _apply, _at, _check_gains, _u0_at,
-                      _weighted, margin, min_norm_certificate)
-from .systems import (BarrierFunction, SafefiltError, _as_state, _guard,
-                      _h_value, _products, at_rows, first_order_lie_rows)
+from .filters import (MIN_NORM, Family, _apply, _at, _check_gains,
+                      _first_order_read, _plus, _u0_at, _weighted, margin,
+                      min_norm_certificate)
+from .systems import BarrierFunction, SafefiltError, _h_value
 
 
 class RcbfViolation(SafefiltError, RuntimeError):
@@ -47,48 +56,36 @@ class RcbfSpec:
     gradB: Optional[Callable] = None
     Rbar: Optional[Callable] = None
     beta_gain: float = 2.0
+    # the barrier of the state read: h = B, checked for boundary contact
+    bf: BarrierFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sys.m1 != 0:
             raise ValueError("reciprocal filters assume no disturbance "
                              "channel (m1 = 0), got m1 = %d" % self.sys.m1)
         _check_gains(self.beta_gain)
+        grad = (BarrierFunction(self.B)._gradient_of if self.gradB is None
+                else self.gradB)
+        object.__setattr__(self, "bf", BarrierFunction(
+            partial(_contact_checked, self.B), grad))
 
 
-def _b_data(spec, x):
-    """(B, LfB, LgB) at state x, or stacked over the rows of an (N, n) x:
-    there the first-order lie data of B (m1 = 0, so the same model
-    calls), and where that fails or B leaves (0, inf), _b_data row by
-    row, which raises its own error at the first bad row. At one state
-    B, its gradient and the model run with numpy's warnings silenced, as
-    in first_order_lie, and LgB is an (m2,) vector on every plant."""
-    if type(x) is np.ndarray and x.ndim == 2:
-        try:
-            ld = first_order_lie_rows(
-                spec.sys, BarrierFunction(spec.B, spec.gradB), x)
-        except Exception:
-            # whatever failed, the row-by-row pass below meets it first
-            # as _b_data does, and raises _b_data's own error
-            ld = None
-        if ld is not None and (ld.h_val > 0.0).all():
-            return ld.h_val, ld.Lfh, ld.Lg2h
-        return at_rows(partial(_b_data, spec), x)
-    x = _as_state(x, spec.sys.n)
-    with _guard():  # the model, as first_order_lie
-        Bv = _h_value(spec.B(x))
-        if not (Bv > 0.0 and math.isfinite(Bv)):
-            raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
-        grad = BarrierFunction(spec.B, spec.gradB)._gradient_of(x)
-        LfB, LgB = _products(spec.sys, x, grad)[:2]
-    return Bv, LfB, np.array((LgB,)) if type(LgB) is float else LgB
+def _contact_checked(B, x):
+    """B(x) as a float, RcbfViolation unless it lies in (0, inf): the h
+    of the spec's barrier, read before its gradient."""
+    Bv = _h_value(B(x))
+    if not (Bv > 0.0 and math.isfinite(Bv)):
+        raise RcbfViolation("boundary contact: B = %g at x = %s" % (Bv, x))
+    return Bv
 
 
 def _reciprocal(spec, bdata, u0v):
     """The reciprocal family's data (omega, a, alpha_bar(h), h, -h^2) from
-    bdata = (B, LfB, LgB), in h = 1/B coordinates: (omega, a) =
+    B's first-order Lie data bdata, whose first, second and last fields
+    are B, LfB and LgB, in h = 1/B coordinates: (omega, a) =
     (-omega_tilde, -LgB), so that omega_tilde + LgB.v <= 0 reads omega +
     a.v >= 0, the margin with drift -LfB and alpha_bar(1/B)."""
-    Bv, LfB, LgB = bdata
+    Bv, LfB, LgB = bdata[0], bdata[1], bdata[-1]
     h = 1.0 / Bv
     alpha_h = elementwise(spec.alpha_bar, h)
     # -h^2 in floats, row by row on a stack: an overflow is -inf there
@@ -97,9 +94,10 @@ def _reciprocal(spec, bdata, u0v):
     return margin(-LfB, -LgB, u0v, alpha_h) + (alpha_h, h, c)
 
 
-RECIPROCAL = Family(_b_data, _reciprocal, RcbfViolation)
-# reciprocal-min's certificate data, stacked over the rows of x and u0v
-_reciprocal_min_data = RECIPROCAL.data
+RECIPROCAL = Family(_first_order_read, _reciprocal, RcbfViolation)
+# the family's public read and data; certify's reciprocal-min reads the
+# data through _min_norm(RECIPROCAL)
+_b_data, _reciprocal_min_data = RECIPROCAL.read, RECIPROCAL.data
 
 
 def reciprocal_margin(spec, bdata, u0v):
@@ -119,7 +117,8 @@ def rcbf_qp_filter(spec, x, t):
 def rcbf_inverse_optimal(spec, x, t):
     """u = u0 - beta * Rbar^{-1} LgB'."""
     bdata, u0v = _at(RECIPROCAL, spec, x, t)
-    return u0v - spec.beta_gain * _weighted(spec.Rbar, x, u0v, bdata[2])[1]
+    return _plus(u0v, -spec.beta_gain,
+                 _weighted(spec.Rbar, x, u0v, bdata[-1])[1])
 
 
 def rcbf_condition(spec, x, t):
@@ -127,7 +126,7 @@ def rcbf_condition(spec, x, t):
     scaled correction keeps B finite."""
     bdata, u0v = _at(RECIPROCAL, spec, x, t)
     return (reciprocal_margin(spec, bdata, u0v)[0]
-            + _weighted(spec.Rbar, x, u0v, bdata[2])[2])
+            + _weighted(spec.Rbar, x, u0v, bdata[-1])[2])
 
 
 def _weights(spec, x, u0v):

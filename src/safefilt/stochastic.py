@@ -34,6 +34,15 @@ a stack one entry per row, equal bit for bit to the calls at each row
 (a filter returns the (N, m2) stack of controls). Single-state only:
 worst_case_covariance (a matrix per state), generator_h (a supplied
 control and covariance) and nsbf_premise (a supplied covariance).
+
+Decided, near a flat barrier gradient: on ex6's cubic barrier h = -x^3,
+|Lg2h| = 3x^2 falls below GRAD_ZERO_TOL within about 5.8e-7 of x = 0.
+There nssf_qp_filter returns u0 where x <= 0, since h >= 0 and the
+margin is >= 0 (so is it where x^3 underflows to zero and h = -0.0),
+and raises ScbfViolation where x > 0: the state is outside the safe
+set, the margin is negative and no control has the authority to
+restore it. The raise is the filter's answer, not a defect to smooth
+over (tests/test_nssf_near_zero.py).
 """
 
 import math

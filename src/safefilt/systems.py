@@ -44,8 +44,11 @@ edited between runs is read afresh. A result is stored only once its
 finiteness check has passed, so a model that raised is called again;
 an array plant's Lg1h and Lg2h there are read-only arrays, shared by
 every caller that reads that state, and first_order_lie marks its
-arrays read-only inside a loop on every plant. reciprocal's B data and
-filters' stacked corrections take the same guard (_guard).
+arrays read-only inside a loop on every plant. reciprocal's B data is
+this first-order Lie data, of the barrier h = B that an RcbfSpec
+builds once (its h read raises at boundary contact), so it shares the
+memo, the checks and the float route. filters' stacked corrections take
+the same guard (_guard).
 
 This module holds the one row mapper of the package, which calls the
 user's model and policy callables on the rows of a stack. stack_rows
@@ -90,7 +93,7 @@ operands' sizes alone.
 A plant built by scalar_system is scalar: its f, g1 and g2 take the
 state as a Python float and return a number, and every model read takes
 their outputs as floats (_floats_at, _f_value, _gain_value): the Lie
-data at one state (_products, which reciprocal's B data shares) and on
+data at one state (_products) and on
 stacks (ControlAffineSystem._stacks_of), and the RK4 field
 (ControlAffineSystem._field). Each read calls the model in the order f,
 g2, g1 and applies the contraction rule in float arithmetic, so it
@@ -116,11 +119,10 @@ every integrator and filter. Nothing guesses which kind a callable is.
 
 A barrier's h is read by one rule on every route: _h_value at one state
 (BarrierFunction.value, the Lie data, sim's records, the projection
-laws and reciprocal's B) and stack_rows(bf._h, (), rows) on a stack take
-the same outputs, any one number (a float, a numpy scalar, or a 0-d,
-(1,) or (1, 1) array); any other size is the ValueError "h(x) shape
-..., expected one number", which a stack meets as it falls back to its
-rows.
+laws) and stack_rows(bf._h, (), rows) on a stack take the same
+outputs, any one number (a float, a numpy scalar, or a 0-d, (1,) or
+(1, 1) array); any other size is the ValueError "h(x) shape ...,
+expected one number", which a stack meets as it falls back to its rows.
 """
 
 import contextlib
@@ -536,11 +538,12 @@ class BarrierFunction:
 
 class FirstOrderLie(NamedTuple):
     """h and its Lie derivatives at one state: what the deterministic
-    filters, the disturbance game and its weights read. From a stack of
-    N states every field gains a leading axis of length N (floats
-    become (N,) arrays); inside the package a scalar plant's one-state
-    data holds Lg1h and Lg2h as floats (_first_order_at), and
-    first_order_lie and a family's read give them as arrays. Its fields are the first four
+    filters, the reciprocal ones (with h the reciprocal barrier B), the
+    disturbance game and its weights read. From a stack of N states
+    every field gains a leading axis of length N (floats become (N,)
+    arrays); inside the package a scalar plant's one-state data holds
+    Lg1h and Lg2h as floats (_first_order_at), and first_order_lie and
+    a family's read give them as arrays. Its fields are the first four
     of LieData, which adds the Ito terms; it has no trace_term,
     frob_term or g1_hess_g1, so reading one of them from it is an
     AttributeError."""
